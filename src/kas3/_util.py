@@ -1,42 +1,14 @@
-"""Shared plumbing: canonical JSON, exact decimals, deterministic thread fan-out."""
+"""Shared plumbing: canonical JSON and exact decimals."""
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-THREADS_ENV_VAR = "KAS3_THREADS"
 
 
 def canonical_json(doc) -> str:
     """Serialize with sorted keys and fixed separators: equal docs, equal bytes."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    """CLI value wins, then the KAS3_THREADS env var, then 1."""
-    if requested is not None:
-        n = int(requested)
-    else:
-        n = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
-
-
-def ordered_parallel_map(fn: Callable[[T], U], items: Sequence[T], threads: int) -> list[U]:
-    """Map preserving input order, so results never depend on the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def exact_decimal(value: Fraction) -> str:

@@ -11,7 +11,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 WEIGHT_ENUM_MAX_DIM = 24
-KERNEL_ENUM_MAX_CODEWORDS = 1 << 24
 
 
 class Polynomial:

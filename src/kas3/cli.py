@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._util import canonical_json, resolve_threads
+from ._util import canonical_json
 from .algebra import BinaryCode, fold_enumerator, parse_polynomial, weight_enumerator
 from .core import (
     cycle_space_weight_enumerator,
@@ -43,6 +44,26 @@ from .tensor3 import (
 )
 
 
+THREADS_ENV_VAR = "KAS3_THREADS"
+
+
+def resolve_threads(requested: int | None = None) -> int:
+    """Validated thread count: the CLI value, then KAS3_THREADS, then 1.
+
+    The count has no effect on any command; the option and the variable are
+    kept, and still validated, so documented invocations keep working.
+    """
+    if requested is None:
+        raw = os.environ.get(THREADS_ENV_VAR, "1")
+        try:
+            requested = int(raw)
+        except ValueError as exc:
+            raise SchemaError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if requested < 1:
+        raise SchemaError(f"thread count must be >= 1, got {requested}")
+    return requested
+
+
 @dataclass(frozen=True)
 class CommandResult:
     status: int
@@ -74,8 +95,7 @@ _GADGET_MAKERS = {
 
 
 def _cmd_gadget(args) -> CommandResult:
-    threads = resolve_threads(args.threads)
-    gadget = _GADGET_MAKERS[args.kind](certify=args.certify, threads=threads)
+    gadget = _GADGET_MAKERS[args.kind](certify=args.certify)
     payload = gadget.to_doc()
     lines = [
         f"{args.kind}: {len(gadget.config.edge_ids)} edges, "
@@ -106,13 +126,13 @@ def _cmd_reduce(args) -> CommandResult:
 
 def _cmd_per3(args) -> CommandResult:
     tensor = Tensor3.from_doc(_load_json(args.tensor))
-    value = permanent3(tensor, threads=resolve_threads(args.threads))
+    value = permanent3(tensor)
     return CommandResult(0, {"value": encode_ring_value(value)}, _value_text(value))
 
 
 def _cmd_det3(args) -> CommandResult:
     tensor = Tensor3.from_doc(_load_json(args.tensor))
-    value = determinant3(tensor, threads=resolve_threads(args.threads))
+    value = determinant3(tensor)
     return CommandResult(0, {"value": encode_ring_value(value)}, _value_text(value))
 
 
@@ -144,9 +164,8 @@ def _cmd_kasteleyn_build(args) -> CommandResult:
         f"{len(tc.config.triangle_ids)} triangles"
     ]
     if args.certify:
-        threads = resolve_threads(args.threads)
-        signing = certify_trivial_signing(tc, threads=threads)
-        bijection = strong_matching_bijection_check(tc, threads=threads)
+        signing = certify_trivial_signing(tc)
+        bijection = strong_matching_bijection_check(tc)
         payload["certification"] = {
             "trivial_signing": signing.to_doc(),
             "strong_matching_bijection": bijection.to_doc(),
@@ -166,7 +185,7 @@ def _cmd_kasteleyn_build(args) -> CommandResult:
 
 def _cmd_sign_k1(args) -> CommandResult:
     tensor = Tensor3.from_doc(_load_json(args.tensor))
-    outcome = kasteleyn_sign_via_k1(tensor, threads=resolve_threads(args.threads))
+    outcome = kasteleyn_sign_via_k1(tensor)
     if outcome is None:
         return CommandResult(
             0,
@@ -199,7 +218,7 @@ def _cmd_lattice(args) -> CommandResult:
             0, payload, f"wrote {payload['vertices']} vertices, {payload['faces']} faces"
         )
     if args.dimers:
-        poly = dimer_polynomial(lattice, threads=resolve_threads(args.threads))
+        poly = dimer_polynomial(lattice)
         count = poly(1)
         payload = {
             "dims": list(lattice.dims),
@@ -244,7 +263,7 @@ def _cmd_bc_check(args) -> CommandResult:
         raise SchemaError(f"need 1 <= r <= n, got r={r}, n={n}")
     draw = lambda: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
     triple = RectMatrixTriple.from_rows(draw(), draw(), draw())
-    lhs = determinant3(binet_cauchy_C(triple), threads=resolve_threads(args.threads))
+    lhs = determinant3(binet_cauchy_C(triple))
     rhs = binet_cauchy_rhs(triple)
     payload = {
         "r": r,
@@ -265,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: KAS3_THREADS or 1); never changes results",
+        help="validated (default: KAS3_THREADS or 1) and kept for compatibility; has no effect",
     )
     parser = argparse.ArgumentParser(
         prog="kas3",
@@ -341,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _execute(args) -> CommandResult:
     try:
+        resolve_threads(args.threads)
         return args.func(args)
     except SchemaError as exc:
         return CommandResult(

@@ -8,13 +8,19 @@ constructions keep full incidence data.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import ordered_parallel_map
-from .algebra import Polynomial, gf_p_nullspace, is_prime
+from .algebra import (
+    WEIGHT_ENUM_MAX_DIM,
+    BinaryCode,
+    Polynomial,
+    gf_p_nullspace,
+    is_prime,
+    weight_enumerator,
+)
 from .errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
 
-KERNEL_ENUM_MAX_CODEWORDS = 1 << 24
+KERNEL_ENUM_MAX_CODEWORDS = 1 << WEIGHT_ENUM_MAX_DIM
 
 
 class TriangularConfiguration:
@@ -182,25 +188,24 @@ def parse_config_doc(
         raise SchemaError(f"bad configuration document: {exc}") from exc
     config = TriangularConfiguration(edges, triangles, vertices)
 
-    def _class_map(key: str) -> dict[str, int] | None:
+    def _int_map(key: str, allowed: tuple[int, ...] | None = None) -> dict[str, int] | None:
         if key not in doc:
             return None
         if not isinstance(doc[key], Mapping):
             raise SchemaError(f"{key} must be an object")
         out = {}
         for k, v in doc[key].items():
-            v = int(v)
-            if v not in (1, 2, 3):
+            try:
+                v = int(v)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{key}[{k!r}] is not an integer: {v!r}") from exc
+            if allowed is not None and v not in allowed:
                 raise SchemaError(f"{key}[{k!r}] must be 1, 2 or 3")
             out[str(k)] = v
         return out
 
-    weights = None
-    if "weights" in doc:
-        if not isinstance(doc["weights"], Mapping):
-            raise SchemaError("weights must be an object")
-        weights = {str(k): int(v) for k, v in doc["weights"].items()}
-    return config, weights, _class_map("edge_classes"), _class_map("vertex_classes")
+    classes = (1, 2, 3)
+    return config, _int_map("weights"), _int_map("edge_classes", classes), _int_map("vertex_classes", classes)
 
 
 def build_config_doc(
@@ -285,6 +290,62 @@ def validate(config: TriangularConfiguration) -> list[str]:
     return violations
 
 
+# -- exact covers --------------------------------------------------------------
+
+
+def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
+    """Yield every set of options covering each of `item_count` items exactly once.
+
+    Options are item bitmasks; each cover is a list of option indices in the
+    order they were chosen. Every step branches on the uncovered item with
+    the fewest options that avoid the covered items and cuts the branch when
+    some item has none (the choice rule of Knuth's Algorithm X). The search
+    keeps an explicit stack, so its depth is bounded by memory alone.
+    """
+    item_options: list[list[int]] = [[] for _ in range(item_count)]
+    for oi, mask in enumerate(options):
+        while mask:
+            top = mask.bit_length() - 1
+            item_options[top].append(oi)
+            mask ^= 1 << top
+    full = (1 << item_count) - 1
+
+    def candidates(covered: int) -> list[int] | None:
+        """Usable options of the most constrained uncovered item; None when done."""
+        remaining = full & ~covered
+        best = None
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            cands = [oi for oi in item_options[low.bit_length() - 1] if not options[oi] & covered]
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(cands) <= 1:
+                    break
+        return best
+
+    root = candidates(0)
+    if root is None:
+        yield []
+        return
+    chosen: list[int] = []
+    stack = [(0, iter(root))]  # per depth: covered mask before the choice, untried options
+    while stack:
+        covered, untried = stack[-1]
+        oi = next(untried, None)
+        if oi is None:
+            stack.pop()
+            continue
+        del chosen[len(stack) - 1 :]
+        chosen.append(oi)
+        covered |= options[oi]
+        cands = candidates(covered)
+        if cands is None:
+            yield list(chosen)
+        elif cands:
+            stack.append((covered, iter(cands)))
+
+
 # -- matchings and defects ----------------------------------------------------
 
 
@@ -297,18 +358,15 @@ class _SearchIndex:
         self.tri_ids = config.triangle_ids
         self.tri_pos = {t: i for i, t in enumerate(self.tri_ids)}
         self.tri_masks: list[int] = []
-        self.edge_tris: list[list[int]] = [[] for _ in self.edge_ids]
-        for ti, t in enumerate(self.tri_ids):
+        for t in self.tri_ids:
             mask = 0
             for e in config.triangle_edges(t):
-                pos = self.edge_pos[e]
-                mask |= 1 << pos
-                self.edge_tris[pos].append(ti)
+                mask |= 1 << self.edge_pos[e]
             self.tri_masks.append(mask)
         self.full_mask = (1 << len(self.edge_ids)) - 1
 
         self.vertex_ids = tuple(sorted(config.vertices))
-        self.vertex_pos = {v: i for i, v in enumerate(self.vertex_ids)}
+        vertex_pos = {v: i for i, v in enumerate(self.vertex_ids)}
         self.tri_vertex_masks: list[int] | None
         if config.has_full_vertex_data:
             masks = []
@@ -316,12 +374,11 @@ class _SearchIndex:
                 verts = config.triangle_vertices(t)
                 mask = 0
                 for v in verts or ():
-                    mask |= 1 << self.vertex_pos[v]
+                    mask |= 1 << vertex_pos[v]
                 masks.append(mask)
             self.tri_vertex_masks = masks
         else:
             self.tri_vertex_masks = None
-        self.full_vertex_mask = (1 << len(self.vertex_ids)) - 1
 
     def edges_of_mask(self, mask: int) -> frozenset[str]:
         out = []
@@ -330,6 +387,16 @@ class _SearchIndex:
             out.append(self.edge_ids[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
+
+    def triangle_sets(self, item_count: int, options: Sequence[int]) -> list[tuple[str, ...]]:
+        """Exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
+        ntri = len(self.tri_ids)
+        named = [
+            tuple(sorted(self.tri_ids[oi] for oi in cover if oi < ntri))
+            for cover in exact_covers(item_count, options)
+        ]
+        named.sort()
+        return named
 
 
 def _index(config: TriangularConfiguration) -> _SearchIndex:
@@ -368,80 +435,25 @@ def defect(config: TriangularConfiguration, matching: Iterable[str]) -> frozense
 def enumerate_matchings_with_defect_within(
     config: TriangularConfiguration,
     allowed: Iterable[str],
-    threads: int = 1,
 ) -> list[tuple[str, ...]]:
     """All matchings whose defect is contained in `allowed`, canonically ordered.
 
     Every edge outside `allowed` must be covered; edges inside it may or may
-    not be. Perfect matchings are the special case `allowed = ()`. Branching
-    picks the uncovered required edge with the fewest usable triangles.
+    not be. Perfect matchings are the special case `allowed = ()`. Each
+    allowed edge gets a one-edge slack option, so the matchings are exactly
+    the triangle parts of the exact covers of all edges.
     """
     idx = _index(config)
-    allowed_mask = 0
+    slack = set()
     for e in allowed:
         if e not in idx.edge_pos:
             raise ToolkitError(f"unknown edge {e!r}")
-        allowed_mask |= 1 << idx.edge_pos[e]
-    required = idx.full_mask & ~allowed_mask
-    masks = idx.tri_masks
-    edge_tris = idx.edge_tris
-    ntri = len(masks)
-    results: list[tuple[int, ...]] = []
-
-    def optional_extend(start: int, covered: int, chosen: list[int], out: list) -> None:
-        out.append(tuple(chosen))
-        for ti in range(start, ntri):
-            if masks[ti] & covered == 0:
-                chosen.append(ti)
-                optional_extend(ti + 1, covered | masks[ti], chosen, out)
-                chosen.pop()
-
-    def pick_required_edge(covered: int) -> tuple[int, list[int]] | None:
-        remaining = required & ~covered
-        if remaining == 0:
-            return None
-        best: tuple[int, list[int]] | None = None
-        while remaining:
-            low = remaining & -remaining
-            pos = low.bit_length() - 1
-            remaining ^= low
-            cands = [ti for ti in edge_tris[pos] if masks[ti] & covered == 0]
-            if best is None or len(cands) < len(best[1]):
-                best = (pos, cands)
-                if len(cands) <= 1:
-                    break
-        return best
-
-    def cover_required(covered: int, chosen: list[int], out: list) -> None:
-        pick = pick_required_edge(covered)
-        if pick is None:
-            optional_extend(0, covered, chosen, out)
-            return
-        _, cands = pick
-        for ti in cands:
-            chosen.append(ti)
-            cover_required(covered | masks[ti], chosen, out)
-            chosen.pop()
-
-    root_pick = pick_required_edge(0)
-    if threads > 1 and root_pick is not None and len(root_pick[1]) > 1:
-        def run_branch(ti: int) -> list[tuple[int, ...]]:
-            out: list[tuple[int, ...]] = []
-            cover_required(masks[ti], [ti], out)
-            return out
-
-        for branch in ordered_parallel_map(run_branch, root_pick[1], threads):
-            results.extend(branch)
-    else:
-        cover_required(0, [], results)
-
-    named = [tuple(sorted(idx.tri_ids[ti] for ti in match)) for match in results]
-    named.sort()
-    return named
+        slack.add(1 << idx.edge_pos[e])
+    return idx.triangle_sets(len(idx.edge_ids), idx.tri_masks + sorted(slack))
 
 
-def perfect_matchings(config: TriangularConfiguration, threads: int = 1) -> list[tuple[str, ...]]:
-    return enumerate_matchings_with_defect_within(config, (), threads=threads)
+def perfect_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
+    return enumerate_matchings_with_defect_within(config, ())
 
 
 def matching_weight(matching: Iterable[str], weighting: Mapping[str, int] | None) -> int:
@@ -453,77 +465,22 @@ def matching_weight(matching: Iterable[str], weighting: Mapping[str, int] | None
 def perfect_matching_polynomial(
     config: TriangularConfiguration,
     weighting: Mapping[str, int] | None = None,
-    threads: int = 1,
 ) -> Polynomial:
     """Generating polynomial sum of x^(total weight) over perfect matchings."""
     coeffs: dict[int, int] = {}
-    for matching in perfect_matchings(config, threads=threads):
+    for matching in perfect_matchings(config):
         w = matching_weight(matching, weighting)
         coeffs[w] = coeffs.get(w, 0) + 1
     return Polynomial(coeffs)
 
 
-def enumerate_perfect_strong_matchings(
-    config: TriangularConfiguration, threads: int = 1
-) -> list[tuple[str, ...]]:
+def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
     if not config.has_full_vertex_data:
         raise ToolkitError("perfect strong matchings need vertex data on every edge")
     idx = _index(config)
-    vmasks = idx.tri_vertex_masks
-    assert vmasks is not None
-    nverts = len(idx.vertex_ids)
-    vertex_tris: list[list[int]] = [[] for _ in range(nverts)]
-    for ti, mask in enumerate(vmasks):
-        m = mask
-        while m:
-            low = m & -m
-            vertex_tris[low.bit_length() - 1].append(ti)
-            m ^= low
-    full = idx.full_vertex_mask
-    results: list[tuple[int, ...]] = []
-
-    def pick_vertex(covered: int) -> tuple[int, list[int]] | None:
-        remaining = full & ~covered
-        if remaining == 0:
-            return None
-        best: tuple[int, list[int]] | None = None
-        while remaining:
-            low = remaining & -remaining
-            pos = low.bit_length() - 1
-            remaining ^= low
-            cands = [ti for ti in vertex_tris[pos] if vmasks[ti] & covered == 0]
-            if best is None or len(cands) < len(best[1]):
-                best = (pos, cands)
-                if len(cands) <= 1:
-                    break
-        return best
-
-    def search(covered: int, chosen: list[int], out: list) -> None:
-        pick = pick_vertex(covered)
-        if pick is None:
-            out.append(tuple(chosen))
-            return
-        for ti in pick[1]:
-            chosen.append(ti)
-            search(covered | vmasks[ti], chosen, out)
-            chosen.pop()
-
-    root = pick_vertex(0)
-    if threads > 1 and root is not None and len(root[1]) > 1:
-        def run_branch(ti: int) -> list[tuple[int, ...]]:
-            out: list[tuple[int, ...]] = []
-            search(vmasks[ti], [ti], out)
-            return out
-
-        for branch in ordered_parallel_map(run_branch, root[1], threads):
-            results.extend(branch)
-    else:
-        search(0, [], results)
-
-    named = [tuple(sorted(idx.tri_ids[ti] for ti in match)) for match in results]
-    named.sort()
-    return named
+    assert idx.tri_vertex_masks is not None
+    return idx.triangle_sets(len(idx.vertex_ids), idx.tri_vertex_masks)
 
 
 # -- tripartitions -------------------------------------------------------------
@@ -611,20 +568,22 @@ def _rainbow_csp(
             if not assign(item, next(iter(domains[item])), trail):
                 return None
 
-    def search() -> bool:
-        item = pick()
-        if item is None:
-            return True
-        for cls in sorted(domains[item]):
-            mark = len(trail)
-            if assign(item, cls, trail) and search():
-                return True
-            undo(trail, mark)
-        return False
-
-    if not search():
-        return None
-    return {item: assignment[item] for item in items}
+    item = pick()
+    if item is None:
+        return {x: assignment[x] for x in items}
+    # one frame per branching item: (item, untried classes, trail mark before the first)
+    frames = [(item, sorted(domains[item], reverse=True), len(trail))]
+    while frames:
+        item, untried, mark = frames[-1]
+        undo(trail, mark)
+        if not untried:
+            frames.pop()
+        elif assign(item, untried.pop(), trail):
+            item = pick()
+            if item is None:
+                return {x: assignment[x] for x in items}
+            frames.append((item, sorted(domains[item], reverse=True), len(trail)))
+    return None
 
 
 def find_edge_tripartition(
@@ -820,8 +779,9 @@ def incidence_matrix(config: TriangularConfiguration) -> tuple[list[list[int]], 
 def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Polynomial:
     """Weight enumerator of the GF(p) kernel of the incidence matrix.
 
-    Computed by nullspace basis then full enumeration of all p^dim codewords;
-    guarded, not truncated, when that count is too large.
+    Computed by nullspace basis then full enumeration of all p^dim codewords
+    (over GF(2) as a binary code through `weight_enumerator`); guarded, not
+    truncated, when that count is too large.
     """
     if not is_prime(p):
         raise ToolkitError(f"{p} is not prime")
@@ -833,40 +793,23 @@ def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Po
         raise GuardExceeded(
             f"kernel has {p}^{dim} codewords, beyond the enumeration guard"
         )
-    if dim == 0:
-        return Polynomial({0: 1})
-    counts: dict[int, int] = {}
     if p == 2:
-        masks = []
-        for vec in basis:
-            mask = 0
-            for j, v in enumerate(vec):
-                if v:
-                    mask |= 1 << j
-            masks.append(mask)
-        word = 0
-        counts[0] = 1
-        for i in range(1, 1 << dim):
-            flip = (i & -i).bit_length() - 1
-            word ^= masks[flip]
-            w = word.bit_count()
-            counts[w] = counts.get(w, 0) + 1
-    else:
-        coeffs = [0] * dim
-        vec = [0] * ncols
-        counts[0] = 1
-        total = p**dim
-        for _ in range(1, total):
-            # odometer increment over coefficient vectors
-            k = 0
-            while True:
-                coeffs[k] += 1
-                for j in range(ncols):
-                    vec[j] = (vec[j] + basis[k][j]) % p
-                if coeffs[k] < p:
-                    break
-                coeffs[k] = 0
-                k += 1
-            w = sum(1 for v in vec if v)
-            counts[w] = counts.get(w, 0) + 1
+        masks = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
+        return weight_enumerator(BinaryCode(ncols, masks))
+    counts = {0: 1}
+    coeffs = [0] * dim
+    vec = [0] * ncols
+    for _ in range(1, p**dim):
+        # odometer increment over coefficient vectors
+        k = 0
+        while True:
+            coeffs[k] += 1
+            for j in range(ncols):
+                vec[j] = (vec[j] + basis[k][j]) % p
+            if coeffs[k] < p:
+                break
+            coeffs[k] = 0
+            k += 1
+        w = sum(1 for v in vec if v)
+        counts[w] = counts.get(w, 0) + 1
     return Polynomial(counts)

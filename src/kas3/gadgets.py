@@ -162,11 +162,9 @@ def _tunnel_uncertified() -> Gadget:
     )
 
 
-def certify_tunnel(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
+def certify_tunnel(gadget: Gadget) -> list[CheckResult]:
     checks = _end_structure_checks(gadget)
-    found = enumerate_matchings_with_defect_within(
-        gadget.config, gadget.end_edge_union(), threads=threads
-    )
+    found = enumerate_matchings_with_defect_within(gadget.config, gadget.end_edge_union())
     expected = sorted(
         [tuple(sorted(gadget.matchings["defect_end1"])), tuple(sorted(gadget.matchings["defect_end2"]))]
     )
@@ -197,11 +195,11 @@ def certify_tunnel(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
     return checks
 
 
-def make_tunnel(certify: bool = True, threads: int = 1) -> Gadget:
+def make_tunnel(certify: bool = True) -> Gadget:
     gadget = _tunnel_uncertified()
     if not certify:
         return gadget
-    return _finish("tunnel", gadget, certify_tunnel(gadget, threads=threads))
+    return _finish("tunnel", gadget, certify_tunnel(gadget))
 
 
 # -- five-triangle sphere piece ----------------------------------------------------
@@ -235,9 +233,9 @@ def _s5_uncertified() -> Gadget:
     )
 
 
-def certify_s5(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
+def certify_s5(gadget: Gadget) -> list[CheckResult]:
     checks = _end_structure_checks(gadget)
-    perfect = perfect_matchings(gadget.config, threads=threads)
+    perfect = perfect_matchings(gadget.config)
     checks.append(
         CheckResult(
             "unique_perfect_matching_of_size_4",
@@ -247,9 +245,7 @@ def certify_s5(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
         )
     )
     end_union = frozenset(gadget.end_edge_union())
-    within = enumerate_matchings_with_defect_within(
-        gadget.config, end_union, threads=threads
-    )
+    within = enumerate_matchings_with_defect_within(gadget.config, end_union)
     full_defect = [m for m in within if defect(gadget.config, m) == end_union]
     checks.append(
         CheckResult(
@@ -269,11 +265,11 @@ def certify_s5(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
     return checks
 
 
-def make_s5(certify: bool = True, threads: int = 1) -> Gadget:
+def make_s5(certify: bool = True) -> Gadget:
     gadget = _s5_uncertified()
     if not certify:
         return gadget
-    return _finish("s5", gadget, certify_s5(gadget, threads=threads))
+    return _finish("s5", gadget, certify_s5(gadget))
 
 
 # -- matching triangular triangle ---------------------------------------------------
@@ -331,10 +327,10 @@ def _mtt_uncertified() -> Gadget:
     )
 
 
-def certify_mtt(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
+def certify_mtt(gadget: Gadget) -> list[CheckResult]:
     checks = _end_structure_checks(gadget)
     end_union = frozenset(gadget.end_edge_union())
-    within = enumerate_matchings_with_defect_within(gadget.config, end_union, threads=threads)
+    within = enumerate_matchings_with_defect_within(gadget.config, end_union)
     expected = sorted(
         [tuple(sorted(gadget.matchings["perfect"])), tuple(sorted(gadget.matchings["all_ends_defect"]))]
     )
@@ -365,11 +361,11 @@ def certify_mtt(gadget: Gadget, threads: int = 1) -> list[CheckResult]:
     return checks
 
 
-def make_matching_triangular_triangle(certify: bool = True, threads: int = 1) -> Gadget:
+def make_matching_triangular_triangle(certify: bool = True) -> Gadget:
     gadget = _mtt_uncertified()
     if not certify:
         return gadget
-    return _finish("matching triangular triangle", gadget, certify_mtt(gadget, threads=threads))
+    return _finish("matching triangular triangle", gadget, certify_mtt(gadget))
 
 
 _REFERENCE_MTT: Gadget | None = None
@@ -571,8 +567,8 @@ def tripartite_reduction(
     )
 
 
-def reduced_matching_polynomial(result: ReductionResult, threads: int = 1) -> Polynomial:
+def reduced_matching_polynomial(result: ReductionResult) -> Polynomial:
     """Perfect-matching polynomial of the reduced configuration under its weights."""
     from .core import perfect_matching_polynomial
 
-    return perfect_matching_polynomial(result.config, result.weighting, threads=threads)
+    return perfect_matching_polynomial(result.config, result.weighting)

@@ -20,10 +20,10 @@ from .tensor3 import (
     BipartiteGraph,
     RingValue,
     Tensor3,
+    diagonal_sign,
     enumerate_graph_perfect_matchings,
-    permutation_parity,
+    support_diagonals,
     vertex_adjacency,
-    walk_support_diagonals,
 )
 
 TRIVIAL_SIGNING_MAX_SIDE = 64
@@ -183,26 +183,21 @@ def certify_trivial_signing(tc: TConstruction, threads: int = 1) -> SigningCerti
     """Check sign(sigma1) * sign(sigma2) = +1 for every contributing pair.
 
     Walks the nonzero support of the tensor; the first violating permutation
-    pair, if any, is returned as a witness.
+    pair found, if any, is returned as a row-indexed witness. `threads` is
+    ignored; it stays so that existing callers keep working.
     """
     if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
         raise GuardExceeded(
             f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
         )
-    count = [0]
-    witness: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None]
-
-    def leaf(s1: list[int], s2: list[int], _product: RingValue) -> None:
-        count[0] += 1
-        if witness[0] is None and permutation_parity(s1) * permutation_parity(s2) != 1:
-            witness[0] = (tuple(s1), tuple(s2))
-
-    walk_support_diagonals(tc.tensor, leaf, threads=threads)
-    return SigningCertificate(
-        passed=witness[0] is None,
-        contributing_pairs=count[0],
-        witness=witness[0],
-    )
+    count = 0
+    witness = None
+    for cells in support_diagonals(tc.tensor):
+        count += 1
+        if witness is None and diagonal_sign(cells) != 1:
+            by_row = sorted(cells)
+            witness = (tuple(j for _i, j, _k in by_row), tuple(k for _i, _j, k in by_row))
+    return SigningCertificate(passed=witness is None, contributing_pairs=count, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -246,9 +241,12 @@ def expected_strong_matching(tc: TConstruction, pm: Sequence[tuple[str, str]]) -
 
 
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
-    """Certify the matching correspondence and its weight preservation."""
+    """Certify the matching correspondence and its weight preservation.
+
+    `threads` is ignored; it stays so that existing callers keep working.
+    """
     pms = enumerate_graph_perfect_matchings(tc.graph)
-    strong = enumerate_perfect_strong_matchings(tc.config, threads=threads)
+    strong = enumerate_perfect_strong_matchings(tc.config)
     images = [expected_strong_matching(tc, pm) for pm in pms]
     problems = []
     if len(set(images)) != len(images):

@@ -68,7 +68,8 @@ def dimer_polynomial(
 
     With `cross_check` (the default) the matching count is recomputed through
     the support-matrix permanent and the tensor-pipeline permanent, and all
-    three values must agree exactly.
+    three values must agree exactly. `threads` is ignored; it stays so that
+    existing callers keep working.
     """
     if lattice.vertex_count > DIMER_MAX_VERTICES:
         raise GuardExceeded(
@@ -89,7 +90,7 @@ def dimer_polynomial(
         count = len(matchings)
         biadj = lattice.graph.biadjacency()
         via_matrix = permanent2(biadj)
-        via_tensor = permanent3(build_T(biadj).tensor, threads=threads)
+        via_tensor = permanent3(build_T(biadj).tensor)
         if not (via_matrix == count and via_tensor == count):
             raise ToolkitError(
                 f"dimer pipelines disagree: direct={count}, "
@@ -98,8 +99,8 @@ def dimer_polynomial(
     return poly
 
 
-def dimer_count(lattice: CubicLattice, cross_check: bool = True, threads: int = 1) -> int:
-    return dimer_polynomial(lattice, cross_check=cross_check, threads=threads)(1)
+def dimer_count(lattice: CubicLattice, cross_check: bool = True) -> int:
+    return dimer_polynomial(lattice, cross_check=cross_check)(1)
 
 
 # -- geometric realization ---------------------------------------------------------

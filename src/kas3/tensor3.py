@@ -1,8 +1,8 @@
 """Sparse exact 3-matrices: permanents, determinants, adjacency builders, signings.
 
 Entry values are exact ring elements: Python ints, fractions, or Polynomial.
-Cubic permanents and determinants walk the nonzero support with used-index
-bitmasks; the n <= 4 dense double-permutation loop stays available as an
+Cubic permanents and determinants enumerate the nonzero support diagonals as
+exact covers; the n <= 4 dense double-permutation loop stays available as an
 independent oracle.
 """
 
@@ -11,11 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from ._util import ordered_parallel_map
 from .algebra import Polynomial
-from .core import TriangularConfiguration, check_edge_tripartition, check_vertex_tripartition
+from .core import (
+    TriangularConfiguration,
+    check_edge_tripartition,
+    check_vertex_tripartition,
+    exact_covers,
+)
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 DENSE_MAX_SIDE = 4
@@ -128,75 +132,22 @@ def decode_ring_value(value) -> RingValue:
 # -- permanent / determinant ---------------------------------------------------
 
 
-def walk_support_diagonals(
-    tensor: Tensor3,
-    leaf: Callable[[list[int], list[int], RingValue], None],
-    threads: int = 1,
-) -> None:
-    """Visit every (sigma1, sigma2) pair with a nonzero entry product.
+def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
+    """Yield the cells of every (sigma1, sigma2) pair with a nonzero entry product.
 
-    Rows (axis-0 indices) are processed in ascending order of nonzero count;
-    `leaf` receives sigma1/sigma2 as row-indexed assignment arrays plus the
-    entry product along the pair.
+    Such a pair is an exact cover of the 3n axis indices of the zero-padded
+    cube by nonzero cells, cell (i, j, k) covering row i, j and k. Cells come
+    in search order, not row order.
     """
     n = tensor.cube_side
-    row_entries: list[list[tuple[int, int, RingValue]]] = [[] for _ in range(n)]
-    for (i, j, k), value in sorted(tensor.entries.items()):
-        row_entries[i].append((j, k, value))
-    if any(not row for row in row_entries):
-        return
-    order = sorted(range(n), key=lambda i: (len(row_entries[i]), i))
-    sigma1 = [-1] * n
-    sigma2 = [-1] * n
-
-    def recurse(depth: int, used_j: int, used_k: int, product: RingValue) -> None:
-        if depth == n:
-            leaf(sigma1[:], sigma2[:], product)
-            return
-        row = order[depth]
-        for j, k, value in row_entries[row]:
-            bj, bk = 1 << j, 1 << k
-            if used_j & bj or used_k & bk:
-                continue
-            sigma1[row], sigma2[row] = j, k
-            recurse(depth + 1, used_j | bj, used_k | bk, product * value)
-        sigma1[row] = sigma2[row] = -1
-
-    if threads > 1 and n > 0 and len(row_entries[order[0]]) > 1:
-        first = order[0]
-
-        def run_branch(cand: tuple[int, int, RingValue]) -> list[tuple[list[int], list[int], RingValue]]:
-            j, k, value = cand
-            collected: list[tuple[list[int], list[int], RingValue]] = []
-            s1, s2 = [-1] * n, [-1] * n
-
-            def local(depth: int, used_j: int, used_k: int, product: RingValue) -> None:
-                if depth == n:
-                    collected.append((s1[:], s2[:], product))
-                    return
-                row = order[depth]
-                for jj, kk, vv in row_entries[row]:
-                    bj, bk = 1 << jj, 1 << kk
-                    if used_j & bj or used_k & bk:
-                        continue
-                    s1[row], s2[row] = jj, kk
-                    local(depth + 1, used_j | bj, used_k | bk, product * vv)
-                s1[row] = s2[row] = -1
-
-            s1[first], s2[first] = j, k
-            local(1, 1 << j, 1 << k, value)
-            return collected
-
-        branches = ordered_parallel_map(run_branch, row_entries[first], threads)
-        for branch in branches:
-            for s1, s2, product in branch:
-                leaf(s1, s2, product)
-    else:
-        recurse(0, 0, 0, 1)
+    cells = sorted(tensor.entries)
+    options = [1 << i | 1 << (n + j) | 1 << (2 * n + k) for i, j, k in cells]
+    for cover in exact_covers(3 * n, options):
+        yield [cells[oi] for oi in cover]
 
 
 def permutation_parity(perm: Sequence[int]) -> int:
-    """+1 for even, -1 for odd, by inversion counting."""
+    """+1 for even, -1 for odd, by inversion counting (used by the dense oracles)."""
     inversions = 0
     for a in range(len(perm)):
         for b in range(a + 1, len(perm)):
@@ -205,27 +156,56 @@ def permutation_parity(perm: Sequence[int]) -> int:
     return -1 if inversions & 1 else 1
 
 
+def diagonal_sign(cells: Sequence[tuple[int, int, int]]) -> int:
+    """sign(sigma1) * sign(sigma2) of a support diagonal, in O(n).
+
+    The product equals the sign of the permutation j -> k, read off its
+    cycle count: the parity is that of n minus the number of cycles.
+    """
+    n = len(cells)
+    k_of = [0] * n
+    for _i, j, k in cells:
+        k_of[j] = k
+    seen = [False] * n
+    odd = 0
+    for start in range(n):
+        if not seen[start]:
+            odd ^= 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = k_of[j]
+    return -1 if (n ^ odd) & 1 else 1
+
+
+def _diagonal_product(tensor: Tensor3, cells: Sequence[tuple[int, int, int]]) -> RingValue:
+    product: RingValue = 1
+    for cell in cells:
+        product = product * tensor.entries[cell]
+    return product
+
+
 def permanent3(tensor: Tensor3, threads: int = 1) -> RingValue:
-    """Exact double-permutation sum over the zero-padded cube (sparse path)."""
-    total: list[RingValue] = [0]
+    """Exact double-permutation sum over the zero-padded cube (sparse path).
 
-    def leaf(_s1: list[int], _s2: list[int], product: RingValue) -> None:
-        total[0] = total[0] + product
-
-    walk_support_diagonals(tensor, leaf, threads=threads)
-    return total[0]
+    `threads` is ignored; it stays so that existing callers keep working.
+    """
+    total: RingValue = 0
+    for cells in support_diagonals(tensor):
+        total = total + _diagonal_product(tensor, cells)
+    return total
 
 
 def determinant3(tensor: Tensor3, threads: int = 1) -> RingValue:
-    """Like `permanent3` but each term carries sign(sigma1) * sign(sigma2)."""
-    total: list[RingValue] = [0]
+    """Like `permanent3` but each term carries sign(sigma1) * sign(sigma2).
 
-    def leaf(s1: list[int], s2: list[int], product: RingValue) -> None:
-        sign = permutation_parity(s1) * permutation_parity(s2)
-        total[0] = total[0] + (product if sign > 0 else -product)
-
-    walk_support_diagonals(tensor, leaf, threads=threads)
-    return total[0]
+    `threads` is ignored; it stays so that existing callers keep working.
+    """
+    total: RingValue = 0
+    for cells in support_diagonals(tensor):
+        product = _diagonal_product(tensor, cells)
+        total = total + product if diagonal_sign(cells) > 0 else total - product
+    return total
 
 
 def permanent3_dense(tensor: Tensor3) -> RingValue:
@@ -369,32 +349,20 @@ class BipartiteGraph:
 
 
 def enumerate_graph_perfect_matchings(graph: BipartiteGraph) -> list[tuple]:
-    """All perfect matchings as sorted edge tuples, deterministically ordered."""
+    """All perfect matchings as sorted edge tuples, deterministically ordered.
+
+    Exact covers of the left and right vertices by edges.
+    """
     if len(graph.left) != len(graph.right):
         return []
-    adjacency: dict = {u: [] for u in graph.left}
-    for u, v in sorted(graph.edges):
-        adjacency[u].append(v)
-    left = sorted(graph.left)
-    out: list[tuple] = []
-    used: set = set()
-    chosen: list = []
-
-    def search(i: int) -> None:
-        if i == len(left):
-            out.append(tuple(sorted(chosen)))
-            return
-        u = left[i]
-        for v in adjacency[u]:
-            if v in used:
-                continue
-            used.add(v)
-            chosen.append((u, v))
-            search(i + 1)
-            chosen.pop()
-            used.remove(v)
-
-    search(0)
+    pos = {("L", u): i for i, u in enumerate(graph.left)}
+    pos.update({("R", v): len(graph.left) + j for j, v in enumerate(graph.right)})
+    edges = sorted(graph.edges)
+    options = [1 << pos[("L", u)] | 1 << pos[("R", v)] for u, v in edges]
+    out = [
+        tuple(sorted(edges[oi] for oi in cover))
+        for cover in exact_covers(len(pos), options)
+    ]
     out.sort()
     return out
 
@@ -584,9 +552,7 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     return None
 
 
-def kasteleyn_sign_via_k1(
-    tensor: Tensor3, threads: int = 1
-) -> tuple[Tensor3, EdgeSigning, EdgeSigning] | None:
+def kasteleyn_sign_via_k1(tensor: Tensor3) -> tuple[Tensor3, EdgeSigning, EdgeSigning] | None:
     """Resign via Pfaffian signings of both projection graphs, verified exactly.
 
     Returns None when either search fails; that is *not* a proof that no
@@ -600,7 +566,7 @@ def kasteleyn_sign_via_k1(
     if sign2 is None:
         return None
     signed = apply_signing(tensor, sign1, sign2)
-    if determinant3(signed, threads=threads) != permanent3(tensor, threads=threads):
+    if determinant3(signed) != permanent3(tensor):
         raise ToolkitError("resigning verification failed; this should be impossible")
     return signed, sign1, sign2
 

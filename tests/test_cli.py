@@ -6,7 +6,7 @@ import pytest
 
 from kas3._util import canonical_json
 from kas3.cli import main, run
-from kas3.core import parse_config_doc
+from kas3.core import check_edge_tripartition, parse_config_doc
 from kas3.tensor3 import Tensor3
 
 
@@ -181,6 +181,9 @@ class TestErrors:
             (["kasteleyn", "build"], {"n": 1, "rows": [5]}),
             (["kasteleyn", "build"], [1, 2]),
             (["code", "wenum"], {"k": 1, "n": 2, "rows": 3}),
+            (["reduce"], {"edges": [], "triangles": [], "weights": {"t": "abc"}}),
+            (["triadj"], {"edges": [], "triangles": [], "edge_classes": {"a": "one"}}),
+            (["triadj"], {"edges": [], "triangles": [], "vertex_classes": {"u": [1]}}),
         ],
     )
     def test_malformed_documents_exit_2(self, capsys, tmp_path, command, doc):
@@ -189,6 +192,43 @@ class TestErrors:
         status, out = invoke(capsys, *command, str(path))
         assert status == 2
         assert json.loads(out)["error"]["type"] == "schema"
+
+    @pytest.mark.parametrize(
+        "extra, env",
+        [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "x")],
+    )
+    def test_bad_thread_count_exit_2(self, capsys, monkeypatch, tensor_file, extra, env):
+        if env is None:
+            monkeypatch.delenv("KAS3_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KAS3_THREADS", env)
+        status, out = invoke(capsys, "per3", tensor_file, *extra)
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "schema"
+
+
+class TestScale:
+    def test_triadj_on_long_strip(self, capsys, tmp_path):
+        # triangle i spans vertices i, i+1, i+2; search depth grows with the strip
+        size = 1500
+        edges, triangles = {}, []
+        for i in range(size):
+            names = []
+            for a, b in ((i, i + 1), (i + 1, i + 2), (i, i + 2)):
+                eid = f"v{a}~v{b}"
+                edges[eid] = [f"v{a}", f"v{b}"]
+                names.append(eid)
+            triangles.append({"id": f"t{i}", "edges": names})
+        doc = {"edges": [{"id": e, "ends": ends} for e, ends in edges.items()], "triangles": triangles}
+        path = tmp_path / "strip.json"
+        path.write_text(json.dumps(doc))
+        status, out = invoke(capsys, "triadj", str(path), "--json")
+        assert status == 0
+        payload = json.loads(out)
+        classes = {e: cls for cls, axis in enumerate(payload["axes"], start=1) for e in axis}
+        config, _, _, _ = parse_config_doc(doc)
+        assert check_edge_tripartition(config, classes) == []
+        assert len(payload["tensor"]["entries"]) == size
 
 
 class TestDeterminism:

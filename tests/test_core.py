@@ -131,6 +131,12 @@ class TestEnumeration:
         )
         assert perfect_matchings(config) == []
 
+    def test_search_depth_is_not_bounded_by_recursion_limit(self):
+        edges = [f"e{i}" for i in range(9000)]
+        triangles = {f"t{i:04d}": tuple(edges[3 * i : 3 * i + 3]) for i in range(3000)}
+        config = TriangularConfiguration(edges, triangles)
+        assert perfect_matchings(config) == [tuple(sorted(triangles))]
+
     def test_monotone_in_allowed(self):
         rng = random.Random(7)
         for _ in range(15):
@@ -141,14 +147,6 @@ class TestEnumeration:
             inner = set(enumerate_matchings_with_defect_within(config, small))
             outer = set(enumerate_matchings_with_defect_within(config, large))
             assert inner <= outer
-
-    def test_thread_count_does_not_change_results(self):
-        rng = random.Random(8)
-        for _ in range(8):
-            config = random_config(rng)
-            one = enumerate_matchings_with_defect_within(config, config.edge_ids[:3], threads=1)
-            two = enumerate_matchings_with_defect_within(config, config.edge_ids[:3], threads=3)
-            assert one == two
 
 
 class TestPerfectMatchingPolynomial:

@@ -68,9 +68,28 @@ class TestPermanentDeterminant:
 
     def test_sparse_and_dense_agree(self):
         rng = random.Random(31)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            t = random_tensor(rng, n)
+        tensors = [random_tensor(rng, rng.randint(1, 4)) for _ in range(40)]
+        # non-cubic dims: the missing slices of the padded cube are zero
+        for _ in range(20):
+            dims = tuple(rng.randint(1, 4) for _ in range(3))
+            cube = random_tensor(rng, max(dims), density=0.7)
+            inside = {c: v for c, v in cube.entries.items() if all(x < d for x, d in zip(c, dims))}
+            tensors.append(Tensor3(dims, inside))
+        # one axis-1 or axis-2 slice thinned to one or two cells, so the
+        # search places rows out of order; the determinant's sign must hold
+        for axis in (1, 2):
+            for _ in range(15):
+                n = rng.randint(2, 4)
+                full = {
+                    (i, j, k): rng.choice([-3, -2, -1, 1, 2, 3])
+                    for i in range(n) for j in range(n) for k in range(n)
+                }
+                x = rng.randrange(n)
+                keep = set(rng.sample([c for c in full if c[axis] == x], rng.randint(1, 2)))
+                tensors.append(
+                    Tensor3((n, n, n), {c: v for c, v in full.items() if c[axis] != x or c in keep})
+                )
+        for t in tensors:
             assert permanent3(t) == permanent3_dense(t)
             assert determinant3(t) == determinant3_dense(t)
 
