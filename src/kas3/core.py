@@ -298,52 +298,79 @@ def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]
 
     Options are item bitmasks; each cover is a list of option indices in the
     order they were chosen. Every step branches on the uncovered item with
-    the fewest options that avoid the covered items and cuts the branch when
-    some item has none (the choice rule of Knuth's Algorithm X). The search
-    keeps an explicit stack, so its depth is bounded by memory alone.
+    the fewest live options (options that avoid the covered items), taking
+    the lowest item index on ties, and cuts the branch when some item has
+    none (the choice rule of Knuth's Algorithm X). It tries that item's live
+    options in ascending index, so covers come out in a fixed order.
+
+    The state is bitmasks over option indices: `item_opts[i]` holds the
+    options containing item i, `live` the options still usable, and an
+    item's count is `(item_opts[i] & live).bit_count()`. Choosing option o
+    clears `clash[o]`, the options sharing an item with o, from `live`;
+    `clash[o]` is built the first time o is chosen. The search keeps an
+    explicit stack of `(covered, live, untried)` frames, so its depth is
+    bounded by memory alone.
     """
-    item_options: list[list[int]] = [[] for _ in range(item_count)]
+    item_opts = [0] * item_count
     for oi, mask in enumerate(options):
+        bit = 1 << oi
         while mask:
             top = mask.bit_length() - 1
-            item_options[top].append(oi)
+            item_opts[top] |= bit
             mask ^= 1 << top
     full = (1 << item_count) - 1
+    clash: dict[int, int] = {}
 
-    def candidates(covered: int) -> list[int] | None:
-        """Usable options of the most constrained uncovered item; None when done."""
+    def choose(covered: int, live: int) -> int | None:
+        """Live options of the most constrained uncovered item; None when done."""
         remaining = full & ~covered
         best = None
+        best_count = 0
         while remaining:
             low = remaining & -remaining
             remaining ^= low
-            cands = [oi for oi in item_options[low.bit_length() - 1] if not options[oi] & covered]
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) <= 1:
+            opts = item_opts[low.bit_length() - 1] & live
+            count = opts.bit_count()
+            if best is None or count < best_count:
+                best, best_count = opts, count
+                if count <= 1:
                     break
         return best
 
-    root = candidates(0)
+    live = (1 << len(options)) - 1
+    root = choose(0, live)
     if root is None:
         yield []
         return
     chosen: list[int] = []
-    stack = [(0, iter(root))]  # per depth: covered mask before the choice, untried options
+    stack = [(0, live, root)]  # per depth: covered and live before the choice, untried options
     while stack:
-        covered, untried = stack[-1]
-        oi = next(untried, None)
-        if oi is None:
+        covered, live, untried = stack[-1]
+        if not untried:
             stack.pop()
             continue
+        low = untried & -untried
+        stack[-1] = (covered, live, untried ^ low)
+        oi = low.bit_length() - 1
         del chosen[len(stack) - 1 :]
         chosen.append(oi)
-        covered |= options[oi]
-        cands = candidates(covered)
-        if cands is None:
+        mask = options[oi]
+        blocked = clash.get(oi)
+        if blocked is None:
+            blocked = 0
+            rest = mask
+            while rest:
+                top = rest.bit_length() - 1
+                blocked |= item_opts[top]
+                rest ^= 1 << top
+            clash[oi] = blocked
+        covered |= mask
+        live &= ~blocked
+        nxt = choose(covered, live)
+        if nxt is None:
             yield list(chosen)
-        elif cands:
-            stack.append((covered, iter(cands)))
+        elif nxt:
+            stack.append((covered, live, nxt))
 
 
 # -- matchings and defects ----------------------------------------------------
@@ -613,37 +640,43 @@ def find_vertex_tripartition(
     return _rainbow_csp(items, triples, pins)  # type: ignore[arg-type]
 
 
+def _check_tripartition(
+    kind: str,
+    items: Iterable[str],
+    triangles: Iterable[tuple[str, Iterable[str] | None]],
+    classes: Mapping[str, int],
+    label: str,
+) -> list[str]:
+    """Violations of a tripartition: every item classed, every triangle rainbow.
+
+    `triangles` pairs each triangle id with its items, or with None when the
+    triangle lacks vertex data; `label` names the classes in the message.
+    """
+    problems = [f"{kind} {x!r} has no class" for x in items if classes.get(x) not in (1, 2, 3)]
+    for t, members in triangles:
+        if members is None:
+            problems.append(f"triangle {t!r} lacks vertex data")
+            continue
+        seen = sorted(classes.get(x, 0) for x in members)
+        if seen != [1, 2, 3]:
+            problems.append(f"triangle {t!r} has {label} {seen}")
+    return problems
+
+
 def check_edge_tripartition(
     config: TriangularConfiguration, classes: Mapping[str, int]
 ) -> list[str]:
     """Violations of the edge-tripartition invariant (total + rainbow)."""
-    problems = []
-    for e in config.edge_ids:
-        if classes.get(e) not in (1, 2, 3):
-            problems.append(f"edge {e!r} has no class")
-    for t in config.triangle_ids:
-        seen = sorted(classes.get(e, 0) for e in config.triangle_edges(t))
-        if seen != [1, 2, 3]:
-            problems.append(f"triangle {t!r} has classes {seen}")
-    return problems
+    triangles = ((t, config.triangle_edges(t)) for t in config.triangle_ids)
+    return _check_tripartition("edge", config.edge_ids, triangles, classes, "classes")
 
 
 def check_vertex_tripartition(
     config: TriangularConfiguration, classes: Mapping[str, int]
 ) -> list[str]:
-    problems = []
-    for v in sorted(config.vertices):
-        if classes.get(v) not in (1, 2, 3):
-            problems.append(f"vertex {v!r} has no class")
-    for t in config.triangle_ids:
-        verts = config.triangle_vertices(t)
-        if verts is None:
-            problems.append(f"triangle {t!r} lacks vertex data")
-            continue
-        seen = sorted(classes.get(v, 0) for v in verts)
-        if seen != [1, 2, 3]:
-            problems.append(f"triangle {t!r} has vertex classes {seen}")
-    return problems
+    """Violations of the vertex-tripartition invariant (total + rainbow)."""
+    triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
+    return _check_tripartition("vertex", sorted(config.vertices), triangles, classes, "vertex classes")
 
 
 # -- composition ---------------------------------------------------------------

@@ -218,11 +218,23 @@ class BijectionReport:
         return doc
 
 
-def expected_strong_matching(tc: TConstruction, pm: Sequence[tuple[str, str]]) -> tuple[str, ...]:
-    """Strong matching induced by a perfect matching of the support graph."""
+def _support_maps(
+    tc: TConstruction,
+) -> tuple[dict[str, int], dict[str, int], dict[tuple[int, int], int]]:
+    """Row of each left vertex, column of each right vertex, index of each support edge."""
     left_pos = {name: i for i, name in enumerate(tc.graph.left)}
     right_pos = {name: j for j, name in enumerate(tc.graph.right)}
     edge_index = {e: ei for ei, e in enumerate(tc.edge_list)}
+    return left_pos, right_pos, edge_index
+
+
+def _strong_image(
+    tc: TConstruction,
+    pm: Sequence[tuple[str, str]],
+    left_pos: Mapping[str, int],
+    right_pos: Mapping[str, int],
+    edge_index: Mapping[tuple[int, int], int],
+) -> tuple[str, ...]:
     pm_indexed = set()
     for u, v in pm:
         key = (left_pos[u], right_pos[v])
@@ -240,14 +252,20 @@ def expected_strong_matching(tc: TConstruction, pm: Sequence[tuple[str, str]]) -
     return tuple(sorted(chosen))
 
 
+def expected_strong_matching(tc: TConstruction, pm: Sequence[tuple[str, str]]) -> tuple[str, ...]:
+    """Strong matching induced by a perfect matching of the support graph."""
+    return _strong_image(tc, pm, *_support_maps(tc))
+
+
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
     """Certify the matching correspondence and its weight preservation.
 
     `threads` is ignored; it stays so that existing callers keep working.
     """
+    left_pos, right_pos, edge_index = _support_maps(tc)
     pms = enumerate_graph_perfect_matchings(tc.graph)
     strong = enumerate_perfect_strong_matchings(tc.config)
-    images = [expected_strong_matching(tc, pm) for pm in pms]
+    images = [_strong_image(tc, pm, left_pos, right_pos, edge_index) for pm in pms]
     problems = []
     if len(set(images)) != len(images):
         problems.append("forward map is not injective")
@@ -257,8 +275,6 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
         )
     for pm, image in zip(pms, images):
         weight_graph: RingValue = 1
-        left_pos = {name: i for i, name in enumerate(tc.graph.left)}
-        right_pos = {name: j for j, name in enumerate(tc.graph.right)}
         for u, v in pm:
             weight_graph = weight_graph * tc.matrix[left_pos[u]][right_pos[v]]
         weight_config: RingValue = 1

@@ -18,6 +18,7 @@ from .kasteleyn_construct import TConstruction, build_T
 from .tensor3 import BipartiteGraph, enumerate_graph_perfect_matchings, permanent2, permanent3
 
 DIMER_MAX_VERTICES = 24
+LATTICE_MAX_VERTICES = 1 << 16
 
 Coord = tuple[int, int, int]
 
@@ -42,6 +43,10 @@ class CubicLattice:
 def cubic_lattice(a: int, b: int, c: int) -> CubicLattice:
     if min(a, b, c) < 1:
         raise ToolkitError(f"box dimensions must be at least 1, got {(a, b, c)}")
+    if a * b * c > LATTICE_MAX_VERTICES:
+        raise GuardExceeded(
+            f"lattice guard is {LATTICE_MAX_VERTICES} vertices, got {a * b * c}"
+        )
     points = [(x, y, z) for x in range(a) for y in range(b) for z in range(c)]
     even = tuple(p for p in points if sum(p) % 2 == 0)
     odd = tuple(p for p in points if sum(p) % 2 == 1)

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, schemas, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -170,6 +171,16 @@ class TestErrors:
         status, out = invoke(capsys, "lattice", "3", "3", "3", "--dimers")
         assert status == 1
         assert json.loads(out)["error"]["type"] == "operation"
+
+    def test_lattice_guard_fires_before_allocation(self, capsys):
+        # a billion lattice points would exhaust memory if the box were built first
+        start = time.perf_counter()
+        status, out = invoke(capsys, "lattice", "1000", "1000", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert status == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "operation"
+        assert "lattice guard" in error["message"]
 
     @pytest.mark.parametrize(
         "command, doc",

@@ -1,5 +1,6 @@
 """Configuration model, validation, matching enumeration and tripartitions."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from kas3.core import (
     cycle_space_weight_enumerator,
     defect,
     enumerate_matchings_with_defect_within,
+    exact_covers,
     is_matching,
     enumerate_perfect_strong_matchings,
     find_edge_tripartition,
@@ -105,6 +107,60 @@ class TestDefect:
                     covered.update(config.triangle_edges(t))
                 assert gap | covered == set(config.edge_ids)
                 assert gap & covered == set()
+
+
+def brute_force_exact_covers(item_count, options):
+    """Sorted index tuples of every option subset that covers each item exactly once."""
+    full = (1 << item_count) - 1
+    out = []
+    for r in range(len(options) + 1):
+        for subset in itertools.combinations(range(len(options)), r):
+            covered = 0
+            for oi in subset:
+                if covered & options[oi]:
+                    break
+                covered |= options[oi]
+            else:
+                if covered == full:
+                    out.append(subset)
+    return sorted(out)
+
+
+class TestExactCovers:
+    def test_random_instances_match_subset_enumeration(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            item_count = rng.randint(0, 12)
+            options = []
+            for _ in range(rng.randint(0, 12) if item_count else 0):
+                size = rng.choice((1, 1, 2, 2, 3, rng.randint(1, item_count)))
+                mask = 0
+                for item in rng.sample(range(item_count), min(size, item_count)):
+                    mask |= 1 << item
+                options.append(mask)
+            covers = [tuple(sorted(cover)) for cover in exact_covers(item_count, options)]
+            assert sorted(covers) == brute_force_exact_covers(item_count, options)
+
+    def test_edge_cases(self):
+        assert list(exact_covers(0, [])) == [[]]
+        assert list(exact_covers(2, [])) == []
+        # item 2 is in no option
+        assert list(exact_covers(3, [0b011, 0b001, 0b010])) == []
+        assert list(exact_covers(1, [0b1, 0b1])) == [[0], [1]]
+
+    def test_yield_order_is_pinned(self):
+        # items 0-3; every item starts with 3 options, so the root branches on
+        # item 0 and each cover lists its options in the order they were chosen
+        options = [0b0011, 0b1100, 0b0001, 0b0010, 0b0110, 0b1000, 0b1001, 0b0100]
+        assert list(exact_covers(4, options)) == [
+            [0, 1],
+            [0, 7, 5],
+            [2, 3, 1],
+            [2, 3, 7, 5],
+            [2, 4, 5],
+            [6, 3, 7],
+            [6, 4],
+        ]
 
 
 class TestEnumeration:

@@ -9,6 +9,7 @@ from conftest import permanent2_bruteforce
 from kas3.algebra import Polynomial
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
+    LATTICE_MAX_VERTICES,
     check_embedding,
     cubic_lattice,
     dimer_count,
@@ -43,6 +44,11 @@ class TestLatticeConstruction:
     def test_rejects_empty_box(self):
         with pytest.raises(ToolkitError):
             cubic_lattice(0, 2, 2)
+
+    @pytest.mark.parametrize("dims", [(1, 1, LATTICE_MAX_VERTICES + 1), (2, 256, 129)])
+    def test_size_guard_fires_before_building(self, dims):
+        with pytest.raises(GuardExceeded, match="lattice guard"):
+            cubic_lattice(*dims)
 
 
 class TestDimerCounts:
