@@ -293,23 +293,17 @@ def validate(config: TriangularConfiguration) -> list[str]:
 # -- exact covers --------------------------------------------------------------
 
 
-def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
-    """Yield every set of options covering each of `item_count` items exactly once.
+def _cover_index(item_count: int, options: Sequence[int]):
+    """The search state shared by `exact_covers` and `exact_cover_sum`.
 
-    Options are item bitmasks; each cover is a list of option indices in the
-    order they were chosen. Every step branches on the uncovered item with
-    the fewest live options (options that avoid the covered items), taking
-    the lowest item index on ties, and cuts the branch when some item has
-    none (the choice rule of Knuth's Algorithm X). It tries that item's live
-    options in ascending index, so covers come out in a fixed order.
-
-    The state is bitmasks over option indices: `item_opts[i]` holds the
-    options containing item i, `live` the options still usable, and an
-    item's count is `(item_opts[i] & live).bit_count()`. Choosing option o
-    clears `clash[o]`, the options sharing an item with o, from `live`;
-    `clash[o]` is built the first time o is chosen. The search keeps an
-    explicit stack of `(covered, live, untried)` frames, so its depth is
-    bounded by memory alone.
+    Returns `(choose, blocked)`. `item_opts[i]` is the bitmask of the
+    options holding item i, built once per call. `choose(covered, live)`
+    returns the live options of the uncovered item with the fewest of them,
+    taking the lowest item index on ties and stopping at a count <= 1 (the
+    choice rule of Knuth's Algorithm X): 0 when some item has none left, None
+    when every item is covered. `blocked(o)` is `clash[o]`, the options
+    sharing an item with option o, built the first time o is chosen, so a
+    search that ends at once builds none.
     """
     item_opts = [0] * item_count
     for oi, mask in enumerate(options):
@@ -319,24 +313,52 @@ def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]
             item_opts[top] |= bit
             mask ^= 1 << top
     full = (1 << item_count) - 1
+    unreachable = len(options) + 1  # above every item's count
     clash: dict[int, int] = {}
 
     def choose(covered: int, live: int) -> int | None:
-        """Live options of the most constrained uncovered item; None when done."""
         remaining = full & ~covered
         best = None
-        best_count = 0
+        best_count = unreachable
         while remaining:
             low = remaining & -remaining
-            remaining ^= low
             opts = item_opts[low.bit_length() - 1] & live
             count = opts.bit_count()
-            if best is None or count < best_count:
-                best, best_count = opts, count
+            if count < best_count:
                 if count <= 1:
-                    break
+                    return opts
+                best, best_count = opts, count
+            remaining ^= low
         return best
 
+    def blocked(oi: int) -> int:
+        mask = clash.get(oi)
+        if mask is None:
+            mask = 0
+            rest = options[oi]
+            while rest:
+                top = rest.bit_length() - 1
+                mask |= item_opts[top]
+                rest ^= 1 << top
+            clash[oi] = mask
+        return mask
+
+    return choose, blocked
+
+
+def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
+    """Yield every set of options covering each of `item_count` items exactly once.
+
+    Options are item bitmasks; each cover is a list of option indices in the
+    order they were chosen. Every step branches on the item `choose` picks
+    (see `_cover_index`) and tries its live options in ascending index, so
+    covers come out in a fixed order. The state is bitmasks over option
+    indices: `live` holds the options that avoid the covered items, and
+    choosing option o clears `clash[o]` from it. The search keeps an
+    explicit stack of `(covered, live, untried)` frames, so its depth is
+    bounded by memory alone.
+    """
+    choose, blocked = _cover_index(item_count, options)
     live = (1 << len(options)) - 1
     root = choose(0, live)
     if root is None:
@@ -354,23 +376,80 @@ def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]
         oi = low.bit_length() - 1
         del chosen[len(stack) - 1 :]
         chosen.append(oi)
-        mask = options[oi]
-        blocked = clash.get(oi)
-        if blocked is None:
-            blocked = 0
-            rest = mask
-            while rest:
-                top = rest.bit_length() - 1
-                blocked |= item_opts[top]
-                rest ^= 1 << top
-            clash[oi] = blocked
-        covered |= mask
-        live &= ~blocked
+        covered |= options[oi]
+        live &= ~blocked(oi)
         nxt = choose(covered, live)
         if nxt is None:
             yield list(chosen)
         elif nxt:
             stack.append((covered, live, nxt))
+
+
+FOLD_MEMO_MAX_STATES = 1 << 16
+
+
+def exact_cover_sum(
+    item_count: int,
+    options: Sequence[int],
+    values: Sequence,
+    signs: Sequence[int] | None = None,
+):
+    """Sum over the exact covers of the product of the chosen options' values.
+
+    The search is that of `exact_covers`. With `signs`, choosing option o
+    negates its factor when `covered & signs[o]`, the items covered before
+    it, has odd popcount. A subsearch depends on `covered` alone: `live` is
+    exactly the options disjoint from it, and `choose` is deterministic. So
+    the sum below each state is memoized on `covered`, for at most
+    `FOLD_MEMO_MAX_STATES` states; past that the fold stores no more and
+    recomputes, with the same result. The fold keeps an explicit stack.
+    The empty sum is the integer 0 and the empty product the integer 1.
+    """
+    choose, blocked = _cover_index(item_count, options)
+    live = (1 << len(options)) - 1
+    root = choose(0, live)
+    if root is None:
+        return 1
+    memo: dict[int, object] = {}  # covered -> sum below it, None when it has no cover
+    # per depth: covered, live, untried options, running sum (None while
+    # empty), the factor of the option whose subsearch is open above it
+    stack: list[list] = [[0, live, root, None, None]]
+    while True:
+        frame = stack[-1]
+        covered, live, untried, total, _ = frame
+        if untried:
+            low = untried & -untried
+            frame[2] = untried ^ low
+            oi = low.bit_length() - 1
+            factor = values[oi]
+            if signs is not None and (covered & signs[oi]).bit_count() & 1:
+                factor = -factor
+            child = covered | options[oi]
+            if child in memo:
+                below = memo[child]
+            else:
+                child_live = live & ~blocked(oi)
+                nxt = choose(child, child_live)
+                if nxt:
+                    frame[4] = factor
+                    stack.append([child, child_live, nxt, None, None])
+                    continue
+                below = None if nxt == 0 else 1
+                if len(memo) < FOLD_MEMO_MAX_STATES:
+                    memo[child] = below
+            if below is not None:
+                term = factor * below
+                frame[3] = term if total is None else total + term
+            continue
+        stack.pop()
+        if len(memo) < FOLD_MEMO_MAX_STATES:
+            memo[covered] = total
+        if not stack:
+            return 0 if total is None else total
+        if total is not None:
+            frame = stack[-1]
+            term = frame[4] * total
+            frame[3] = term if frame[3] is None else frame[3] + term
 
 
 # -- matchings and defects ----------------------------------------------------
@@ -501,13 +580,41 @@ def perfect_matching_polynomial(
     return Polynomial(coeffs)
 
 
+def _vertex_masks(config: TriangularConfiguration) -> tuple[_SearchIndex, list[int]]:
+    idx = _index(config)
+    if idx.tri_vertex_masks is None:
+        raise ToolkitError("perfect strong matchings need vertex data on every edge")
+    return idx, idx.tri_vertex_masks
+
+
 def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
-    if not config.has_full_vertex_data:
-        raise ToolkitError("perfect strong matchings need vertex data on every edge")
-    idx = _index(config)
-    assert idx.tri_vertex_masks is not None
-    return idx.triangle_sets(len(idx.vertex_ids), idx.tri_vertex_masks)
+    idx, masks = _vertex_masks(config)
+    return idx.triangle_sets(len(idx.vertex_ids), masks)
+
+
+def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
+    """Number of perfect strong matchings, by the memoized fold (nothing is listed)."""
+    idx, masks = _vertex_masks(config)
+    return exact_cover_sum(len(idx.vertex_ids), masks, [1] * len(masks))
+
+
+def is_perfect_strong_matching(config: TriangularConfiguration, triangles: Iterable[str]) -> bool:
+    """Whether the triangles are pairwise vertex-disjoint and cover every vertex.
+
+    False, not an error, when a triangle is not in the configuration.
+    """
+    idx, masks = _vertex_masks(config)
+    used = 0
+    for t in triangles:
+        pos = idx.tri_pos.get(t)
+        if pos is None:
+            return False
+        mask = masks[pos]
+        if used & mask:
+            return False
+        used |= mask
+    return used == (1 << len(idx.vertex_ids)) - 1
 
 
 # -- tripartitions -------------------------------------------------------------

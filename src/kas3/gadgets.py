@@ -392,9 +392,51 @@ class MttBlock:
     interior_edge_classes: dict[str, int]
 
 
-def _link_block(
+def _add_block(
+    edges: dict[str, tuple[str, str] | None],
+    triangles: dict[str, tuple[str, ...]],
+    targets: tuple[str, str, str],
+    triples: list[tuple[str, ...]],
+) -> MttBlock:
+    """Add a fresh linking block glued onto the three end triples to `edges` and `triangles`.
+
+    The block's end edges become the sorted edges of `triples`; its other
+    edges and its triangles get the prefix `mtt[t1|t2|t3]:`. New edges carry
+    no endpoints, and an edge already present keeps its own.
+    """
+    ref = _reference_mtt()
+    prefix = f"mtt[{targets[0]}|{targets[1]}|{targets[2]}]"
+    edge_map: dict[str, str] = {}
+    for end, triple in zip(ref.ends, triples):
+        for ref_edge, target_edge in zip(sorted(end), triple):
+            edge_map[ref_edge] = target_edge
+    for e in ref.config.edge_ids:
+        if e not in edge_map:
+            edge_map[e] = f"{prefix}:{e}"
+    for e in edge_map.values():
+        edges.setdefault(e, None)
+    triangle_map = {t: f"{prefix}:{t}" for t in ref.config.triangle_ids}
+    for t, new_t in triangle_map.items():
+        if new_t in triangles:
+            raise ToolkitError(f"block triangle id {new_t!r} collides; already linked here?")
+        triangles[new_t] = tuple(sorted(edge_map[e] for e in ref.config.triangle_edges(t)))
+    return MttBlock(
+        prefix=prefix,
+        triangles=tuple(sorted(triangle_map.values())),
+        m1=tuple(sorted(triangle_map[t] for t in ref.matchings["perfect"])),
+        m0=tuple(sorted(triangle_map[t] for t in ref.matchings["all_ends_defect"])),
+        interior_edge_classes={
+            edge_map[e]: cls
+            for e, cls in ref.edge_classes.items()
+            if edge_map[e].startswith(prefix + ":")
+        },
+    )
+
+
+def link_by_mtt(
     config: TriangularConfiguration, t1: str, t2: str, t3: str
-) -> tuple[TriangularConfiguration, MttBlock]:
+) -> TriangularConfiguration:
+    """Attach a fresh linking block whose end triples are the three target triangles."""
     targets = (t1, t2, t3)
     if len(set(targets)) != 3:
         raise ToolkitError(f"link targets must be three distinct triangles, got {targets}")
@@ -409,51 +451,10 @@ def _link_block(
                 raise ToolkitError(
                     f"link targets {targets[i]!r} and {targets[j]!r} share an edge"
                 )
-    ref = _reference_mtt()
-    prefix = f"mtt[{t1}|{t2}|{t3}]"
-    edge_map: dict[str, str] = {}
-    for i, end in enumerate(ref.ends):
-        for ref_edge, target_edge in zip(sorted(end), triples[i]):
-            edge_map[ref_edge] = target_edge
-    for e in ref.config.edge_ids:
-        if e not in edge_map:
-            edge_map[e] = f"{prefix}:{e}"
-    triangle_map = {t: f"{prefix}:{t}" for t in ref.config.triangle_ids}
-    block_config = ref.config.relabeled(edge_map, triangle_map)
-
-    edges: dict[str, tuple[str, str] | None] = {
-        e: config.edge_ends(e) for e in config.edge_ids
-    }
-    for e in block_config.edge_ids:
-        if e not in edges:
-            edges[e] = None
+    edges = {e: config.edge_ends(e) for e in config.edge_ids}
     triangles = {t: config.triangle_edges(t) for t in config.triangle_ids}
-    for t in block_config.triangle_ids:
-        if t in triangles:
-            raise ToolkitError(f"block triangle id {t!r} collides; already linked here?")
-        triangles[t] = block_config.triangle_edges(t)
-    merged = TriangularConfiguration(edges, triangles, config.vertices)
-
-    block = MttBlock(
-        prefix=prefix,
-        triangles=tuple(sorted(triangle_map.values())),
-        m1=tuple(sorted(triangle_map[t] for t in ref.matchings["perfect"])),
-        m0=tuple(sorted(triangle_map[t] for t in ref.matchings["all_ends_defect"])),
-        interior_edge_classes={
-            edge_map[e]: cls
-            for e, cls in ref.edge_classes.items()
-            if edge_map[e].startswith(prefix + ":")
-        },
-    )
-    return merged, block
-
-
-def link_by_mtt(
-    config: TriangularConfiguration, t1: str, t2: str, t3: str
-) -> TriangularConfiguration:
-    """Attach a fresh linking block whose end triples are the three target triangles."""
-    merged, _ = _link_block(config, t1, t2, t3)
-    return merged
+    _add_block(edges, triangles, targets, triples)
+    return TriangularConfiguration(edges, triangles, config.vertices)
 
 
 def remove_triangles(
@@ -522,21 +523,17 @@ def tripartite_reduction(
     if problems:
         raise ToolkitError("reduction input is invalid: " + "; ".join(problems))
     edges: dict[str, tuple[str, str] | None] = {}
-    triangles: dict[str, tuple[str, ...]] = {}
     for i in (1, 2, 3):
         for e in config.edge_ids:
             edges[f"c{i}:{e}"] = None
-        for t in config.triangle_ids:
-            triangles[f"c{i}:{t}"] = tuple(f"c{i}:{e}" for e in config.triangle_edges(t))
-    work = TriangularConfiguration(edges, triangles)
-
+    # the copies' triangles are only the blocks' end triples: the result drops them
+    triangles: dict[str, tuple[str, ...]] = {}
     blocks: dict[str, MttBlock] = {}
     for t in config.triangle_ids:
-        work, block = _link_block(work, f"c1:{t}", f"c2:{t}", f"c3:{t}")
-        blocks[t] = block
-    work = remove_triangles(
-        work, [f"c{i}:{t}" for i in (1, 2, 3) for t in config.triangle_ids]
-    )
+        tri = config.triangle_edges(t)
+        triples = [tuple(f"c{i}:{e}" for e in tri) for i in (1, 2, 3)]
+        blocks[t] = _add_block(edges, triangles, (f"c1:{t}", f"c2:{t}", f"c3:{t}"), triples)
+    work = TriangularConfiguration(edges, triangles)
 
     weights: dict[str, int] = {}
     for t in config.triangle_ids:

@@ -5,7 +5,9 @@ grows a small vertex gadget, and each support vertex a fan of copy triangles.
 The resulting vertex-adjacency tensor has the same permanent as the matrix,
 its determinant already equals that permanent (no resigning needed), and its
 perfect strong matchings correspond one-to-one to perfect matchings of the
-support graph. Both facts are certified by enumeration, not assumed.
+support graph. Both facts are certified by exhaustive search, not assumed:
+the first by comparing the folded unsigned and signed sums over the tensor's
+support, the second by checking every image and comparing counts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import TriangularConfiguration, enumerate_perfect_strong_matchings
+from .core import (
+    TriangularConfiguration,
+    count_perfect_strong_matchings,
+    is_perfect_strong_matching,
+)
 from .errors import GuardExceeded, SchemaError, ToolkitError
 from .tensor3 import (
     BipartiteGraph,
@@ -23,6 +29,7 @@ from .tensor3 import (
     diagonal_sign,
     enumerate_graph_perfect_matchings,
     support_diagonals,
+    support_sum,
     vertex_adjacency,
 )
 
@@ -182,22 +189,24 @@ class SigningCertificate:
 def certify_trivial_signing(tc: TConstruction, threads: int = 1) -> SigningCertificate:
     """Check sign(sigma1) * sign(sigma2) = +1 for every contributing pair.
 
-    Walks the nonzero support of the tensor; the first violating permutation
-    pair found, if any, is returned as a row-indexed witness. `threads` is
-    ignored; it stays so that existing callers keep working.
+    Folds the tensor's indicator twice: unsigned, which counts the
+    contributing pairs, and signed, which is that count minus twice the
+    number of negative pairs. The signing is trivial iff the two are equal,
+    and then no pair is listed; on failure the support is walked for the
+    first violating pair in search order, returned as a row-indexed witness.
+    `threads` is ignored; it stays so that existing callers keep working.
     """
     if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
         raise GuardExceeded(
             f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
         )
-    count = 0
-    witness = None
-    for cells in support_diagonals(tc.tensor):
-        count += 1
-        if witness is None and diagonal_sign(cells) != 1:
-            by_row = sorted(cells)
-            witness = (tuple(j for _i, j, _k in by_row), tuple(k for _i, _j, k in by_row))
-    return SigningCertificate(passed=witness is None, contributing_pairs=count, witness=witness)
+    count = support_sum(tc.tensor, indicator=True)
+    if support_sum(tc.tensor, signed=True, indicator=True) == count:
+        return SigningCertificate(passed=True, contributing_pairs=count)
+    cells = next(c for c in support_diagonals(tc.tensor) if diagonal_sign(c) != 1)
+    by_row = sorted(cells)
+    witness = (tuple(j for _i, j, _k in by_row), tuple(k for _i, _j, k in by_row))
+    return SigningCertificate(passed=False, contributing_pairs=count, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -260,18 +269,29 @@ def expected_strong_matching(tc: TConstruction, pm: Sequence[tuple[str, str]]) -
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
     """Certify the matching correspondence and its weight preservation.
 
-    `threads` is ignored; it stays so that existing callers keep working.
+    Each perfect matching of the support graph is mapped to its image, and
+    every image must be a perfect strong matching of the configuration
+    (vertex-disjoint triangles covering every vertex). The map must be
+    injective, and the number of strong matchings, counted by the memoized
+    fold, must equal the number of graph matchings; together these say the
+    images are exactly the strong matchings. `threads` is ignored; it stays
+    so that existing callers keep working.
     """
     left_pos, right_pos, edge_index = _support_maps(tc)
     pms = enumerate_graph_perfect_matchings(tc.graph)
-    strong = enumerate_perfect_strong_matchings(tc.config)
+    strong = count_perfect_strong_matchings(tc.config)
     images = [_strong_image(tc, pm, left_pos, right_pos, edge_index) for pm in pms]
     problems = []
-    if len(set(images)) != len(images):
+    injective = len(set(images)) == len(images)
+    if not injective:
         problems.append("forward map is not injective")
-    if sorted(images) != sorted(strong):
+    if (
+        not injective
+        or len(images) != strong
+        or not all(is_perfect_strong_matching(tc.config, image) for image in images)
+    ):
         problems.append(
-            f"image set differs from the {len(strong)} enumerated strong matchings"
+            f"image set differs from the {strong} enumerated strong matchings"
         )
     for pm, image in zip(pms, images):
         weight_graph: RingValue = 1
@@ -286,6 +306,6 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     return BijectionReport(
         passed=not problems,
         graph_matchings=len(pms),
-        strong_matchings=len(strong),
+        strong_matchings=strong,
         detail="; ".join(problems),
     )

@@ -1,9 +1,13 @@
 """Sparse exact 3-matrices: permanents, determinants, adjacency builders, signings.
 
 Entry values are exact ring elements: Python ints, fractions, or Polynomial.
-Cubic permanents and determinants enumerate the nonzero support diagonals as
-exact covers; the n <= 4 dense double-permutation loop stays available as an
-independent oracle.
+Cubic permanents and determinants are folded sums over the nonzero support
+diagonals, the exact covers of the padded cube's axis indices by nonzero
+cells: `core.exact_cover_sum` memoizes the sum below each set of covered
+indices and keeps the determinant's sign from per-cell masks, so no diagonal
+is listed. `support_diagonals` still lists them for witnesses and tests, and
+the n <= 4 dense double-permutation loop stays available as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .core import (
     TriangularConfiguration,
     check_edge_tripartition,
     check_vertex_tripartition,
+    exact_cover_sum,
     exact_covers,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
@@ -132,17 +137,22 @@ def decode_ring_value(value) -> RingValue:
 # -- permanent / determinant ---------------------------------------------------
 
 
+def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """Item count, sorted cells and their item masks: cell (i, j, k) covers row i, j and k."""
+    n = tensor.cube_side
+    cells = sorted(tensor.entries)
+    options = [1 << i | 1 << (n + j) | 1 << (2 * n + k) for i, j, k in cells]
+    return 3 * n, cells, options
+
+
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
     """Yield the cells of every (sigma1, sigma2) pair with a nonzero entry product.
 
     Such a pair is an exact cover of the 3n axis indices of the zero-padded
-    cube by nonzero cells, cell (i, j, k) covering row i, j and k. Cells come
-    in search order, not row order.
+    cube by nonzero cells. Cells come in search order, not row order.
     """
-    n = tensor.cube_side
-    cells = sorted(tensor.entries)
-    options = [1 << i | 1 << (n + j) | 1 << (2 * n + k) for i, j, k in cells]
-    for cover in exact_covers(3 * n, options):
+    item_count, cells, options = _support_options(tensor)
+    for cover in exact_covers(item_count, options):
         yield [cells[oi] for oi in cover]
 
 
@@ -178,34 +188,47 @@ def diagonal_sign(cells: Sequence[tuple[int, int, int]]) -> int:
     return -1 if (n ^ odd) & 1 else 1
 
 
-def _diagonal_product(tensor: Tensor3, cells: Sequence[tuple[int, int, int]]) -> RingValue:
-    product: RingValue = 1
-    for cell in cells:
-        product = product * tensor.entries[cell]
-    return product
+def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) -> RingValue:
+    """Sum over support diagonals of the product of their entries.
+
+    With `indicator` every nonzero entry counts as 1, so the unsigned sum is
+    the number of support diagonals.
+
+    With `signed`, each term carries sign(sigma1) * sign(sigma2). That sign
+    is the parity of the permutation j -> k, and placing cell (i, j, k)
+    changes the inversion count of the pairs placed so far by the number of
+    placed j' < j plus placed k' < k (mod 2), in any placement order. So
+    cell (i, j, k) gets the sign mask of axis-1 items below j and axis-2
+    items below k, and the fold of `core.exact_cover_sum` negates its factor
+    when the covered part of that mask has odd size.
+    """
+    item_count, cells, options = _support_options(tensor)
+    values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
+    signs = None
+    if signed:
+        n = tensor.cube_side
+        signs = [((1 << j) - 1) << n | ((1 << k) - 1) << (2 * n) for _i, j, k in cells]
+    return exact_cover_sum(item_count, options, values, signs)
 
 
 def permanent3(tensor: Tensor3, threads: int = 1) -> RingValue:
     """Exact double-permutation sum over the zero-padded cube (sparse path).
 
-    `threads` is ignored; it stays so that existing callers keep working.
+    A memoized fold over the exact covers of the nonzero cells (see
+    `support_sum`); no diagonal is listed. `threads` is ignored; it stays so
+    that existing callers keep working.
     """
-    total: RingValue = 0
-    for cells in support_diagonals(tensor):
-        total = total + _diagonal_product(tensor, cells)
-    return total
+    return support_sum(tensor)
 
 
 def determinant3(tensor: Tensor3, threads: int = 1) -> RingValue:
     """Like `permanent3` but each term carries sign(sigma1) * sign(sigma2).
 
-    `threads` is ignored; it stays so that existing callers keep working.
+    The sign is kept along the fold from per-cell sign masks (see
+    `support_sum`). `threads` is ignored; it stays so that existing callers
+    keep working.
     """
-    total: RingValue = 0
-    for cells in support_diagonals(tensor):
-        product = _diagonal_product(tensor, cells)
-        total = total + product if diagonal_sign(cells) > 0 else total - product
-    return total
+    return support_sum(tensor, signed=True)
 
 
 def permanent3_dense(tensor: Tensor3) -> RingValue:

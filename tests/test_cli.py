@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -240,6 +241,53 @@ class TestScale:
         config, _, _, _ = parse_config_doc(doc)
         assert check_edge_tripartition(config, classes) == []
         assert len(payload["tensor"]["entries"]) == size
+
+
+class TestGoldenBytes:
+    """Exact stdout bytes of the support-search commands, pinned across rewrites."""
+
+    @pytest.fixture
+    def golden_tensor(self, tmp_path):
+        entries = [
+            [i, j, k, (i * 7 + j * 3 + k * 5) % 7 - 3 or 4]
+            for i in range(4) for j in range(4) for k in range(4)
+            if (i + 2 * j + 3 * k) % 3
+        ]
+        path = tmp_path / "golden_tensor.json"
+        path.write_text(json.dumps({"dims": [4, 4, 4], "entries": entries}))
+        return str(path)
+
+    @pytest.fixture
+    def golden_matrix(self, tmp_path):
+        rows = [[1, -2, 0, 3], [2, 1, 1, 0], [0, 3, -1, 2], [1, 0, 2, 1]]
+        path = tmp_path / "golden_matrix.json"
+        path.write_text(json.dumps({"n": 4, "rows": rows}))
+        return str(path)
+
+    def test_per3_det3(self, capsys, golden_tensor):
+        assert invoke(capsys, "per3", golden_tensor, "--json") == (0, '{"value":-288}\n')
+        assert invoke(capsys, "det3", golden_tensor, "--json") == (0, '{"value":-312}\n')
+
+    def test_kasteleyn_build_certify(self, capsys, golden_matrix):
+        assert invoke(capsys, "kasteleyn", "build", golden_matrix, "--certify") == (
+            0,
+            "side m = 20 (= 2n + |E| = 2*4 + 12), 48 triangles\n"
+            "trivial signing: ok (9 contributing pairs)\n"
+            "matching bijection: ok (9 <-> 9)\n",
+        )
+        status, out = invoke(capsys, "kasteleyn", "build", golden_matrix, "--certify", "--json")
+        data = out.encode()
+        assert (status, len(data)) == (0, 13389)
+        assert hashlib.sha256(data).hexdigest() == (
+            "2ac9212861ba7fa37bd97b39338cba86d8d24a1c8855b38939ea6f5e1ce40f0d"
+        )
+
+    def test_lattice_dimers(self, capsys):
+        assert invoke(capsys, "lattice", "2", "3", "4", "--dimers") == (0, "1845\n")
+        assert invoke(capsys, "lattice", "2", "3", "4", "--dimers", "--json") == (
+            0,
+            '{"count":1845,"dims":[2,3,4],"odd_vertices":false,"polynomial":"1845*x^12"}\n',
+        )
 
 
 class TestDeterminism:

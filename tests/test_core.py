@@ -1,6 +1,7 @@
 """Configuration model, validation, matching enumeration and tripartitions."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_matchings, brute_force_strong_matchings, random_config
+import kas3.core as core
 from kas3.algebra import Polynomial
 from kas3.core import (
     TriangularConfiguration,
@@ -16,9 +18,12 @@ from kas3.core import (
     compose,
     cycle_space_weight_enumerator,
     defect,
+    count_perfect_strong_matchings,
     enumerate_matchings_with_defect_within,
+    exact_cover_sum,
     exact_covers,
     is_matching,
+    is_perfect_strong_matching,
     enumerate_perfect_strong_matchings,
     find_edge_tripartition,
     find_vertex_tripartition,
@@ -163,6 +168,77 @@ class TestExactCovers:
         ]
 
 
+def random_cover_instance(rng: random.Random) -> tuple[int, list[int]]:
+    item_count = rng.randint(0, 12)
+    options = []
+    for _ in range(rng.randint(0, 14) if item_count else 0):
+        size = rng.choice((1, 1, 2, 2, 3, rng.randint(1, item_count)))
+        mask = 0
+        for item in rng.sample(range(item_count), min(size, item_count)):
+            mask |= 1 << item
+        options.append(mask)
+    return item_count, options
+
+
+class TestExactCoverSum:
+    def test_fold_matches_subset_enumeration(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            item_count, options = random_cover_instance(rng)
+            values = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in options]
+            covers = brute_force_exact_covers(item_count, options)
+            expected = sum(math.prod(values[oi] for oi in cover) for cover in covers)
+            assert exact_cover_sum(item_count, options, values) == expected
+            assert exact_cover_sum(item_count, options, [1] * len(options)) == len(covers)
+
+    def test_signs_follow_the_enumeration_order(self):
+        # a term's sign is fixed by the items covered before each of its
+        # options, so the fold must agree with the enumerate mode's order
+        rng = random.Random(9)
+        for _ in range(200):
+            item_count, options = random_cover_instance(rng)
+            values = [rng.choice((-2, 1, 3)) for _ in options]
+            signs = [rng.getrandbits(max(item_count, 1)) for _ in options]
+            expected = 0
+            for cover in exact_covers(item_count, options):
+                covered, term = 0, 1
+                for oi in cover:
+                    term *= -values[oi] if (covered & signs[oi]).bit_count() & 1 else values[oi]
+                    covered |= options[oi]
+                expected += term
+            assert exact_cover_sum(item_count, options, values, signs) == expected
+
+    def test_empty_sum_and_empty_product(self):
+        assert exact_cover_sum(0, [], []) == 1
+        assert exact_cover_sum(2, [], []) == 0
+        assert exact_cover_sum(3, [0b011, 0b001, 0b010], [1, 1, 1]) == 0
+        assert exact_cover_sum(1, [0b1, 0b1], [2, 3]) == 5
+
+    def test_memo_cap_does_not_change_results(self, monkeypatch):
+        rng = random.Random(10)
+        cases = []
+        for _ in range(100):
+            item_count, options = random_cover_instance(rng)
+            values = [rng.choice((-2, -1, 1, 3)) for _ in options]
+            signs = [rng.getrandbits(max(item_count, 1)) for _ in options]
+            cases.append((item_count, options, values, signs))
+        before = [exact_cover_sum(*case) for case in cases]
+        for cap in (0, 1, 7):
+            monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", cap)
+            assert [exact_cover_sum(*case) for case in cases] == before
+
+    def test_fold_depth_is_not_bounded_by_recursion_limit(self):
+        options = [0b111 << 3 * i for i in range(3000)]
+        assert exact_cover_sum(9000, options, [2] * 3000) == 2**3000
+        edges = {
+            f"e{i}": (f"v{i}", f"v{i + 1 if i % 3 < 2 else i - 2}") for i in range(9000)
+        }
+        edge_ids = sorted(edges, key=lambda e: int(e[1:]))
+        triangles = {f"t{i:04d}": tuple(edge_ids[3 * i : 3 * i + 3]) for i in range(3000)}
+        config = TriangularConfiguration(edges, triangles)
+        assert count_perfect_strong_matchings(config) == 1
+
+
 class TestEnumeration:
     def test_unconstrained_matches_brute_force(self):
         rng = random.Random(5)
@@ -247,6 +323,26 @@ class TestStrongMatchings:
     def test_matches_brute_force(self, tetrahedron):
         assert enumerate_perfect_strong_matchings(tetrahedron) == \
             brute_force_strong_matchings(tetrahedron)
+
+    def test_count_and_membership_match_brute_force(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            verts = [f"v{i}" for i in range(rng.choice((6, 9)))]
+            triples = {tuple(sorted(rng.sample(verts, 3))) for _ in range(rng.randint(1, 12))}
+            edges, triangles = {}, {}
+            for n, triple in enumerate(sorted(triples)):
+                pairs = [(triple[0], triple[1]), (triple[1], triple[2]), (triple[0], triple[2])]
+                for u, v in pairs:
+                    edges[f"{u}~{v}"] = (u, v)
+                triangles[f"t{n}"] = tuple(f"{u}~{v}" for u, v in pairs)
+            config = TriangularConfiguration(edges, triangles, verts)
+            strong = brute_force_strong_matchings(config)
+            assert count_perfect_strong_matchings(config) == len(strong)
+            for subset in itertools.islice(
+                (c for r in range(4) for c in itertools.combinations(config.triangle_ids, r)), 200
+            ):
+                assert is_perfect_strong_matching(config, subset) == (subset in strong)
+            assert not is_perfect_strong_matching(config, ["no such triangle"])
 
 
 class TestTripartitions:

@@ -124,7 +124,7 @@ class TestCertifications:
         cert = certify_trivial_signing(bad_tc)
         assert cert.contributing_pairs == 1
         assert not cert.passed
-        assert cert.witness is not None
+        assert cert.witness == ((1, 2, 0), (2, 1, 0))
 
     def test_bijection_single_edge(self):
         tc = build_T([[1]])
@@ -145,10 +145,49 @@ class TestCertifications:
         assert report.passed
         assert report.graph_matchings == report.strong_matchings == 0
 
+    def test_extra_strong_matching_fails_bijection(self):
+        # a second triangle on the vertices of tri:gadget[0] adds a strong
+        # matching that no support-graph matching maps to
+        tc = build_T([[1, 1], [1, 1]])
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        triangles["tri:extra"] = triangles["tri:gadget[0]"]
+        report = strong_matching_bijection_check(with_triangles(tc, triangles))
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 3)
+        assert report.detail == "image set differs from the 3 enumerated strong matchings"
+
+    def test_image_that_is_not_a_strong_matching_fails_bijection(self):
+        # swapping two triangle names keeps the strong-matching count at 2
+        # but makes each image cover one vertex twice
+        tc = build_T([[1, 1], [1, 1]])
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        a, b = "tri:left[0,0]", "tri:left[0,1]"
+        triangles[a], triangles[b] = triangles[b], triangles[a]
+        report = strong_matching_bijection_check(with_triangles(tc, triangles))
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
+        assert report.detail == "image set differs from the 2 enumerated strong matchings"
+
+    def test_image_naming_a_missing_triangle_fails_bijection(self):
+        tc = build_T([[1, 1], [1, 1]])
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        triangles["tri:renamed"] = triangles.pop("tri:left[0,0]")
+        report = strong_matching_bijection_check(with_triangles(tc, triangles))
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
+        assert report.detail == "image set differs from the 2 enumerated strong matchings"
+
     def test_strong_matchings_match_brute_force(self):
         tc = build_T([[1, 1], [0, 1]])
         assert enumerate_perfect_strong_matchings(tc.config) == \
             brute_force_strong_matchings(tc.config)
+
+
+def with_triangles(tc, triangles):
+    """The construction with its configuration's triangles replaced."""
+    from dataclasses import replace
+
+    from kas3.core import TriangularConfiguration
+
+    edges = {e: tc.config.edge_ends(e) for e in tc.config.edge_ids}
+    return replace(tc, config=TriangularConfiguration(edges, triangles, tc.config.vertices))
 
 
 def abs_permanent_support(matrix) -> int:

@@ -1,10 +1,12 @@
 """3-matrix permanents/determinants, builders, signings and Binet-Cauchy."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import kas3.core as core
 from kas3.algebra import Polynomial
 from kas3.core import TriangularConfiguration
 from kas3.errors import GuardExceeded, SchemaError, ToolkitError
@@ -19,6 +21,7 @@ from kas3.tensor3 import (
     determinant2,
     determinant3,
     determinant3_dense,
+    diagonal_sign,
     enumerate_graph_perfect_matchings,
     find_pfaffian_signing,
     kasteleyn_sign_via_k1,
@@ -26,6 +29,7 @@ from kas3.tensor3 import (
     permanent3,
     permanent3_dense,
     projection_graphs,
+    support_diagonals,
     triadjacency,
     vertex_adjacency,
 )
@@ -153,6 +157,51 @@ class TestPermanentDeterminant:
                 {(i, cycle[j], cycle[k]): v for (i, j, k), v in t.entries.items()},
             )
             assert determinant3(moved) == determinant3(t)
+
+    def test_fold_matches_dense_oracle(self):
+        rng = random.Random(34)
+        x = Polynomial.monomial(1)
+        for trial in range(120):
+            dims = tuple(rng.randint(0, 4) for _ in range(3))
+            if trial % 2:
+                dims = (max(dims),) * 3
+            entries = {}
+            for i in range(dims[0]):
+                for j in range(dims[1]):
+                    for k in range(dims[2]):
+                        if rng.random() < 0.6:
+                            extra = [Fraction(1, 2), Fraction(-2, 3)] if trial % 3 else [x, 1 - x]
+                            entries[(i, j, k)] = rng.choice([-3, -2, -1, 1, 2, 3] + extra)
+            t = Tensor3(dims, entries)
+            assert permanent3(t) == permanent3_dense(t)
+            assert determinant3(t) == determinant3_dense(t)
+
+    def test_determinant_matches_signed_diagonal_walk(self):
+        rng = random.Random(35)
+        for _ in range(12):
+            n = rng.randint(5, 8)
+            t = random_tensor(rng, n, density=1.6 / n)
+            expected = 0
+            terms = 0
+            for cells in support_diagonals(t):
+                terms += 1
+                expected += diagonal_sign(cells) * math.prod(t.entries[c] for c in cells)
+            assert determinant3(t) == expected
+            assert permanent3(t) == sum(
+                math.prod(t.entries[c] for c in cells) for cells in support_diagonals(t)
+            )
+            assert terms == permanent3(Tensor3(t.dims, {c: 1 for c in t.entries}))
+
+    def test_memo_cap_does_not_change_values(self, monkeypatch):
+        rng = random.Random(36)
+        tensors = [random_tensor(rng, rng.randint(1, 7), density=0.4) for _ in range(25)]
+        before = [(permanent3(t), determinant3(t)) for t in tensors]
+        monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", 0)
+        assert [(permanent3(t), determinant3(t)) for t in tensors] == before
+
+    def test_large_side_runs_without_recursion(self):
+        t = Tensor3((3000, 3000, 3000), {(i, i, i): 2 for i in range(3000)})
+        assert permanent3(t) == determinant3(t) == 2**3000
 
     def test_dense_guard(self):
         t = Tensor3((5, 5, 5), {(0, 0, 0): 1})
