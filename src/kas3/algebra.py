@@ -293,7 +293,7 @@ class BinaryCode:
         for row in self.rows:
             if row < 0 or row >> self.n:
                 raise ToolkitError("generator row outside code length")
-        if _gf2_rank(self.rows) != self.k:
+        if len(_gf2_echelon(self.rows)) != self.k:
             raise ToolkitError("generator rows are linearly dependent")
 
     @classmethod
@@ -332,28 +332,117 @@ class BinaryCode:
         }
 
 
-def _gf2_rank(masks: Sequence[int]) -> int:
+def _gf2_echelon(masks: Sequence[int]) -> list[int]:
+    """Reduced echelon basis of the GF(2) span of bit masks, by descending top bit.
+
+    Each basis vector's top bit is its pivot, and no other basis vector has
+    that bit set.
+    """
     basis: list[int] = []
     for mask in masks:
         for b in basis:
             mask = min(mask, mask ^ b)
         if mask:
+            top = 1 << (mask.bit_length() - 1)
+            basis = [b ^ mask if b & top else b for b in basis]
             basis.append(mask)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
+
+
+def _support_blocks(vectors: Sequence, supports: Sequence[int]) -> list[list]:
+    """Split vectors into blocks whose supports (bit masks) are pairwise disjoint.
+
+    Two vectors land in one block when a chain of vectors with overlapping
+    supports joins them. For a reduced basis the blocks are the code's
+    direct-sum components, and its enumerator is the product of theirs.
+    """
+    blocks: list[tuple[int, list]] = []
+    for vec, support in zip(vectors, supports):
+        members = [vec]
+        for block in [b for b in blocks if b[0] & support]:
+            blocks.remove(block)
+            support |= block[0]
+            members = block[1] + members
+        blocks.append((support, members))
+    return [members for _, members in blocks]
+
+
+def _product(polys: Iterable[Polynomial]) -> Polynomial:
+    out = Polynomial.one()
+    for poly in polys:
+        out = out * poly
+    return out
+
+
+def _gray_enumerator(rows: Sequence[int]) -> Polynomial:
+    """Sum of x^weight over the GF(2) span of independent masks, by Gray code."""
+    counts: dict[int, int] = {0: 1}
+    word = 0
+    for i in range(1, 1 << len(rows)):
+        flip = (i & -i).bit_length() - 1
+        word ^= rows[flip]
+        w = word.bit_count()
+        counts[w] = counts.get(w, 0) + 1
+    return Polynomial(counts)
+
+
+def _odometer_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
+    """Sum of x^weight over the GF(p) span of independent vectors.
+
+    Steps through the coefficient vectors as an odometer; a wheel that wraps
+    past p - 1 has added its vector p times, which is zero mod p.
+    """
+    dim = len(basis)
+    ncols = len(basis[0]) if basis else 0
+    counts = {0: 1}
+    coeffs = [0] * dim
+    vec = [0] * ncols
+    for _ in range(1, p**dim):
+        k = 0
+        while True:
+            coeffs[k] += 1
+            for j in range(ncols):
+                vec[j] = (vec[j] + basis[k][j]) % p
+            if coeffs[k] < p:
+                break
+            coeffs[k] = 0
+            k += 1
+        w = sum(1 for v in vec if v)
+        counts[w] = counts.get(w, 0) + 1
+    return Polynomial(counts)
 
 
 def weight_enumerator(code: BinaryCode) -> Polynomial:
-    """Sum of x^weight over all 2^k codewords, by Gray-code span of the generators."""
+    """Sum of x^weight over all 2^k codewords.
+
+    The generators are brought to reduced echelon form and split into
+    direct-sum blocks; each block is spanned by a Gray-code walk and the
+    block enumerators are multiplied.
+    """
     if code.k > WEIGHT_ENUM_MAX_DIM:
         raise GuardExceeded(
             f"code dimension {code.k} exceeds enumeration guard {WEIGHT_ENUM_MAX_DIM}"
         )
-    counts: dict[int, int] = {0: 1}
-    word = 0
-    for i in range(1, 1 << code.k):
-        flip = (i & -i).bit_length() - 1
-        word ^= code.rows[flip]
-        w = word.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return Polynomial(counts)
+    basis = _gf2_echelon(code.rows)
+    return _product(_gray_enumerator(block) for block in _support_blocks(basis, basis))
+
+
+def gf_p_weight_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
+    """Sum of x^weight over the GF(p) span of a systematic basis, such as `gf_p_nullspace`'s.
+
+    Entries lie in 0..p-1. Each vector has a coordinate where it is 1 and
+    every other vector is 0, so the vectors are independent and their
+    direct-sum blocks are found from their supports alone. Blocks are
+    spanned by the Gray-code walk for p = 2 and by the odometer otherwise,
+    and their enumerators are multiplied. The caller guards the total count
+    p^len(basis).
+    """
+    supports = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
+    if p == 2:
+        return _product(_gray_enumerator(block) for block in _support_blocks(supports, supports))
+    polys = []
+    for block in _support_blocks(basis, supports):
+        cols = [j for j in range(len(block[0])) if any(vec[j] for vec in block)]
+        polys.append(_odometer_enumerator([[vec[j] for j in cols] for vec in block], p))
+    return _product(polys)

@@ -8,15 +8,16 @@ constructions keep full incidence data.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
-    BinaryCode,
     Polynomial,
     gf_p_nullspace,
+    gf_p_weight_enumerator,
     is_prime,
-    weight_enumerator,
 )
 from .errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
 
@@ -246,15 +247,20 @@ def validate(config: TriangularConfiguration) -> list[str]:
             )
         else:
             seen_triples[tri] = t
-    # two triangles sharing two edges cannot intersect in a single face
-    for i, t1 in enumerate(tri_ids):
-        e1 = set(config.triangle_edges(t1))
-        for t2 in tri_ids[i + 1 :]:
-            common = e1.intersection(config.triangle_edges(t2))
-            if len(common) == 2:
-                violations.append(
-                    f"triangles {t1!r} and {t2!r} share two edges {sorted(common)}"
-                )
+    # two triangles sharing two edges cannot intersect in a single face; only
+    # triangles filed under a common pair of edges can share two
+    edge_sets = [set(config.triangle_edges(t)) for t in tri_ids]
+    by_pair: dict[tuple[str, str], list[int]] = {}
+    for i, edges in enumerate(edge_sets):
+        for pair in combinations(sorted(edges), 2):
+            by_pair.setdefault(pair, []).append(i)
+    candidates = {pair for group in by_pair.values() for pair in combinations(group, 2)}
+    for i, j in sorted(candidates):
+        common = edge_sets[i] & edge_sets[j]
+        if len(common) == 2:
+            violations.append(
+                f"triangles {tri_ids[i]!r} and {tri_ids[j]!r} share two edges {sorted(common)}"
+            )
     for e in config.edge_ids:
         ends = config.edge_ends(e)
         if ends is None:
@@ -628,7 +634,11 @@ def _rainbow_csp(
     """Exhaustive 3-coloring where each triple must see all three classes.
 
     Unit propagation (two assigned members force the third) plus
-    smallest-domain-first branching; deterministic, complete search.
+    smallest-domain-first branching (lowest item index on ties);
+    deterministic, complete search. The branching item comes from a heap of
+    `(domain size, item index)` entries: every change to an item's domain
+    pushes a fresh entry, and `pick` drops the stale ones, so a step costs
+    the domains it touches and not a scan of every item.
     """
     order = {item: i for i, item in enumerate(items)}
     mates: dict[str, list[tuple[str, str]]] = {item: [] for item in items}
@@ -645,6 +655,9 @@ def _rainbow_csp(
         domains[item] = {cls}
 
     assignment: dict[str, int] = {}
+    # entries (domain size, item index); one is current for every unassigned item
+    heap = [(len(domains[item]), i) for i, item in enumerate(items)]
+    heapify(heap)
     # trail entries: (item, previous domain, whether this step assigned the item)
     Trail = list[tuple[str, set[int], bool]]
 
@@ -672,6 +685,7 @@ def _rainbow_csp(
                         domains[other] = domains[other] - {val}
                         if not domains[other]:
                             return False
+                        heappush(heap, (len(domains[other]), order[other]))
                         if len(domains[other]) == 1:
                             queue.append((other, next(iter(domains[other]))))
         return True
@@ -682,18 +696,20 @@ def _rainbow_csp(
             if was_assigned:
                 assignment.pop(item, None)
             domains[item] = dom
+            heappush(heap, (len(dom), order[item]))
 
     def pick() -> str | None:
-        best = None
-        for item in items:
-            if item in assignment:
-                continue
-            size = len(domains[item])
-            if best is None or size < best[0]:
-                best = (size, order[item], item)
-                if size == 1:
-                    break
-        return best[2] if best else None
+        if len(heap) > 4 * len(items) + 64:
+            # stale entries pile up under backtracking: rebuild from the live items
+            heap[:] = [(len(domains[x]), order[x]) for x in items if x not in assignment]
+            heapify(heap)
+        while heap:
+            size, i = heap[0]
+            item = items[i]
+            if item not in assignment and len(domains[item]) == size:
+                return item
+            heappop(heap)
+        return None
 
     trail: Trail = []
     # seed pinned singletons through propagation
@@ -720,6 +736,14 @@ def _rainbow_csp(
     return None
 
 
+def require_known_edges(config: TriangularConfiguration) -> None:
+    """Raise ToolkitError naming the first triangle that references an unknown edge."""
+    for t in config.triangle_ids:
+        for e in config.triangle_edges(t):
+            if not config.has_edge(e):
+                raise ToolkitError(f"triangle {t!r} references dangling edge {e!r}")
+
+
 def find_edge_tripartition(
     config: TriangularConfiguration, pins: Mapping[str, int] | None = None
 ) -> dict[str, int] | None:
@@ -727,9 +751,10 @@ def find_edge_tripartition(
     triples = []
     for t in config.triangle_ids:
         tri = config.triangle_edges(t)
-        if len(set(tri)) != 3:
-            return None
+        if len(set(tri)) != 3 or len(tri) != 3:
+            return None  # no classing makes it rainbow
         triples.append(tuple(tri))
+    require_known_edges(config)
     return _rainbow_csp(config.edge_ids, triples, pins)  # type: ignore[arg-type]
 
 
@@ -919,37 +944,17 @@ def incidence_matrix(config: TriangularConfiguration) -> tuple[list[list[int]], 
 def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Polynomial:
     """Weight enumerator of the GF(p) kernel of the incidence matrix.
 
-    Computed by nullspace basis then full enumeration of all p^dim codewords
-    (over GF(2) as a binary code through `weight_enumerator`); guarded, not
-    truncated, when that count is too large.
+    Computed from the nullspace basis by `gf_p_weight_enumerator`, which
+    enumerates each direct-sum block of the kernel; guarded, not truncated,
+    when the kernel's p^dim codewords are too many.
     """
     if not is_prime(p):
         raise ToolkitError(f"{p} is not prime")
     rows, _, tri_ids = incidence_matrix(config)
-    ncols = len(tri_ids)
-    basis = gf_p_nullspace(rows, ncols, p)
+    basis = gf_p_nullspace(rows, len(tri_ids), p)
     dim = len(basis)
     if p**dim > KERNEL_ENUM_MAX_CODEWORDS:
         raise GuardExceeded(
             f"kernel has {p}^{dim} codewords, beyond the enumeration guard"
         )
-    if p == 2:
-        masks = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
-        return weight_enumerator(BinaryCode(ncols, masks))
-    counts = {0: 1}
-    coeffs = [0] * dim
-    vec = [0] * ncols
-    for _ in range(1, p**dim):
-        # odometer increment over coefficient vectors
-        k = 0
-        while True:
-            coeffs[k] += 1
-            for j in range(ncols):
-                vec[j] = (vec[j] + basis[k][j]) % p
-            if coeffs[k] < p:
-                break
-            coeffs[k] = 0
-            k += 1
-        w = sum(1 for v in vec if v)
-        counts[w] = counts.get(w, 0) + 1
-    return Polynomial(counts)
+    return gf_p_weight_enumerator(basis, p)

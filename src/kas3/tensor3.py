@@ -24,6 +24,7 @@ from .core import (
     check_vertex_tripartition,
     exact_cover_sum,
     exact_covers,
+    require_known_edges,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
@@ -282,6 +283,7 @@ def triadjacency(
     problems = check_edge_tripartition(config, edge_classes)
     if problems:
         raise ToolkitError("invalid edge tripartition: " + "; ".join(problems))
+    require_known_edges(config)
     by_class: dict[int, list[str]] = {1: [], 2: [], 3: []}
     for e in config.edge_ids:
         by_class[edge_classes[e]].append(e)

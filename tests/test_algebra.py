@@ -1,5 +1,8 @@
 """Polynomials, GF(p) kernels and binary-code enumerators."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from kas3.algebra import (
     Polynomial,
     fold_enumerator,
     gf_p_nullspace,
+    gf_p_weight_enumerator,
     parse_polynomial,
     weight_enumerator,
 )
@@ -162,9 +166,13 @@ class TestWeightEnumerator:
             BinaryCode.from_rows([[1, 1, 0], [1, 1, 0]])
 
     def test_dimension_guard(self):
-        rows = [[1 if j == i else 0 for j in range(30)] for i in range(25)]
-        with pytest.raises(GuardExceeded):
-            weight_enumerator(BinaryCode.from_rows(rows))
+        # the guard is on the total dimension, however small the direct-sum blocks
+        units = [[1 if j == i else 0 for j in range(30)] for i in range(25)]
+        rep2_blocks = [[1 if j // 2 == i else 0 for j in range(50)] for i in range(25)]
+        for rows in (units, rep2_blocks):
+            with pytest.raises(GuardExceeded, match="code dimension 25 exceeds enumeration guard 24"):
+                weight_enumerator(BinaryCode.from_rows(rows))
+        assert weight_enumerator(BinaryCode.from_rows(rep2_blocks[:24])) == Polynomial({0: 1, 2: 1}) ** 24
 
     def test_enumerator_invariants(self):
         code = BinaryCode.from_rows([[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]])
@@ -185,3 +193,81 @@ class TestWeightEnumerator:
         code = BinaryCode.from_rows([[1, 0, 1], [0, 1, 1]])
         again = BinaryCode.from_doc(code.to_doc())
         assert again.rows == code.rows and again.n == code.n
+
+
+def span_enumerator(n: int, rows) -> Polynomial:
+    """Reference: x^weight summed over the XOR of every subset of the rows."""
+    counts: dict[int, int] = {}
+    for r in range(len(rows) + 1):
+        for subset in itertools.combinations(rows, r):
+            word = [0] * n
+            for row in subset:
+                word = [a ^ b for a, b in zip(word, row)]
+            counts[sum(word)] = counts.get(sum(word), 0) + 1
+    return Polynomial(counts)
+
+
+BLOCKS = {
+    "rep2": [[1, 1]],
+    "rep3": [[1, 1, 1]],
+    "even4": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
+    "hamming7": [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]],
+    "simplex7": [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]],
+    "full2": [[1, 0], [0, 1]],
+}
+
+
+class TestFactoredEnumerator:
+    """Enumerators of codes that split into direct-sum blocks, against independent references."""
+
+    def test_random_codes_match_span_enumeration(self):
+        rng = random.Random(11)
+        for _ in range(120):
+            k = rng.randint(0, 10)
+            n = rng.randint(k, 14)
+            rows: list[list[int]] = []
+            while len(rows) < k:
+                row = [int(rng.random() < 0.3) for _ in range(n)]
+                try:
+                    BinaryCode.from_rows(rows + [row], n)
+                except ToolkitError:
+                    continue
+                rows.append(row)
+            code = BinaryCode.from_rows(rows, n)
+            assert weight_enumerator(code) == span_enumerator(n, rows)
+
+    def test_direct_sums_with_permuted_columns_and_mixed_rows(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            names = [rng.choice(sorted(BLOCKS)) for _ in range(rng.randint(1, 5))]
+            n = sum(len(BLOCKS[b][0]) for b in names)
+            rows, offset, expected = [], 0, Polynomial.one()
+            for b in names:
+                width = len(BLOCKS[b][0])
+                rows += [[0] * offset + gen + [0] * (n - offset - width) for gen in BLOCKS[b]]
+                expected = expected * span_enumerator(width, BLOCKS[b])
+                offset += width
+            perm = rng.sample(range(n), n)
+            rows = [[row[perm[j]] for j in range(n)] for row in rows]
+            for _ in range(2 * len(rows)):
+                if len(rows) > 1:
+                    i, j = rng.sample(range(len(rows)), 2)
+                    rows[i] = [a ^ b for a, b in zip(rows[i], rows[j])]
+            assert weight_enumerator(BinaryCode.from_rows(rows, n)) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_gf_p_span_matches_coefficient_enumeration(self, p):
+        rng = random.Random(p)
+        for _ in range(30):
+            ncols = rng.randint(1, 8 if p < 5 else 6)
+            rows = [
+                [rng.randrange(1, p) if rng.random() < 0.4 else 0 for _ in range(ncols)]
+                for _ in range(rng.randint(0, ncols))
+            ]
+            basis = gf_p_nullspace(rows, ncols, p)
+            counts: dict[int, int] = {}
+            for coeffs in itertools.product(range(p), repeat=len(basis)):
+                word = [sum(c * vec[j] for c, vec in zip(coeffs, basis)) % p for j in range(ncols)]
+                w = sum(1 for v in word if v)
+                counts[w] = counts.get(w, 0) + 1
+            assert gf_p_weight_enumerator(basis, p) == Polynomial(counts)

@@ -5,6 +5,8 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kas3._util import canonical_json
 from kas3.cli import main, run
@@ -328,3 +330,90 @@ class TestDeterminism:
         assert result.status == 0
         assert result.payload["count"] == 2
         assert canonical_json(result.payload) == canonical_json(json.loads(canonical_json(result.payload)))
+
+
+SEED_DOCS = {
+    "reduce": {
+        "edges": [{"id": e, "ends": list(ends)} for e, ends in
+                  [("ab", "uv"), ("bc", "vw"), ("ca", "wu"), ("cd", "wx"), ("da", "xu")]],
+        "triangles": [{"id": "t", "edges": ["ab", "bc", "ca"]}, {"id": "s", "edges": ["ca", "cd", "da"]}],
+        "weights": {"t": 2, "s": 1},
+    },
+    "triadj": {
+        "edges": [{"id": e} for e in ("a", "b", "c", "d", "e")],
+        "triangles": [{"id": "t", "edges": ["a", "b", "c"]}, {"id": "s", "edges": ["c", "d", "e"]}],
+        "weights": {"t": 3},
+        "edge_classes": {"a": 1, "b": 2, "c": 3, "d": 1, "e": 2},
+    },
+    "per3": {"dims": [2, 2, 2], "entries": [[0, 0, 0, 1], [1, 1, 1, {"poly": {"2": 3}}], [0, 1, 1, -2]]},
+    "code": {"k": 2, "n": 4, "rows": [[1, 1, 0, 0], [0, 1, 1, 1]]},
+}
+ARGV = {"reduce": ["reduce"], "triadj": ["triadj"], "per3": ["per3"], "code": ["code", "wenum"]}
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.sampled_from([10**6, -(10**18), 2**70]),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["", "a", "x^2", "1", "-1", "abc"]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["id", "a", "t", "0", "poly"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated_documents(draw):
+    kind = draw(st.sampled_from(sorted(SEED_DOCS)))
+    doc = json.loads(json.dumps(SEED_DOCS[kind]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[path[-1]] = draw(json_values)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(json.loads(json.dumps(parent[path[-1]])))
+        else:
+            parent[draw(st.sampled_from(["extra", "id", "0"]))] = parent[path[-1]]
+    return kind, doc
+
+
+TRIADJ_TRIANGLES = SEED_DOCS["triadj"]["triangles"]
+
+
+class TestFuzz:
+    # escapes found by this test, each once a KeyError or ValueError traceback:
+    # dangling edges with and without stored classes, and a four-edge triangle
+    @example(case=("triadj", {"triangles": TRIADJ_TRIANGLES, "edge_classes": SEED_DOCS["triadj"]["edge_classes"]}))
+    @example(case=("triadj", {"triangles": TRIADJ_TRIANGLES}))
+    @example(case=("triadj", {
+        "edges": SEED_DOCS["triadj"]["edges"],
+        "triangles": [{"id": "t", "edges": ["a", "b", "c"]}, {"id": "s", "edges": ["c", "c", "d", "e"]}],
+    }))
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_documents())
+    def test_mutated_documents_keep_the_exit_contract(self, tmp_path_factory, case):
+        kind, doc = case
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run([*ARGV[kind], str(path)])
+        assert result.status in (0, 1, 2)
+        canonical_json(result.payload)

@@ -1,5 +1,6 @@
 """Configuration model, validation, matching enumeration and tripartitions."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -32,7 +33,7 @@ from kas3.core import (
     perfect_matchings,
     validate,
 )
-from kas3.errors import NotAMatching, ToolkitError
+from kas3.errors import GuardExceeded, NotAMatching, ToolkitError
 from kas3._util import canonical_json
 
 
@@ -78,6 +79,46 @@ class TestValidate:
             {"t": ("a", "b", "c")},
         )
         assert validate(config) == []
+
+    @staticmethod
+    def pairwise_shared_pairs(config) -> list[str]:
+        """Reference: compare every pair of triangles through their edge sets."""
+        out = []
+        ids = config.triangle_ids
+        for i, t1 in enumerate(ids):
+            for t2 in ids[i + 1 :]:
+                common = set(config.triangle_edges(t1)) & set(config.triangle_edges(t2))
+                if len(common) == 2:
+                    out.append(f"triangles {t1!r} and {t2!r} share two edges {sorted(common)}")
+        return out
+
+    def test_shared_pairs_match_pairwise_reference(self):
+        # malformed on purpose: repeated edges, one to four edges per triangle,
+        # duplicate triples (three shared edges, never reported) and dangling ids
+        rng = random.Random(7)
+        reported = 0
+        for _ in range(400):
+            edges = [f"e{i}" for i in range(rng.randint(2, 8))]
+            triangles = {
+                f"t{t}": [rng.choice(edges + ["ghost"]) for _ in range(rng.choice([1, 2, 3, 3, 3, 4]))]
+                for t in range(rng.randint(0, 14))
+            }
+            config = TriangularConfiguration(edges, triangles)
+            expected = self.pairwise_shared_pairs(config)
+            assert [v for v in validate(config) if "share two edges" in v] == expected
+            reported += len(expected)
+        assert reported > 100
+
+    def test_long_strip(self):
+        config = strip_config(5000)
+        assert validate(config) == []
+        edges = {e: config.edge_ends(e) for e in config.edge_ids}
+        edges["extra"] = None
+        triangles = {t: config.triangle_edges(t) for t in config.triangle_ids}
+        triangles["x"] = ("v10~v11", "v11~v12", "extra")
+        assert validate(TriangularConfiguration(edges, triangles)) == [
+            "triangles 't10' and 'x' share two edges ['v10~v11', 'v11~v12']"
+        ]
 
 
 class TestDefect:
@@ -404,6 +445,76 @@ class TestTripartitions:
         assert find_vertex_tripartition(config) is None
 
 
+def random_vertex_config(rng: random.Random) -> TriangularConfiguration:
+    """Random triangles on up to nine vertices, with endpoint data on every edge."""
+    verts = [f"v{i}" for i in range(rng.randint(3, 9))]
+    edges, triangles = {}, {}
+    for t in range(rng.randint(1, 10)):
+        names = []
+        for u, v in itertools.combinations(sorted(rng.sample(verts, 3)), 2):
+            edges[f"{u}{v}"] = (u, v)
+            names.append(f"{u}{v}")
+        triangles[f"t{t}"] = names
+    return TriangularConfiguration(edges, triangles)
+
+
+def random_pins(rng: random.Random, items) -> dict[str, int] | None:
+    if not items or rng.random() < 0.3:
+        return None
+    return {x: rng.randint(1, 3) for x in rng.sample(list(items), min(len(items), rng.randint(1, 3)))}
+
+
+def strip_config(size: int) -> TriangularConfiguration:
+    """Edge-sharing strip: triangle i spans vertices i, i+1, i+2."""
+    edges, triangles = {}, {}
+    for i in range(size):
+        names = []
+        for a, b in ((i, i + 1), (i + 1, i + 2), (i, i + 2)):
+            edges[f"v{a}~v{b}"] = (f"v{a}", f"v{b}")
+            names.append(f"v{a}~v{b}")
+        triangles[f"t{i}"] = names
+    return TriangularConfiguration(edges, triangles)
+
+
+class TestTripartitionClassings:
+    """The exact classings the search returns, pinned across rewrites of its choice rule."""
+
+    @staticmethod
+    def classings(seed: int = 2026) -> tuple[list, list]:
+        """(pins used, classings found) over seeded random configurations."""
+        rng = random.Random(seed)
+        pins, found = [], []
+        for _ in range(300):
+            config = random_config(rng, rng.choice([4, 6, 8, 10]))
+            edge_pins = random_pins(rng, config.edge_ids)
+            pins.append(edge_pins)
+            found += [find_edge_tripartition(config), find_edge_tripartition(config, edge_pins)]
+        for _ in range(200):
+            config = random_vertex_config(rng)
+            edge_pins = random_pins(rng, config.edge_ids)
+            vertex_pins = random_pins(rng, sorted(config.vertices))
+            pins += [edge_pins, vertex_pins]
+            found += [
+                find_edge_tripartition(config, edge_pins),
+                find_vertex_tripartition(config),
+                find_vertex_tripartition(config, vertex_pins),
+            ]
+        return pins, found
+
+    def test_classings_are_pinned(self):
+        pins, found = self.classings()
+        assert None in found and any(found)
+        digest = hashlib.sha256(canonical_json([pins, found]).encode()).hexdigest()
+        assert digest == "e8017ae34084cb0b8d1913590aa05136c0688e3a9f05848ef01f331b70b4fff3"
+
+    @pytest.mark.parametrize("search", [find_edge_tripartition, find_vertex_tripartition])
+    def test_long_strip(self, search):
+        config = strip_config(5000)
+        classes = search(config)
+        check = check_edge_tripartition if search is find_edge_tripartition else check_vertex_tripartition
+        assert classes is not None and check(config, classes) == []
+
+
 class TestCompose:
     def test_identity(self):
         config = single_triangle()
@@ -455,7 +566,8 @@ class TestCycleSpace:
         # no GF(3) dependency among the four faces: each edge sums to 2, not 0
         assert cycle_space_weight_enumerator(tetrahedron, 3) == Polynomial({0: 1})
 
-    def test_octahedron_kernels_over_gf2_and_gf3(self):
+    @staticmethod
+    def octahedron() -> TriangularConfiguration:
         edges = ["a", "b", "c", "ap", "bp", "cp"] + [f"d{i}" for i in range(1, 7)]
         faces = {
             "top": ("a", "b", "c"), "bot": ("ap", "bp", "cp"),
@@ -463,7 +575,10 @@ class TestCycleSpace:
             "u2": ("b", "d3", "d4"), "n2": ("bp", "d4", "d5"),
             "u3": ("c", "d5", "d6"), "n3": ("cp", "d6", "d1"),
         }
-        octa = TriangularConfiguration(edges, faces)
+        return TriangularConfiguration(edges, faces)
+
+    def test_octahedron_kernels_over_gf2_and_gf3(self):
+        octa = self.octahedron()
         assert validate(octa) == []
         # dual graph is the cube: one nonzero codeword class per scaling
         assert cycle_space_weight_enumerator(octa, 2) == Polynomial({0: 1, 8: 1})
@@ -481,6 +596,27 @@ class TestCycleSpace:
     def test_rejects_composite(self):
         with pytest.raises(ToolkitError):
             cycle_space_weight_enumerator(single_triangle(), 6)
+
+    @pytest.mark.parametrize("p, copies", [(2, 24), (3, 15), (5, 10)])
+    def test_disjoint_unions_are_powers_of_one_block(self, tetrahedron, p, copies):
+        # p^dim is within the guard, but only a factored enumeration is quick
+        block = tetrahedron if p == 2 else self.octahedron()
+        single = cycle_space_weight_enumerator(block, p)
+        assert single == Polynomial({0: 1, 4 if p == 2 else 8: p - 1})
+        union = compose([block] * copies)
+        assert cycle_space_weight_enumerator(union, p) == single**copies
+        latin = TriangularConfiguration(
+            [f"{axis}{i}" for axis in "RCS" for i in range(3)],
+            {f"t{i}{j}": (f"R{i}", f"C{j}", f"S{(i + j) % 3}") for i in range(3) for j in range(3)},
+        )
+        latin_single = cycle_space_weight_enumerator(latin, p)
+        assert cycle_space_weight_enumerator(compose([latin] * 3), p) == latin_single**3
+
+    @pytest.mark.parametrize("p, copies", [(2, 25), (3, 16), (5, 11)])
+    def test_guard_is_on_the_total_dimension(self, tetrahedron, p, copies):
+        block = tetrahedron if p == 2 else self.octahedron()
+        with pytest.raises(GuardExceeded, match=rf"kernel has {p}\^{copies} codewords, beyond the enumeration guard"):
+            cycle_space_weight_enumerator(compose([block] * copies), p)
 
 
 class TestJsonDocs:
