@@ -431,16 +431,15 @@ def weight_enumerator(code: BinaryCode) -> Polynomial:
 def gf_p_weight_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
     """Sum of x^weight over the GF(p) span of a systematic basis, such as `gf_p_nullspace`'s.
 
-    Entries lie in 0..p-1. Each vector has a coordinate where it is 1 and
-    every other vector is 0, so the vectors are independent and their
-    direct-sum blocks are found from their supports alone. Blocks are
-    spanned by the Gray-code walk for p = 2 and by the odometer otherwise,
-    and their enumerators are multiplied. The caller guards the total count
+    This is the odometer path for odd p; GF(2) codes go through
+    `weight_enumerator`. Entries lie in 0..p-1. Each vector has a coordinate
+    where it is 1 and every other vector is 0, so the vectors are independent
+    and their direct-sum blocks are found from their supports alone. Each
+    block is spanned by the odometer on its own columns and the block
+    enumerators are multiplied. The caller guards the total count
     p^len(basis).
     """
     supports = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
-    if p == 2:
-        return _product(_gray_enumerator(block) for block in _support_blocks(supports, supports))
     polys = []
     for block in _support_blocks(basis, supports):
         cols = [j for j in range(len(block[0])) if any(vec[j] for vec in block)]

@@ -14,10 +14,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
+    BinaryCode,
     Polynomial,
     gf_p_nullspace,
     gf_p_weight_enumerator,
     is_prime,
+    weight_enumerator,
 )
 from .errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
 
@@ -944,17 +946,22 @@ def incidence_matrix(config: TriangularConfiguration) -> tuple[list[list[int]], 
 def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Polynomial:
     """Weight enumerator of the GF(p) kernel of the incidence matrix.
 
-    Computed from the nullspace basis by `gf_p_weight_enumerator`, which
-    enumerates each direct-sum block of the kernel; guarded, not truncated,
+    Computed from the nullspace basis, over GF(2) as a binary code through
+    `weight_enumerator` and otherwise by `gf_p_weight_enumerator`; both
+    enumerate each direct-sum block of the kernel. Guarded, not truncated,
     when the kernel's p^dim codewords are too many.
     """
     if not is_prime(p):
         raise ToolkitError(f"{p} is not prime")
     rows, _, tri_ids = incidence_matrix(config)
-    basis = gf_p_nullspace(rows, len(tri_ids), p)
+    ncols = len(tri_ids)
+    basis = gf_p_nullspace(rows, ncols, p)
     dim = len(basis)
     if p**dim > KERNEL_ENUM_MAX_CODEWORDS:
         raise GuardExceeded(
             f"kernel has {p}^{dim} codewords, beyond the enumeration guard"
         )
+    if p == 2:
+        masks = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
+        return weight_enumerator(BinaryCode(ncols, masks))
     return gf_p_weight_enumerator(basis, p)
