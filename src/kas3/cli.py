@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -372,13 +373,19 @@ def _execute(args) -> CommandResult:
         )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; the entry point tests drive directly."""
-    return _execute(build_parser().parse_args(argv))
+    return _execute(_parser().parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     result = _execute(args)
     if result.status != 0 or getattr(args, "json", False):
         print(canonical_json(result.payload))

@@ -32,9 +32,13 @@ class TriangularConfiguration:
     `edges` maps edge id -> (u, v) endpoint pair or None; `triangles` maps
     triangle id -> triple of edge ids. Construction never rejects bad data;
     `validate` reports violations instead, so invalid inputs stay inspectable.
+    Vertices keep the order they are given in (a set is taken sorted), then
+    edge endpoints not yet named, in edge order; the strong-matching search
+    numbers its vertex items in that order, so a builder can hand it a
+    structural one. Equality ignores the order.
     """
 
-    __slots__ = ("_vertices", "_edges", "_triangles", "_search_cache")
+    __slots__ = ("_vertices", "_vertex_order", "_edges", "_triangles", "_search_cache")
 
     def __init__(
         self,
@@ -56,11 +60,14 @@ class TriangularConfiguration:
             str(t): tuple(sorted(str(e) for e in tri))
             for t, tri in (triangles or {}).items()
         }
-        verts = set(str(v) for v in vertices)
+        if isinstance(vertices, (set, frozenset)):
+            vertices = sorted(str(v) for v in vertices)
+        order = dict.fromkeys(str(v) for v in vertices)
         for ends in edge_map.values():
             if ends is not None:
-                verts.update(ends)
-        self._vertices = frozenset(verts)
+                order.update(dict.fromkeys(ends))
+        self._vertex_order = tuple(order)
+        self._vertices = frozenset(order)
         self._edges = edge_map
         self._triangles = tri_map
         self._search_cache: dict | None = None
@@ -68,6 +75,10 @@ class TriangularConfiguration:
     @property
     def vertices(self) -> frozenset[str]:
         return self._vertices
+
+    @property
+    def vertex_order(self) -> tuple[str, ...]:
+        return self._vertex_order
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -120,7 +131,7 @@ class TriangularConfiguration:
             tm.get(t, t): tuple(em.get(e, e) for e in tri)
             for t, tri in self._triangles.items()
         }
-        vertices = {vm.get(v, v) for v in self._vertices}
+        vertices = [vm.get(v, v) for v in self._vertex_order]
         return TriangularConfiguration(edges, triangles, vertices)
 
     def __eq__(self, other) -> bool:
@@ -301,99 +312,182 @@ def validate(config: TriangularConfiguration) -> list[str]:
 # -- exact covers --------------------------------------------------------------
 
 
-def _cover_index(item_count: int, options: Sequence[int]):
-    """The search state shared by `exact_covers` and `exact_cover_sum`.
+FOLD_MEMO_MAX_STATES = 1 << 16
 
-    Returns `(choose, blocked)`. `item_opts[i]` is the bitmask of the
-    options holding item i, built once per call. `choose(covered, live)`
-    returns the live options of the uncovered item with the fewest of them,
-    taking the lowest item index on ties and stopping at a count <= 1 (the
-    choice rule of Knuth's Algorithm X): 0 when some item has none left, None
-    when every item is covered. `blocked(o)` is `clash[o]`, the options
-    sharing an item with option o, built the first time o is chosen, so a
-    search that ends at once builds none.
+
+class CoverIndex:
+    """The search state shared by every search over one exact-cover problem.
+
+    Options are item bitmasks. `item_opts[i]` is the bitmask of the options
+    holding item i. `choose(covered, live)` returns the live options of the
+    uncovered item with the fewest of them, taking the lowest item index on
+    ties and stopping at a count <= 1 (the choice rule of Knuth's Algorithm
+    X): 0 when some item has none left, None when every item is covered.
+    Every search starts with all options live and clears the options that
+    clash with each chosen one, so `live` is always the set of options
+    disjoint from `covered`, and the choice depends on `covered` alone. The
+    choice table keeps it for at most `FOLD_MEMO_MAX_STATES` states (past
+    that it recomputes, with the same result), so a later search over the
+    same index walks the same states without recounting them. `blocked(o)`
+    is `clash[o]`, the options sharing an item with option o, built the
+    first time o is chosen, so a search that ends at once builds none.
     """
-    item_opts = [0] * item_count
-    for oi, mask in enumerate(options):
-        bit = 1 << oi
-        while mask:
-            top = mask.bit_length() - 1
-            item_opts[top] |= bit
-            mask ^= 1 << top
-    full = (1 << item_count) - 1
-    unreachable = len(options) + 1  # above every item's count
-    clash: dict[int, int] = {}
 
-    def choose(covered: int, live: int) -> int | None:
-        remaining = full & ~covered
-        best = None
-        best_count = unreachable
-        while remaining:
-            low = remaining & -remaining
-            opts = item_opts[low.bit_length() - 1] & live
-            count = opts.bit_count()
-            if count < best_count:
-                if count <= 1:
-                    return opts
-                best, best_count = opts, count
-            remaining ^= low
-        return best
+    __slots__ = ("item_count", "options", "item_opts", "choose", "blocked")
 
-    def blocked(oi: int) -> int:
-        mask = clash.get(oi)
-        if mask is None:
-            mask = 0
-            rest = options[oi]
-            while rest:
-                top = rest.bit_length() - 1
-                mask |= item_opts[top]
-                rest ^= 1 << top
-            clash[oi] = mask
-        return mask
+    def __init__(self, item_count: int, options: Sequence[int]):
+        self.item_count = item_count
+        self.options = options = list(options)
+        self.item_opts = item_opts = [0] * item_count
+        for oi, mask in enumerate(options):
+            bit = 1 << oi
+            while mask:
+                top = mask.bit_length() - 1
+                item_opts[top] |= bit
+                mask ^= 1 << top
+        full = (1 << item_count) - 1
+        unreachable = len(options) + 1  # above every item's count
+        choices: dict[int, int | None] = {}
+        clash: dict[int, int] = {}
 
-    return choose, blocked
+        def choose(covered: int, live: int) -> int | None:
+            best = choices.get(covered, -1)  # -1 is no choice, so it marks a miss
+            if best != -1:
+                return best
+            remaining = full & ~covered
+            best = None
+            best_count = unreachable
+            while remaining:
+                low = remaining & -remaining
+                opts = item_opts[low.bit_length() - 1] & live
+                count = opts.bit_count()
+                if count < best_count:
+                    best, best_count = opts, count
+                    if count <= 1:
+                        break
+                remaining ^= low
+            if len(choices) < FOLD_MEMO_MAX_STATES:
+                choices[covered] = best
+            return best
+
+        def blocked(oi: int) -> int:
+            mask = clash.get(oi)
+            if mask is None:
+                mask = 0
+                rest = options[oi]
+                while rest:
+                    top = rest.bit_length() - 1
+                    mask |= item_opts[top]
+                    rest ^= 1 << top
+                clash[oi] = mask
+            return mask
+
+        # closures rather than methods: they run at every search node, and
+        # free variables are read faster than attributes
+        self.choose = choose
+        self.blocked = blocked
+
+    def covers(self) -> Iterator[list[int]]:
+        """Every exact cover, as option indices in the order they were chosen.
+
+        Every step branches on the item `choose` picks and tries its live
+        options in ascending index, so covers come out in a fixed order.
+        Choosing option o clears `clash[o]` from `live`. The search keeps an
+        explicit stack of `(covered, live, untried)` frames, so its depth is
+        bounded by memory alone.
+        """
+        choose, blocked, options = self.choose, self.blocked, self.options
+        live = (1 << len(options)) - 1
+        root = choose(0, live)
+        if root is None:
+            yield []
+            return
+        chosen: list[int] = []
+        stack = [(0, live, root)]  # per depth: covered and live before the choice, untried options
+        while stack:
+            covered, live, untried = stack[-1]
+            if not untried:
+                stack.pop()
+                continue
+            low = untried & -untried
+            stack[-1] = (covered, live, untried ^ low)
+            oi = low.bit_length() - 1
+            del chosen[len(stack) - 1 :]
+            chosen.append(oi)
+            covered |= options[oi]
+            live &= ~blocked(oi)
+            nxt = choose(covered, live)
+            if nxt is None:
+                yield list(chosen)
+            elif nxt:
+                stack.append((covered, live, nxt))
+
+    def fold(self, values: Sequence, signs: Sequence[int] | None = None):
+        """Sum over the exact covers of the product of the chosen options' values.
+
+        The search is that of `covers`. With `signs`, choosing option o
+        negates its factor when `covered & signs[o]`, the items covered
+        before it, has odd popcount. A subsearch depends on `covered` alone,
+        so the sum below each state is memoized on `covered`, for at most
+        `FOLD_MEMO_MAX_STATES` states; past that the fold stores no more and
+        recomputes, with the same result. The memo holds values, so it lives
+        for one fold only. The fold keeps an explicit stack. The empty sum
+        is the integer 0 and the empty product the integer 1.
+        """
+        choose, blocked, options = self.choose, self.blocked, self.options
+        live = (1 << len(options)) - 1
+        root = choose(0, live)
+        if root is None:
+            return 1
+        memo: dict[int, object] = {}  # covered -> sum below it, None when it has no cover
+        # per depth: covered, live, untried options, running sum (None while
+        # empty), the factor of the option whose subsearch is open above it
+        stack: list[list] = [[0, live, root, None, None]]
+        while True:
+            frame = stack[-1]
+            covered, live, untried, total, _ = frame
+            if untried:
+                low = untried & -untried
+                frame[2] = untried ^ low
+                oi = low.bit_length() - 1
+                factor = values[oi]
+                if signs is not None and (covered & signs[oi]).bit_count() & 1:
+                    factor = -factor
+                child = covered | options[oi]
+                if child in memo:
+                    below = memo[child]
+                else:
+                    child_live = live & ~blocked(oi)
+                    nxt = choose(child, child_live)
+                    if nxt:
+                        frame[4] = factor
+                        stack.append([child, child_live, nxt, None, None])
+                        continue
+                    below = None if nxt == 0 else 1
+                    if len(memo) < FOLD_MEMO_MAX_STATES:
+                        memo[child] = below
+                if below is not None:
+                    term = factor * below
+                    frame[3] = term if total is None else total + term
+                continue
+            stack.pop()
+            if len(memo) < FOLD_MEMO_MAX_STATES:
+                memo[covered] = total
+            if not stack:
+                return 0 if total is None else total
+            if total is not None:
+                frame = stack[-1]
+                term = frame[4] * total
+                frame[3] = term if frame[3] is None else frame[3] + term
 
 
 def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
     """Yield every set of options covering each of `item_count` items exactly once.
 
     Options are item bitmasks; each cover is a list of option indices in the
-    order they were chosen. Every step branches on the item `choose` picks
-    (see `_cover_index`) and tries its live options in ascending index, so
-    covers come out in a fixed order. The state is bitmasks over option
-    indices: `live` holds the options that avoid the covered items, and
-    choosing option o clears `clash[o]` from it. The search keeps an
-    explicit stack of `(covered, live, untried)` frames, so its depth is
-    bounded by memory alone.
+    order they were chosen (see `CoverIndex.covers`).
     """
-    choose, blocked = _cover_index(item_count, options)
-    live = (1 << len(options)) - 1
-    root = choose(0, live)
-    if root is None:
-        yield []
-        return
-    chosen: list[int] = []
-    stack = [(0, live, root)]  # per depth: covered and live before the choice, untried options
-    while stack:
-        covered, live, untried = stack[-1]
-        if not untried:
-            stack.pop()
-            continue
-        low = untried & -untried
-        stack[-1] = (covered, live, untried ^ low)
-        oi = low.bit_length() - 1
-        del chosen[len(stack) - 1 :]
-        chosen.append(oi)
-        covered |= options[oi]
-        live &= ~blocked(oi)
-        nxt = choose(covered, live)
-        if nxt is None:
-            yield list(chosen)
-        elif nxt:
-            stack.append((covered, live, nxt))
-
-
-FOLD_MEMO_MAX_STATES = 1 << 16
+    return CoverIndex(item_count, options).covers()
 
 
 def exact_cover_sum(
@@ -404,60 +498,10 @@ def exact_cover_sum(
 ):
     """Sum over the exact covers of the product of the chosen options' values.
 
-    The search is that of `exact_covers`. With `signs`, choosing option o
-    negates its factor when `covered & signs[o]`, the items covered before
-    it, has odd popcount. A subsearch depends on `covered` alone: `live` is
-    exactly the options disjoint from it, and `choose` is deterministic. So
-    the sum below each state is memoized on `covered`, for at most
-    `FOLD_MEMO_MAX_STATES` states; past that the fold stores no more and
-    recomputes, with the same result. The fold keeps an explicit stack.
-    The empty sum is the integer 0 and the empty product the integer 1.
+    See `CoverIndex.fold`; a caller that folds one problem more than once
+    keeps a `CoverIndex` instead, so later folds reuse its choice table.
     """
-    choose, blocked = _cover_index(item_count, options)
-    live = (1 << len(options)) - 1
-    root = choose(0, live)
-    if root is None:
-        return 1
-    memo: dict[int, object] = {}  # covered -> sum below it, None when it has no cover
-    # per depth: covered, live, untried options, running sum (None while
-    # empty), the factor of the option whose subsearch is open above it
-    stack: list[list] = [[0, live, root, None, None]]
-    while True:
-        frame = stack[-1]
-        covered, live, untried, total, _ = frame
-        if untried:
-            low = untried & -untried
-            frame[2] = untried ^ low
-            oi = low.bit_length() - 1
-            factor = values[oi]
-            if signs is not None and (covered & signs[oi]).bit_count() & 1:
-                factor = -factor
-            child = covered | options[oi]
-            if child in memo:
-                below = memo[child]
-            else:
-                child_live = live & ~blocked(oi)
-                nxt = choose(child, child_live)
-                if nxt:
-                    frame[4] = factor
-                    stack.append([child, child_live, nxt, None, None])
-                    continue
-                below = None if nxt == 0 else 1
-                if len(memo) < FOLD_MEMO_MAX_STATES:
-                    memo[child] = below
-            if below is not None:
-                term = factor * below
-                frame[3] = term if total is None else total + term
-            continue
-        stack.pop()
-        if len(memo) < FOLD_MEMO_MAX_STATES:
-            memo[covered] = total
-        if not stack:
-            return 0 if total is None else total
-        if total is not None:
-            frame = stack[-1]
-            term = frame[4] * total
-            frame[3] = term if frame[3] is None else frame[3] + term
+    return CoverIndex(item_count, options).fold(values, signs)
 
 
 # -- matchings and defects ----------------------------------------------------
@@ -479,7 +523,7 @@ class _SearchIndex:
             self.tri_masks.append(mask)
         self.full_mask = (1 << len(self.edge_ids)) - 1
 
-        self.vertex_ids = tuple(sorted(config.vertices))
+        self.vertex_ids = config.vertex_order
         vertex_pos = {v: i for i, v in enumerate(self.vertex_ids)}
         self.tri_vertex_masks: list[int] | None
         if config.has_full_vertex_data:
@@ -605,6 +649,17 @@ def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
     """Number of perfect strong matchings, by the memoized fold (nothing is listed)."""
     idx, masks = _vertex_masks(config)
     return exact_cover_sum(len(idx.vertex_ids), masks, [1] * len(masks))
+
+
+def strong_matching_masks(config: TriangularConfiguration) -> tuple[dict[str, int], int]:
+    """Vertex bitmask of every triangle, and the mask of every vertex.
+
+    Bit i stands for vertex i of `config.vertex_order`. A set of triangles is
+    a perfect strong matching iff their masks are disjoint and OR to the
+    full mask.
+    """
+    idx, masks = _vertex_masks(config)
+    return dict(zip(idx.tri_ids, masks)), (1 << len(idx.vertex_ids)) - 1
 
 
 def is_perfect_strong_matching(config: TriangularConfiguration, triangles: Iterable[str]) -> bool:

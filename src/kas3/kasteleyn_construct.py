@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .core import (
     TriangularConfiguration,
     count_perfect_strong_matchings,
-    is_perfect_strong_matching,
+    strong_matching_masks,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
 from .tensor3 import (
@@ -227,43 +227,47 @@ class BijectionReport:
         return doc
 
 
-def _support_maps(
-    tc: TConstruction,
-) -> tuple[dict[str, int], dict[str, int], dict[tuple[int, int], int]]:
-    """Row of each left vertex, column of each right vertex, index of each support edge."""
-    left_pos = {name: i for i, name in enumerate(tc.graph.left)}
-    right_pos = {name: j for j, name in enumerate(tc.graph.right)}
-    edge_index = {e: ei for ei, e in enumerate(tc.edge_list)}
-    return left_pos, right_pos, edge_index
+def _image_changes(tc: TConstruction, mask_of: Mapping[str, int]):
+    """The image of the empty edge set, and what choosing each support edge changes.
 
+    A chosen edge ei = (i, j) adds tri:edge[ei], tri:left[i,ei] and
+    tri:right[j,ei] to an image; an edge left out adds tri:gadget[ei]. A
+    part of an image is summed as `(xor, popcount, missing, value)`: the
+    XOR and summed popcount of its triangles' vertex masks, the number of
+    them the configuration lacks, and the product of their entry values.
+    Returns the three sums of the image with every edge left out; for each
+    support edge, `(bit, xor, popcount, missing, matrix value, value)`, the
+    change choosing it makes to the edge set and those sums and the weights
+    it adds; and `(bit, value)` of the left-out parts whose value is not 1,
+    the only ones that change an image's value.
+    """
 
-def _strong_image(
-    tc: TConstruction,
-    pm: Sequence[tuple[str, str]],
-    left_pos: Mapping[str, int],
-    right_pos: Mapping[str, int],
-    edge_index: Mapping[tuple[int, int], int],
-) -> tuple[str, ...]:
-    pm_indexed = set()
-    for u, v in pm:
-        key = (left_pos[u], right_pos[v])
-        if key not in edge_index:
-            raise ToolkitError(f"({u!r}, {v!r}) is not a support edge")
-        pm_indexed.add(edge_index[key])
-    chosen = [f"tri:edge[{ei}]" for ei in sorted(pm_indexed)]
-    chosen += [
-        f"tri:gadget[{ei}]" for ei in range(len(tc.edge_list)) if ei not in pm_indexed
-    ]
-    for ei in sorted(pm_indexed):
-        i, j = tc.edge_list[ei]
-        chosen.append(f"tri:left[{i},{ei}]")
-        chosen.append(f"tri:right[{j},{ei}]")
-    return tuple(sorted(chosen))
+    def part(names: Sequence[str]) -> tuple[int, int, int, RingValue]:
+        xor = popcount = missing = 0
+        value: RingValue = 1
+        for name in names:
+            mask = mask_of.get(name)
+            if mask is None:
+                missing += 1
+            else:
+                xor ^= mask
+                popcount += mask.bit_count()
+            value = value * tc.entry_values.get(name, 1)
+        return xor, popcount, missing, value
 
-
-def expected_strong_matching(tc: TConstruction, pm: Sequence[tuple[str, str]]) -> tuple[str, ...]:
-    """Strong matching induced by a perfect matching of the support graph."""
-    return _strong_image(tc, pm, *_support_maps(tc))
+    base = [0, 0, 0]
+    changes = []
+    left_out_values = []
+    for ei, (i, j) in enumerate(tc.edge_list):
+        on = part((f"tri:edge[{ei}]", f"tri:left[{i},{ei}]", f"tri:right[{j},{ei}]"))
+        off = part((f"tri:gadget[{ei}]",))
+        base[0] ^= off[0]
+        base[1] += off[1]
+        base[2] += off[2]
+        if off[3] != 1:
+            left_out_values.append((1 << ei, off[3]))
+        changes.append((1 << ei, on[0] ^ off[0], on[1] - off[1], on[2] - off[2], tc.matrix[i][j], on[3]))
+    return tuple(base), changes, left_out_values
 
 
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
@@ -274,35 +278,71 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     (vertex-disjoint triangles covering every vertex). The map must be
     injective, and the number of strong matchings, counted by the memoized
     fold, must equal the number of graph matchings; together these say the
-    images are exactly the strong matchings. `threads` is ignored; it stays
-    so that existing callers keep working.
+    images are exactly the strong matchings.
+
+    Images are held as integers: an image's triangles are fixed by its set
+    of chosen support edges, a bitmask that is the injectivity key, and its
+    vertex masks enter through their XOR and popcount sum. An image with
+    every triangle present is a perfect strong matching iff the XOR is the
+    full mask (every vertex covered an odd number of times) and the sum is
+    the vertex count (so every vertex exactly once). Listing the graph
+    matchings is guarded like `certify_trivial_signing`. `threads` is
+    ignored; it stays so that existing callers keep working.
     """
-    left_pos, right_pos, edge_index = _support_maps(tc)
+    if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
+        raise GuardExceeded(
+            f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
+        )
     pms = enumerate_graph_perfect_matchings(tc.graph)
     strong = count_perfect_strong_matchings(tc.config)
-    images = [_strong_image(tc, pm, left_pos, right_pos, edge_index) for pm in pms]
+    mask_of, full = strong_matching_masks(tc.config)
+    base, changes, left_out_values = _image_changes(tc, mask_of)
+    left_pos = {name: i for i, name in enumerate(tc.graph.left)}
+    right_pos = {name: j for j, name in enumerate(tc.graph.right)}
+    edge_index = {e: ei for ei, e in enumerate(tc.edge_list)}
+    change_of_edge = {}
+    for u, v in tc.graph.edges:
+        ei = edge_index.get((left_pos[u], right_pos[v]))
+        if ei is not None:
+            change_of_edge[(u, v)] = changes[ei]
+    vertex_count = full.bit_count()
+    keys = set()
+    all_strong = True
+    weight_problem = ""
+    for pm in pms:
+        key = 0
+        xor, popcount, missing = base
+        weight_graph: RingValue = 1
+        weight_config: RingValue = 1
+        for edge in pm:
+            change = change_of_edge.get(edge)
+            if change is None:
+                raise ToolkitError(f"({edge[0]!r}, {edge[1]!r}) is not a support edge")
+            bit, part_xor, part_popcount, part_missing, matrix_value, value = change
+            key |= bit
+            xor ^= part_xor
+            popcount += part_popcount
+            missing += part_missing
+            weight_graph = weight_graph * matrix_value
+            weight_config = weight_config * value
+        for bit, value in left_out_values:
+            if not key & bit:
+                weight_config = weight_config * value
+        keys.add(key)
+        if missing or xor != full or popcount != vertex_count:
+            all_strong = False
+        if not weight_problem and weight_graph != weight_config:
+            weight_problem = f"weights disagree on {pm}"
     problems = []
-    injective = len(set(images)) == len(images)
+    injective = len(keys) == len(pms)
     if not injective:
         problems.append("forward map is not injective")
-    if (
-        not injective
-        or len(images) != strong
-        or not all(is_perfect_strong_matching(tc.config, image) for image in images)
-    ):
+    if not injective or len(pms) != strong or not all_strong:
         problems.append(
             f"image set differs from the {strong} enumerated strong matchings"
         )
-    for pm, image in zip(pms, images):
-        weight_graph: RingValue = 1
-        for u, v in pm:
-            weight_graph = weight_graph * tc.matrix[left_pos[u]][right_pos[v]]
-        weight_config: RingValue = 1
-        for t in image:
-            weight_config = weight_config * tc.entry_values.get(t, 1)
-        if weight_graph != weight_config:
-            problems.append(f"weights disagree on {pm}")
-            break
+    if weight_problem:
+        problems.append(weight_problem)
     return BijectionReport(
         passed=not problems,
         graph_matchings=len(pms),

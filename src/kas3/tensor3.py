@@ -3,11 +3,12 @@
 Entry values are exact ring elements: Python ints, fractions, or Polynomial.
 Cubic permanents and determinants are folded sums over the nonzero support
 diagonals, the exact covers of the padded cube's axis indices by nonzero
-cells: `core.exact_cover_sum` memoizes the sum below each set of covered
+cells: `core.CoverIndex.fold` memoizes the sum below each set of covered
 indices and keeps the determinant's sign from per-cell masks, so no diagonal
 is listed. `support_diagonals` still lists them for witnesses and tests, and
 the n <= 4 dense double-permutation loop stays available as an independent
-oracle.
+oracle. Each tensor keeps the cover index of its support, so every search
+over an unchanged support reuses the choices the first one made.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import Polynomial
 from .core import (
+    CoverIndex,
     TriangularConfiguration,
     check_edge_tripartition,
     check_vertex_tripartition,
-    exact_cover_sum,
     exact_covers,
     require_known_edges,
 )
@@ -41,9 +42,12 @@ def _is_zero(value: RingValue) -> bool:
 
 
 class Tensor3:
-    """Sparse n1 x n2 x n3 array over exact ring values; absent entries are zero."""
+    """Sparse n1 x n2 x n3 array over exact ring values; absent entries are zero.
 
-    __slots__ = ("dims", "entries")
+    `_cover` caches the cover index of the support (see `_support_index`).
+    """
+
+    __slots__ = ("dims", "entries", "_cover")
 
     def __init__(self, dims: Sequence[int], entries: Mapping[tuple[int, int, int], RingValue]):
         self.dims = tuple(int(d) for d in dims)
@@ -56,6 +60,7 @@ class Tensor3:
             if not _is_zero(value):
                 clean[(int(i), int(j), int(k))] = value
         self.entries = clean
+        self._cover: CoverIndex | None = None
 
     @property
     def cube_side(self) -> int:
@@ -146,14 +151,29 @@ def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], 
     return 3 * n, cells, options
 
 
+def _support_index(tensor: Tensor3) -> tuple[CoverIndex, list[tuple[int, int, int]]]:
+    """The tensor's cover index and its cells, rebuilt when the support changed.
+
+    The options are recomputed from `entries` on every call and the cached
+    index is kept only when its item count and options equal them, so an
+    index never outlives an in-place change to the support. Values are not
+    part of the index; callers read them fresh.
+    """
+    item_count, cells, options = _support_options(tensor)
+    index = tensor._cover
+    if index is None or index.item_count != item_count or index.options != options:
+        index = tensor._cover = CoverIndex(item_count, options)
+    return index, cells
+
+
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
     """Yield the cells of every (sigma1, sigma2) pair with a nonzero entry product.
 
     Such a pair is an exact cover of the 3n axis indices of the zero-padded
     cube by nonzero cells. Cells come in search order, not row order.
     """
-    item_count, cells, options = _support_options(tensor)
-    for cover in exact_covers(item_count, options):
+    index, cells = _support_index(tensor)
+    for cover in index.covers():
         yield [cells[oi] for oi in cover]
 
 
@@ -200,16 +220,16 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     changes the inversion count of the pairs placed so far by the number of
     placed j' < j plus placed k' < k (mod 2), in any placement order. So
     cell (i, j, k) gets the sign mask of axis-1 items below j and axis-2
-    items below k, and the fold of `core.exact_cover_sum` negates its factor
+    items below k, and the fold of `core.CoverIndex.fold` negates its factor
     when the covered part of that mask has odd size.
     """
-    item_count, cells, options = _support_options(tensor)
+    index, cells = _support_index(tensor)
     values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
     signs = None
     if signed:
         n = tensor.cube_side
         signs = [((1 << j) - 1) << n | ((1 << k) - 1) << (2 * n) for _i, j, k in cells]
-    return exact_cover_sum(item_count, options, values, signs)
+    return index.fold(values, signs)
 
 
 def permanent3(tensor: Tensor3, threads: int = 1) -> RingValue:

@@ -11,7 +11,7 @@ from kas3.core import (
     find_vertex_tripartition,
     validate,
 )
-from kas3.errors import ToolkitError
+from kas3.errors import GuardExceeded, ToolkitError
 from kas3.kasteleyn_construct import (
     build_T,
     certify_trivial_signing,
@@ -173,6 +173,48 @@ class TestCertifications:
         report = strong_matching_bijection_check(with_triangles(tc, triangles))
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
         assert report.detail == "image set differs from the 2 enumerated strong matchings"
+
+    def test_tampered_values_name_the_first_matching_they_break(self):
+        from dataclasses import replace
+
+        tc = build_T([[1, 1], [1, 1]])
+        for triangle, matching in (
+            ("tri:edge[0]", "(('v(1,0)', 'v(2,0)'), ('v(1,1)', 'v(2,1)'))"),
+            ("tri:gadget[0]", "(('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,0)'))"),
+        ):
+            report = strong_matching_bijection_check(
+                replace(tc, entry_values={**tc.entry_values, triangle: 7})
+            )
+            assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
+            assert report.detail == f"weights disagree on {matching}"
+
+    def test_bijection_guard_fires_before_listing(self, monkeypatch):
+        import kas3.kasteleyn_construct as kc
+
+        def refuse(graph):
+            raise AssertionError("matchings listed above the guard")
+
+        monkeypatch.setattr(kc, "TRIVIAL_SIGNING_MAX_SIDE", 7)
+        monkeypatch.setattr(kc, "enumerate_graph_perfect_matchings", refuse)
+        tc = build_T([[1, 1], [1, 1]])
+        assert tc.m == 8
+        with pytest.raises(GuardExceeded, match="guard is side 7, got 8"):
+            strong_matching_bijection_check(tc)
+
+    def test_vertex_order_changes_no_count_or_enumeration(self):
+        from kas3.core import TriangularConfiguration, count_perfect_strong_matchings
+
+        tc = build_T([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        assert tc.config.vertex_order == tc.w0 + tc.w1 + tc.w2
+        edges = {e: tc.config.edge_ends(e) for e in tc.config.edge_ids}
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        listed = TriangularConfiguration(edges, triangles, list(tc.config.vertex_order))
+        as_set = TriangularConfiguration(edges, triangles, frozenset(tc.config.vertex_order))
+        assert listed == as_set == tc.config
+        assert as_set.vertex_order == tuple(sorted(tc.config.vertices))
+        assert listed.relabeled().vertex_order == listed.vertex_order
+        assert count_perfect_strong_matchings(listed) == count_perfect_strong_matchings(as_set) == 3
+        assert enumerate_perfect_strong_matchings(listed) == enumerate_perfect_strong_matchings(as_set)
 
     def test_strong_matchings_match_brute_force(self):
         tc = build_T([[1, 1], [0, 1]])

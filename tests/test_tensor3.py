@@ -1,7 +1,9 @@
 """3-matrix permanents/determinants, builders, signings and Binet-Cauchy."""
 
+import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from kas3.algebra import Polynomial
 from kas3.core import TriangularConfiguration
 from kas3.errors import GuardExceeded, SchemaError, ToolkitError
 from kas3.gadgets import make_matching_triangular_triangle, make_tunnel
+from kas3.kasteleyn_construct import build_T, certify_trivial_signing
 from kas3.tensor3 import (
     BipartiteGraph,
     RectMatrixTriple,
@@ -46,6 +49,72 @@ def random_tensor(rng: random.Random, n: int, density: float = 0.5, lo=-3, hi=3)
                     if v:
                         entries[(i, j, k)] = v
     return Tensor3((n, n, n), entries)
+
+
+def _searches(t: Tensor3, order: int):
+    """per3, det3, the trivial-signing certificate and the sorted support
+    diagonals of `t`, computed in one of four orders."""
+    tc = replace(build_T([[1]]), tensor=t)
+    calls = [
+        lambda: permanent3(t),
+        lambda: determinant3(t),
+        lambda: certify_trivial_signing(tc),
+        lambda: sorted(sorted(cells) for cells in support_diagonals(t)),
+    ]
+    results = [None] * 4
+    for step in range(4):
+        at = (step + order) % 4 if order % 2 else (order - step) % 4
+        results[at] = calls[at]()
+    return results
+
+
+def _dense_searches(t: Tensor3):
+    """The same four results from the dense loops over S_n x S_n."""
+    n = t.cube_side
+    diagonals = []
+    for s1 in itertools.permutations(range(n)):
+        for s2 in itertools.permutations(range(n)):
+            cells = [(i, s1[i], s2[i]) for i in range(n)]
+            if all(c in t.entries for c in cells):
+                diagonals.append(cells)
+    ones = Tensor3(t.dims, {c: 1 for c in t.entries})
+    pairs = permanent3_dense(ones)
+    return permanent3_dense(t), determinant3_dense(t), pairs, determinant3_dense(ones) == pairs, sorted(diagonals)
+
+
+def interleaved_searches(rng: random.Random) -> list:
+    """Run the four searches on one tensor while its entries change in place.
+
+    Between rounds one value changes, one cell is removed and one is added,
+    and every result must equal that of a fresh tensor with the same entries
+    and the dense oracle. Returns the results, for comparing runs.
+    """
+    out = []
+    for trial in range(10):
+        n = rng.randint(2, 4)
+        t = random_tensor(rng, n, density=0.7)
+        for change in ("value", "remove", "add", "value"):
+            got = _searches(t, trial + len(out))
+            assert got == _searches(Tensor3(t.dims, dict(t.entries)), 0)
+            per, det, pairs, passed, diagonals = _dense_searches(t)
+            assert got[:2] == [per, det]
+            assert (got[2].contributing_pairs, got[2].passed) == (pairs, passed)
+            assert got[3] == diagonals
+            out.append(got)
+            cells = sorted(t.entries)
+            if change == "value" and cells:
+                t.entries[rng.choice(cells)] = rng.choice([-2, 2, 3, Fraction(1, 2)])
+            elif change == "remove" and cells:
+                del t.entries[rng.choice(cells)]
+            else:
+                empty = [
+                    (i, j, k)
+                    for i in range(n) for j in range(n) for k in range(n)
+                    if (i, j, k) not in t.entries
+                ]
+                if empty:
+                    t.entries[rng.choice(empty)] = rng.choice([-1, 1, 2])
+    return out
 
 
 class TestPermanentDeterminant:
@@ -196,8 +265,29 @@ class TestPermanentDeterminant:
         rng = random.Random(36)
         tensors = [random_tensor(rng, rng.randint(1, 7), density=0.4) for _ in range(25)]
         before = [(permanent3(t), determinant3(t)) for t in tensors]
+        sequences = interleaved_searches(random.Random(37))
         monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", 0)
         assert [(permanent3(t), determinant3(t)) for t in tensors] == before
+        fresh = [Tensor3(t.dims, t.entries) for t in tensors]  # no choice table either
+        assert [(permanent3(t), determinant3(t)) for t in fresh] == before
+        for cap in (0, 1, 7):
+            monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", cap)
+            assert interleaved_searches(random.Random(37)) == sequences
+
+    def test_cover_index_follows_in_place_changes(self):
+        interleaved_searches(random.Random(38))
+
+    def test_cover_index_is_shared_until_the_support_changes(self):
+        t = random_tensor(random.Random(39), 4, density=0.6)
+        permanent3(t)
+        index = t._cover
+        key = next(iter(t.entries))
+        t.entries[key] = t.entries[key] * 5
+        assert determinant3(t) == determinant3_dense(t)
+        assert list(support_diagonals(t)) and t._cover is index
+        del t.entries[key]
+        assert permanent3(t) == permanent3_dense(t)
+        assert t._cover is not index
 
     def test_large_side_runs_without_recursion(self):
         t = Tensor3((3000, 3000, 3000), {(i, i, i): 2 for i in range(3000)})
