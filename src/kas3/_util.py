@@ -1,14 +1,30 @@
-"""Shared plumbing: canonical JSON and exact decimals."""
+"""Shared plumbing: canonical JSON, integer fields and exact decimals."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
+from .errors import SchemaError
+
 
 def canonical_json(doc) -> str:
     """Serialize with sorted keys and fixed separators: equal docs, equal bytes."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def read_int(value, field: str) -> int:
+    """The integer a document gives for `field`, or SchemaError naming the field.
+
+    A bool or a float is refused rather than truncated, so 1.5 and true are
+    not read as 1; anything else goes through `int`, as before.
+    """
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{field} is not an integer: {value!r}")
 
 
 def exact_decimal(value: Fraction) -> str:

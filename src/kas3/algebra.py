@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Sequence
 
+from ._util import read_int
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 WEIGHT_ENUM_MAX_DIM = 24
@@ -301,11 +302,12 @@ class BinaryCode:
         if n is None:
             n = len(rows[0]) if rows else 0
         masks = []
-        for row in rows:
+        for r, row in enumerate(rows):
             if len(row) != n:
                 raise SchemaError("ragged generator matrix")
             mask = 0
             for j, bit in enumerate(row):
+                bit = read_int(bit, f"rows[{r}][{j}]")
                 if bit not in (0, 1):
                     raise SchemaError(f"generator entry {bit} is not a bit")
                 mask |= bit << j
@@ -315,7 +317,7 @@ class BinaryCode:
     @classmethod
     def from_doc(cls, doc) -> "BinaryCode":
         try:
-            k, n, rows = int(doc["k"]), int(doc["n"]), doc["rows"]
+            k, n, rows = read_int(doc["k"], "k"), read_int(doc["n"], "n"), doc["rows"]
             if len(rows) != k:
                 raise SchemaError(f"expected {k} generator rows, got {len(rows)}")
             return cls.from_rows(rows, n)

@@ -12,6 +12,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._util import read_int
 from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
     BinaryCode,
@@ -38,7 +39,7 @@ class TriangularConfiguration:
     structural one. Equality ignores the order.
     """
 
-    __slots__ = ("_vertices", "_vertex_order", "_edges", "_triangles", "_search_cache")
+    __slots__ = ("_vertices", "_vertex_order", "_edges", "_triangles", "_search_index")
 
     def __init__(
         self,
@@ -70,7 +71,7 @@ class TriangularConfiguration:
         self._vertices = frozenset(order)
         self._edges = edge_map
         self._triangles = tri_map
-        self._search_cache: dict | None = None
+        self._search_index: _SearchIndex | None = None
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -209,10 +210,7 @@ def parse_config_doc(
             raise SchemaError(f"{key} must be an object")
         out = {}
         for k, v in doc[key].items():
-            try:
-                v = int(v)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{key}[{k!r}] is not an integer: {v!r}") from exc
+            v = read_int(v, f"{key}[{k!r}]")
             if allowed is not None and v not in allowed:
                 raise SchemaError(f"{key}[{k!r}] must be 1, 2 or 3")
             out[str(k)] = v
@@ -490,6 +488,20 @@ def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]
     return CoverIndex(item_count, options).covers()
 
 
+def exact_cover_tally(item_count: int, options: Sequence[int], weights: Sequence[int]) -> Polynomial:
+    """Sum of x^(total weight) over the exact covers, given one integer weight per option.
+
+    Covers are tallied one by one rather than folded: a fold would build
+    x^w for every option and so refuse a negative weight even when no
+    cover's total is negative. A negative total raises `ToolkitError`.
+    """
+    coeffs: dict[int, int] = {}
+    for cover in exact_covers(item_count, options):
+        w = sum(weights[oi] for oi in cover)
+        coeffs[w] = coeffs.get(w, 0) + 1
+    return Polynomial(coeffs)
+
+
 def exact_cover_sum(
     item_count: int,
     options: Sequence[int],
@@ -521,30 +533,14 @@ class _SearchIndex:
             for e in config.triangle_edges(t):
                 mask |= 1 << self.edge_pos[e]
             self.tri_masks.append(mask)
-        self.full_mask = (1 << len(self.edge_ids)) - 1
 
         self.vertex_ids = config.vertex_order
         vertex_pos = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.tri_vertex_masks: list[int] | None
+        self.tri_vertex_masks: list[int] | None = None
         if config.has_full_vertex_data:
-            masks = []
-            for t in self.tri_ids:
-                verts = config.triangle_vertices(t)
-                mask = 0
-                for v in verts or ():
-                    mask |= 1 << vertex_pos[v]
-                masks.append(mask)
-            self.tri_vertex_masks = masks
-        else:
-            self.tri_vertex_masks = None
-
-    def edges_of_mask(self, mask: int) -> frozenset[str]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.edge_ids[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+            self.tri_vertex_masks = [
+                sum(1 << vertex_pos[v] for v in config.triangle_vertices(t) or ()) for t in self.tri_ids
+            ]
 
     def triangle_sets(self, item_count: int, options: Sequence[int]) -> list[tuple[str, ...]]:
         """Exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
@@ -558,21 +554,16 @@ class _SearchIndex:
 
 
 def _index(config: TriangularConfiguration) -> _SearchIndex:
-    if config._search_cache is None:
-        config._search_cache = {"index": _SearchIndex(config)}
-    return config._search_cache["index"]
+    if config._search_index is None:
+        config._search_index = _SearchIndex(config)
+    return config._search_index
 
 
 def is_matching(config: TriangularConfiguration, triangles: Iterable[str]) -> bool:
-    idx = _index(config)
-    used = 0
-    for t in triangles:
-        if t not in idx.tri_pos:
-            raise ToolkitError(f"unknown triangle {t!r}")
-        mask = idx.tri_masks[idx.tri_pos[t]]
-        if used & mask:
-            return False
-        used |= mask
+    try:
+        defect(config, triangles)
+    except NotAMatching:
+        return False
     return True
 
 
@@ -587,7 +578,7 @@ def defect(config: TriangularConfiguration, matching: Iterable[str]) -> frozense
         if covered & mask:
             raise NotAMatching(f"triangle {t!r} shares an edge with the rest")
         covered |= mask
-    return idx.edges_of_mask(idx.full_mask & ~covered)
+    return frozenset(e for i, e in enumerate(idx.edge_ids) if not covered >> i & 1)
 
 
 def enumerate_matchings_with_defect_within(
@@ -614,22 +605,18 @@ def perfect_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     return enumerate_matchings_with_defect_within(config, ())
 
 
-def matching_weight(matching: Iterable[str], weighting: Mapping[str, int] | None) -> int:
-    if weighting is None:
-        return sum(1 for _ in matching)
-    return sum(int(weighting.get(t, 1)) for t in matching)
-
-
 def perfect_matching_polynomial(
     config: TriangularConfiguration,
     weighting: Mapping[str, int] | None = None,
 ) -> Polynomial:
-    """Generating polynomial sum of x^(total weight) over perfect matchings."""
-    coeffs: dict[int, int] = {}
-    for matching in perfect_matchings(config):
-        w = matching_weight(matching, weighting)
-        coeffs[w] = coeffs.get(w, 0) + 1
-    return Polynomial(coeffs)
+    """Generating polynomial sum of x^(total weight) over perfect matchings.
+
+    A triangle weighs `weighting[t]`, or 1 when the weighting leaves it out.
+    """
+    idx = _index(config)
+    weighting = weighting or {}
+    weights = [int(weighting.get(t, 1)) for t in idx.tri_ids]
+    return exact_cover_tally(len(idx.edge_ids), idx.tri_masks, weights)
 
 
 def _vertex_masks(config: TriangularConfiguration) -> tuple[_SearchIndex, list[int]]:
@@ -660,24 +647,6 @@ def strong_matching_masks(config: TriangularConfiguration) -> tuple[dict[str, in
     """
     idx, masks = _vertex_masks(config)
     return dict(zip(idx.tri_ids, masks)), (1 << len(idx.vertex_ids)) - 1
-
-
-def is_perfect_strong_matching(config: TriangularConfiguration, triangles: Iterable[str]) -> bool:
-    """Whether the triangles are pairwise vertex-disjoint and cover every vertex.
-
-    False, not an error, when a triangle is not in the configuration.
-    """
-    idx, masks = _vertex_masks(config)
-    used = 0
-    for t in triangles:
-        pos = idx.tri_pos.get(t)
-        if pos is None:
-            return False
-        mask = masks[pos]
-        if used & mask:
-            return False
-        used |= mask
-    return used == (1 << len(idx.vertex_ids)) - 1
 
 
 # -- tripartitions -------------------------------------------------------------

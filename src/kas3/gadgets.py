@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .algebra import Polynomial
 from .core import (
     TriangularConfiguration,
     build_config_doc,
@@ -563,9 +562,3 @@ def tripartite_reduction(
         blocks=blocks,
     )
 
-
-def reduced_matching_polynomial(result: ReductionResult) -> Polynomial:
-    """Perfect-matching polynomial of the reduced configuration under its weights."""
-    from .core import perfect_matching_polynomial
-
-    return perfect_matching_polynomial(result.config, result.weighting)

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._util import read_int
 from .core import (
     TriangularConfiguration,
     count_perfect_strong_matchings,
+    exact_covers,
     strong_matching_masks,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
@@ -27,7 +29,6 @@ from .tensor3 import (
     RingValue,
     Tensor3,
     diagonal_sign,
-    enumerate_graph_perfect_matchings,
     support_diagonals,
     support_sum,
     vertex_adjacency,
@@ -162,11 +163,11 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
 
 def matrix_from_doc(doc: Mapping) -> list[list[int]]:
     try:
-        n = int(doc["n"])
+        n = read_int(doc["n"], "n")
         rows = doc["rows"]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise SchemaError(f"matrix rows do not form an {n} x {n} square")
-        return [[int(v) for v in row] for row in rows]
+        return [[read_int(v, f"rows[{r}][{c}]") for c, v in enumerate(row)] for r, row in enumerate(rows)]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SchemaError):
             raise
@@ -186,6 +187,14 @@ class SigningCertificate:
         return doc
 
 
+def _check_side(tc: TConstruction) -> None:
+    """Refuse a construction whose side is above what the certificates walk."""
+    if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
+        raise GuardExceeded(
+            f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
+        )
+
+
 def certify_trivial_signing(tc: TConstruction, threads: int = 1) -> SigningCertificate:
     """Check sign(sigma1) * sign(sigma2) = +1 for every contributing pair.
 
@@ -196,10 +205,7 @@ def certify_trivial_signing(tc: TConstruction, threads: int = 1) -> SigningCerti
     first violating pair in search order, returned as a row-indexed witness.
     `threads` is ignored; it stays so that existing callers keep working.
     """
-    if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
-        raise GuardExceeded(
-            f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
-        )
+    _check_side(tc)
     count = support_sum(tc.tensor, indicator=True)
     if support_sum(tc.tensor, signed=True, indicator=True) == count:
         return SigningCertificate(passed=True, contributing_pairs=count)
@@ -273,52 +279,38 @@ def _image_changes(tc: TConstruction, mask_of: Mapping[str, int]):
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
     """Certify the matching correspondence and its weight preservation.
 
-    Each perfect matching of the support graph is mapped to its image, and
-    every image must be a perfect strong matching of the configuration
-    (vertex-disjoint triangles covering every vertex). The map must be
-    injective, and the number of strong matchings, counted by the memoized
-    fold, must equal the number of graph matchings; together these say the
-    images are exactly the strong matchings.
-
-    Images are held as integers: an image's triangles are fixed by its set
-    of chosen support edges, a bitmask that is the injectivity key, and its
-    vertex masks enter through their XOR and popcount sum. An image with
-    every triangle present is a perfect strong matching iff the XOR is the
-    full mask (every vertex covered an odd number of times) and the sum is
-    the vertex count (so every vertex exactly once). Listing the graph
-    matchings is guarded like `certify_trivial_signing`. `threads` is
-    ignored; it stays so that existing callers keep working.
+    Each perfect matching of the support graph, walked as an exact cover
+    by indices into `tc.edge_list`, is mapped to its image, which must be a
+    perfect strong matching of the configuration. The image's triangles are
+    fixed by the chosen edges, so the map is injective, and the number of
+    strong matchings, counted by the memoized fold, must equal the number
+    of graph matchings; together these say the images are exactly the
+    strong matchings. An image enters through the XOR and popcount sum of
+    its vertex masks: with every triangle present it is a perfect strong
+    matching iff the XOR is the full mask and the sum the vertex count. A
+    weight mismatch names the first failing matching by its sorted name
+    pairs. Guarded like `certify_trivial_signing`; `threads` is ignored,
+    kept so that existing callers keep working.
     """
-    if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
-        raise GuardExceeded(
-            f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
-        )
-    pms = enumerate_graph_perfect_matchings(tc.graph)
+    _check_side(tc)
+    edges = [(tc.graph.left[i], tc.graph.right[j]) for i, j in tc.edge_list]
+    if sorted(edges) != sorted(tc.graph.edges):
+        raise ToolkitError("the support graph's edges are not those of the edge list")
     strong = count_perfect_strong_matchings(tc.config)
     mask_of, full = strong_matching_masks(tc.config)
     base, changes, left_out_values = _image_changes(tc, mask_of)
-    left_pos = {name: i for i, name in enumerate(tc.graph.left)}
-    right_pos = {name: j for j, name in enumerate(tc.graph.right)}
-    edge_index = {e: ei for ei, e in enumerate(tc.edge_list)}
-    change_of_edge = {}
-    for u, v in tc.graph.edges:
-        ei = edge_index.get((left_pos[u], right_pos[v]))
-        if ei is not None:
-            change_of_edge[(u, v)] = changes[ei]
     vertex_count = full.bit_count()
-    keys = set()
+    graph_matchings = 0
     all_strong = True
-    weight_problem = ""
-    for pm in pms:
+    broken = None  # the first matching, by names, whose weights disagree
+    for cover in exact_covers(*tc.graph.matching_problem(edges)):
+        graph_matchings += 1
         key = 0
         xor, popcount, missing = base
         weight_graph: RingValue = 1
         weight_config: RingValue = 1
-        for edge in pm:
-            change = change_of_edge.get(edge)
-            if change is None:
-                raise ToolkitError(f"({edge[0]!r}, {edge[1]!r}) is not a support edge")
-            bit, part_xor, part_popcount, part_missing, matrix_value, value = change
+        for ei in cover:
+            bit, part_xor, part_popcount, part_missing, matrix_value, value = changes[ei]
             key |= bit
             xor ^= part_xor
             popcount += part_popcount
@@ -328,24 +320,22 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
         for bit, value in left_out_values:
             if not key & bit:
                 weight_config = weight_config * value
-        keys.add(key)
         if missing or xor != full or popcount != vertex_count:
             all_strong = False
-        if not weight_problem and weight_graph != weight_config:
-            weight_problem = f"weights disagree on {pm}"
+        if weight_graph != weight_config:
+            named = tuple(sorted(edges[ei] for ei in cover))
+            if broken is None or named < broken:
+                broken = named
     problems = []
-    injective = len(keys) == len(pms)
-    if not injective:
-        problems.append("forward map is not injective")
-    if not injective or len(pms) != strong or not all_strong:
+    if graph_matchings != strong or not all_strong:
         problems.append(
             f"image set differs from the {strong} enumerated strong matchings"
         )
-    if weight_problem:
-        problems.append(weight_problem)
+    if broken is not None:
+        problems.append(f"weights disagree on {broken}")
     return BijectionReport(
         passed=not problems,
-        graph_matchings=len(pms),
+        graph_matchings=graph_matchings,
         strong_matchings=strong,
         detail="; ".join(problems),
     )

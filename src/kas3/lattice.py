@@ -1,8 +1,8 @@
 """Cubic-lattice dimer counting and a rational-coordinate realization export.
 
-Dimer generating functions are computed twice on purpose: by direct matching
-enumeration on the grid graph and through the matrix-to-tensor pipeline; the
-counts must agree exactly or the call fails loudly.
+Dimer generating functions are computed twice on purpose: by a tally over the
+perfect matchings of the grid graph and through the matrix-to-tensor pipeline;
+the counts must agree exactly or the call fails loudly.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from typing import Mapping
 
 from ._util import exact_decimal
 from .algebra import Polynomial
+from .core import exact_cover_tally
 from .errors import GuardExceeded, ToolkitError
 from .kasteleyn_construct import TConstruction, build_T
-from .tensor3 import BipartiteGraph, enumerate_graph_perfect_matchings, permanent2, permanent3
+from .tensor3 import BipartiteGraph, permanent2, permanent3
 
 DIMER_MAX_VERTICES = 24
 LATTICE_MAX_VERTICES = 1 << 16
@@ -82,17 +83,12 @@ def dimer_polynomial(
         )
     if lattice.vertex_count % 2 == 1:
         return Polynomial.zero()
-    matchings = enumerate_graph_perfect_matchings(lattice.graph)
-    coeffs: dict[int, int] = {}
-    for pm in matchings:
-        if edge_weights is None:
-            w = len(pm)
-        else:
-            w = sum(int(edge_weights.get(e, 1)) for e in pm)
-        coeffs[w] = coeffs.get(w, 0) + 1
-    poly = Polynomial(coeffs)
+    edges = sorted(lattice.graph.edges)
+    edge_weights = edge_weights or {}
+    weights = [int(edge_weights.get(e, 1)) for e in edges]
+    poly = exact_cover_tally(*lattice.graph.matching_problem(edges), weights)
     if cross_check:
-        count = len(matchings)
+        count = poly(1)
         biadj = lattice.graph.biadjacency()
         via_matrix = permanent2(biadj)
         via_tensor = permanent3(build_T(biadj).tensor)

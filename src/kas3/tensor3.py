@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+from ._util import read_int
 from .algebra import Polynomial
 from .core import (
     CoverIndex,
@@ -87,17 +88,16 @@ class Tensor3:
     @classmethod
     def from_doc(cls, doc: Mapping) -> "Tensor3":
         try:
-            dims = [int(d) for d in doc["dims"]]
+            dims = [read_int(d, f"dims[{a}]") for a, d in enumerate(doc["dims"])]
             raw = doc["entries"]
             entries: dict[tuple[int, int, int], RingValue] = {}
-            for row in raw:
+            for r, row in enumerate(raw):
                 if len(row) != 4:
                     raise SchemaError(f"tensor entry {row!r} must be [i, j, k, value]")
-                i, j, k, value = row
-                key = (int(i), int(j), int(k))
+                key = tuple(read_int(x, f"entries[{r}][{a}]") for a, x in enumerate(row[:3]))
                 if key in entries:
                     raise SchemaError(f"duplicate tensor entry at {key}")
-                entries[key] = decode_ring_value(value)
+                entries[key] = decode_ring_value(row[3])
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SchemaError):
                 raise
@@ -392,24 +392,27 @@ class BipartiteGraph:
     def degree(self, vertex) -> int:
         return sum(1 for u, v in self.edges if u == vertex or v == vertex)
 
+    def matching_problem(self, edges: Sequence[tuple]) -> tuple[int, list[int]]:
+        """The perfect matchings as an exact-cover problem over `edges`, in their order.
+
+        Items are the left vertices, then the right ones; option o is edge
+        `edges[o]`. With sides of unequal size there are no options, so no
+        cover.
+        """
+        nl = len(self.left)
+        item_count = nl + len(self.right)
+        if nl != len(self.right):
+            return item_count, []
+        lpos = {u: i for i, u in enumerate(self.left)}
+        rpos = {v: nl + j for j, v in enumerate(self.right)}
+        return item_count, [1 << lpos[u] | 1 << rpos[v] for u, v in edges]
+
 
 def enumerate_graph_perfect_matchings(graph: BipartiteGraph) -> list[tuple]:
-    """All perfect matchings as sorted edge tuples, deterministically ordered.
-
-    Exact covers of the left and right vertices by edges.
-    """
-    if len(graph.left) != len(graph.right):
-        return []
-    pos = {("L", u): i for i, u in enumerate(graph.left)}
-    pos.update({("R", v): len(graph.left) + j for j, v in enumerate(graph.right)})
+    """All perfect matchings as sorted edge tuples, deterministically ordered."""
     edges = sorted(graph.edges)
-    options = [1 << pos[("L", u)] | 1 << pos[("R", v)] for u, v in edges]
-    out = [
-        tuple(sorted(edges[oi] for oi in cover))
-        for cover in exact_covers(len(pos), options)
-    ]
-    out.sort()
-    return out
+    covers = exact_covers(*graph.matching_problem(edges))
+    return sorted(tuple(sorted(edges[oi] for oi in cover)) for cover in covers)
 
 
 def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:

@@ -24,7 +24,6 @@ from kas3.gadgets import (
     make_matching_triangular_triangle,
     make_s5,
     make_tunnel,
-    reduced_matching_polynomial,
     tripartite_reduction,
 )
 from kas3.kasteleyn_construct import build_T, certify_trivial_signing
@@ -54,7 +53,7 @@ def reduction_sweep():
         weights = {t: rng.randint(0, 5) for t in config.triangle_ids}
         result = tripartite_reduction(config, weights)
         source_poly = perfect_matching_polynomial(config, weights)
-        reduced_poly = reduced_matching_polynomial(result)
+        reduced_poly = perfect_matching_polynomial(result.config, result.weighting)
         sweep.append((config, weights, result, source_poly, reduced_poly))
     return sweep
 

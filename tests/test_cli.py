@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kas3._util import canonical_json
+from kas3.algebra import BinaryCode
 from kas3.cli import main, run
 from kas3.core import check_edge_tripartition, parse_config_doc
+from kas3.errors import SchemaError
+from kas3.kasteleyn_construct import matrix_from_doc
 from kas3.tensor3 import Tensor3
 
 
@@ -208,6 +212,31 @@ class TestErrors:
         assert json.loads(out)["error"]["type"] == "schema"
 
     @pytest.mark.parametrize(
+        "read, doc, field",
+        [
+            (matrix_from_doc, {"n": 2, "rows": [[1.5, 0], [0, 2.9]]}, "rows[0][0]"),
+            (matrix_from_doc, {"n": 2.0, "rows": [[1, 0], [0, 1]]}, "n"),
+            (Tensor3.from_doc, {"dims": [2.7, 2, 2], "entries": []}, "dims[0]"),
+            (Tensor3.from_doc, {"dims": [2, 2, 2], "entries": [[1, 0.9, 0, 3]]}, "entries[0][1]"),
+            (Tensor3.from_doc, {"dims": [2, 2, 2], "entries": [[0, 0, True, 3]]}, "entries[0][2]"),
+            (parse_config_doc, {"triangles": [], "weights": {"t": 1.5}}, "weights['t']"),
+            (parse_config_doc, {"triangles": [], "edge_classes": {"a": True}}, "edge_classes['a']"),
+            (parse_config_doc, {"triangles": [], "vertex_classes": {"u": 2.0}}, "vertex_classes['u']"),
+            (BinaryCode.from_doc, {"k": 1.9, "n": 2, "rows": [[1, 1]]}, "k"),
+            (BinaryCode.from_doc, {"k": 1, "n": 2, "rows": [[True, 1]]}, "rows[0][0]"),
+        ],
+    )
+    def test_bools_and_floats_are_not_read_as_integers(self, read, doc, field):
+        with pytest.raises(SchemaError, match=re.escape(f"{field} is not an integer")):
+            read(doc)
+
+    def test_integers_and_integer_strings_are_read(self):
+        assert matrix_from_doc({"n": "2", "rows": [[1, "-3"], [0, 2**70]]}) == [[1, -3], [0, 2**70]]
+        assert Tensor3.from_doc({"dims": ["2", 2, 2], "entries": [["1", 0, 1, 5]]}).entries == {(1, 0, 1): 5}
+        assert parse_config_doc({"weights": {"t": "-4"}})[1] == {"t": -4}
+        assert BinaryCode.from_doc({"k": "1", "n": 2, "rows": [[0, 1]]}).rows == (2,)
+
+    @pytest.mark.parametrize(
         "extra, env",
         [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "x")],
     )
@@ -347,8 +376,12 @@ SEED_DOCS = {
     },
     "per3": {"dims": [2, 2, 2], "entries": [[0, 0, 0, 1], [1, 1, 1, {"poly": {"2": 3}}], [0, 1, 1, -2]]},
     "code": {"k": 2, "n": 4, "rows": [[1, 1, 0, 0], [0, 1, 1, 1]]},
+    "matrix": {"n": 3, "rows": [[1, 2, 0], [0, 1, -1], [3, 0, 1]]},
 }
-ARGV = {"reduce": ["reduce"], "triadj": ["triadj"], "per3": ["per3"], "code": ["code", "wenum"]}
+ARGV = {
+    "reduce": ["reduce"], "triadj": ["triadj"], "per3": ["per3"], "code": ["code", "wenum"],
+    "matrix": ["kasteleyn", "build", "--certify"],
+}
 
 json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 8), st.sampled_from([10**6, -(10**18), 2**70]),
@@ -397,6 +430,9 @@ def mutated_documents(draw):
 
 
 TRIADJ_TRIANGLES = SEED_DOCS["triadj"]["triangles"]
+# a float where an integer belongs is malformed input: these must exit 2
+FLOAT_MATRIX_ENTRY = ("matrix", {"n": 2, "rows": [[1.5, 0], [0, 2]]})
+FLOAT_TENSOR_INDEX = ("per3", {"dims": [2, 2, 2], "entries": [[0, 1.0, 0, 1]]})
 
 
 class TestFuzz:
@@ -408,6 +444,8 @@ class TestFuzz:
         "edges": SEED_DOCS["triadj"]["edges"],
         "triangles": [{"id": "t", "edges": ["a", "b", "c"]}, {"id": "s", "edges": ["c", "c", "d", "e"]}],
     }))
+    @example(case=FLOAT_MATRIX_ENTRY)
+    @example(case=FLOAT_TENSOR_INDEX)
     @settings(max_examples=200, deadline=None)
     @given(mutated_documents())
     def test_mutated_documents_keep_the_exit_contract(self, tmp_path_factory, case):
@@ -416,4 +454,6 @@ class TestFuzz:
         path.write_text(json.dumps(doc))
         result = run([*ARGV[kind], str(path)])
         assert result.status in (0, 1, 2)
+        if case in (FLOAT_MATRIX_ENTRY, FLOAT_TENSOR_INDEX):
+            assert result.status == 2
         canonical_json(result.payload)

@@ -188,14 +188,45 @@ class TestCertifications:
             assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
             assert report.detail == f"weights disagree on {matching}"
 
+    def test_several_broken_matchings_name_the_first_in_name_order(self):
+        from dataclasses import replace
+
+        # tri:gadget[0] is in the image of the four matchings that avoid (0, 0)
+        tc = build_T([[1] * 3] * 3)
+        report = strong_matching_bijection_check(
+            replace(tc, entry_values={**tc.entry_values, "tri:gadget[0]": 7})
+        )
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 6, 6)
+        assert report.detail == \
+            "weights disagree on (('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,0)'), ('v(1,2)', 'v(2,2)'))"
+
+    def test_name_order_differs_from_index_order(self):
+        from dataclasses import replace
+
+        # the identity plus the swaps 2 <-> 3 and 9 <-> 10; tampering the gadgets
+        # of (2, 2) and (9, 9) breaks every matching but the identity. By row
+        # index the swap of 9 and 10 comes first, by name the swap of 2 and 3,
+        # since 'v(1,10)' sorts before 'v(1,2)'.
+        n = 11
+        matrix = [[int(i == j or {i, j} in ({2, 3}, {9, 10})) for j in range(n)] for i in range(n)]
+        tc = build_T(matrix)
+        gadgets = [f"tri:gadget[{tc.edge_list.index((i, i))}]" for i in (2, 9)]
+        report = strong_matching_bijection_check(
+            replace(tc, entry_values={**tc.entry_values, **dict.fromkeys(gadgets, 7)})
+        )
+        pairs = [(i, 3 if i == 2 else 2 if i == 3 else i) for i in range(n)]
+        first = tuple(sorted((f"v(1,{i})", f"v(2,{j})") for i, j in pairs))
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 4, 4)
+        assert report.detail == f"weights disagree on {first}"
+
     def test_bijection_guard_fires_before_listing(self, monkeypatch):
         import kas3.kasteleyn_construct as kc
 
-        def refuse(graph):
+        def refuse(item_count, options):
             raise AssertionError("matchings listed above the guard")
 
         monkeypatch.setattr(kc, "TRIVIAL_SIGNING_MAX_SIDE", 7)
-        monkeypatch.setattr(kc, "enumerate_graph_perfect_matchings", refuse)
+        monkeypatch.setattr(kc, "exact_covers", refuse)
         tc = build_T([[1, 1], [1, 1]])
         assert tc.m == 8
         with pytest.raises(GuardExceeded, match="guard is side 7, got 8"):
@@ -220,6 +251,44 @@ class TestCertifications:
         tc = build_T([[1, 1], [0, 1]])
         assert enumerate_perfect_strong_matchings(tc.config) == \
             brute_force_strong_matchings(tc.config)
+
+
+class TestSearchWork:
+    def test_stages_share_the_support_search(self, monkeypatch):
+        """Indexes built and new states visited by each stage on all-ones 6x6.
+
+        Every `CoverIndex` is wrapped so that its `choose` records the
+        covered set it is asked about; a state is one (index, covered) pair.
+        """
+        from kas3.core import CoverIndex
+
+        indexes: list = []
+        states: set = set()
+        init = CoverIndex.__init__
+
+        def counting_init(self, item_count, options):
+            init(self, item_count, options)
+            key, choose = len(indexes), self.choose
+            indexes.append(self)
+
+            def counting_choose(covered, live):
+                states.add((key, covered))
+                return choose(covered, live)
+
+            self.choose = counting_choose
+
+        monkeypatch.setattr(CoverIndex, "__init__", counting_init)
+        tc = build_T([[1] * 6] * 6)
+
+        def work(stage):
+            before = len(indexes), len(states)
+            stage()
+            return len(indexes) - before[0], len(states) - before[1]
+
+        assert work(lambda: permanent3(tc.tensor)) == (1, 1349)
+        assert work(lambda: determinant3(tc.tensor)) == (0, 0)
+        assert work(lambda: certify_trivial_signing(tc)) == (0, 0)
+        assert work(lambda: strong_matching_bijection_check(tc)) == (2, 1349 + 64)
 
 
 def with_triangles(tc, triangles):

@@ -76,6 +76,25 @@ class TestDimerCounts:
         # one matching uses the heavy edge (3 + 1), the other does not (1 + 1)
         assert poly == Polynomial({4: 1, 2: 1})
 
+    @pytest.mark.parametrize("cross_check", [True, False])
+    def test_negative_weight_with_non_negative_totals(self, cross_check):
+        q = cubic_lattice(2, 2, 1)
+        heavy = min(q.graph.edges)
+        poly = dimer_polynomial(q, edge_weights={heavy: -1}, cross_check=cross_check)
+        assert poly == Polynomial({0: 1, 2: 1})
+
+    def test_negative_total_weight_raises(self):
+        q = cubic_lattice(2, 2, 1)
+        with pytest.raises(ToolkitError, match="negative exponent -4"):
+            dimer_polynomial(q, edge_weights={min(q.graph.edges): -5})
+
+    def test_negative_weight_outside_every_matching_is_ignored(self):
+        # the middle edge of a four-vertex path lies in no perfect matching
+        q = cubic_lattice(4, 1, 1)
+        middle = ((2, 0, 0), (1, 0, 0))
+        assert middle in q.graph.edges
+        assert dimer_polynomial(q, edge_weights={middle: -7}) == Polynomial({2: 1})
+
     def test_symmetry_under_axis_permutation(self):
         for dims in [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 2, 3)]:
             counts = {
