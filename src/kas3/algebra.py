@@ -5,6 +5,7 @@ Coefficients are Python big integers throughout; nothing here ever rounds.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Mapping, Sequence
 
@@ -29,8 +30,8 @@ class Polynomial:
             coeffs = {0: coeffs} if coeffs else {}
         clean: dict[int, int] = {}
         for exp, coeff in coeffs.items():
-            exp = int(exp)
-            coeff = int(coeff)
+            exp = operator.index(exp)
+            coeff = operator.index(coeff)
             if exp < 0:
                 raise ToolkitError(f"negative exponent {exp} not representable")
             if coeff:
@@ -286,8 +287,8 @@ class BinaryCode:
     __slots__ = ("k", "n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
-        self.rows = tuple(int(r) for r in rows)
-        self.n = int(n)
+        self.rows = tuple(operator.index(r) for r in rows)
+        self.n = operator.index(n)
         self.k = len(self.rows)
         if self.n < 0:
             raise ToolkitError("code length must be non-negative")

@@ -8,6 +8,7 @@ constructions keep full incidence data.
 
 from __future__ import annotations
 
+import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -615,7 +616,7 @@ def perfect_matching_polynomial(
     """
     idx = _index(config)
     weighting = weighting or {}
-    weights = [int(weighting.get(t, 1)) for t in idx.tri_ids]
+    weights = [operator.index(weighting.get(t, 1)) for t in idx.tri_ids]
     return exact_cover_tally(len(idx.edge_ids), idx.tri_masks, weights)
 
 

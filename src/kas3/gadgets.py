@@ -10,6 +10,7 @@ and any construction passing the suite would do.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -540,7 +541,7 @@ def tripartite_reduction(
         designated = min(block.m1)
         for bt in block.triangles:
             weights[bt] = 0
-        weights[designated] = int(weighting.get(t, 1)) if weighting is not None else 1
+        weights[designated] = operator.index(weighting.get(t, 1)) if weighting is not None else 1
 
     classes: dict[str, int] = {}
     for i in (1, 2, 3):

@@ -103,14 +103,8 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
         triangles_by_vertices[f"tri:edge[{ei}]"] = (v1[i], v2[j], w0e[ei])
         entry_values[f"tri:edge[{ei}]"] = rows[i][j]
         triangles_by_vertices[f"tri:gadget[{ei}]"] = (w0e[ei], w1e[ei], w2e[ei])
-    for i in range(n):
-        for ei, (a, _b) in enumerate(edge_list):
-            if a == i:
-                triangles_by_vertices[f"tri:left[{i},{ei}]"] = (w01[i], v2c[i], w1e[ei])
-    for j in range(n):
-        for ei, (_a, b) in enumerate(edge_list):
-            if b == j:
-                triangles_by_vertices[f"tri:right[{j},{ei}]"] = (w02[j], v1c[j], w2e[ei])
+        triangles_by_vertices[f"tri:left[{i},{ei}]"] = (w01[i], v2c[i], w1e[ei])
+        triangles_by_vertices[f"tri:right[{j},{ei}]"] = (w02[j], v1c[j], w2e[ei])
 
     pair_edges: dict[tuple[str, str], str] = {}
     edges: dict[str, tuple[str, str]] = {}

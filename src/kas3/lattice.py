@@ -1,12 +1,17 @@
-"""Cubic-lattice dimer counting and a rational-coordinate realization export.
+"""Cubic-lattice dimer counting and an integer-grid realization export.
 
 Dimer generating functions are computed twice on purpose: by a tally over the
 perfect matchings of the grid graph and through the matrix-to-tensor pipeline;
 the counts must agree exactly or the call fails loudly.
+
+The realization holds integer coordinates in units of 1/GRID: lattice points
+and edge midpoints lie on the half-integer grid, each auxiliary vertex less
+than 1/4 from its own, and boxes above `REALIZATION_MAX_VERTICES` are refused.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -85,7 +90,7 @@ def dimer_polynomial(
         return Polynomial.zero()
     edges = sorted(lattice.graph.edges)
     edge_weights = edge_weights or {}
-    weights = [int(edge_weights.get(e, 1)) for e in edges]
+    weights = [operator.index(edge_weights.get(e, 1)) for e in edges]
     poly = exact_cover_tally(*lattice.graph.matching_problem(edges), weights)
     if cross_check:
         count = poly(1)
@@ -106,38 +111,39 @@ def dimer_count(lattice: CubicLattice, cross_check: bool = True) -> int:
 
 # -- geometric realization ---------------------------------------------------------
 
-_F = Fraction
-# offsets keep every auxiliary vertex strictly inside a radius-1/4 ball
-# around its governing lattice vertex or edge midpoint
-_OFFSET_W0_VERTEX = (_F(3, 16), _F(1, 16), _F(1, 32))
-_OFFSET_COPY = (_F(-3, 16), _F(1, 32), _F(1, 16))
-_OFFSET_EDGE = {
-    0: (_F(1, 16), _F(3, 32), _F(-1, 32)),
-    1: (_F(-1, 16), _F(-3, 32), _F(1, 32)),
-    2: (_F(1, 32), _F(-1, 16), _F(3, 32)),
-}
+GRID = 32
+REALIZATION_MAX_VERTICES = 4096
 
-Point = tuple[Fraction, Fraction, Fraction]
+# vertex names and offsets, in units of 1/GRID, placed around each left and
+# right lattice point and each edge midpoint; an offset keeps its auxiliary
+# vertex strictly inside the radius-1/4 ball around that anchor
+_LEFT = (("v(1,{})", (0, 0, 0)), ("w(0,1,{})", (6, 2, 1)), ("v'(2,{})", (-6, 1, 2)))
+_RIGHT = (("v(2,{})", (0, 0, 0)), ("w(0,2,{})", (6, 2, 1)), ("v'(1,{})", (-6, 1, 2)))
+_EDGE = (("w(0,e{})", (2, 3, -1)), ("w(1,e{})", (-2, -3, 1)), ("w(2,e{})", (1, -2, 3)))
+_HALF = GRID // 2
+_RADIUS = GRID // 4
+
+Point = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class EmbeddedComplex:
+    """A realization; `coordinates` are integer triples in units of 1/GRID."""
+
     lattice: CubicLattice
     construction: TConstruction
     coordinates: dict[str, Point]
 
     def to_off(self) -> str:
-        """OFF text with exact decimal coordinates (denominators are powers of two)."""
+        """OFF text with exact decimal coordinates (GRID is a power of two)."""
         names = sorted(self.coordinates)
         index = {name: i for i, name in enumerate(names)}
         config = self.construction.config
-        lines = ["OFF"]
-        lines.append(
-            f"{len(names)} {len(config.triangle_ids)} {len(config.edge_ids)}"
-        )
+        values = {c for point in self.coordinates.values() for c in point}
+        text = {c: exact_decimal(Fraction(c, GRID)) for c in values}
+        lines = ["OFF", f"{len(names)} {len(config.triangle_ids)} {len(config.edge_ids)}"]
         for name in names:
-            x, y, z = self.coordinates[name]
-            lines.append(f"{exact_decimal(x)} {exact_decimal(y)} {exact_decimal(z)}")
+            lines.append(" ".join(text[c] for c in self.coordinates[name]))
         for t in config.triangle_ids:
             verts = config.triangle_vertices(t)
             assert verts is not None
@@ -145,36 +151,35 @@ class EmbeddedComplex:
         return "\n".join(lines) + "\n"
 
 
-def _add(base: tuple, offset: tuple) -> Point:
-    return tuple(Fraction(b) + o for b, o in zip(base, offset))  # type: ignore[return-value]
+def _anchors(lattice: CubicLattice, edge_list: tuple[tuple[int, int], ...]) -> tuple[list, ...]:
+    """Left and right lattice points, then support-edge midpoints, in grid units."""
+    left = [(GRID * x, GRID * y, GRID * z) for x, y, z in lattice.graph.left]
+    right = [(GRID * x, GRID * y, GRID * z) for x, y, z in lattice.graph.right]
+    midpoints = [tuple((a + b) // 2 for a, b in zip(left[i], right[j])) for i, j in edge_list]
+    return left, right, midpoints
 
 
 def embed_T(lattice: CubicLattice) -> EmbeddedComplex:
     """Realize the tensor-pipeline configuration in 3-space.
 
     Lattice vertices keep their grid positions; each auxiliary vertex sits
-    near its governing lattice vertex or edge midpoint. The realization is
-    audited (distinct points, non-degenerate triangles, locality) before it
-    is returned.
+    near its governing lattice vertex or edge midpoint. The box is refused
+    above `REALIZATION_MAX_VERTICES` before anything is built. The
+    realization is audited (distinct points, non-degenerate triangles,
+    locality) before it is returned.
     """
+    if lattice.vertex_count > REALIZATION_MAX_VERTICES:
+        raise GuardExceeded(
+            f"realization guard is {REALIZATION_MAX_VERTICES} vertices, "
+            f"got {lattice.vertex_count}"
+        )
     tc = build_T(lattice.graph.biadjacency())
-    left = lattice.graph.left
-    right = lattice.graph.right
+    left, right, midpoints = _anchors(lattice, tc.edge_list)
     coords: dict[str, Point] = {}
-    for i, p in enumerate(left):
-        coords[f"v(1,{i})"] = _add(p, (0, 0, 0))
-        coords[f"w(0,1,{i})"] = _add(p, _OFFSET_W0_VERTEX)
-        coords[f"v'(2,{i})"] = _add(p, _OFFSET_COPY)
-    for j, p in enumerate(right):
-        coords[f"v(2,{j})"] = _add(p, (0, 0, 0))
-        coords[f"w(0,2,{j})"] = _add(p, _OFFSET_W0_VERTEX)
-        coords[f"v'(1,{j})"] = _add(p, _OFFSET_COPY)
-    for ei, (i, j) in enumerate(tc.edge_list):
-        p, q = left[i], right[j]
-        midpoint = tuple(Fraction(p[k] + q[k], 2) for k in range(3))
-        coords[f"w(0,e{ei})"] = _add(midpoint, _OFFSET_EDGE[0])
-        coords[f"w(1,e{ei})"] = _add(midpoint, _OFFSET_EDGE[1])
-        coords[f"w(2,e{ei})"] = _add(midpoint, _OFFSET_EDGE[2])
+    for placements, anchors in ((_LEFT, left), (_RIGHT, right), (_EDGE, midpoints)):
+        for i, (x, y, z) in enumerate(anchors):
+            for name, (dx, dy, dz) in placements:
+                coords[name.format(i)] = (x + dx, y + dy, z + dz)
     emb = EmbeddedComplex(lattice=lattice, construction=tc, coordinates=coords)
     problems = check_embedding(emb)
     if problems:
@@ -190,8 +195,9 @@ def check_embedding(emb: EmbeddedComplex) -> list[str]:
     missing = [v for v in sorted(config.vertices) if v not in coords]
     if missing:
         return [f"vertices without coordinates: {missing[:5]}"]
+    names = sorted(coords)
     by_point: dict[Point, str] = {}
-    for name in sorted(coords):
+    for name in names:
         point = coords[name]
         if point in by_point:
             problems.append(f"{name} and {by_point[point]} coincide at {point}")
@@ -211,23 +217,17 @@ def check_embedding(emb: EmbeddedComplex) -> list[str]:
         )
         if all(c == 0 for c in cross):
             problems.append(f"triangle {t!r} is degenerate")
-    radius_sq = Fraction(1, 16)
-    lattice_points = {
-        tuple(Fraction(c) for c in p)
-        for p in list(emb.lattice.graph.left) + list(emb.lattice.graph.right)
-    }
-    anchors: list[Point] = sorted(lattice_points)
-    for ei, (i, j) in enumerate(emb.construction.edge_list):
-        p = emb.lattice.graph.left[i]
-        q = emb.lattice.graph.right[j]
-        anchors.append(tuple(Fraction(p[k] + q[k], 2) for k in range(3)))
-    for name in sorted(coords):
+    left, right, midpoints = _anchors(emb.lattice, emb.construction.edge_list)
+    anchors = set(left + right + midpoints)
+    # Anchors lie on the half-integer grid. A point closer than 1/4 to an
+    # anchor is closer than 1/4 to it on every axis, so rounding each
+    # coordinate to the nearest half-integer yields that anchor: it is the
+    # point's unique nearest half-grid point. One lookup of the rounded point
+    # thus decides whether any anchor lies within 1/4.
+    for name in names:
         point = coords[name]
-        if point in lattice_points:
-            continue
-        nearest = min(
-            sum((point[k] - a[k]) ** 2 for k in range(3)) for a in anchors
-        )
-        if nearest >= radius_sq:
-            problems.append(f"{name} strays {nearest} from every anchor")
+        nearest = tuple((c + _RADIUS) // _HALF * _HALF for c in point)
+        dist_sq = sum((c - a) ** 2 for c, a in zip(point, nearest))
+        if nearest not in anchors or dist_sq >= _RADIUS**2:
+            problems.append(f"{name} strays 1/4 or more from every anchor")
     return problems

@@ -14,6 +14,7 @@ over an unchanged support reuses the choices the first one made.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -51,15 +52,16 @@ class Tensor3:
     __slots__ = ("dims", "entries", "_cover")
 
     def __init__(self, dims: Sequence[int], entries: Mapping[tuple[int, int, int], RingValue]):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(operator.index(d) for d in dims)
         if len(self.dims) != 3 or any(d < 0 for d in self.dims):
             raise ToolkitError(f"bad tensor dims {dims}")
         clean: dict[tuple[int, int, int], RingValue] = {}
         for (i, j, k), value in entries.items():
+            i, j, k = operator.index(i), operator.index(j), operator.index(k)
             if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1] and 0 <= k < self.dims[2]):
                 raise ToolkitError(f"entry index ({i},{j},{k}) outside dims {self.dims}")
             if not _is_zero(value):
-                clean[(int(i), int(j), int(k))] = value
+                clean[(i, j, k)] = value
         self.entries = clean
         self._cover: CoverIndex | None = None
 
@@ -319,7 +321,7 @@ def triadjacency(
         key = (index[0], index[1], index[2])
         if key in entries:
             raise ToolkitError(f"two triangles map to tensor cell {key}")
-        w = int(weighting.get(t, 1)) if weighting is not None else 1
+        w = operator.index(weighting.get(t, 1)) if weighting is not None else 1
         entries[key] = Polynomial.monomial(w)
     return Tensor3((side, side, side), entries), orders
 

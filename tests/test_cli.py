@@ -15,7 +15,7 @@ from kas3.cli import main, run
 from kas3.core import check_edge_tripartition, parse_config_doc
 from kas3.errors import SchemaError
 from kas3.kasteleyn_construct import matrix_from_doc
-from kas3.tensor3 import Tensor3
+from kas3.tensor3 import BipartiteGraph, Tensor3
 
 
 def invoke(capsys, *argv):
@@ -189,6 +189,21 @@ class TestErrors:
         assert error["type"] == "operation"
         assert "lattice guard" in error["message"]
 
+    def test_realization_guard_is_operation_error(self, capsys, tmp_path, monkeypatch):
+        def refuse(self):
+            raise MemoryError("dense matrix built past the guard")
+
+        monkeypatch.setattr(BipartiteGraph, "biadjacency", refuse)
+        target = tmp_path / "big.off"
+        status, out = invoke(capsys, "lattice", "17", "16", "16", "--export-off", str(target))
+        assert status == 1
+        error = json.loads(out)["error"]
+        assert error == {
+            "type": "operation",
+            "message": "realization guard is 4096 vertices, got 4352",
+        }
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "command, doc",
         [
@@ -319,6 +334,19 @@ class TestGoldenBytes:
             0,
             '{"count":1845,"dims":[2,3,4],"odd_vertices":false,"polynomial":"1845*x^12"}\n',
         )
+
+    @pytest.mark.parametrize(
+        "dims, digest",
+        [
+            ("222", "5f963c65f2b5139b4409ecc70e47b0726f672050af2e16f712128f9c5bf24dcf"),
+            ("234", "10d91deb0322b14b8d40355698b888c7b756119549a7b28a12284024c5a00d77"),
+        ],
+    )
+    def test_lattice_export_off(self, capsys, tmp_path, dims, digest):
+        target = tmp_path / "lattice.off"
+        status, _ = invoke(capsys, "lattice", *dims, "--export-off", str(target))
+        assert status == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:

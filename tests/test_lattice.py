@@ -1,7 +1,6 @@
 """Cubic lattices, dimer pipelines and the geometric realization."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -9,14 +8,16 @@ from conftest import permanent2_bruteforce
 from kas3.algebra import Polynomial
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
+    GRID,
     LATTICE_MAX_VERTICES,
+    REALIZATION_MAX_VERTICES,
     check_embedding,
     cubic_lattice,
     dimer_count,
     dimer_polynomial,
     embed_T,
 )
-from kas3.tensor3 import permanent3
+from kas3.tensor3 import BipartiteGraph, permanent3
 from kas3.kasteleyn_construct import build_T
 
 
@@ -128,8 +129,8 @@ class TestEmbedding:
     def test_lattice_points_preserved(self):
         q = cubic_lattice(2, 1, 1)
         emb = embed_T(q)
-        assert emb.coordinates["v(1,0)"] == (Fraction(0), Fraction(0), Fraction(0))
-        assert emb.coordinates["v(2,0)"] == (Fraction(1), Fraction(0), Fraction(0))
+        assert emb.coordinates["v(1,0)"] == (0, 0, 0)
+        assert emb.coordinates["v(2,0)"] == (GRID * 1, 0, 0)
 
     def test_edge_vertices_cluster_at_midpoints(self):
         q = cubic_lattice(2, 2, 1)
@@ -137,15 +138,78 @@ class TestEmbedding:
         for ei, (i, j) in enumerate(emb.construction.edge_list):
             p = emb.lattice.graph.left[i]
             r = emb.lattice.graph.right[j]
-            midpoint = tuple(Fraction(p[k] + r[k], 2) for k in range(3))
+            midpoint = tuple(GRID * (p[k] + r[k]) // 2 for k in range(3))
             for prefix in ("w(0,e", "w(1,e", "w(2,e"):
                 point = emb.coordinates[f"{prefix}{ei})"]
                 dist_sq = sum((point[k] - midpoint[k]) ** 2 for k in range(3))
-                assert dist_sq < Fraction(1, 16)
+                assert dist_sq < (GRID // 4) ** 2
 
     def test_audit_is_clean(self):
         emb = embed_T(cubic_lattice(2, 2, 2))
         assert check_embedding(emb) == []
+
+    @staticmethod
+    def tampered(name, point=None):
+        """The 2x2x2 realization with `name` moved to `point` (removed when None).
+
+        `point` is a function of the first support edge's midpoint, in grid units.
+        """
+        emb = embed_T(cubic_lattice(2, 2, 2))
+        graph = emb.lattice.graph
+        i, j = emb.construction.edge_list[0]
+        mid = tuple(GRID * (a + b) // 2 for a, b in zip(graph.left[i], graph.right[j]))
+        if point is None:
+            del emb.coordinates[name]
+        else:
+            emb.coordinates[name] = point(mid)
+        return check_embedding(emb)
+
+    def test_coincident_point_is_reported(self):
+        emb = embed_T(cubic_lattice(2, 2, 2))
+        emb.coordinates["w(0,e0)"] = emb.coordinates["w(1,e0)"]
+        problems = check_embedding(emb)
+        assert any("w(1,e0) and w(0,e0) coincide" in p for p in problems)
+
+    def test_degenerate_triangle_is_reported(self):
+        # w(0,e0) and w(1,e0) sit symmetrically about the midpoint
+        problems = self.tampered("w(2,e0)", lambda mid: mid)
+        assert problems == ["triangle 'tri:gadget[0]' is degenerate"]
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            pytest.param(lambda mid: tuple(c + 10 * GRID for c in mid), id="far-stray"),
+            pytest.param(lambda mid: (GRID // 2, GRID // 2, 0), id="face-centre"),
+            pytest.param(lambda mid: (mid[0] + GRID // 4, mid[1], mid[2]), id="quarter-x"),
+            pytest.param(lambda mid: (mid[0], mid[1] + GRID // 4, mid[2]), id="quarter-y"),
+            pytest.param(lambda mid: tuple(c + 5 for c in mid), id="diagonal"),
+        ],
+    )
+    def test_stray_point_is_reported(self, point):
+        problems = self.tampered("w(0,e0)", point)
+        assert problems == ["w(0,e0) strays 1/4 or more from every anchor"]
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            pytest.param(lambda mid: (mid[0] + GRID // 4 - 1, mid[1], mid[2]), id="axis"),
+            pytest.param(lambda mid: tuple(c + 4 for c in mid), id="diagonal"),
+        ],
+    )
+    def test_point_just_inside_the_radius_passes(self, point):
+        assert self.tampered("w(0,e0)", point) == []
+
+    def test_missing_vertex_is_reported(self):
+        problems = self.tampered("w(0,e0)")
+        assert problems == ["vertices without coordinates: ['w(0,e0)']"]
+
+    def test_realization_guard_fires_before_the_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built past the guard")
+
+        monkeypatch.setattr(BipartiteGraph, "biadjacency", refuse)
+        with pytest.raises(GuardExceeded, match="realization guard is 4096 vertices, got 4097"):
+            embed_T(cubic_lattice(REALIZATION_MAX_VERTICES + 1, 1, 1))
 
     def test_off_export_shape(self):
         emb = embed_T(cubic_lattice(2, 1, 1))

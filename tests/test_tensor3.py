@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 import kas3.core as core
-from kas3.algebra import Polynomial
+from kas3.algebra import BinaryCode, Polynomial
 from kas3.core import TriangularConfiguration
 from kas3.errors import GuardExceeded, SchemaError, ToolkitError
-from kas3.gadgets import make_matching_triangular_triangle, make_tunnel
+from kas3.gadgets import make_matching_triangular_triangle, make_tunnel, tripartite_reduction
+from kas3.lattice import cubic_lattice, dimer_polynomial
 from kas3.kasteleyn_construct import build_T, certify_trivial_signing
 from kas3.tensor3 import (
     BipartiteGraph,
@@ -544,3 +545,40 @@ class TestTensorJson:
             Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0]]})
         with pytest.raises(SchemaError):
             Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0, 1.5]]})
+
+
+def _one_triangle():
+    return TriangularConfiguration(["a", "b", "c"], {"t": ("a", "b", "c")})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Tensor3((2.7, 2, 2), {}), id="Tensor3-dims"),
+        pytest.param(lambda: Tensor3((2, 2, 2), {(0.9, 0, 0): 3}), id="Tensor3-index"),
+        pytest.param(lambda: Polynomial({1.5: 2}), id="Polynomial-exponent"),
+        pytest.param(lambda: Polynomial({1: 2.9}), id="Polynomial-coefficient"),
+        pytest.param(lambda: BinaryCode(3.5, [1]), id="BinaryCode-length"),
+        pytest.param(lambda: BinaryCode(3, [1.0]), id="BinaryCode-row"),
+        pytest.param(
+            lambda: core.perfect_matching_polynomial(_one_triangle(), {"t": 2.5}),
+            id="perfect_matching_polynomial",
+        ),
+        pytest.param(
+            lambda: triadjacency(_one_triangle(), {"a": 1, "b": 2, "c": 3}, {"t": 2.5}),
+            id="triadjacency",
+        ),
+        pytest.param(
+            lambda: tripartite_reduction(_one_triangle(), {"t": 2.5}), id="tripartite_reduction"
+        ),
+        pytest.param(
+            lambda: dimer_polynomial(
+                cubic_lattice(2, 1, 1), {((0, 0, 0), (1, 0, 0)): 1.5}, cross_check=False
+            ),
+            id="dimer_polynomial",
+        ),
+    ],
+)
+def test_non_integer_numbers_are_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call()
