@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_int
 from .algebra import (
@@ -38,9 +38,21 @@ class TriangularConfiguration:
     edge endpoints not yet named, in edge order; the strong-matching search
     numbers its vertex items in that order, so a builder can hand it a
     structural one. Equality ignores the order.
+
+    The sorted id tuples and the triangles' vertex sets are computed once,
+    on first use, and shared by every later call.
     """
 
-    __slots__ = ("_vertices", "_vertex_order", "_edges", "_triangles", "_search_index")
+    __slots__ = (
+        "_vertices",
+        "_vertex_order",
+        "_edges",
+        "_triangles",
+        "_edge_ids",
+        "_triangle_ids",
+        "_triangle_vertex_sets",
+        "_search_index",
+    )
 
     def __init__(
         self,
@@ -72,6 +84,9 @@ class TriangularConfiguration:
         self._vertices = frozenset(order)
         self._edges = edge_map
         self._triangles = tri_map
+        self._edge_ids: tuple[str, ...] | None = None
+        self._triangle_ids: tuple[str, ...] | None = None
+        self._triangle_vertex_sets: dict[str, frozenset[str] | None] | None = None
         self._search_index: _SearchIndex | None = None
 
     @property
@@ -84,11 +99,15 @@ class TriangularConfiguration:
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._edges))
+        if self._edge_ids is None:
+            self._edge_ids = tuple(sorted(self._edges))
+        return self._edge_ids
 
     @property
     def triangle_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._triangles))
+        if self._triangle_ids is None:
+            self._triangle_ids = tuple(sorted(self._triangles))
+        return self._triangle_ids
 
     def edge_ends(self, edge: str) -> tuple[str, str] | None:
         return self._edges[edge]
@@ -103,14 +122,14 @@ class TriangularConfiguration:
         return self._triangles[triangle]
 
     def triangle_vertices(self, triangle: str) -> frozenset[str] | None:
-        """Vertex triple of a triangle, or None when endpoint data is missing."""
-        ends = [self._edges.get(e) for e in self._triangles[triangle]]
-        if any(x is None for x in ends) or len(ends) != 3:
-            return None
-        verts: set[str] = set()
-        for pair in ends:
-            verts.update(pair)
-        return frozenset(verts)
+        """Vertex set of a triangle, or None when endpoint data is missing."""
+        if self._triangle_vertex_sets is None:
+            sets: dict[str, frozenset[str] | None] = {}
+            for t, tri in self._triangles.items():
+                ends = [self._edges.get(e) for e in tri]
+                sets[t] = None if None in ends or len(ends) != 3 else frozenset(ends[0] + ends[1] + ends[2])
+            self._triangle_vertex_sets = sets
+        return self._triangle_vertex_sets[triangle]
 
     @property
     def has_full_vertex_data(self) -> bool:
@@ -653,6 +672,12 @@ def strong_matching_masks(config: TriangularConfiguration) -> tuple[dict[str, in
 # -- tripartitions -------------------------------------------------------------
 
 
+# number of classes in a 3-bit domain mask (bit c - 1 stands for class c);
+# an assigned item has the flag 8 set and counts as size 0
+_DOMAIN_SIZE = (0, 1, 1, 2, 1, 2, 2, 3) + (0,) * 8
+_ASSIGNED = 8
+
+
 def _rainbow_csp(
     items: Sequence[str],
     triples: Sequence[tuple[str, str, str]],
@@ -661,105 +686,105 @@ def _rainbow_csp(
     """Exhaustive 3-coloring where each triple must see all three classes.
 
     Unit propagation (two assigned members force the third) plus
-    smallest-domain-first branching (lowest item index on ties);
-    deterministic, complete search. The branching item comes from a heap of
-    `(domain size, item index)` entries: every change to an item's domain
-    pushes a fresh entry, and `pick` drops the stale ones, so a step costs
-    the domains it touches and not a scan of every item.
+    smallest-domain-first branching (lowest item index on ties, classes in
+    ascending order); deterministic, complete search. It runs on item
+    indices: a domain is a 3-bit mask, flagged with `_ASSIGNED` once the
+    item is set, and the trail holds one integer `index << 3 | old domain`
+    per change. The branching item comes from a heap of integer keys
+    `domain size * n + index`: a change that leaves an item two classes, and
+    every undo, pushes a fresh key (an item left one class is set before the
+    next pick), and `pick` drops the stale ones, so a step costs the domains
+    it touches and not a scan of every item.
     """
-    order = {item: i for i, item in enumerate(items)}
-    mates: dict[str, list[tuple[str, str]]] = {item: [] for item in items}
+    n = len(items)
+    pos = {item: i for i, item in enumerate(items)}
+    mates: list[list[int]] = [[] for _ in items]  # per item: the other two members of each triple
     for a, b, c in triples:
-        mates[a].append((b, c))
-        mates[b].append((a, c))
-        mates[c].append((a, b))
-    domains: dict[str, set[int]] = {item: {1, 2, 3} for item in items}
+        a, b, c = pos[a], pos[b], pos[c]
+        mates[a] += (b, c)
+        mates[b] += (a, c)
+        mates[c] += (a, b)
+    dom = [7] * n
     for item, cls in (pins or {}).items():
-        if item not in domains:
+        if item not in pos:
             raise ToolkitError(f"pin on unknown item {item!r}")
-        if cls not in (1, 2, 3):
-            raise ToolkitError(f"pin class {cls} must be 1, 2 or 3")
-        domains[item] = {cls}
+        if type(cls) is not int or not 1 <= cls <= 3:
+            raise ToolkitError(f"pin {item!r}: class {cls!r} must be the integer 1, 2 or 3")
+        dom[pos[item]] = 1 << (cls - 1)
 
-    assignment: dict[str, int] = {}
-    # entries (domain size, item index); one is current for every unassigned item
-    heap = [(len(domains[item]), i) for i, item in enumerate(items)]
+    size = _DOMAIN_SIZE
+    # at each pick, one key is current for every unassigned item
+    heap = [size[d] * n + i for i, d in enumerate(dom)]
     heapify(heap)
-    # trail entries: (item, previous domain, whether this step assigned the item)
-    Trail = list[tuple[str, set[int], bool]]
+    push = heappush
+    trail: list[int] = []
 
-    def assign(item: str, cls: int, trail: Trail) -> bool:
-        """Set item=cls and propagate pairwise-distinctness; False on wipeout."""
-        queue = [(item, cls)]
+    def assign(cur: int, bit: int) -> bool:
+        """Set item cur to the class of `bit` and propagate pairwise-distinctness; False on wipeout."""
+        # a queued item is unassigned and its domain holds `bit`: it is queued
+        # once, when its domain shrinks to `bit`, and shrinking it again wipes it out
+        queue = [cur << 3 | bit]
         while queue:
-            cur, val = queue.pop()
-            if cur in assignment:
-                if assignment[cur] != val:
-                    return False
-                continue
-            if val not in domains[cur]:
-                return False
-            trail.append((cur, domains[cur], True))
-            domains[cur] = {val}
-            assignment[cur] = val
-            for x, y in mates[cur]:
-                for other in (x, y):
-                    if other in assignment:
-                        if assignment[other] == val:
-                            return False
-                    elif val in domains[other]:
-                        trail.append((other, set(domains[other]), False))
-                        domains[other] = domains[other] - {val}
-                        if not domains[other]:
-                            return False
-                        heappush(heap, (len(domains[other]), order[other]))
-                        if len(domains[other]) == 1:
-                            queue.append((other, next(iter(domains[other]))))
+            entry = queue.pop()
+            cur, bit = entry >> 3, entry & 7
+            trail.append(cur << 3 | dom[cur])
+            dom[cur] = _ASSIGNED | bit
+            for other in mates[cur]:
+                d = dom[other]
+                if d & bit:
+                    if d & _ASSIGNED:
+                        return False  # already holds this class
+                    trail.append(other << 3 | d)
+                    d ^= bit
+                    dom[other] = d
+                    if not d:
+                        return False
+                    if size[d] == 1:
+                        queue.append(other << 3 | d)  # set before the next pick, so it needs no key
+                    else:
+                        push(heap, size[d] * n + other)
         return True
 
-    def undo(trail: Trail, mark: int) -> None:
-        while len(trail) > mark:
-            item, dom, was_assigned = trail.pop()
-            if was_assigned:
-                assignment.pop(item, None)
-            domains[item] = dom
-            heappush(heap, (len(dom), order[item]))
-
-    def pick() -> str | None:
-        if len(heap) > 4 * len(items) + 64:
-            # stale entries pile up under backtracking: rebuild from the live items
-            heap[:] = [(len(domains[x]), order[x]) for x in items if x not in assignment]
+    def pick() -> int | None:
+        if len(heap) > 4 * n + 64:
+            # stale keys pile up under backtracking: rebuild from the unassigned items
+            heap[:] = [size[d] * n + i for i, d in enumerate(dom) if not d & _ASSIGNED]
             heapify(heap)
         while heap:
-            size, i = heap[0]
-            item = items[i]
-            if item not in assignment and len(domains[item]) == size:
-                return item
+            key = heap[0]
+            i = key % n
+            if size[dom[i]] * n + i == key:  # an assigned item has size 0, so no key matches it
+                return i
             heappop(heap)
         return None
 
-    trail: Trail = []
     # seed pinned singletons through propagation
-    for item in items:
-        if len(domains[item]) == 1 and item not in assignment:
-            if not assign(item, next(iter(domains[item])), trail):
-                return None
+    for i in range(n):
+        if dom[i] in (1, 2, 4) and not assign(i, dom[i]):
+            return None
 
     item = pick()
     if item is None:
-        return {x: assignment[x] for x in items}
-    # one frame per branching item: (item, untried classes, trail mark before the first)
-    frames = [(item, sorted(domains[item], reverse=True), len(trail))]
+        return {x: (d & 7).bit_length() for x, d in zip(items, dom)}
+    # one frame per branching item: (item, untried classes as a mask, trail mark before the first)
+    frames = [(item, dom[item], len(trail))]
     while frames:
         item, untried, mark = frames[-1]
-        undo(trail, mark)
+        while len(trail) > mark:
+            entry = trail.pop()
+            i, d = entry >> 3, entry & 7
+            dom[i] = d
+            push(heap, size[d] * n + i)
         if not untried:
             frames.pop()
-        elif assign(item, untried.pop(), trail):
+            continue
+        low = untried & -untried
+        frames[-1] = (item, untried ^ low, mark)
+        if assign(item, low):
             item = pick()
             if item is None:
-                return {x: assignment[x] for x in items}
-            frames.append((item, sorted(domains[item], reverse=True), len(trail)))
+                return {x: (d & 7).bit_length() for x, d in zip(items, dom)}
+            frames.append((item, dom[item], len(trail)))
     return None
 
 
@@ -799,26 +824,29 @@ def find_vertex_tripartition(
     return _rainbow_csp(items, triples, pins)  # type: ignore[arg-type]
 
 
+_CLASSES = frozenset((1, 2, 3))
+
+
 def _check_tripartition(
     kind: str,
     items: Iterable[str],
-    triangles: Iterable[tuple[str, Iterable[str] | None]],
+    triangles: Iterable[tuple[str, Collection[str] | None]],
     classes: Mapping[str, int],
     label: str,
 ) -> list[str]:
     """Violations of a tripartition: every item classed, every triangle rainbow.
 
     `triangles` pairs each triangle id with its items, or with None when the
-    triangle lacks vertex data; `label` names the classes in the message.
+    triangle lacks vertex data; `label` names the classes in the message,
+    which lists them sorted.
     """
-    problems = [f"{kind} {x!r} has no class" for x in items if classes.get(x) not in (1, 2, 3)]
+    get = classes.get
+    problems = [f"{kind} {x!r} has no class" for x in items if get(x) not in (1, 2, 3)]
     for t, members in triangles:
         if members is None:
             problems.append(f"triangle {t!r} lacks vertex data")
-            continue
-        seen = sorted(classes.get(x, 0) for x in members)
-        if seen != [1, 2, 3]:
-            problems.append(f"triangle {t!r} has {label} {seen}")
+        elif len(members) != 3 or {get(x, 0) for x in members} != _CLASSES:
+            problems.append(f"triangle {t!r} has {label} {sorted(get(x, 0) for x in members)}")
     return problems
 
 

@@ -82,9 +82,16 @@ class Tensor3:
         return f"Tensor3(dims={self.dims}, nnz={len(self.entries)})"
 
     def to_doc(self) -> dict:
+        """Rows `[i, j, k, value]` in index order; entries holding one value object
+        share its encoding, so the rows must not be edited in place."""
+        encoded: dict[int, object] = {}  # id(value) -> encoding; `entries` keeps the values alive
         rows = []
-        for (i, j, k) in sorted(self.entries):
-            rows.append([i, j, k, encode_ring_value(self.entries[(i, j, k)])])
+        for key in sorted(self.entries):
+            value = self.entries[key]
+            code = encoded.get(id(value))
+            if code is None:
+                code = encoded[id(value)] = encode_ring_value(value)
+            rows.append([*key, code])
         return {"dims": list(self.dims), "entries": rows}
 
     @classmethod
@@ -313,6 +320,7 @@ def triadjacency(
     pos = [{e: i for i, e in enumerate(axis)} for axis in orders]
     side = max((len(axis) for axis in orders), default=0)
     entries: dict[tuple[int, int, int], RingValue] = {}
+    monomials: dict[int, Polynomial] = {}  # one x^w per weight, shared: polynomials are immutable
     for t in config.triangle_ids:
         index: list[int] = [0, 0, 0]
         for e in config.triangle_edges(t):
@@ -322,7 +330,9 @@ def triadjacency(
         if key in entries:
             raise ToolkitError(f"two triangles map to tensor cell {key}")
         w = operator.index(weighting.get(t, 1)) if weighting is not None else 1
-        entries[key] = Polynomial.monomial(w)
+        if w not in monomials:
+            monomials[w] = Polynomial.monomial(w)
+        entries[key] = monomials[w]
     return Tensor3((side, side, side), entries), orders
 
 

@@ -1,6 +1,7 @@
 """Configuration model, validation, matching enumeration and tripartitions."""
 
 import hashlib
+import heapq
 import itertools
 import math
 import random
@@ -419,6 +420,15 @@ class TestTripartitions:
     def test_infeasible_pins_give_none(self):
         assert find_edge_tripartition(single_triangle(), pins={"a": 2, "b": 2}) is None
 
+    @pytest.mark.parametrize("cls", [1.0, True, 2.5, "1", None, 0, 4])
+    def test_pin_class_must_be_an_integer_class(self, cls):
+        with pytest.raises(ToolkitError, match="pin 'a'"):
+            find_edge_tripartition(single_triangle(), pins={"a": cls})
+
+    def test_pin_on_unknown_item(self):
+        with pytest.raises(ToolkitError, match="unknown item 'z'"):
+            find_edge_tripartition(single_triangle(), pins={"z": 1})
+
     def test_vertex_tripartition_single_triangle(self):
         config = TriangularConfiguration(
             {"ab": ("u", "v"), "bc": ("v", "w"), "ca": ("w", "u")},
@@ -526,6 +536,119 @@ class TestTripartitionClassings:
         classes = search(config)
         check = check_edge_tripartition if search is find_edge_tripartition else check_vertex_tripartition
         assert classes is not None and check(config, classes) == []
+
+    @pytest.mark.parametrize(
+        "search, digest",
+        [
+            (find_edge_tripartition, "d67750af51348d66d8a175e87071c7865cad61554ba2b3c0fc785bf2d1e7ab3a"),
+            (find_vertex_tripartition, "7a2b2e650cfd6b5c3775478f2585e7f8d7778f50b74bf1c211e57e0b79333f42"),
+        ],
+        ids=["edge", "vertex"],
+    )
+    def test_shuffled_strip_classing_is_pinned(self, search, digest):
+        # shuffled names make sorted order disagree with the strip's own order
+        config = shuffled(strip_config(5000), random.Random(5000))
+        classes = search(config)
+        assert hashlib.sha256(canonical_json(classes).encode()).hexdigest() == digest
+
+    def test_backtracking_family_is_pinned(self, monkeypatch):
+        """Hundreds of triangles near the 3-colouring threshold: the search backtracks
+        far enough that its branching heap is rebuilt, and some inputs have no classing."""
+        heapifies = []
+        monkeypatch.setattr(core, "heapify", lambda heap: heapifies.append(len(heap)) or heapq.heapify(heap))
+        pins, found = backtracking_family()
+        assert None in found and any(found)
+        assert len(heapifies) > len(found)  # more than one per search: the heap was rebuilt
+        digest = hashlib.sha256(canonical_json([pins, found]).encode()).hexdigest()
+        assert digest == "9861d5ca7d56dfc1cf51a01fa42ddf7a3c838e34bb23c44312c2bf4ffb5100de"
+
+    def test_checker_text_is_pinned(self):
+        problems = checker_problems()
+        assert [] in problems and any(problems)
+        digest = hashlib.sha256(canonical_json(problems).encode()).hexdigest()
+        assert digest == "208495a9b9724f72db7acbbf9b9e2190e65cf5d038396695f67b6dfdd66801b3"
+
+
+def shuffled(config: TriangularConfiguration, rng: random.Random) -> TriangularConfiguration:
+    """The configuration with its edge, triangle and vertex names permuted."""
+    maps = []
+    for names in (config.edge_ids, config.triangle_ids, sorted(config.vertices)):
+        image = list(names)
+        rng.shuffle(image)
+        maps.append(dict(zip(names, image)))
+    return config.relabeled(*maps)
+
+
+def backtracking_family(seed: int = 4242) -> tuple[list, list]:
+    """(pins used, classings found) on 100-400 triangles at 0.8 triangles per item.
+
+    Half the triples are rainbow under a hidden classing (so a classing
+    exists unless a pin breaks it), half are uniform (usually none exists).
+    """
+    rng = random.Random(seed)
+    pins, found = [], []
+    for kind in ["edge", "vertex"] * 6:
+        size = rng.randint(100, 400)
+        items = [f"{kind[0]}{i}" for i in range(round(size / 0.8))]
+        hidden = {x: rng.randint(1, 3) for x in items}
+        by_class = [[x for x in items if hidden[x] == c] for c in (1, 2, 3)]
+        planted = rng.random() < 0.5
+        triples = [
+            [rng.choice(group) for group in by_class] if planted else rng.sample(items, 3)
+            for _ in range(size)
+        ]
+        if kind == "edge":
+            config = TriangularConfiguration(items, {f"t{i}": tri for i, tri in enumerate(triples)})
+            search = find_edge_tripartition
+        else:
+            edges, triangles = {}, {}
+            for i, tri in enumerate(triples):
+                names = []
+                for u, v in itertools.combinations(sorted(tri), 2):
+                    edges[f"{u}~{v}"] = (u, v)
+                    names.append(f"{u}~{v}")
+                triangles[f"t{i}"] = names
+            config = TriangularConfiguration(edges, triangles)
+            search = find_vertex_tripartition
+        item_pins = random_pins(rng, config.edge_ids if kind == "edge" else sorted(config.vertices))
+        pins.append(item_pins)
+        found += [search(config), search(config, item_pins)]
+    return pins, found
+
+
+def checker_problems(seed: int = 77) -> list[list[str]]:
+    """Problem lists of both checkers on seeded partial and wrong classings."""
+    rng = random.Random(seed)
+
+    def damaged(classes: dict[str, int] | None, items) -> dict:
+        classes = dict(classes or {x: rng.randint(1, 3) for x in items})
+        for x in rng.sample(sorted(classes), min(len(classes), rng.randint(0, 3))):
+            if rng.random() < 0.4:
+                del classes[x]
+            else:
+                classes[x] = rng.choice([0, 1, 2, 3, 4])
+        if rng.random() < 0.2:
+            classes["stray"] = 2
+        return classes
+
+    problems = []
+    for _ in range(150):
+        config = random_config(rng, rng.choice([4, 6, 8, 10]))
+        problems.append(check_edge_tripartition(config, damaged(find_edge_tripartition(config), config.edge_ids)))
+    for _ in range(150):
+        config = random_vertex_config(rng)
+        if rng.random() < 0.2:  # drop the ends of one edge
+            edges = {e: config.edge_ends(e) for e in config.edge_ids}
+            edges[rng.choice(sorted(edges))] = None
+            config = TriangularConfiguration(edges, {t: config.triangle_edges(t) for t in config.triangle_ids})
+        vertices = sorted(config.vertices)
+        classes = find_vertex_tripartition(config) if config.has_full_vertex_data else None
+        problems.append(check_vertex_tripartition(config, damaged(classes, vertices)))
+        problems.append(check_edge_tripartition(config, damaged(find_edge_tripartition(config), config.edge_ids)))
+    # triangles with a repeated or missing edge
+    config = TriangularConfiguration(["a", "b", "c", "d"], {"t": ("a", "b"), "u": ("a", "a", "b"), "v": ("a", "b", "c", "d")})
+    problems.append(check_edge_tripartition(config, {"a": 1, "b": 2, "c": 3, "d": 3}))
+    return problems
 
 
 class TestCompose:

@@ -26,6 +26,7 @@ from kas3.tensor3 import (
     determinant3,
     determinant3_dense,
     diagonal_sign,
+    encode_ring_value,
     enumerate_graph_perfect_matchings,
     find_pfaffian_signing,
     kasteleyn_sign_via_k1,
@@ -537,6 +538,13 @@ class TestTensorJson:
         assert again == t
         big = [row for row in doc["entries"] if row[:3] == [0, 1, 0]][0]
         assert isinstance(big[3], str)  # big integers serialize as strings
+
+    def test_shared_values_encode_like_distinct_ones(self):
+        shared, big = Polynomial({3: 2, 0: -1}), 10**20
+        entries = {(0, 0, 0): shared, (1, 1, 1): shared, (0, 1, 0): Polynomial({3: 2, 0: -1}),
+                   (1, 0, 0): big, (0, 0, 1): big, (1, 0, 1): 10**20 + 1, (0, 1, 1): 7}
+        doc = Tensor3((2, 2, 2), entries).to_doc()
+        assert doc["entries"] == [[*key, encode_ring_value(entries[key])] for key in sorted(entries)]
 
     def test_bad_docs_rejected(self):
         with pytest.raises(SchemaError):
