@@ -61,11 +61,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def degree(self) -> int:
-        if not self._coeffs:
-            raise ToolkitError("zero polynomial has no degree")
-        return max(self._coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self._coeffs == other._coeffs
@@ -154,10 +149,6 @@ class Polynomial:
             else:
                 parts.append(("- " if coeff < 0 else "+ ") + body)
         return " ".join(parts)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Polynomial":
-        return parse_polynomial(text)
 
 
 def _coerce(value) -> "Polynomial":

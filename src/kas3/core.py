@@ -204,6 +204,10 @@ def parse_config_doc(
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("configuration document must be an object")
+    # a string or an object where an array belongs would be read item by item as names
+    for key in ("edges", "triangles", "vertices"):
+        if not isinstance(doc.get(key, []), (list, tuple)):
+            raise SchemaError(f"{key} must be an array")
     try:
         edges: dict[str, tuple[str, str] | None] = {}
         for entry in doc.get("edges", []):
@@ -211,12 +215,18 @@ def parse_config_doc(
             if eid in edges:
                 raise SchemaError(f"duplicate edge id {eid!r}")
             ends = entry.get("ends")
-            edges[eid] = None if ends is None else (str(ends[0]), str(ends[1]))
+            if ends is not None:
+                if not isinstance(ends, (list, tuple)) or len(ends) != 2:
+                    raise SchemaError(f"edge {eid!r} ends must be an array of two names")
+                ends = (str(ends[0]), str(ends[1]))
+            edges[eid] = ends
         triangles: dict[str, Sequence[str]] = {}
         for entry in doc.get("triangles", []):
             tid = str(entry["id"])
             if tid in triangles:
                 raise SchemaError(f"duplicate triangle id {tid!r}")
+            if not isinstance(entry["edges"], (list, tuple)):
+                raise SchemaError(f"triangle {tid!r} edges must be an array")
             triangles[tid] = [str(e) for e in entry["edges"]]
         vertices = [str(v) for v in doc.get("vertices", [])]
     except (KeyError, TypeError, IndexError) as exc:
@@ -540,7 +550,11 @@ def exact_cover_sum(
 
 
 class _SearchIndex:
-    """Bitmask indexes shared by the enumeration routines (built once per config)."""
+    """Bitmask indexes shared by the enumeration routines (built once per config).
+
+    Mapping the triangles' edge names to positions refuses the first unknown
+    edge, in sorted triangle order and then edge order.
+    """
 
     def __init__(self, config: TriangularConfiguration):
         self.edge_ids = config.edge_ids
@@ -548,19 +562,17 @@ class _SearchIndex:
         self.tri_ids = config.triangle_ids
         self.tri_pos = {t: i for i, t in enumerate(self.tri_ids)}
         self.tri_masks: list[int] = []
-        for t in self.tri_ids:
-            mask = 0
-            for e in config.triangle_edges(t):
-                mask |= 1 << self.edge_pos[e]
-            self.tri_masks.append(mask)
+        try:
+            for t in self.tri_ids:
+                mask = 0
+                for e in config.triangle_edges(t):
+                    mask |= 1 << self.edge_pos[e]
+                self.tri_masks.append(mask)
+        except KeyError:
+            raise ToolkitError(f"triangle {t!r} references dangling edge {e!r}") from None
 
         self.vertex_ids = config.vertex_order
-        vertex_pos = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.tri_vertex_masks: list[int] | None = None
-        if config.has_full_vertex_data:
-            self.tri_vertex_masks = [
-                sum(1 << vertex_pos[v] for v in config.triangle_vertices(t) or ()) for t in self.tri_ids
-            ]
+        self.tri_vertex_masks: list[int] | None = None  # built by the first strong-matching call
 
     def triangle_sets(self, item_count: int, options: Sequence[int]) -> list[tuple[str, ...]]:
         """Exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
@@ -642,7 +654,12 @@ def perfect_matching_polynomial(
 def _vertex_masks(config: TriangularConfiguration) -> tuple[_SearchIndex, list[int]]:
     idx = _index(config)
     if idx.tri_vertex_masks is None:
-        raise ToolkitError("perfect strong matchings need vertex data on every edge")
+        if not config.has_full_vertex_data:
+            raise ToolkitError("perfect strong matchings need vertex data on every edge")
+        vertex_pos = {v: i for i, v in enumerate(idx.vertex_ids)}
+        idx.tri_vertex_masks = [
+            sum(1 << vertex_pos[v] for v in config.triangle_vertices(t) or ()) for t in idx.tri_ids
+        ]
     return idx, idx.tri_vertex_masks
 
 
@@ -679,12 +696,15 @@ _ASSIGNED = 8
 
 
 def _rainbow_csp(
+    kind: str,
     items: Sequence[str],
-    triples: Sequence[tuple[str, str, str]],
+    triangles: Iterable[tuple[str, Sequence[str]]],
     pins: Mapping[str, int] | None,
 ) -> dict[str, int] | None:
-    """Exhaustive 3-coloring where each triple must see all three classes.
+    """Exhaustive 3-coloring of `items` where each triangle must see all three classes.
 
+    `triangles` pairs each triangle id with its three members; the first
+    member that is not an item raises `ToolkitError` as a dangling `kind`.
     Unit propagation (two assigned members force the third) plus
     smallest-domain-first branching (lowest item index on ties, classes in
     ascending order); deterministic, complete search. It runs on item
@@ -698,9 +718,12 @@ def _rainbow_csp(
     """
     n = len(items)
     pos = {item: i for i, item in enumerate(items)}
-    mates: list[list[int]] = [[] for _ in items]  # per item: the other two members of each triple
-    for a, b, c in triples:
-        a, b, c = pos[a], pos[b], pos[c]
+    mates: list[list[int]] = [[] for _ in items]  # per item: the other two members of each triangle
+    for t, (a, b, c) in triangles:
+        try:
+            a, b, c = pos[a], pos[b], pos[c]
+        except KeyError as exc:
+            raise ToolkitError(f"triangle {t!r} references dangling {kind} {exc.args[0]!r}") from None
         mates[a] += (b, c)
         mates[b] += (a, c)
         mates[c] += (a, b)
@@ -788,40 +811,30 @@ def _rainbow_csp(
     return None
 
 
-def require_known_edges(config: TriangularConfiguration) -> None:
-    """Raise ToolkitError naming the first triangle that references an unknown edge."""
-    for t in config.triangle_ids:
-        for e in config.triangle_edges(t):
-            if not config.has_edge(e):
-                raise ToolkitError(f"triangle {t!r} references dangling edge {e!r}")
-
-
 def find_edge_tripartition(
     config: TriangularConfiguration, pins: Mapping[str, int] | None = None
 ) -> dict[str, int] | None:
     """Total edge 3-classing with every triangle rainbow, or None if impossible."""
-    triples = []
+    triangles = []
     for t in config.triangle_ids:
         tri = config.triangle_edges(t)
         if len(set(tri)) != 3 or len(tri) != 3:
             return None  # no classing makes it rainbow
-        triples.append(tuple(tri))
-    require_known_edges(config)
-    return _rainbow_csp(config.edge_ids, triples, pins)  # type: ignore[arg-type]
+        triangles.append((t, tri))
+    return _rainbow_csp("edge", config.edge_ids, triangles, pins)
 
 
 def find_vertex_tripartition(
     config: TriangularConfiguration, pins: Mapping[str, int] | None = None
 ) -> dict[str, int] | None:
     """Total vertex 3-classing with every triangle rainbow, or None if impossible."""
-    items = tuple(sorted(config.vertices))
-    triples = []
+    triangles = []
     for t in config.triangle_ids:
         verts = config.triangle_vertices(t)
         if verts is None or len(verts) != 3:
             raise ToolkitError(f"triangle {t!r} lacks vertex data")
-        triples.append(tuple(sorted(verts)))
-    return _rainbow_csp(items, triples, pins)  # type: ignore[arg-type]
+        triangles.append((t, sorted(verts)))
+    return _rainbow_csp("vertex", sorted(config.vertices), triangles, pins)
 
 
 _CLASSES = frozenset((1, 2, 3))
@@ -829,23 +842,27 @@ _CLASSES = frozenset((1, 2, 3))
 
 def _check_tripartition(
     kind: str,
-    items: Iterable[str],
+    items: Sequence[str],
     triangles: Iterable[tuple[str, Collection[str] | None]],
     classes: Mapping[str, int],
     label: str,
 ) -> list[str]:
     """Violations of a tripartition: every item classed, every triangle rainbow.
 
-    `triangles` pairs each triangle id with its items, or with None when the
-    triangle lacks vertex data; `label` names the classes in the message,
-    which lists them sorted.
+    `triangles` pairs each triangle id with its members, or with None when
+    the triangle lacks vertex data; a member that is not an item is
+    reported as a dangling `kind`. `label` names the classes in the
+    message, which lists them sorted.
     """
     get = classes.get
+    known = frozenset(items)
     problems = [f"{kind} {x!r} has no class" for x in items if get(x) not in (1, 2, 3)]
     for t, members in triangles:
         if members is None:
             problems.append(f"triangle {t!r} lacks vertex data")
-        elif len(members) != 3 or {get(x, 0) for x in members} != _CLASSES:
+        elif not known.issuperset(members):
+            problems += [f"triangle {t!r} references dangling {kind} {x!r}" for x in members if x not in known]
+        elif len(members) != 3 or set(map(get, members)) != _CLASSES:
             problems.append(f"triangle {t!r} has {label} {sorted(get(x, 0) for x in members)}")
     return problems
 
@@ -986,14 +1003,12 @@ def compose(
 
 def incidence_matrix(config: TriangularConfiguration) -> tuple[list[list[int]], tuple[str, ...], tuple[str, ...]]:
     """0/1 incidence of edges (rows) against triangles (columns), both sorted."""
-    edge_ids = config.edge_ids
-    tri_ids = config.triangle_ids
-    pos = {e: i for i, e in enumerate(edge_ids)}
-    rows = [[0] * len(tri_ids) for _ in edge_ids]
-    for j, t in enumerate(tri_ids):
+    idx = _index(config)
+    rows = [[0] * len(idx.tri_ids) for _ in idx.edge_ids]
+    for j, t in enumerate(idx.tri_ids):
         for e in config.triangle_edges(t):
-            rows[pos[e]][j] = 1
-    return rows, edge_ids, tri_ids
+            rows[idx.edge_pos[e]][j] = 1
+    return rows, idx.edge_ids, idx.tri_ids
 
 
 def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Polynomial:

@@ -13,11 +13,12 @@ over an unchanged support reuses the choices the first one made.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_int
 from .algebra import Polynomial
@@ -27,7 +28,6 @@ from .core import (
     check_edge_tripartition,
     check_vertex_tripartition,
     exact_covers,
-    require_known_edges,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
@@ -299,6 +299,40 @@ def determinant3_dense(tensor: Tensor3) -> RingValue:
 # -- adjacency builders ----------------------------------------------------------
 
 
+def _split_by_class(
+    items: Sequence[str], classes: Mapping[str, int]
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The items of class 1, 2 and 3, each in the order of `items`."""
+    axes: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for x in items:
+        axes[classes[x] - 1].append(x)
+    return tuple(axes[0]), tuple(axes[1]), tuple(axes[2])
+
+
+def _adjacency_tensor(
+    triangles: Iterable[tuple[str, Collection[str]]],
+    classes: Mapping[str, int],
+    orders: tuple[tuple[str, ...], ...],
+    values: Mapping[str, RingValue],
+    default: RingValue,
+) -> Tensor3:
+    """A cube with one cell per triangle, holding `values[triangle]` or `default`: each
+    member's class picks an axis and its place in `orders` the index on it."""
+    pos = {x: i for axis in orders for i, x in enumerate(axis)}
+    entries: dict[tuple[int, int, int], RingValue] = {}
+    index = [0, 0, 0]
+    for t, (a, b, c) in triangles:
+        index[classes[a] - 1] = pos[a]
+        index[classes[b] - 1] = pos[b]
+        index[classes[c] - 1] = pos[c]
+        key = (index[0], index[1], index[2])
+        if key in entries:
+            raise ToolkitError(f"two triangles map to tensor cell {key}")
+        entries[key] = values.get(t, default)
+    side = max(len(axis) for axis in orders)
+    return Tensor3((side, side, side), entries)
+
+
 def triadjacency(
     config: TriangularConfiguration,
     edge_classes: Mapping[str, int],
@@ -312,28 +346,11 @@ def triadjacency(
     problems = check_edge_tripartition(config, edge_classes)
     if problems:
         raise ToolkitError("invalid edge tripartition: " + "; ".join(problems))
-    require_known_edges(config)
-    by_class: dict[int, list[str]] = {1: [], 2: [], 3: []}
-    for e in config.edge_ids:
-        by_class[edge_classes[e]].append(e)
-    orders = (tuple(by_class[1]), tuple(by_class[2]), tuple(by_class[3]))
-    pos = [{e: i for i, e in enumerate(axis)} for axis in orders]
-    side = max((len(axis) for axis in orders), default=0)
-    entries: dict[tuple[int, int, int], RingValue] = {}
-    monomials: dict[int, Polynomial] = {}  # one x^w per weight, shared: polynomials are immutable
-    for t in config.triangle_ids:
-        index: list[int] = [0, 0, 0]
-        for e in config.triangle_edges(t):
-            cls = edge_classes[e]
-            index[cls - 1] = pos[cls - 1][e]
-        key = (index[0], index[1], index[2])
-        if key in entries:
-            raise ToolkitError(f"two triangles map to tensor cell {key}")
-        w = operator.index(weighting.get(t, 1)) if weighting is not None else 1
-        if w not in monomials:
-            monomials[w] = Polynomial.monomial(w)
-        entries[key] = monomials[w]
-    return Tensor3((side, side, side), entries), orders
+    monomial = functools.cache(Polynomial.monomial)  # one x^w per weight, shared: polynomials are immutable
+    values = {t: monomial(operator.index(w)) for t, w in (weighting or {}).items() if config.has_triangle(t)}
+    orders = _split_by_class(config.edge_ids, edge_classes)
+    triangles = ((t, config.triangle_edges(t)) for t in config.triangle_ids)
+    return _adjacency_tensor(triangles, edge_classes, orders, values, monomial(1)), orders
 
 
 def vertex_adjacency(
@@ -342,38 +359,22 @@ def vertex_adjacency(
     entry_values: Mapping[str, RingValue],
     class_orders: tuple[Sequence[str], Sequence[str], Sequence[str]] | None = None,
 ) -> tuple[Tensor3, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
-    """Vertex-level adjacency tensor; entry values are supplied per triangle."""
+    """Vertex-level adjacency tensor; entry values are supplied per triangle.
+
+    `class_orders`, when given, must list the vertices of class 1, 2 and 3
+    on its three axes, each vertex exactly once.
+    """
     problems = check_vertex_tripartition(config, vertex_classes)
     if problems:
         raise ToolkitError("invalid vertex tripartition: " + "; ".join(problems))
-    if class_orders is None:
-        by_class: dict[int, list[str]] = {1: [], 2: [], 3: []}
-        for v in sorted(config.vertices):
-            by_class[vertex_classes[v]].append(v)
-        orders = (tuple(by_class[1]), tuple(by_class[2]), tuple(by_class[3]))
-    else:
-        orders = tuple(tuple(axis) for axis in class_orders)  # type: ignore[assignment]
-        for axis_index, axis in enumerate(orders, start=1):
-            for v in axis:
-                if vertex_classes.get(v) != axis_index:
-                    raise ToolkitError(f"vertex {v!r} not in class {axis_index}")
-    pos = [{v: i for i, v in enumerate(axis)} for axis in orders]
-    side = max((len(axis) for axis in orders), default=0)
-    entries: dict[tuple[int, int, int], RingValue] = {}
-    for t in config.triangle_ids:
-        verts = config.triangle_vertices(t)
-        if verts is None:
-            raise ToolkitError(f"triangle {t!r} lacks vertex data")
-        index: list[int] = [0, 0, 0]
-        for v in verts:
-            cls = vertex_classes[v]
-            index[cls - 1] = pos[cls - 1][v]
-        key = (index[0], index[1], index[2])
-        if key in entries:
-            raise ToolkitError(f"two triangles map to tensor cell {key}")
-        value = entry_values.get(t, 1)
-        entries[key] = value
-    return Tensor3((side, side, side), entries), orders
+    orders = _split_by_class(sorted(config.vertices), vertex_classes)
+    if class_orders is not None:
+        given = tuple(tuple(axis) for axis in class_orders)
+        if tuple(tuple(sorted(axis)) for axis in given) != orders:
+            raise ToolkitError("class orders must list each class's vertices once, class c on axis c")
+        orders = given  # type: ignore[assignment]
+    triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
+    return _adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1), orders  # type: ignore[arg-type]
 
 
 # -- bipartite graphs and 2-matrix kernels ---------------------------------------
@@ -400,9 +401,6 @@ class BipartiteGraph:
         for u, v in self.edges:
             mat[lpos[u]][rpos[v]] = 1
         return mat
-
-    def degree(self, vertex) -> int:
-        return sum(1 for u, v in self.edges if u == vertex or v == vertex)
 
     def matching_problem(self, edges: Sequence[tuple]) -> tuple[int, list[int]]:
         """The perfect matchings as an exact-cover problem over `edges`, in their order.

@@ -245,6 +245,26 @@ class TestErrors:
         with pytest.raises(SchemaError, match=re.escape(f"{field} is not an integer")):
             read(doc)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"edges": [{"id": e} for e in "abc"], "triangles": [{"id": "t", "edges": "abc"}]}, "triangle 't' edges"),
+            ({"edges": [{"id": "e", "ends": "uv"}], "triangles": []}, "edge 'e' ends"),
+            ({"edges": [{"id": "e", "ends": ["u", "v", "z"]}], "triangles": []}, "edge 'e' ends"),
+            ({"edges": [], "triangles": [], "vertices": "xyz"}, "vertices"),
+            ({"edges": "abc", "triangles": []}, "edges"),
+            ({"edges": [], "triangles": {"t": ["a", "b", "c"]}}, "triangles"),
+        ],
+    )
+    def test_strings_are_not_read_as_arrays(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        status, out = invoke(capsys, "triadj", str(path))
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "schema"
+        assert error["message"].startswith(f"{field} must be an array")
+
     def test_integers_and_integer_strings_are_read(self):
         assert matrix_from_doc({"n": "2", "rows": [[1, "-3"], [0, 2**70]]}) == [[1, -3], [0, 2**70]]
         assert Tensor3.from_doc({"dims": ["2", 2, 2], "entries": [["1", 0, 1, 5]]}).entries == {(1, 0, 1): 5}
@@ -405,10 +425,15 @@ SEED_DOCS = {
     "per3": {"dims": [2, 2, 2], "entries": [[0, 0, 0, 1], [1, 1, 1, {"poly": {"2": 3}}], [0, 1, 1, -2]]},
     "code": {"k": 2, "n": 4, "rows": [[1, 1, 0, 0], [0, 1, 1, 1]]},
     "matrix": {"n": 3, "rows": [[1, 2, 0], [0, 1, -1], [3, 0, 1]]},
+    "kernel": {
+        "edges": [{"id": e} for e in ("a", "b", "c", "d", "e", "f")],
+        "triangles": [{"id": "t", "edges": ["a", "b", "c"]}, {"id": "s", "edges": ["a", "d", "e"]},
+                      {"id": "r", "edges": ["b", "d", "f"]}, {"id": "q", "edges": ["c", "e", "f"]}],
+    },
 }
 ARGV = {
     "reduce": ["reduce"], "triadj": ["triadj"], "per3": ["per3"], "code": ["code", "wenum"],
-    "matrix": ["kasteleyn", "build", "--certify"],
+    "matrix": ["kasteleyn", "build", "--certify"], "kernel": ["kernel-wenum", "--p", "2"],
 }
 
 json_leaves = st.one_of(
@@ -458,6 +483,7 @@ def mutated_documents(draw):
 
 
 TRIADJ_TRIANGLES = SEED_DOCS["triadj"]["triangles"]
+DANGLING_EDGE = {"edges": [{"id": "a"}, {"id": "b"}], "triangles": [{"id": "t", "edges": ["a", "b", "zz"]}]}
 # a float where an integer belongs is malformed input: these must exit 2
 FLOAT_MATRIX_ENTRY = ("matrix", {"n": 2, "rows": [[1.5, 0], [0, 2]]})
 FLOAT_TENSOR_INDEX = ("per3", {"dims": [2, 2, 2], "entries": [[0, 1.0, 0, 1]]})
@@ -465,7 +491,9 @@ FLOAT_TENSOR_INDEX = ("per3", {"dims": [2, 2, 2], "entries": [[0, 1.0, 0, 1]]})
 
 class TestFuzz:
     # escapes found by this test, each once a KeyError or ValueError traceback:
-    # dangling edges with and without stored classes, and a four-edge triangle
+    # dangling edges with and without stored classes (through triadj and
+    # kernel-wenum), and a four-edge triangle
+    @example(case=("kernel", DANGLING_EDGE))
     @example(case=("triadj", {"triangles": TRIADJ_TRIANGLES, "edge_classes": SEED_DOCS["triadj"]["edge_classes"]}))
     @example(case=("triadj", {"triangles": TRIADJ_TRIANGLES}))
     @example(case=("triadj", {

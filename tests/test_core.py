@@ -457,6 +457,20 @@ class TestTripartitions:
             )
             assert (find_edge_tripartition(config) is not None) == exists
 
+    def test_unknown_edge_is_refused_where_it_is_looked_up(self):
+        # the first unknown edge in sorted triangle order, then edge order
+        config = TriangularConfiguration(["a", "b"], {"u": ("a", "b", "yy"), "t": ("zz", "a", "b")})
+        with pytest.raises(ToolkitError, match="triangle 't' references dangling edge 'zz'"):
+            find_edge_tripartition(config)
+        assert check_edge_tripartition(config, {"a": 1, "b": 2, "yy": 3, "zz": 3}) == [
+            "triangle 't' references dangling edge 'zz'",
+            "triangle 'u' references dangling edge 'yy'",
+        ]
+
+    def test_repeated_edge_gives_none_before_references_are_checked(self):
+        config = TriangularConfiguration(["a", "b"], {"t": ("a", "b", "zz"), "u": ("a", "a", "b")})
+        assert find_edge_tripartition(config) is None
+
     def test_odd_wheel_has_no_vertex_tripartition(self):
         spokes = {f"s{i}": ("h", f"v{i}") for i in range(5)}
         rims = {f"r{i}": (f"v{i}", f"v{(i + 1) % 5}") for i in range(5)}
@@ -649,6 +663,28 @@ def checker_problems(seed: int = 77) -> list[list[str]]:
     config = TriangularConfiguration(["a", "b", "c", "d"], {"t": ("a", "b"), "u": ("a", "a", "b"), "v": ("a", "b", "c", "d")})
     problems.append(check_edge_tripartition(config, {"a": 1, "b": 2, "c": 3, "d": 3}))
     return problems
+
+
+DANGLING_DOC = {"edges": [{"id": "a"}, {"id": "b"}], "triangles": [{"id": "t", "edges": ["a", "b", "zz"]}]}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        perfect_matchings,
+        perfect_matching_polynomial,
+        lambda config: enumerate_matchings_with_defect_within(config, ["a"]),
+        lambda config: defect(config, ["t"]),
+        lambda config: is_matching(config, ["t"]),
+        lambda config: cycle_space_weight_enumerator(config, 2),
+        lambda config: cycle_space_weight_enumerator(config, 3),
+    ],
+    ids=["perfect_matchings", "polynomial", "defect_within", "defect", "is_matching", "kernel_p2", "kernel_p3"],
+)
+def test_matching_and_cycle_space_paths_refuse_an_unknown_edge(call):
+    config = parse_config_doc(DANGLING_DOC)[0]
+    with pytest.raises(ToolkitError, match="triangle 't' references dangling edge 'zz'"):
+        call(config)
 
 
 class TestCompose:

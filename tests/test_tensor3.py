@@ -342,6 +342,28 @@ class TestBuilders:
         with pytest.raises(ToolkitError):
             vertex_adjacency(config, {"u": 1, "v": 1, "w": 3}, {})
 
+    @pytest.mark.parametrize(
+        "orders",
+        [(["u"], ["v"], []), (["u", "u"], ["v"], ["w"]), (["u"], ["v"], ["w", "x"]), (["u"], ["v"]), (["v"], ["u"], ["w"])],
+    )
+    def test_vertex_adjacency_refuses_bad_class_orders(self, orders):
+        config = TriangularConfiguration(
+            {"ab": ("u", "v"), "bc": ("v", "w"), "ca": ("w", "u")},
+            {"t": ("ab", "bc", "ca")},
+        )
+        classes = {"u": 1, "v": 2, "w": 3, "x": 3}
+        with pytest.raises(ToolkitError):
+            vertex_adjacency(config, classes, {}, class_orders=orders)
+        tensor, axes = vertex_adjacency(config, classes, {}, class_orders=(["u"], ["v"], ["w"]))
+        assert (tensor.dims, axes) == ((1, 1, 1), (("u",), ("v",), ("w",)))
+
+    def test_unknown_edge_is_an_invalid_edge_tripartition(self):
+        config = TriangularConfiguration(["a", "b"], {"t": ("a", "b", "zz")})
+        message = "invalid edge tripartition: triangle 't' references dangling edge 'zz'"
+        for classes in ({"a": 1, "b": 2, "zz": 3}, {"a": 1, "b": 2}):
+            with pytest.raises(ToolkitError, match=message):
+                triadjacency(config, classes)
+
 
 class TestProjectionsAndSignings:
     def test_diagonal_projections_are_matchings(self):
