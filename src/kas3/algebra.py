@@ -326,7 +326,7 @@ class BinaryCode:
         }
 
 
-def _gf2_echelon(masks: Sequence[int]) -> list[int]:
+def _gf2_echelon(masks: Iterable[int]) -> list[int]:
     """Reduced echelon basis of the GF(2) span of bit masks, by descending top bit.
 
     Each basis vector's top bit is its pivot, and no other basis vector has

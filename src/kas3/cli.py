@@ -191,7 +191,7 @@ def _cmd_sign_k1(args) -> CommandResult:
         return CommandResult(
             0,
             {"certified": False},
-            "not certified: no signing found for a projection graph",
+            "not certified: a projection graph has no Pfaffian signing",
         )
     signed, sign1, sign2 = outcome
     payload = {

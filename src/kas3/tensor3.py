@@ -5,10 +5,12 @@ Cubic permanents and determinants are folded sums over the nonzero support
 diagonals, the exact covers of the padded cube's axis indices by nonzero
 cells: `core.CoverIndex.fold` memoizes the sum below each set of covered
 indices and keeps the determinant's sign from per-cell masks, so no diagonal
-is listed. `support_diagonals` still lists them for witnesses and tests, and
-the n <= 4 dense double-permutation loop stays available as an independent
-oracle. Each tensor keeps the cover index of its support, so every search
-over an unchanged support reuses the choices the first one made.
+is listed. `support_diagonals` still lists them for witnesses and tests. A
+tensor with an axis index that no entry uses has no support diagonal, and is
+answered from its entries before anything of the cube's size is built. Each
+tensor keeps the cover index of its support, so every search over an
+unchanged support reuses the choices the first one made. Pfaffian signings
+of bipartite graphs come from one GF(2) solve over the perfect matchings.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_int
-from .algebra import Polynomial
+from .algebra import Polynomial, _gf2_echelon
 from .core import (
     CoverIndex,
     TriangularConfiguration,
@@ -31,16 +33,11 @@ from .core import (
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
-DENSE_MAX_SIDE = 4
 PERMANENT2_MAX_SIDE = 20
-SIGNING_MAX_EDGES = 20
+SIGNING_MAX_MATCHINGS = 1 << 16
 BINET_CAUCHY_MAX_SUBSETS = 100_000
 
 RingValue = int | Fraction | Polynomial
-
-
-def _is_zero(value: RingValue) -> bool:
-    return value == 0
 
 
 class Tensor3:
@@ -60,7 +57,7 @@ class Tensor3:
             i, j, k = operator.index(i), operator.index(j), operator.index(k)
             if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1] and 0 <= k < self.dims[2]):
                 raise ToolkitError(f"entry index ({i},{j},{k}) outside dims {self.dims}")
-            if not _is_zero(value):
+            if value:
                 clean[(i, j, k)] = value
         self.entries = clean
         self._cover: CoverIndex | None = None
@@ -152,6 +149,19 @@ def decode_ring_value(value) -> RingValue:
 # -- permanent / determinant ---------------------------------------------------
 
 
+def _index_gap(tensor: Tensor3, axes: Iterable[int] = (0, 1, 2)) -> bool:
+    """Whether some index of the padded cube on one of `axes` has no entry.
+
+    Such a tensor has no support diagonal. The check takes O(nnz), never
+    O(side), so it runs before anything of the cube's size is built.
+    """
+    n = tensor.cube_side
+    if len(tensor.entries) < n:
+        return True
+    columns = tuple(zip(*tensor.entries)) or ((), (), ())
+    return any(len(set(columns[a])) < n for a in axes)
+
+
 def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """Item count, sorted cells and their item masks: cell (i, j, k) covers row i, j and k."""
     n = tensor.cube_side
@@ -181,31 +191,16 @@ def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
     Such a pair is an exact cover of the 3n axis indices of the zero-padded
     cube by nonzero cells. Cells come in search order, not row order.
     """
+    if _index_gap(tensor):
+        return
     index, cells = _support_index(tensor)
     for cover in index.covers():
         yield [cells[oi] for oi in cover]
 
 
-def permutation_parity(perm: Sequence[int]) -> int:
-    """+1 for even, -1 for odd, by inversion counting (used by the dense oracles)."""
-    inversions = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
-def diagonal_sign(cells: Sequence[tuple[int, int, int]]) -> int:
-    """sign(sigma1) * sign(sigma2) of a support diagonal, in O(n).
-
-    The product equals the sign of the permutation j -> k, read off its
-    cycle count: the parity is that of n minus the number of cycles.
-    """
-    n = len(cells)
-    k_of = [0] * n
-    for _i, j, k in cells:
-        k_of[j] = k
+def permutation_sign(perm: Sequence[int]) -> int:
+    """+1 for even, -1 for odd, in O(n): the parity is that of n minus the number of cycles."""
+    n = len(perm)
     seen = [False] * n
     odd = 0
     for start in range(n):
@@ -214,8 +209,19 @@ def diagonal_sign(cells: Sequence[tuple[int, int, int]]) -> int:
             j = start
             while not seen[j]:
                 seen[j] = True
-                j = k_of[j]
+                j = perm[j]
     return -1 if (n ^ odd) & 1 else 1
+
+
+def diagonal_sign(cells: Sequence[tuple[int, int, int]]) -> int:
+    """sign(sigma1) * sign(sigma2) of a support diagonal, in O(n).
+
+    The product equals the sign of the permutation j -> k.
+    """
+    k_of = [0] * len(cells)
+    for _i, j, k in cells:
+        k_of[j] = k
+    return permutation_sign(k_of)
 
 
 def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) -> RingValue:
@@ -231,7 +237,11 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     cell (i, j, k) gets the sign mask of axis-1 items below j and axis-2
     items below k, and the fold of `core.CoverIndex.fold` negates its factor
     when the covered part of that mask has odd size.
+
+    A tensor with an unused axis index sums to 0 before any index is built.
     """
+    if _index_gap(tensor):
+        return 0
     index, cells = _support_index(tensor)
     values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
     signs = None
@@ -259,41 +269,6 @@ def determinant3(tensor: Tensor3, threads: int = 1) -> RingValue:
     keep working.
     """
     return support_sum(tensor, signed=True)
-
-
-def permanent3_dense(tensor: Tensor3) -> RingValue:
-    """Direct loop over S_n x S_n; independent oracle, guarded to n <= 4."""
-    n = tensor.cube_side
-    if n > DENSE_MAX_SIDE:
-        raise GuardExceeded(f"dense oracle limited to side {DENSE_MAX_SIDE}, got {n}")
-    total: RingValue = 0
-    for s1 in itertools.permutations(range(n)):
-        for s2 in itertools.permutations(range(n)):
-            product: RingValue = 1
-            for i in range(n):
-                product = product * tensor[(i, s1[i], s2[i])]
-                if _is_zero(product):
-                    break
-            total = total + product
-    return total
-
-
-def determinant3_dense(tensor: Tensor3) -> RingValue:
-    n = tensor.cube_side
-    if n > DENSE_MAX_SIDE:
-        raise GuardExceeded(f"dense oracle limited to side {DENSE_MAX_SIDE}, got {n}")
-    total: RingValue = 0
-    for s1 in itertools.permutations(range(n)):
-        sign1 = permutation_parity(s1)
-        for s2 in itertools.permutations(range(n)):
-            product: RingValue = 1
-            for i in range(n):
-                product = product * tensor[(i, s1[i], s2[i])]
-                if _is_zero(product):
-                    break
-            sign = sign1 * permutation_parity(s2)
-            total = total + (product if sign > 0 else -product)
-    return total
 
 
 # -- adjacency builders ----------------------------------------------------------
@@ -451,7 +426,7 @@ def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
         product: RingValue = 1
         for value in row_sums:
             product = product * value
-            if _is_zero(product):
+            if not product:
                 break
         if gray.bit_count() & 1:
             total = total - product
@@ -471,8 +446,8 @@ def determinant2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
     sign = 1
     prev: RingValue = 1
     for k in range(n - 1):
-        if _is_zero(a[k][k]):
-            pivot = next((r for r in range(k + 1, n) if not _is_zero(a[r][k])), None)
+        if not a[k][k]:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
@@ -535,94 +510,66 @@ def apply_signing(tensor: Tensor3, sign1: Mapping, sign2: Mapping) -> Tensor3:
     return Tensor3(tensor.dims, entries)
 
 
-def _spanning_forest(graph: BipartiteGraph) -> set:
-    """Edges of a DFS spanning forest, deterministic in sorted order."""
-    adjacency: dict = {}
-    for u, v in sorted(graph.edges):
-        adjacency.setdefault(("L", u), []).append((("R", v), (u, v)))
-        adjacency.setdefault(("R", v), []).append((("L", u), (u, v)))
-    seen: set = set()
-    forest: set = set()
-    for node in sorted(adjacency):
-        if node in seen:
-            continue
-        stack = [node]
-        seen.add(node)
-        while stack:
-            cur = stack.pop()
-            for nxt, edge in adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    forest.add(edge)
-                    stack.append(nxt)
-    return forest
-
-
 def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
-    """A +-1 edge signing making det(signed biadjacency) equal the permanent.
+    """A +-1 edge signing making det(signed biadjacency) equal the permanent, or
+    None when no such signing exists.
 
-    Exhaustive search over sign patterns, reduced by the vertex-flip gauge: a
-    spanning forest is pinned to +1, only the remaining edges are enumerated,
-    and an off-by-minus-one result is repaired by flipping one row.
+    The term of a perfect matching M, with permutation sigma, carries
+    sign(sigma) times the signs of M's edges. Writing s_e = 1 for a minus
+    sign, det = per iff every M has sum of s_e over M = parity(sigma) over
+    GF(2) (Little 1975; Vazirani and Yannakakis 1989). Each matching is one
+    row, bit 1 + o for edge o of the sorted edges and bit 0 for the parity,
+    and one echelon reduction solves the system: it is inconsistent iff the
+    basis holds the row 1 (0 = 1). Otherwise each pivot edge takes bit 0 of
+    its row and every free edge +1. The walk is guarded at
+    `SIGNING_MAX_MATCHINGS` matchings.
     """
     edges = sorted(graph.edges)
-    if len(edges) > SIGNING_MAX_EDGES:
-        raise GuardExceeded(
-            f"signing search guard is {SIGNING_MAX_EDGES} edges, got {len(edges)}"
-        )
-    nl, nr = len(graph.left), len(graph.right)
-    side = max(nl, nr)
-    base = [[0] * side for _ in range(side)]
-    lpos = {u: i for i, u in enumerate(graph.left)}
-    rpos = {v: j for j, v in enumerate(graph.right)}
-    for u, v in edges:
-        base[lpos[u]][rpos[v]] = 1
-    target = permanent2(base)
+    item_count, options = graph.matching_problem(edges)
+    nl = len(graph.left)
 
-    def det_with(signs: Mapping) -> RingValue:
-        mat = [row[:] for row in base]
-        for (u, v), s in signs.items():
-            if s < 0:
-                mat[lpos[u]][rpos[v]] = -1
-        return determinant2(mat)
+    def rows() -> Iterator[int]:
+        perm = [0] * nl
+        for count, cover in enumerate(exact_covers(item_count, options), 1):
+            if count > SIGNING_MAX_MATCHINGS:
+                raise GuardExceeded(f"signing guard is {SIGNING_MAX_MATCHINGS} perfect matchings")
+            row = 0
+            for oi in cover:
+                mask = options[oi]  # left vertex i and right vertex j as items i and nl + j
+                perm[(mask & -mask).bit_length() - 1] = mask.bit_length() - 1 - nl
+                row |= 2 << oi
+            yield row | (permutation_sign(perm) < 0)
 
-    if target == 0:
-        signing = {e: 1 for e in edges}
-        return signing  # every signing has determinant 0 as well
-
-    forest = _spanning_forest(graph)
-    free = [e for e in edges if e not in forest]
-    for pattern in range(1 << len(free)):
-        signing = {e: 1 for e in edges}
-        for bit, e in enumerate(free):
-            if (pattern >> bit) & 1:
-                signing[e] = -1
-        det = det_with(signing)
-        if det == target:
-            return signing
-        if det == -target and graph.left:
-            flip_row = graph.left[0]
-            flipped = {
-                e: (-s if e[0] == flip_row else s) for e, s in signing.items()
-            }
-            if det_with(flipped) == target:
-                return flipped
-    return None
+    basis = _gf2_echelon(rows())
+    if 1 in basis:
+        return None
+    signing = dict.fromkeys(edges, 1)
+    for row in basis:
+        if row & 1:
+            signing[edges[row.bit_length() - 2]] = -1
+    return signing
 
 
 def kasteleyn_sign_via_k1(tensor: Tensor3) -> tuple[Tensor3, EdgeSigning, EdgeSigning] | None:
     """Resign via Pfaffian signings of both projection graphs, verified exactly.
 
-    Returns None when either search fails; that is *not* a proof that no
-    resigning exists, only that this sufficient condition did not apply.
+    Returns None when a projection graph provably has no Pfaffian signing.
+    That is *not* a proof that no resigning of the tensor exists, only that
+    this sufficient condition does not apply. A tensor with an unused axis-0
+    index gives both graphs an isolated left vertex, so neither has a perfect
+    matching and every edge is signed +1 without building the graphs.
     """
-    graphs = projection_graphs(tensor)
-    sign1 = find_pfaffian_signing(graphs.g1)
-    if sign1 is None:
-        return None
-    sign2 = find_pfaffian_signing(graphs.g2)
-    if sign2 is None:
-        return None
+    if _index_gap(tensor, (0,)):
+        sign1 = {(a, b): 1 for a, b, _c in tensor.entries}
+        sign2 = {(a, c): 1 for a, _b, c in tensor.entries}
+    else:
+        graphs = projection_graphs(tensor)
+        sign1 = find_pfaffian_signing(graphs.g1)
+        if sign1 is None:
+            return None
+        sign2 = find_pfaffian_signing(graphs.g2)
+        if sign2 is None:
+            return None
     signed = apply_signing(tensor, sign1, sign2)
     if determinant3(signed) != permanent3(tensor):
         raise ToolkitError("resigning verification failed; this should be impossible")
@@ -676,7 +623,7 @@ def binet_cauchy_C(triple: RectMatrixTriple) -> Tensor3:
                 total: RingValue = 0
                 for j in range(n):
                     total = total + triple.a1[i1][j] * triple.a2[i2][j] * triple.a3[i3][j]
-                if not _is_zero(total):
+                if total:
                     entries[(i1, i2, i3)] = total
     return Tensor3((r, r, r), entries)
 

@@ -1,17 +1,22 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's search paths: matchings are
-filtered from full subset enumeration, permanents come from the n! definition.
+filtered from full subset enumeration, permanents and determinants come from
+the n! definitions, and Pfaffian signings from trying every sign pattern.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from kas3.core import TriangularConfiguration
+from kas3.errors import GuardExceeded
+
+DENSE_MAX_SIDE = 4
 
 
 def brute_force_matchings(config, allowed):
@@ -65,6 +70,112 @@ def permanent2_bruteforce(matrix):
             product *= matrix[i][perm[i]]
         total += product
     return total
+
+
+def permutation_parity(perm):
+    """+1 for even, -1 for odd, by inversion counting."""
+    inversions = 0
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b]:
+                inversions += 1
+    return -1 if inversions & 1 else 1
+
+
+def leibniz_terms(matrix):
+    """(sign, permutation) of every nonzero term of the Leibniz expansion."""
+    n = len(matrix)
+    return [
+        (permutation_parity(perm), perm)
+        for perm in itertools.permutations(range(n))
+        if all(matrix[i][perm[i]] for i in range(n))
+    ]
+
+
+def determinant2_leibniz(matrix, terms=None):
+    """Leibniz determinant; `terms` may give the nonzero terms of a matrix with the same support."""
+    terms = leibniz_terms(matrix) if terms is None else terms
+    return sum(sign * math.prod(matrix[i][p] for i, p in enumerate(perm)) for sign, perm in terms)
+
+
+def permanent3_dense(tensor):
+    """Direct loop over S_n x S_n, guarded to n <= 4."""
+    n = tensor.cube_side
+    if n > DENSE_MAX_SIDE:
+        raise GuardExceeded(f"dense oracle limited to side {DENSE_MAX_SIDE}, got {n}")
+    total = 0
+    for s1 in itertools.permutations(range(n)):
+        for s2 in itertools.permutations(range(n)):
+            product = 1
+            for i in range(n):
+                product = product * tensor[(i, s1[i], s2[i])]
+                if not product:
+                    break
+            total = total + product
+    return total
+
+
+def determinant3_dense(tensor):
+    n = tensor.cube_side
+    if n > DENSE_MAX_SIDE:
+        raise GuardExceeded(f"dense oracle limited to side {DENSE_MAX_SIDE}, got {n}")
+    total = 0
+    for s1 in itertools.permutations(range(n)):
+        sign1 = permutation_parity(s1)
+        for s2 in itertools.permutations(range(n)):
+            product = 1
+            for i in range(n):
+                product = product * tensor[(i, s1[i], s2[i])]
+                if not product:
+                    break
+            sign = sign1 * permutation_parity(s2)
+            total = total + (product if sign > 0 else -product)
+    return total
+
+
+def signed_biadjacency(graph, signing):
+    """The square biadjacency of `graph` (zero-padded to the larger side) with
+    each edge's sign from `signing`, +1 where it has none."""
+    side = max(len(graph.left), len(graph.right))
+    matrix = [[0] * side for _ in range(side)]
+    lpos = {u: i for i, u in enumerate(graph.left)}
+    rpos = {v: j for j, v in enumerate(graph.right)}
+    for e in graph.edges:
+        matrix[lpos[e[0]]][rpos[e[1]]] = signing.get(e, 1)
+    return matrix
+
+
+def pfaffian_signing_exists(graph):
+    """Whether some +-1 edge signing makes det equal the permanent, by trying signs.
+
+    Flipping every edge at one vertex negates the determinant, so a spanning
+    forest can be pinned to +1; every sign pattern on the other edges is
+    tried, and |det| == per is enough, since flipping one row fixes the sign.
+    """
+    base = signed_biadjacency(graph, {})
+    terms = leibniz_terms(base)  # signs keep the support
+    target = permanent2_bruteforce(base)
+    if target == 0:
+        return True
+    root: dict = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    free = []
+    for u, v in sorted(graph.edges):
+        a, b = find(("L", u)), find(("R", v))
+        if a == b:
+            free.append((u, v))
+        else:
+            root[a] = b
+    for pattern in range(1 << len(free)):
+        minus = {e: -1 for bit, e in enumerate(free) if pattern >> bit & 1}
+        if abs(determinant2_leibniz(signed_biadjacency(graph, minus), terms)) == target:
+            return True
+    return False
 
 
 def tetrahedron_boundary() -> TriangularConfiguration:

@@ -2,19 +2,25 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kas3
 from kas3._util import canonical_json
 from kas3.algebra import BinaryCode
 from kas3.cli import main, run
 from kas3.core import check_edge_tripartition, parse_config_doc
 from kas3.errors import SchemaError
 from kas3.kasteleyn_construct import matrix_from_doc
+from kas3.lattice import cubic_lattice
 from kas3.tensor3 import BipartiteGraph, Tensor3
 
 
@@ -122,6 +128,16 @@ class TestCommands:
         assert payload["certified"] is True
         signed = Tensor3.from_doc(payload["tensor"])
         assert len(signed.entries) == 8
+
+    def test_sign_k1_on_box_graph_projection(self, capsys, tmp_path):
+        # the projection along axes (0, 1) is the 2x3x3 box graph (33 edges), which has no Pfaffian signing
+        g = cubic_lattice(2, 3, 3).graph
+        left = {u: i for i, u in enumerate(g.left)}
+        right = {v: j for j, v in enumerate(g.right)}
+        entries = [[left[u], right[v], left[u], 1] for u, v in sorted(g.edges)]
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps({"dims": [9, 9, 9], "entries": entries}))
+        assert invoke(capsys, "sign-k1", str(path), "--json") == (0, '{"certified":false}\n')
 
     def test_code_wenum(self, capsys, tmp_path):
         path = tmp_path / "code.json"
@@ -307,6 +323,26 @@ class TestScale:
         config, _, _, _ = parse_config_doc(doc)
         assert check_edge_tripartition(config, classes) == []
         assert len(payload["tensor"]["entries"]) == size
+
+    def test_huge_side_answers_without_a_large_allocation(self, tmp_path):
+        # side 2 * 10^10 with one entry: nothing of the cube's size may be built
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": [20_000_000_000] * 3, "entries": [[0, 0, 0, 1]]}))
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20)); "
+            "from kas3.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kas3.__file__).resolve().parents[1])}
+        signed = {"dims": [20_000_000_000] * 3, "entries": [[0, 0, 0, 1]]}
+        for command, expected in (
+            ("per3", {"value": 0}),
+            ("det3", {"value": 0}),
+            ("sign-k1", {"certified": True, "tensor": signed, "sign1": [[0, 0, 1]], "sign2": [[0, 0, 1]]}),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, command, str(path), "--json"], capture_output=True, text=True, env=env
+            )
+            assert (proc.returncode, proc.stderr, json.loads(proc.stdout)) == (0, "", expected)
 
 
 class TestGoldenBytes:

@@ -24,7 +24,6 @@ from kas3.tensor3 import (
     binet_cauchy_rhs,
     determinant2,
     determinant3,
-    determinant3_dense,
     diagonal_sign,
     encode_ring_value,
     enumerate_graph_perfect_matchings,
@@ -32,13 +31,35 @@ from kas3.tensor3 import (
     kasteleyn_sign_via_k1,
     permanent2,
     permanent3,
-    permanent3_dense,
     projection_graphs,
     support_diagonals,
     triadjacency,
     vertex_adjacency,
 )
-from conftest import permanent2_bruteforce
+import kas3.tensor3 as tensor3
+from conftest import (
+    determinant2_leibniz,
+    determinant3_dense,
+    permanent2_bruteforce,
+    permanent3_dense,
+    pfaffian_signing_exists,
+    signed_biadjacency,
+)
+
+
+def random_bipartite_graph(rng: random.Random) -> BipartiteGraph:
+    """Sides 0-6 (mostly equal), at most 16 edges, often around a perfect matching."""
+    nl = rng.randint(0, 6)
+    nr = nl if rng.random() < 0.9 else rng.randint(0, 6)
+    cells = [(i, j) for i in range(nl) for j in range(nr)]
+    edges = set()
+    if nl == nr and rng.random() < 0.7:
+        perm = rng.sample(range(nr), nr)
+        edges.update(enumerate(perm))
+    edges.update(rng.sample(cells, rng.randint(0, min(16, len(cells)))))
+    while len(edges) > 16:
+        edges.discard(min(edges))
+    return BipartiteGraph(tuple(range(nl)), tuple(range(nr)), frozenset(edges))
 
 
 def random_tensor(rng: random.Random, n: int, density: float = 0.5, lo=-3, hi=3) -> Tensor3:
@@ -295,6 +316,18 @@ class TestPermanentDeterminant:
         t = Tensor3((3000, 3000, 3000), {(i, i, i): 2 for i in range(3000)})
         assert permanent3(t) == determinant3(t) == 2**3000
 
+    def test_unused_axis_index_builds_no_index(self):
+        huge = 20_000_000_000
+        tensors = [
+            Tensor3((huge,) * 3, {(0, 0, 0): 1}),  # fewer entries than its side
+            Tensor3((3, 3, 3), {(0, 0, 0): 2, (1, 1, 1): 3, (2, 2, 0): 5, (2, 1, 0): 7}),  # k = 2 unused
+            Tensor3((2, 3, 3), {(i, j, k): 1 for i in range(2) for j in range(3) for k in range(3)}),
+        ]
+        for t in tensors:
+            assert permanent3(t) == determinant3(t) == 0
+            assert list(support_diagonals(t)) == []
+            assert t._cover is None
+
     def test_dense_guard(self):
         t = Tensor3((5, 5, 5), {(0, 0, 0): 1})
         with pytest.raises(GuardExceeded):
@@ -416,11 +449,53 @@ class TestProjectionsAndSignings:
         signing = find_pfaffian_signing(g)
         assert signing == {(0, 0): 1, (1, 0): 1}
 
-    def test_signing_guard(self):
-        edges = frozenset((i, j) for i in range(5) for j in range(5))
-        g = BipartiteGraph(tuple(range(5)), tuple(range(5)), edges)
-        with pytest.raises(GuardExceeded):
+    def test_signing_matchings_guard(self, monkeypatch):
+        edges = frozenset((i, j) for i in range(4) for j in range(4))
+        g = BipartiteGraph(tuple(range(4)), tuple(range(4)), edges)  # 24 perfect matchings
+        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 24)
+        assert find_pfaffian_signing(g) is None
+        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 23)
+        with pytest.raises(GuardExceeded, match="23 perfect matchings"):
             find_pfaffian_signing(g)
+
+    def test_signing_agrees_with_exhaustive_search(self):
+        rng = random.Random(51)
+        found = {True: 0, False: 0}
+        nonzero = 0
+        for _ in range(600):
+            g = random_bipartite_graph(rng)
+            signing = find_pfaffian_signing(g)
+            assert (signing is not None) == pfaffian_signing_exists(g), g
+            found[signing is not None] += 1
+            if signing is not None:
+                assert set(signing) == g.edges and set(signing.values()) <= {1, -1}
+                per = permanent2_bruteforce(signed_biadjacency(g, {}))
+                assert determinant2_leibniz(signed_biadjacency(g, signing)) == per
+                nonzero += per > 0
+        assert found[False] >= 30 and nonzero >= 300
+
+    @pytest.mark.parametrize("dims, has_signing", [((2, 3, 3), False), ((2, 3, 4), False), ((2, 2, 4), True)])
+    def test_box_graphs(self, dims, has_signing):
+        g = cubic_lattice(*dims).graph  # more edges than the exhaustive search could try
+        signing = find_pfaffian_signing(g)
+        assert (signing is not None) == has_signing
+        if signing is not None:
+            assert determinant2(signed_biadjacency(g, signing)) == permanent2(g.biadjacency()) == 121
+
+    def test_three_diagonal_circulant_has_a_signing(self):
+        n = 8
+        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset((i, (i + d) % n) for i in range(n) for d in range(3)))
+        signing = find_pfaffian_signing(g)
+        assert signing is not None and len(signing) == 24
+        assert determinant2(signed_biadjacency(g, signing)) == permanent2(g.biadjacency()) == 49
+
+    def test_box_without_signing_has_a_kasteleyn_3_matrix(self):
+        # the 2-D identity fails on the 2x3x3 box, the 3-matrix determinant does not
+        lattice = cubic_lattice(2, 3, 3)
+        assert find_pfaffian_signing(lattice.graph) is None
+        count = dimer_polynomial(lattice, cross_check=False)(1)
+        assert count == 229
+        assert determinant3(build_T(lattice.graph.biadjacency()).tensor) == count
 
     def test_sign_via_projections_all_ones(self):
         t = Tensor3((2, 2, 2), {(i, j, k): 1 for i in range(2) for j in range(2) for k in range(2)})
@@ -428,6 +503,14 @@ class TestProjectionsAndSignings:
         assert out is not None
         signed, _, _ = out
         assert determinant3(signed) == permanent3(t) == 4
+
+    def test_sign_via_projections_with_unused_row(self):
+        huge = 20_000_000_000
+        t = Tensor3((huge,) * 3, {(0, 0, 0): 1, (5, 7, 9): -2})
+        assert kasteleyn_sign_via_k1(t) == (t, {(0, 0): 1, (5, 7): 1}, {(0, 0): 1, (5, 9): 1})
+        # an unused axis-1 index leaves the other projection to the search: K_{3,3} has no signing
+        t = Tensor3((3, 3, 3), {(i, 0, k): 1 for i in range(3) for k in range(3)})
+        assert kasteleyn_sign_via_k1(t) is None
 
     def test_sign_via_projections_random(self):
         rng = random.Random(41)
