@@ -326,6 +326,21 @@ class BinaryCode:
         }
 
 
+def _gf2_insert(basis: list[int], mask: int) -> None:
+    """Add a bit mask to a reduced echelon basis in place (see `_gf2_echelon`).
+
+    The basis stays sorted by descending top bit, so the row 1, when the
+    span holds it, is the last vector.
+    """
+    for b in basis:
+        mask = min(mask, mask ^ b)
+    if mask:
+        top = 1 << (mask.bit_length() - 1)
+        basis[:] = [b ^ mask if b & top else b for b in basis]
+        basis.append(mask)
+        basis.sort(reverse=True)
+
+
 def _gf2_echelon(masks: Iterable[int]) -> list[int]:
     """Reduced echelon basis of the GF(2) span of bit masks, by descending top bit.
 
@@ -334,13 +349,7 @@ def _gf2_echelon(masks: Iterable[int]) -> list[int]:
     """
     basis: list[int] = []
     for mask in masks:
-        for b in basis:
-            mask = min(mask, mask ^ b)
-        if mask:
-            top = 1 << (mask.bit_length() - 1)
-            basis = [b ^ mask if b & top else b for b in basis]
-            basis.append(mask)
-            basis.sort(reverse=True)
+        _gf2_insert(basis, mask)
     return basis
 
 

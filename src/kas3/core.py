@@ -354,14 +354,20 @@ class CoverIndex:
     Every search starts with all options live and clears the options that
     clash with each chosen one, so `live` is always the set of options
     disjoint from `covered`, and the choice depends on `covered` alone. The
-    choice table keeps it for at most `FOLD_MEMO_MAX_STATES` states (past
-    that it recomputes, with the same result), so a later search over the
-    same index walks the same states without recounting them. `blocked(o)`
-    is `clash[o]`, the options sharing an item with option o, built the
-    first time o is chosen, so a search that ends at once builds none.
+    choice table `choices` keeps it for at most `FOLD_MEMO_MAX_STATES`
+    states (past that it recomputes, with the same result), so a later
+    search over the same index walks the same states without recounting
+    them. `blocked(o)` is `clash[o]`, the options sharing an item with
+    option o, built the first time o is chosen, so a search that ends at
+    once builds none.
+
+    A fold that memoized every state leaves its states in `order`, each
+    after every state it branches to. The next fold compiles them with the
+    choice table into the search's state graph, `graph`: a decision diagram
+    of the covers, which every later fold sums in one pass (see `fold`).
     """
 
-    __slots__ = ("item_count", "options", "item_opts", "choose", "blocked")
+    __slots__ = ("item_count", "options", "item_opts", "choose", "blocked", "choices", "order", "graph")
 
     def __init__(self, item_count: int, options: Sequence[int]):
         self.item_count = item_count
@@ -414,6 +420,9 @@ class CoverIndex:
         # free variables are read faster than attributes
         self.choose = choose
         self.blocked = blocked
+        self.choices = choices
+        self.order: list[int] | None = None
+        self.graph: list[tuple[int, tuple[tuple[int, int], ...] | None]] | None = None
 
     def covers(self) -> Iterator[list[int]]:
         """Every exact cover, as option indices in the order they were chosen.
@@ -459,9 +468,16 @@ class CoverIndex:
         so the sum below each state is memoized on `covered`, for at most
         `FOLD_MEMO_MAX_STATES` states; past that the fold stores no more and
         recomputes, with the same result. The memo holds values, so it lives
-        for one fold only. The fold keeps an explicit stack. The empty sum
-        is the integer 0 and the empty product the integer 1.
+        for one fold only, but when it and the choice table both stayed
+        below the cap it held every state of the search, children first,
+        and its key order is kept as `order`. A later fold then makes no
+        search: it compiles `order` once into `graph`, each state with its
+        `(option, child)` arcs, and sums the graph in that order (see
+        `_replay`). The fold keeps an explicit stack. The empty sum is the
+        integer 0 and the empty product the integer 1.
         """
+        if self.order is not None:
+            return self._replay(values, signs)
         choose, blocked, options = self.choose, self.blocked, self.options
         live = (1 << len(options)) - 1
         root = choose(0, live)
@@ -502,11 +518,58 @@ class CoverIndex:
             if len(memo) < FOLD_MEMO_MAX_STATES:
                 memo[covered] = total
             if not stack:
+                if len(memo) < FOLD_MEMO_MAX_STATES and len(self.choices) < FOLD_MEMO_MAX_STATES:
+                    self.order = list(memo)
                 return 0 if total is None else total
             if total is not None:
                 frame = stack[-1]
                 term = frame[4] * total
                 frame[3] = term if frame[3] is None else frame[3] + term
+
+    def _replay(self, values: Sequence, signs: Sequence[int] | None):
+        """The fold of `fold`, summed over the state graph in one pass.
+
+        The graph lists every state after its children, so one pass in that
+        order meets each child's sum before its parent needs it. A state
+        with arcs None is the full cover (sum 1); one with no arcs is a dead
+        end (no cover, None). Arcs come in ascending option order, so terms
+        are added in the order the search adds them.
+        """
+        graph = self.graph
+        if graph is None:
+            options, choices = self.options, self.choices
+            position = {covered: pos for pos, covered in enumerate(self.order)}
+            graph = []
+            for covered in self.order:
+                untried = choices[covered]
+                arcs = None
+                if untried is not None:
+                    arcs = []
+                    while untried:
+                        low = untried & -untried
+                        untried ^= low
+                        oi = low.bit_length() - 1
+                        arcs.append((oi, position[covered | options[oi]]))
+                    arcs = tuple(arcs)
+                graph.append((covered, arcs))
+            self.graph = graph
+        sums: list = []
+        for covered, arcs in graph:
+            if arcs is None:
+                sums.append(1)
+                continue
+            total = None
+            for oi, child in arcs:
+                below = sums[child]
+                if below is not None:
+                    factor = values[oi]
+                    if signs is not None and (covered & signs[oi]).bit_count() & 1:
+                        factor = -factor
+                    term = factor * below
+                    total = term if total is None else total + term
+            sums.append(total)
+        total = sums[-1]
+        return 0 if total is None else total
 
 
 def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
@@ -540,8 +603,9 @@ def exact_cover_sum(
 ):
     """Sum over the exact covers of the product of the chosen options' values.
 
-    See `CoverIndex.fold`; a caller that folds one problem more than once
-    keeps a `CoverIndex` instead, so later folds reuse its choice table.
+    See `CoverIndex.fold`. This builds a fresh index, so it always
+    searches; a caller that folds one problem more than once keeps a
+    `CoverIndex` instead, so later folds replay the first one's state graph.
     """
     return CoverIndex(item_count, options).fold(values, signs)
 

@@ -28,6 +28,7 @@ from .tensor3 import (
     BipartiteGraph,
     RingValue,
     Tensor3,
+    _support_options,
     diagonal_sign,
     support_diagonals,
     support_sum,
@@ -279,19 +280,28 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     fixed by the chosen edges, so the map is injective, and the number of
     strong matchings, counted by the memoized fold, must equal the number
     of graph matchings; together these say the images are exactly the
-    strong matchings. An image enters through the XOR and popcount sum of
-    its vertex masks: with every triangle present it is a perfect strong
-    matching iff the XOR is the full mask and the sum the vertex count. A
-    weight mismatch names the first failing matching by its sorted name
-    pairs. Guarded like `certify_trivial_signing`; `threads` is ignored,
-    kept so that existing callers keep working.
+    strong matchings. When the tensor's cells, as masks over its axis
+    indices, are the configuration's triangle vertex masks (same item count,
+    same multiset), the two cover problems are one, and the count is the
+    tensor's indicator fold over the tensor's cover index, a replay when
+    `per3` or a certificate has folded that index before; otherwise the
+    configuration is searched on its own. An image enters through the XOR
+    and popcount sum of its vertex masks: with every triangle present it is
+    a perfect strong matching iff the XOR is the full mask and the sum the
+    vertex count. A weight mismatch names the first failing matching by its
+    sorted name pairs. Guarded like `certify_trivial_signing`; `threads` is
+    ignored, kept so that existing callers keep working.
     """
     _check_side(tc)
     edges = [(tc.graph.left[i], tc.graph.right[j]) for i, j in tc.edge_list]
     if sorted(edges) != sorted(tc.graph.edges):
         raise ToolkitError("the support graph's edges are not those of the edge list")
-    strong = count_perfect_strong_matchings(tc.config)
     mask_of, full = strong_matching_masks(tc.config)
+    item_count, _cells, options = _support_options(tc.tensor)
+    if item_count == full.bit_length() and sorted(options) == sorted(mask_of.values()):
+        strong = support_sum(tc.tensor, indicator=True)  # the same problem, on the tensor's index
+    else:
+        strong = count_perfect_strong_matchings(tc.config)
     base, changes, left_out_values = _image_changes(tc, mask_of)
     vertex_count = full.bit_count()
     graph_matchings = 0

@@ -7,10 +7,15 @@ cells: `core.CoverIndex.fold` memoizes the sum below each set of covered
 indices and keeps the determinant's sign from per-cell masks, so no diagonal
 is listed. `support_diagonals` still lists them for witnesses and tests. A
 tensor with an axis index that no entry uses has no support diagonal, and is
-answered from its entries before anything of the cube's size is built. Each
-tensor keeps the cover index of its support, so every search over an
-unchanged support reuses the choices the first one made. Pfaffian signings
-of bipartite graphs come from one GF(2) solve over the perfect matchings.
+answered from its entries before anything of the cube's size is built;
+otherwise a support whose masks would pass `SUPPORT_MAX_BITS` is refused
+before any is built. Each tensor keeps the cover index of its support, so
+the first fold over an unchanged support searches and every later fold
+(`det3` after `per3`, the signing certificate's folds, the strong count of
+a construction) replays that search's state graph with the values it is
+given. Pfaffian signings of bipartite graphs come from one GF(2) solve
+over the perfect matchings, reduced as they are walked, so a graph with no
+signing stops at the first contradiction.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_int
-from .algebra import Polynomial, _gf2_echelon
+from .algebra import Polynomial, _gf2_insert
 from .core import (
     CoverIndex,
     TriangularConfiguration,
@@ -34,6 +39,7 @@ from .core import (
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 PERMANENT2_MAX_SIDE = 20
+SUPPORT_MAX_BITS = 1 << 28
 SIGNING_MAX_MATCHINGS = 1 << 16
 BINET_CAUCHY_MAX_SUBSETS = 100_000
 
@@ -163,8 +169,16 @@ def _index_gap(tensor: Tensor3, axes: Iterable[int] = (0, 1, 2)) -> bool:
 
 
 def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """Item count, sorted cells and their item masks: cell (i, j, k) covers row i, j and k."""
+    """Item count, sorted cells and their item masks: cell (i, j, k) covers row i, j and k.
+
+    The masks, and the cover index built from them, take about nnz * 3 *
+    side bits, so a support above `SUPPORT_MAX_BITS` of them is refused
+    before any mask is built.
+    """
     n = tensor.cube_side
+    bits = len(tensor.entries) * 3 * n
+    if bits > SUPPORT_MAX_BITS:
+        raise GuardExceeded(f"support guard is {SUPPORT_MAX_BITS} mask bits (nnz * 3 * side), got {bits}")
     cells = sorted(tensor.entries)
     options = [1 << i | 1 << (n + j) | 1 << (2 * n + k) for i, j, k in cells]
     return 3 * n, cells, options
@@ -519,30 +533,28 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     sign, det = per iff every M has sum of s_e over M = parity(sigma) over
     GF(2) (Little 1975; Vazirani and Yannakakis 1989). Each matching is one
     row, bit 1 + o for edge o of the sorted edges and bit 0 for the parity,
-    and one echelon reduction solves the system: it is inconsistent iff the
-    basis holds the row 1 (0 = 1). Otherwise each pivot edge takes bit 0 of
-    its row and every free edge +1. The walk is guarded at
+    and one echelon reduction, run alongside the walk, solves the system: it
+    is inconsistent iff the basis holds the row 1 (0 = 1), so the walk stops
+    with None as soon as that row appears. Otherwise each pivot edge takes
+    bit 0 of its row and every free edge +1. The walk is guarded at
     `SIGNING_MAX_MATCHINGS` matchings.
     """
     edges = sorted(graph.edges)
     item_count, options = graph.matching_problem(edges)
     nl = len(graph.left)
-
-    def rows() -> Iterator[int]:
-        perm = [0] * nl
-        for count, cover in enumerate(exact_covers(item_count, options), 1):
-            if count > SIGNING_MAX_MATCHINGS:
-                raise GuardExceeded(f"signing guard is {SIGNING_MAX_MATCHINGS} perfect matchings")
-            row = 0
-            for oi in cover:
-                mask = options[oi]  # left vertex i and right vertex j as items i and nl + j
-                perm[(mask & -mask).bit_length() - 1] = mask.bit_length() - 1 - nl
-                row |= 2 << oi
-            yield row | (permutation_sign(perm) < 0)
-
-    basis = _gf2_echelon(rows())
-    if 1 in basis:
-        return None
+    basis: list[int] = []
+    perm = [0] * nl
+    for count, cover in enumerate(exact_covers(item_count, options), 1):
+        if count > SIGNING_MAX_MATCHINGS:
+            raise GuardExceeded(f"signing guard is {SIGNING_MAX_MATCHINGS} perfect matchings")
+        row = 0
+        for oi in cover:
+            mask = options[oi]  # left vertex i and right vertex j as items i and nl + j
+            perm[(mask & -mask).bit_length() - 1] = mask.bit_length() - 1 - nl
+            row |= 2 << oi
+        _gf2_insert(basis, row | (permutation_sign(perm) < 0))
+        if basis and basis[-1] == 1:
+            return None
     signing = dict.fromkeys(edges, 1)
     for row in basis:
         if row & 1:

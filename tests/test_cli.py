@@ -345,6 +345,23 @@ class TestScale:
             assert (proc.returncode, proc.stderr, json.loads(proc.stdout)) == (0, "", expected)
 
 
+    def test_large_sparse_support_is_refused_before_its_masks(self, tmp_path):
+        # a 30000-side diagonal: its masks would take nnz * 3 * side = 2.7e9 bits
+        path = tmp_path / "diagonal.json"
+        path.write_text(json.dumps({"dims": [30000] * 3, "entries": [[i, i, i, 1] for i in range(30000)]}))
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
+            "from kas3.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kas3.__file__).resolve().parents[1])}
+        for command in ("per3", "det3"):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, command, str(path), "--json"], capture_output=True, text=True, env=env
+            )
+            assert (proc.returncode, proc.stderr) == (1, "")
+            assert "support guard" in json.loads(proc.stdout)["error"]["message"]
+
+
 class TestGoldenBytes:
     """Exact stdout bytes of the support-search commands, pinned across rewrites."""
 

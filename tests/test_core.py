@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,60 @@ class TestExactCoverSum:
         triangles = {f"t{i:04d}": tuple(edge_ids[3 * i : 3 * i + 3]) for i in range(3000)}
         config = TriangularConfiguration(edges, triangles)
         assert count_perfect_strong_matchings(config) == 1
+
+
+class TestFoldReplay:
+    """Later folds over one `CoverIndex` replay the first fold's state graph."""
+
+    @staticmethod
+    def random_fold(rng: random.Random, item_count: int, size: int) -> tuple[list, list[int] | None]:
+        x = Polynomial.monomial(1)
+        pool = {
+            "int": (-3, -2, -1, 1, 2, 5),
+            "fraction": (Fraction(1, 2), Fraction(-2, 3), 3),
+            "polynomial": (x, 1 - x, 2 * x, -1),
+        }[rng.choice(("int", "fraction", "polynomial"))]
+        values = [rng.choice(pool) for _ in range(size)]
+        signs = [rng.getrandbits(max(item_count, 1)) for _ in range(size)] if rng.random() < 0.5 else None
+        return values, signs
+
+    def test_three_folds_equal_fresh_folds_under_every_cap(self, monkeypatch):
+        rng = random.Random(11)
+        replayed = 0
+        for _ in range(200):
+            item_count, options = random_cover_instance(rng)
+            if rng.random() < 0.3:  # a larger instance, so that some have more than 7 states
+                item_count = 15
+                options = [sum(1 << i for i in rng.sample(range(15), rng.randint(1, 4))) for _ in range(30)]
+            folds = [self.random_fold(rng, item_count, len(options)) for _ in range(3)]
+            expected = [exact_cover_sum(item_count, options, *fold) for fold in folds]
+            probe = core.CoverIndex(item_count, options)
+            probe.fold(*folds[0])
+            states = len(probe.order or ())
+            for cap in (0, 1, 7, states, states + 1, 1 << 16):
+                monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", cap)
+                index = core.CoverIndex(item_count, options)
+                assert [index.fold(*fold) for fold in folds] == expected
+                assert [exact_cover_sum(item_count, options, *fold) for fold in folds] == expected
+                if index.graph is not None:
+                    assert cap > states and len(index.graph) == states
+                    replayed += 1
+                else:
+                    assert cap <= states or states == 0
+        assert replayed >= 300
+
+    def test_replay_makes_no_choice(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            item_count, options = random_cover_instance(rng)
+            index = core.CoverIndex(item_count, options)
+            first = index.fold([1] * len(options))
+            calls = []
+            choose = index.choose
+            index.choose = lambda covered, live: calls.append(covered) or choose(covered, live)
+            assert index.fold([1] * len(options)) == first
+            assert index.fold([2] * len(options)) == sum(2 ** len(c) for c in brute_force_exact_covers(item_count, options))
+            assert calls == [] or index.order is None
 
 
 class TestEnumeration:

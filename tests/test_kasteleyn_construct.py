@@ -288,7 +288,49 @@ class TestSearchWork:
         assert work(lambda: permanent3(tc.tensor)) == (1, 1349)
         assert work(lambda: determinant3(tc.tensor)) == (0, 0)
         assert work(lambda: certify_trivial_signing(tc)) == (0, 0)
-        assert work(lambda: strong_matching_bijection_check(tc)) == (2, 1349 + 64)
+        assert work(lambda: strong_matching_bijection_check(tc)) == (1, 64)  # graph matchings only
+
+
+class TestSharedStrongCount:
+    """The strong count folds the tensor's index only when the two problems are one.
+
+    Each tampered tensor below changes the tensor's own cover count (drop: 1,
+    add: 3, against 2), so a report that read it would differ. The expected
+    reports are those of the configuration's own search, pinned before the
+    count was shared.
+    """
+
+    MATRIX = [[1, 2, 0], [0, 1, 1], [3, 0, 1]]
+
+    @pytest.mark.parametrize("tamper", ["drop", "add", "value", "none"])
+    def test_tampered_tensor_keeps_the_configuration_count(self, tamper):
+        from dataclasses import replace
+
+        from kas3.tensor3 import Tensor3
+
+        tc = build_T(self.MATRIX)
+        entries = dict(tc.tensor.entries)
+        if tamper == "drop":
+            del entries[(0, 0, 0)]
+        elif tamper == "add":
+            entries[(0, 0, 4)] = 1
+        elif tamper == "value":
+            entries[(4, 8, 9)] = 5
+        tampered = replace(tc, tensor=Tensor3(tc.tensor.dims, entries))
+        permanent3(tampered.tensor)  # a later fold over the same index replays
+        report = strong_matching_bijection_check(tampered)
+        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (True, 2, 2, "")
+
+    def test_tampered_configuration_is_searched_on_its_own(self):
+        # the extra triangle has the vertex mask of tri:gadget[0], so the
+        # tensor's masks are no longer the configuration's
+        tc = build_T(self.MATRIX)
+        permanent3(tc.tensor)
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        triangles["tri:extra"] = triangles["tri:gadget[0]"]
+        report = strong_matching_bijection_check(with_triangles(tc, triangles))
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 3)
+        assert report.detail == "image set differs from the 3 enumerated strong matchings"
 
 
 def with_triangles(tc, triangles):

@@ -312,6 +312,38 @@ class TestPermanentDeterminant:
         assert permanent3(t) == permanent3_dense(t)
         assert t._cover is not index
 
+    def test_folds_read_values_changed_in_place(self):
+        # the support stays, so every fold after the first replays its state graph
+        rng = random.Random(40)
+        x = Polynomial.monomial(1)
+        replayed = 0
+        for trial in range(30):
+            t = random_tensor(rng, rng.randint(2, 4), density=0.7)
+            assert permanent3(t) == permanent3_dense(t)
+            pool = [-2, 3] + ([Fraction(1, 2), Fraction(-2, 3)] if trial % 2 else [x, 1 - x])
+            for _ in range(4):
+                for key in rng.sample(sorted(t.entries), min(3, len(t.entries))):
+                    t.entries[key] = rng.choice(pool)
+                assert permanent3(t) == permanent3_dense(t)
+                assert determinant3(t) == determinant3_dense(t)
+            replayed += t._cover is not None and t._cover.graph is not None
+        assert replayed >= 20
+
+    def test_support_guard_fires_before_any_mask(self, monkeypatch):
+        t = Tensor3((30000,) * 3, {(i, i, i): 1 for i in range(30000)})
+        monkeypatch.setattr(tensor3, "CoverIndex", None)  # nothing may reach the index
+        with pytest.raises(GuardExceeded, match="support guard is 268435456 mask bits"):
+            permanent3(t)
+        with pytest.raises(GuardExceeded):
+            list(support_diagonals(t))
+        monkeypatch.undo()
+        t = Tensor3((40,) * 3, {(i, i, i): 2 for i in range(40)})
+        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 40 * 3 * 40)
+        assert determinant3(t) == 2**40
+        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 40 * 3 * 40 - 1)
+        with pytest.raises(GuardExceeded, match="got 4800"):
+            determinant3(Tensor3(t.dims, t.entries))
+
     def test_large_side_runs_without_recursion(self):
         t = Tensor3((3000, 3000, 3000), {(i, i, i): 2 for i in range(3000)})
         assert permanent3(t) == determinant3(t) == 2**3000
@@ -450,13 +482,19 @@ class TestProjectionsAndSignings:
         assert signing == {(0, 0): 1, (1, 0): 1}
 
     def test_signing_matchings_guard(self, monkeypatch):
-        edges = frozenset((i, j) for i in range(4) for j in range(4))
-        g = BipartiteGraph(tuple(range(4)), tuple(range(4)), edges)  # 24 perfect matchings
-        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 24)
-        assert find_pfaffian_signing(g) is None
-        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 23)
-        with pytest.raises(GuardExceeded, match="23 perfect matchings"):
+        # a graph with a signing walks all of its matchings, so the guard is met
+        n = 8
+        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset((i, (i + d) % n) for i in range(n) for d in range(3)))
+        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 49)  # its perfect matchings
+        assert find_pfaffian_signing(g) is not None
+        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 48)
+        with pytest.raises(GuardExceeded, match="48 perfect matchings"):
             find_pfaffian_signing(g)
+        # K_{4,4} has 24 matchings and no signing; the walk stops at 0 = 1, below the guard
+        edges = frozenset((i, j) for i in range(4) for j in range(4))
+        g = BipartiteGraph(tuple(range(4)), tuple(range(4)), edges)
+        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 23)
+        assert find_pfaffian_signing(g) is None
 
     def test_signing_agrees_with_exhaustive_search(self):
         rng = random.Random(51)
@@ -474,13 +512,27 @@ class TestProjectionsAndSignings:
                 nonzero += per > 0
         assert found[False] >= 30 and nonzero >= 300
 
-    @pytest.mark.parametrize("dims, has_signing", [((2, 3, 3), False), ((2, 3, 4), False), ((2, 2, 4), True)])
+    @pytest.mark.parametrize(
+        "dims, has_signing", [((2, 3, 3), False), ((2, 3, 4), False), ((2, 2, 4), True), ((3, 4, 4), False)]
+    )
     def test_box_graphs(self, dims, has_signing):
         g = cubic_lattice(*dims).graph  # more edges than the exhaustive search could try
         signing = find_pfaffian_signing(g)
         assert (signing is not None) == has_signing
         if signing is not None:
             assert determinant2(signed_biadjacency(g, signing)) == permanent2(g.biadjacency()) == 121
+
+    def test_walk_stops_at_the_first_contradiction(self, monkeypatch):
+        walked = []
+
+        def counting_covers(item_count, options):
+            for cover in core.exact_covers(item_count, options):
+                walked.append(cover)
+                yield cover
+
+        monkeypatch.setattr(tensor3, "exact_covers", counting_covers)
+        assert find_pfaffian_signing(cubic_lattice(2, 3, 4).graph) is None
+        assert len(walked) <= 415  # of its 1845 perfect matchings
 
     def test_three_diagonal_circulant_has_a_signing(self):
         n = 8
