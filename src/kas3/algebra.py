@@ -69,6 +69,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._coeffs.keys() <= {0}:  # a constant equals its integer, so it hashes like it
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other) -> "Polynomial":

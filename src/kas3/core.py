@@ -258,11 +258,11 @@ def build_config_doc(
 ) -> dict:
     doc = config.to_doc()
     if weights is not None:
-        doc["weights"] = {k: int(weights[k]) for k in sorted(weights)}
+        doc["weights"] = {k: operator.index(weights[k]) for k in sorted(weights)}
     if edge_classes is not None:
-        doc["edge_classes"] = {k: int(edge_classes[k]) for k in sorted(edge_classes)}
+        doc["edge_classes"] = {k: operator.index(edge_classes[k]) for k in sorted(edge_classes)}
     if vertex_classes is not None:
-        doc["vertex_classes"] = {k: int(vertex_classes[k]) for k in sorted(vertex_classes)}
+        doc["vertex_classes"] = {k: operator.index(vertex_classes[k]) for k in sorted(vertex_classes)}
     return doc
 
 
@@ -340,7 +340,7 @@ def validate(config: TriangularConfiguration) -> list[str]:
 # -- exact covers --------------------------------------------------------------
 
 
-FOLD_MEMO_MAX_STATES = 1 << 16
+COVER_GRAPH_MAX_SIZE = 1 << 21
 
 
 class CoverIndex:
@@ -353,21 +353,23 @@ class CoverIndex:
     X): 0 when some item has none left, None when every item is covered.
     Every search starts with all options live and clears the options that
     clash with each chosen one, so `live` is always the set of options
-    disjoint from `covered`, and the choice depends on `covered` alone. The
-    choice table `choices` keeps it for at most `FOLD_MEMO_MAX_STATES`
-    states (past that it recomputes, with the same result), so a later
-    search over the same index walks the same states without recounting
-    them. `blocked(o)` is `clash[o]`, the options sharing an item with
-    option o, built the first time o is chosen, so a search that ends at
-    once builds none.
+    disjoint from `covered`, and the choice depends on `covered` alone.
+    `blocked(o)` is `clash[o]`, the options sharing an item with option o,
+    built the first time o is chosen, so a search that ends at once builds
+    none.
 
-    A fold that memoized every state leaves its states in `order`, each
-    after every state it branches to. The next fold compiles them with the
-    choice table into the search's state graph, `graph`: a decision diagram
-    of the covers, which every later fold sums in one pass (see `fold`).
+    The first fold builds the search's state graph, `graph` (see `_build`),
+    and every fold sums it. Its size, the states visited plus the arcs
+    kept, may not pass `COVER_GRAPH_MAX_SIZE` (2^21); the arcs hold the
+    memory, about 110 bytes each. Measured with CPython 3.11 on x86-64:
+    `kas3 per3` peaks at 239 MB resident when the all-ones 10x10x10 tensor
+    is refused at the guard, and at 128 MB answering the all-ones 9x9x9
+    (1,091,090 states and arcs). Past the guard the build raises
+    `GuardExceeded` and leaves `graph` None, so the next fold builds again
+    and raises again.
     """
 
-    __slots__ = ("item_count", "options", "item_opts", "choose", "blocked", "choices", "order", "graph")
+    __slots__ = ("item_count", "options", "item_opts", "choose", "blocked", "graph")
 
     def __init__(self, item_count: int, options: Sequence[int]):
         self.item_count = item_count
@@ -381,13 +383,9 @@ class CoverIndex:
                 mask ^= 1 << top
         full = (1 << item_count) - 1
         unreachable = len(options) + 1  # above every item's count
-        choices: dict[int, int | None] = {}
         clash: dict[int, int] = {}
 
         def choose(covered: int, live: int) -> int | None:
-            best = choices.get(covered, -1)  # -1 is no choice, so it marks a miss
-            if best != -1:
-                return best
             remaining = full & ~covered
             best = None
             best_count = unreachable
@@ -400,8 +398,6 @@ class CoverIndex:
                     if count <= 1:
                         break
                 remaining ^= low
-            if len(choices) < FOLD_MEMO_MAX_STATES:
-                choices[covered] = best
             return best
 
         def blocked(oi: int) -> int:
@@ -420,9 +416,7 @@ class CoverIndex:
         # free variables are read faster than attributes
         self.choose = choose
         self.blocked = blocked
-        self.choices = choices
-        self.order: list[int] | None = None
-        self.graph: list[tuple[int, tuple[tuple[int, int], ...] | None]] | None = None
+        self.graph: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None
 
     def covers(self) -> Iterator[list[int]]:
         """Every exact cover, as option indices in the order they were chosen.
@@ -459,117 +453,97 @@ class CoverIndex:
             elif nxt:
                 stack.append((covered, live, nxt))
 
-    def fold(self, values: Sequence, signs: Sequence[int] | None = None):
-        """Sum over the exact covers of the product of the chosen options' values.
+    def _build(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The state graph of the search of `covers`, memoized on `covered`.
 
-        The search is that of `covers`. With `signs`, choosing option o
-        negates its factor when `covered & signs[o]`, the items covered
-        before it, has odd popcount. A subsearch depends on `covered` alone,
-        so the sum below each state is memoized on `covered`, for at most
-        `FOLD_MEMO_MAX_STATES` states; past that the fold stores no more and
-        recomputes, with the same result. The memo holds values, so it lives
-        for one fold only, but when it and the choice table both stayed
-        below the cap it held every state of the search, children first,
-        and its key order is kept as `order`. A later fold then makes no
-        search: it compiles `order` once into `graph`, each state with its
-        `(option, child)` arcs, and sums the graph in that order (see
-        `_replay`). The fold keeps an explicit stack. The empty sum is the
-        integer 0 and the empty product the integer 1.
+        One entry `(covered, arcs)` per state with a cover below it, each
+        after every state it branches to, so the root comes last. `arcs`
+        holds `(option, child position)` in ascending option order, skipping
+        children with no cover below them; the full cover is the one state
+        with no arcs. A problem with no cover has an empty graph. The search
+        keeps an explicit stack and counts the states it visits plus the
+        arcs it keeps against `COVER_GRAPH_MAX_SIZE`.
         """
-        if self.order is not None:
-            return self._replay(values, signs)
         choose, blocked, options = self.choose, self.blocked, self.options
         live = (1 << len(options)) - 1
         root = choose(0, live)
         if root is None:
-            return 1
-        memo: dict[int, object] = {}  # covered -> sum below it, None when it has no cover
-        # per depth: covered, live, untried options, running sum (None while
-        # empty), the factor of the option whose subsearch is open above it
-        stack: list[list] = [[0, live, root, None, None]]
+            return [(0, ())]
+        graph: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+        position: dict[int, int | None] = {}  # covered -> graph position, None when no cover below
+        limit = COVER_GRAPH_MAX_SIZE
+        size = 1
+        # per depth: covered, live, untried options, arcs kept, the option that led here
+        stack: list[list] = [[0, live, root, [], None]]
         while True:
             frame = stack[-1]
-            covered, live, untried, total, _ = frame
+            covered, live, untried, arcs, _ = frame
             if untried:
                 low = untried & -untried
                 frame[2] = untried ^ low
                 oi = low.bit_length() - 1
-                factor = values[oi]
-                if signs is not None and (covered & signs[oi]).bit_count() & 1:
-                    factor = -factor
                 child = covered | options[oi]
-                if child in memo:
-                    below = memo[child]
-                else:
+                at = position.get(child, -1)  # -1: not visited yet
+                if at == -1:
+                    size += 1
                     child_live = live & ~blocked(oi)
                     nxt = choose(child, child_live)
                     if nxt:
-                        frame[4] = factor
-                        stack.append([child, child_live, nxt, None, None])
+                        stack.append([child, child_live, nxt, [], oi])
                         continue
-                    below = None if nxt == 0 else 1
-                    if len(memo) < FOLD_MEMO_MAX_STATES:
-                        memo[child] = below
-                if below is not None:
-                    term = factor * below
-                    frame[3] = term if total is None else total + term
-                continue
-            stack.pop()
-            if len(memo) < FOLD_MEMO_MAX_STATES:
-                memo[covered] = total
-            if not stack:
-                if len(memo) < FOLD_MEMO_MAX_STATES and len(self.choices) < FOLD_MEMO_MAX_STATES:
-                    self.order = list(memo)
-                return 0 if total is None else total
-            if total is not None:
-                frame = stack[-1]
-                term = frame[4] * total
-                frame[3] = term if frame[3] is None else frame[3] + term
+                    at = None
+                    if nxt is None:
+                        at = len(graph)
+                        graph.append((child, ()))
+                    position[child] = at
+            else:
+                stack.pop()
+                at = None
+                if arcs:
+                    at = len(graph)
+                    graph.append((covered, tuple(arcs)))
+                position[covered] = at
+                if not stack:
+                    return graph
+                oi = frame[4]
+                arcs = stack[-1][3]
+            if at is not None:
+                arcs.append((oi, at))
+                size += 1
+            if size > limit:
+                raise GuardExceeded(
+                    f"cover graph guard is {limit} states visited plus arcs kept; the search passed it"
+                )
 
-    def _replay(self, values: Sequence, signs: Sequence[int] | None):
-        """The fold of `fold`, summed over the state graph in one pass.
+    def fold(self, values: Sequence, signs: Sequence[int] | None = None):
+        """Sum over the exact covers of the product of the chosen options' values.
 
-        The graph lists every state after its children, so one pass in that
-        order meets each child's sum before its parent needs it. A state
-        with arcs None is the full cover (sum 1); one with no arcs is a dead
-        end (no cover, None). Arcs come in ascending option order, so terms
-        are added in the order the search adds them.
+        The covers are those of `covers`. With `signs`, choosing option o
+        negates its factor when `covered & signs[o]`, the items covered
+        before it, has odd popcount. A subsearch depends on `covered`
+        alone, so the first fold builds the search's state graph once
+        (`_build`): a decision diagram of the covers (Nishino, Yasuda,
+        Minato and Nagata, "Dancing with Decision Diagrams", AAAI 2017).
+        Every fold is one pass over it in its order, which meets each
+        child's sum before its parent needs it, reading the values and
+        signs it is given. Arcs come in ascending option order, so terms
+        are added in the order the search meets them. The empty sum is the
+        integer 0 and the empty product the integer 1.
         """
         graph = self.graph
         if graph is None:
-            options, choices = self.options, self.choices
-            position = {covered: pos for pos, covered in enumerate(self.order)}
-            graph = []
-            for covered in self.order:
-                untried = choices[covered]
-                arcs = None
-                if untried is not None:
-                    arcs = []
-                    while untried:
-                        low = untried & -untried
-                        untried ^= low
-                        oi = low.bit_length() - 1
-                        arcs.append((oi, position[covered | options[oi]]))
-                    arcs = tuple(arcs)
-                graph.append((covered, arcs))
-            self.graph = graph
+            graph = self.graph = self._build()
         sums: list = []
         for covered, arcs in graph:
-            if arcs is None:
-                sums.append(1)
-                continue
             total = None
             for oi, child in arcs:
-                below = sums[child]
-                if below is not None:
-                    factor = values[oi]
-                    if signs is not None and (covered & signs[oi]).bit_count() & 1:
-                        factor = -factor
-                    term = factor * below
-                    total = term if total is None else total + term
-            sums.append(total)
-        total = sums[-1]
-        return 0 if total is None else total
+                factor = values[oi]
+                if signs is not None and (covered & signs[oi]).bit_count() & 1:
+                    factor = -factor
+                term = factor * sums[child]
+                total = term if total is None else total + term
+            sums.append(1 if total is None else total)
+        return sums[-1] if sums else 0
 
 
 def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
@@ -603,9 +577,9 @@ def exact_cover_sum(
 ):
     """Sum over the exact covers of the product of the chosen options' values.
 
-    See `CoverIndex.fold`. This builds a fresh index, so it always
-    searches; a caller that folds one problem more than once keeps a
-    `CoverIndex` instead, so later folds replay the first one's state graph.
+    See `CoverIndex.fold`. This builds a fresh index, so it always builds
+    the state graph; a caller that folds one problem more than once keeps a
+    `CoverIndex` instead, so later folds sum the graph the first one built.
     """
     return CoverIndex(item_count, options).fold(values, signs)
 
@@ -734,7 +708,7 @@ def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[
 
 
 def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
-    """Number of perfect strong matchings, by the memoized fold (nothing is listed)."""
+    """Number of perfect strong matchings, by a fold over the state graph (nothing is listed)."""
     idx, masks = _vertex_masks(config)
     return exact_cover_sum(len(idx.vertex_ids), masks, [1] * len(masks))
 

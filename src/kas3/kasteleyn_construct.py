@@ -278,14 +278,14 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     by indices into `tc.edge_list`, is mapped to its image, which must be a
     perfect strong matching of the configuration. The image's triangles are
     fixed by the chosen edges, so the map is injective, and the number of
-    strong matchings, counted by the memoized fold, must equal the number
-    of graph matchings; together these say the images are exactly the
-    strong matchings. When the tensor's cells, as masks over its axis
-    indices, are the configuration's triangle vertex masks (same item count,
-    same multiset), the two cover problems are one, and the count is the
-    tensor's indicator fold over the tensor's cover index, a replay when
-    `per3` or a certificate has folded that index before; otherwise the
-    configuration is searched on its own. An image enters through the XOR
+    strong matchings, counted by a fold, must equal the number of graph
+    matchings; together these say the images are exactly the strong
+    matchings. When the tensor's cells, as masks over its axis indices, are
+    the configuration's triangle vertex masks (same item count, same
+    multiset), the two cover problems are one, and the count is the
+    tensor's indicator fold over the tensor's cover index, one pass over
+    its state graph when `per3` or a certificate has built it; otherwise
+    the configuration gets its own graph. An image enters through the XOR
     and popcount sum of its vertex masks: with every triangle present it is
     a perfect strong matching iff the XOR is the full mask and the sum the
     vertex count. A weight mismatch names the first failing matching by its

@@ -3,19 +3,21 @@
 Entry values are exact ring elements: Python ints, fractions, or Polynomial.
 Cubic permanents and determinants are folded sums over the nonzero support
 diagonals, the exact covers of the padded cube's axis indices by nonzero
-cells: `core.CoverIndex.fold` memoizes the sum below each set of covered
-indices and keeps the determinant's sign from per-cell masks, so no diagonal
-is listed. `support_diagonals` still lists them for witnesses and tests. A
-tensor with an axis index that no entry uses has no support diagonal, and is
-answered from its entries before anything of the cube's size is built;
-otherwise a support whose masks would pass `SUPPORT_MAX_BITS` is refused
-before any is built. Each tensor keeps the cover index of its support, so
-the first fold over an unchanged support searches and every later fold
-(`det3` after `per3`, the signing certificate's folds, the strong count of
-a construction) replays that search's state graph with the values it is
-given. Pfaffian signings of bipartite graphs come from one GF(2) solve
-over the perfect matchings, reduced as they are walked, so a graph with no
-signing stops at the first contradiction.
+cells: `core.CoverIndex.fold` sums the search's state graph, one state per
+set of covered indices, and keeps the determinant's sign from per-cell
+masks, so no diagonal is listed. `support_diagonals` still lists them for
+witnesses and tests. A tensor with an axis index that no entry uses has no
+support diagonal, and is answered from its entries before anything of the
+cube's size is built; otherwise a support whose masks would pass
+`SUPPORT_MAX_BITS` is refused before any is built, and a state graph that
+would pass `core.COVER_GRAPH_MAX_SIZE` is refused while it is built. Each
+tensor keeps the cover index of its support, so the first fold over an
+unchanged support builds the graph and every fold (`per3`, `det3`, the
+signing certificate's folds, the strong count of a construction) is one
+pass over it with the values it is given. Pfaffian signings of bipartite
+graphs come from one GF(2) solve over the perfect matchings, reduced as
+they are walked, so a graph with no signing stops at the first
+contradiction.
 """
 
 from __future__ import annotations
@@ -252,7 +254,10 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     items below k, and the fold of `core.CoverIndex.fold` negates its factor
     when the covered part of that mask has odd size.
 
-    A tensor with an unused axis index sums to 0 before any index is built.
+    Every call sums the state graph of the tensor's cover index, which the
+    first call over an unchanged support builds; a graph past
+    `core.COVER_GRAPH_MAX_SIZE` states and arcs raises `GuardExceeded`. A
+    tensor with an unused axis index sums to 0 before any index is built.
     """
     if _index_gap(tensor):
         return 0
@@ -268,7 +273,7 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
 def permanent3(tensor: Tensor3, threads: int = 1) -> RingValue:
     """Exact double-permutation sum over the zero-padded cube (sparse path).
 
-    A memoized fold over the exact covers of the nonzero cells (see
+    A fold over the exact covers of the nonzero cells (see
     `support_sum`); no diagonal is listed. `threads` is ignored; it stays so
     that existing callers keep working.
     """

@@ -29,6 +29,15 @@ class TestPolynomial:
         assert Polynomial({3: 0, 1: 2}).terms() == [(1, 2)]
         assert Polynomial(0).is_zero
 
+    def test_hash_agrees_with_equality(self):
+        for c in (0, 1, -1, 3, 2**70, -(2**70)):
+            assert Polynomial(c) == c and hash(Polynomial(c)) == hash(c)
+            assert len({Polynomial(c), c}) == 1
+        assert hash(Polynomial({0: 3})) == hash(Polynomial(3))
+        x = Polynomial.monomial(1)
+        assert x + 2 != 2 and len({x + 2, 2, 3 * x}) == 3
+        assert hash(x + 2) == hash(2 + x) and {x + 2: "a"}[2 + x] == "a"
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ToolkitError):
             Polynomial({-1: 2})

@@ -205,6 +205,18 @@ class TestErrors:
         assert error["type"] == "operation"
         assert "lattice guard" in error["message"]
 
+    @pytest.mark.parametrize("command", ["per3", "det3"])
+    def test_cover_graph_guard_is_operation_error(self, monkeypatch, tensor_file, command):
+        import kas3.core
+
+        monkeypatch.setattr(kas3.core, "COVER_GRAPH_MAX_SIZE", 3)
+        result = run([command, str(tensor_file)])
+        assert result.status == 1
+        assert result.payload["error"] == {
+            "type": "operation",
+            "message": "cover graph guard is 3 states visited plus arcs kept; the search passed it",
+        }
+
     def test_realization_guard_is_operation_error(self, capsys, tmp_path, monkeypatch):
         def refuse(self):
             raise MemoryError("dense matrix built past the guard")

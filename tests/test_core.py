@@ -256,19 +256,6 @@ class TestExactCoverSum:
         assert exact_cover_sum(3, [0b011, 0b001, 0b010], [1, 1, 1]) == 0
         assert exact_cover_sum(1, [0b1, 0b1], [2, 3]) == 5
 
-    def test_memo_cap_does_not_change_results(self, monkeypatch):
-        rng = random.Random(10)
-        cases = []
-        for _ in range(100):
-            item_count, options = random_cover_instance(rng)
-            values = [rng.choice((-2, -1, 1, 3)) for _ in options]
-            signs = [rng.getrandbits(max(item_count, 1)) for _ in options]
-            cases.append((item_count, options, values, signs))
-        before = [exact_cover_sum(*case) for case in cases]
-        for cap in (0, 1, 7):
-            monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", cap)
-            assert [exact_cover_sum(*case) for case in cases] == before
-
     def test_fold_depth_is_not_bounded_by_recursion_limit(self):
         options = [0b111 << 3 * i for i in range(3000)]
         assert exact_cover_sum(9000, options, [2] * 3000) == 2**3000
@@ -282,7 +269,7 @@ class TestExactCoverSum:
 
 
 class TestFoldReplay:
-    """Later folds over one `CoverIndex` replay the first fold's state graph."""
+    """Every fold over one `CoverIndex` sums the state graph its first fold built."""
 
     @staticmethod
     def random_fold(rng: random.Random, item_count: int, size: int) -> tuple[list, list[int] | None]:
@@ -296,30 +283,81 @@ class TestFoldReplay:
         signs = [rng.getrandbits(max(item_count, 1)) for _ in range(size)] if rng.random() < 0.5 else None
         return values, signs
 
-    def test_three_folds_equal_fresh_folds_under_every_cap(self, monkeypatch):
+    @staticmethod
+    def enumerated_sum(item_count: int, options: list[int], values: list, signs: list[int] | None):
+        """The fold's sum, taken cover by cover over the enumerator, which builds no graph."""
+        total = 0
+        for cover in exact_covers(item_count, options):
+            covered, term = 0, 1
+            for oi in cover:
+                negate = signs is not None and (covered & signs[oi]).bit_count() & 1
+                term *= -values[oi] if negate else values[oi]
+                covered |= options[oi]
+            total += term
+        return total
+
+    @staticmethod
+    def graph_size(item_count: int, options: list[int]) -> int:
+        """States visited plus arcs kept by the first fold, counted from `choose` calls."""
+        index = core.CoverIndex(item_count, options)
+        calls = []
+        choose = index.choose
+        index.choose = lambda covered, live: calls.append(covered) or choose(covered, live)
+        index.fold([1] * len(options))
+        assert len(calls) == len(set(calls))  # the build visits each state once
+        return len(calls) + sum(len(arcs) for _, arcs in index.graph)
+
+    def test_three_folds_equal_fresh_folds(self):
         rng = random.Random(11)
-        replayed = 0
         for _ in range(200):
             item_count, options = random_cover_instance(rng)
-            if rng.random() < 0.3:  # a larger instance, so that some have more than 7 states
+            if rng.random() < 0.3:  # a larger instance, with more states
                 item_count = 15
                 options = [sum(1 << i for i in rng.sample(range(15), rng.randint(1, 4))) for _ in range(30)]
             folds = [self.random_fold(rng, item_count, len(options)) for _ in range(3)]
             expected = [exact_cover_sum(item_count, options, *fold) for fold in folds]
-            probe = core.CoverIndex(item_count, options)
-            probe.fold(*folds[0])
-            states = len(probe.order or ())
-            for cap in (0, 1, 7, states, states + 1, 1 << 16):
-                monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", cap)
-                index = core.CoverIndex(item_count, options)
-                assert [index.fold(*fold) for fold in folds] == expected
-                assert [exact_cover_sum(item_count, options, *fold) for fold in folds] == expected
-                if index.graph is not None:
-                    assert cap > states and len(index.graph) == states
-                    replayed += 1
-                else:
-                    assert cap <= states or states == 0
-        assert replayed >= 300
+            assert expected == [self.enumerated_sum(item_count, options, *fold) for fold in folds]
+            index = core.CoverIndex(item_count, options)
+            assert [index.fold(*fold) for fold in folds] == expected
+
+    def test_every_graph_state_reaches_a_full_cover(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            item_count, options = random_cover_instance(rng)
+            index = core.CoverIndex(item_count, options)
+            count = index.fold([1] * len(options))
+            graph = index.graph
+            full = (1 << item_count) - 1
+            reaches: list[bool] = []
+            for pos, (covered, arcs) in enumerate(graph):
+                assert all(child < pos for _, child in arcs)  # children come first
+                assert [oi for oi, _ in arcs] == sorted(oi for oi, _ in arcs)
+                reaches.append(covered == full if not arcs else any(reaches[c] for _, c in arcs))
+            assert all(reaches)
+            assert len({covered for covered, _ in graph}) == len(graph)
+            assert (graph == []) == (count == 0) == (not brute_force_exact_covers(item_count, options))
+
+    def test_graph_guard_boundary(self, monkeypatch):
+        rng = random.Random(14)
+        sizes = 0
+        while sizes < 20:
+            item_count, options = random_cover_instance(rng)
+            size = self.graph_size(item_count, options)
+            if size < 2:
+                continue
+            sizes += 1
+            expected = exact_cover_sum(item_count, options, [2] * len(options))
+            monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size)
+            assert core.CoverIndex(item_count, options).fold([2] * len(options)) == expected
+            monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size - 1)
+            index = core.CoverIndex(item_count, options)
+            with pytest.raises(GuardExceeded, match=f"cover graph guard is {size - 1} states"):
+                index.fold([2] * len(options))
+            assert index.graph is None  # no partial graph is kept
+            with pytest.raises(GuardExceeded):
+                index.fold([1] * len(options))
+            assert index.graph is None
+            monkeypatch.undo()
 
     def test_replay_makes_no_choice(self):
         rng = random.Random(12)
@@ -327,12 +365,13 @@ class TestFoldReplay:
             item_count, options = random_cover_instance(rng)
             index = core.CoverIndex(item_count, options)
             first = index.fold([1] * len(options))
+            graph = index.graph
             calls = []
             choose = index.choose
             index.choose = lambda covered, live: calls.append(covered) or choose(covered, live)
             assert index.fold([1] * len(options)) == first
             assert index.fold([2] * len(options)) == sum(2 ** len(c) for c in brute_force_exact_covers(item_count, options))
-            assert calls == [] or index.order is None
+            assert calls == [] and index.graph is graph
 
 
 class TestEnumeration:

@@ -284,18 +284,18 @@ class TestPermanentDeterminant:
             )
             assert terms == permanent3(Tensor3(t.dims, {c: 1 for c in t.entries}))
 
-    def test_memo_cap_does_not_change_values(self, monkeypatch):
+    def test_fresh_and_reused_indexes_give_equal_values(self):
         rng = random.Random(36)
         tensors = [random_tensor(rng, rng.randint(1, 7), density=0.4) for _ in range(25)]
-        before = [(permanent3(t), determinant3(t)) for t in tensors]
-        sequences = interleaved_searches(random.Random(37))
-        monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", 0)
-        assert [(permanent3(t), determinant3(t)) for t in tensors] == before
-        fresh = [Tensor3(t.dims, t.entries) for t in tensors]  # no choice table either
-        assert [(permanent3(t), determinant3(t)) for t in fresh] == before
-        for cap in (0, 1, 7):
-            monkeypatch.setattr(core, "FOLD_MEMO_MAX_STATES", cap)
-            assert interleaved_searches(random.Random(37)) == sequences
+        expected = []
+        for t in tensors:  # the diagonal walk lists covers and builds no graph
+            terms = [(diagonal_sign(cells), math.prod(t.entries[c] for c in cells)) for cells in support_diagonals(t)]
+            expected.append((sum(p for _, p in terms), sum(s * p for s, p in terms)))
+        assert [(permanent3(t), determinant3(t)) for t in tensors] == expected
+        assert [(permanent3(t), determinant3(t)) for t in tensors] == expected  # both sum the kept graph
+        fresh = [Tensor3(t.dims, t.entries) for t in tensors]
+        assert [(determinant3(t), permanent3(t)) for t in fresh] == [(d, p) for p, d in expected]
+        assert interleaved_searches(random.Random(37)) == interleaved_searches(random.Random(37))
 
     def test_cover_index_follows_in_place_changes(self):
         interleaved_searches(random.Random(38))
@@ -741,6 +741,19 @@ def _one_triangle():
                 cubic_lattice(2, 1, 1), {((0, 0, 0), (1, 0, 0)): 1.5}, cross_check=False
             ),
             id="dimer_polynomial",
+        ),
+        pytest.param(lambda: core.build_config_doc(_one_triangle(), weights={"t": 2.7}), id="build_config_doc-weight"),
+        pytest.param(
+            lambda: core.build_config_doc(_one_triangle(), weights={"t": Fraction(3, 2)}),
+            id="build_config_doc-fraction-weight",
+        ),
+        pytest.param(
+            lambda: core.build_config_doc(_one_triangle(), edge_classes={"a": 1.9, "b": 2, "c": 3}),
+            id="build_config_doc-edge-class",
+        ),
+        pytest.param(
+            lambda: core.build_config_doc(_one_triangle(), vertex_classes={"u": Fraction(2)}),
+            id="build_config_doc-fraction-vertex-class",
         ),
     ],
 )
