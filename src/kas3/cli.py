@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -43,26 +42,6 @@ from .tensor3 import (
     permanent3,
     triadjacency,
 )
-
-
-THREADS_ENV_VAR = "KAS3_THREADS"
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    """Validated thread count: the CLI value, then KAS3_THREADS, then 1.
-
-    The count has no effect on any command; the option and the variable are
-    kept, and still validated, so documented invocations keep working.
-    """
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise SchemaError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if requested < 1:
-        raise SchemaError(f"thread count must be >= 1, got {requested}")
-    return requested
 
 
 @dataclass(frozen=True)
@@ -284,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="validated (default: KAS3_THREADS or 1) and kept for compatibility; has no effect",
+        default=1,
+        help="validated (at least 1) and kept for compatibility; has no effect",
     )
     parser = argparse.ArgumentParser(
         prog="kas3",
@@ -361,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _execute(args) -> CommandResult:
     try:
-        resolve_threads(args.threads)
+        if args.threads < 1:
+            raise SchemaError(f"thread count must be >= 1, got {args.threads}")
         return args.func(args)
     except SchemaError as exc:
         return CommandResult(

@@ -629,14 +629,6 @@ def _index(config: TriangularConfiguration) -> _SearchIndex:
     return config._search_index
 
 
-def is_matching(config: TriangularConfiguration, triangles: Iterable[str]) -> bool:
-    try:
-        defect(config, triangles)
-    except NotAMatching:
-        return False
-    return True
-
-
 def defect(config: TriangularConfiguration, matching: Iterable[str]) -> frozenset[str]:
     """Edges of the configuration covered by no triangle of the matching."""
     idx = _index(config)

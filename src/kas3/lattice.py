@@ -105,10 +105,6 @@ def dimer_polynomial(
     return poly
 
 
-def dimer_count(lattice: CubicLattice, cross_check: bool = True) -> int:
-    return dimer_polynomial(lattice, cross_check=cross_check)(1)
-
-
 # -- geometric realization ---------------------------------------------------------
 
 GRID = 32
@@ -164,14 +160,21 @@ def embed_T(lattice: CubicLattice) -> EmbeddedComplex:
 
     Lattice vertices keep their grid positions; each auxiliary vertex sits
     near its governing lattice vertex or edge midpoint. The box is refused
-    above `REALIZATION_MAX_VERTICES` before anything is built. The
-    realization is audited (distinct points, non-degenerate triangles,
-    locality) before it is returned.
+    above `REALIZATION_MAX_VERTICES`, and when its colour classes differ in
+    size (an odd box: the construction needs a square support matrix),
+    before anything is built. The realization is audited (distinct points,
+    non-degenerate triangles, locality) before it is returned.
     """
     if lattice.vertex_count > REALIZATION_MAX_VERTICES:
         raise GuardExceeded(
             f"realization guard is {REALIZATION_MAX_VERTICES} vertices, "
             f"got {lattice.vertex_count}"
+        )
+    even, odd = len(lattice.graph.left), len(lattice.graph.right)
+    if even != odd:
+        raise ToolkitError(
+            "cannot realize the {}x{}x{} box: its colour classes have {} and {} vertices, "
+            "and the construction needs them equal".format(*lattice.dims, even, odd)
         )
     tc = build_T(lattice.graph.biadjacency())
     left, right, midpoints = _anchors(lattice, tc.edge_list)

@@ -112,11 +112,11 @@ class Tensor3:
                 if key in entries:
                     raise SchemaError(f"duplicate tensor entry at {key}")
                 entries[key] = decode_ring_value(row[3])
+            return cls(dims, entries)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(f"bad tensor document: {exc}") from exc
-        return cls(dims, entries)
 
 
 _JSON_SAFE_INT = 1 << 53
@@ -334,8 +334,10 @@ def triadjacency(
 ) -> tuple[Tensor3, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
     """Edge-level adjacency tensor with x^weight entries, one per triangle.
 
-    Returns the tensor (zero-padded to a cube) and the three canonical edge
-    orders indexing its axes.
+    Checks the classes it is given, then returns the tensor (zero-padded to
+    a cube) and the three canonical edge orders indexing its axes. This is
+    the one check of a reduction's classes: `tripartite_reduction` builds
+    them without checking.
     """
     problems = check_edge_tripartition(config, edge_classes)
     if problems:
@@ -351,22 +353,16 @@ def vertex_adjacency(
     config: TriangularConfiguration,
     vertex_classes: Mapping[str, int],
     entry_values: Mapping[str, RingValue],
-    class_orders: tuple[Sequence[str], Sequence[str], Sequence[str]] | None = None,
 ) -> tuple[Tensor3, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
     """Vertex-level adjacency tensor; entry values are supplied per triangle.
 
-    `class_orders`, when given, must list the vertices of class 1, 2 and 3
-    on its three axes, each vertex exactly once.
+    Checks the classes it is given, then returns the tensor (zero-padded to
+    a cube) and the three sorted vertex orders indexing its axes.
     """
     problems = check_vertex_tripartition(config, vertex_classes)
     if problems:
         raise ToolkitError("invalid vertex tripartition: " + "; ".join(problems))
     orders = _split_by_class(sorted(config.vertices), vertex_classes)
-    if class_orders is not None:
-        given = tuple(tuple(axis) for axis in class_orders)
-        if tuple(tuple(sorted(axis)) for axis in given) != orders:
-            raise ToolkitError("class orders must list each class's vertices once, class c on axis c")
-        orders = given  # type: ignore[assignment]
     triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
     return _adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1), orders  # type: ignore[arg-type]
 
@@ -410,13 +406,6 @@ class BipartiteGraph:
         lpos = {u: i for i, u in enumerate(self.left)}
         rpos = {v: nl + j for j, v in enumerate(self.right)}
         return item_count, [1 << lpos[u] | 1 << rpos[v] for u, v in edges]
-
-
-def enumerate_graph_perfect_matchings(graph: BipartiteGraph) -> list[tuple]:
-    """All perfect matchings as sorted edge tuples, deterministically ordered."""
-    edges = sorted(graph.edges)
-    covers = exact_covers(*graph.matching_problem(edges))
-    return sorted(tuple(sorted(edges[oi] for oi in cover)) for cover in covers)
 
 
 def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's search paths: matchings are
 filtered from full subset enumeration, permanents and determinants come from
-the n! definitions, and Pfaffian signings from trying every sign pattern.
+the n! definitions, Pfaffian signings from trying every sign pattern, and the
+matrix-to-tensor construction's cells from its triangles' vertices.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import random
 
 import pytest
 
-from kas3.core import TriangularConfiguration
+from kas3.core import TriangularConfiguration, perfect_matching_polynomial
 from kas3.errors import GuardExceeded
+from kas3.gadgets import tripartite_reduction
+from kas3.tensor3 import Tensor3
 
 DENSE_MAX_SIDE = 4
 
@@ -178,6 +181,26 @@ def pfaffian_signing_exists(graph):
     return False
 
 
+def construction_tensor(tc):
+    """The adjacency tensor of a `build_T` construction, read off its triangles.
+
+    Each triangle's cell is the position of its vertices in `tc.w0`, `tc.w1`
+    and `tc.w2`, one vertex on each axis, and holds `tc.entry_values.get(t, 1)`.
+    A construction has four triangles, so four distinct cells, per support edge.
+    """
+    pos = [{v: i for i, v in enumerate(axis)} for axis in (tc.w0, tc.w1, tc.w2)]
+    entries = {}
+    for t in tc.config.triangle_ids:
+        verts = tc.config.triangle_vertices(t)
+        on_axis = [[p[v] for v in verts if v in p] for p in pos]
+        assert all(len(hits) == 1 for hits in on_axis), (t, verts)
+        cell = tuple(hits[0] for hits in on_axis)
+        assert cell not in entries, cell
+        entries[cell] = tc.entry_values.get(t, 1)
+    assert len(entries) == 4 * len(tc.edge_list)
+    return Tensor3((tc.m, tc.m, tc.m), entries)
+
+
 def tetrahedron_boundary() -> TriangularConfiguration:
     """All four faces of a tetrahedron on vertices 1..4."""
     edges = {
@@ -233,3 +256,19 @@ def random_config(rng: random.Random, max_triangles: int = 6) -> TriangularConfi
 @pytest.fixture
 def tetrahedron():
     return tetrahedron_boundary()
+
+
+@pytest.fixture(scope="session")
+def reduction_sweep():
+    """Fifty random configurations with their reductions and both matching
+    polynomials: the acceptance sweep, shared by every test that checks it."""
+    rng = random.Random(20240817)
+    sweep = []
+    for _ in range(50):
+        config = random_config(rng)
+        weights = {t: rng.randint(0, 5) for t in config.triangle_ids}
+        result = tripartite_reduction(config, weights)
+        source_poly = perfect_matching_polynomial(config, weights)
+        reduced_poly = perfect_matching_polynomial(result.config, result.weighting)
+        sweep.append((config, weights, result, source_poly, reduced_poly))
+    return sweep

@@ -7,16 +7,12 @@ Every check is exact (==); there are no tolerances anywhere. Run with
 import json
 import random
 
-import pytest
-
-from conftest import random_config
 from kas3.algebra import BinaryCode, Polynomial, fold_enumerator, weight_enumerator
 from kas3.cli import main as cli_main
 from kas3.core import (
     cycle_space_weight_enumerator,
     defect,
     enumerate_matchings_with_defect_within,
-    perfect_matching_polynomial,
     perfect_matchings,
 )
 from kas3.errors import ToolkitError
@@ -24,10 +20,9 @@ from kas3.gadgets import (
     make_matching_triangular_triangle,
     make_s5,
     make_tunnel,
-    tripartite_reduction,
 )
 from kas3.kasteleyn_construct import build_T, certify_trivial_signing
-from kas3.lattice import cubic_lattice, dimer_count
+from kas3.lattice import cubic_lattice, dimer_polynomial
 from kas3.tensor3 import (
     Tensor3,
     determinant3,
@@ -41,21 +36,6 @@ from conftest import permanent2_bruteforce, tetrahedron_boundary
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-@pytest.fixture(scope="module")
-def reduction_sweep():
-    """Fifty random configurations with their reductions, shared by 2 and 3."""
-    rng = random.Random(20240817)
-    sweep = []
-    for _ in range(50):
-        config = random_config(rng)
-        weights = {t: rng.randint(0, 5) for t in config.triangle_ids}
-        result = tripartite_reduction(config, weights)
-        source_poly = perfect_matching_polynomial(config, weights)
-        reduced_poly = perfect_matching_polynomial(result.config, result.weighting)
-        sweep.append((config, weights, result, source_poly, reduced_poly))
-    return sweep
 
 
 def test_criterion_1_gadget_suites():
@@ -239,7 +219,7 @@ def test_criterion_7_lattice_counts():
     results = {}
     for dims, want in expected.items():
         q = cubic_lattice(*dims)
-        direct = dimer_count(q, cross_check=False)
+        direct = dimer_polynomial(q, cross_check=False)(1)
         pipeline = permanent3(build_T(q.graph.biadjacency()).tensor)
         results[dims] = (direct, pipeline, want)
     brute = permanent2_bruteforce(cubic_lattice(2, 2, 2).graph.biadjacency())

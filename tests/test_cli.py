@@ -245,6 +245,9 @@ class TestErrors:
             (["reduce"], {"edges": [], "triangles": [], "weights": {"t": "abc"}}),
             (["triadj"], {"edges": [], "triangles": [], "edge_classes": {"a": "one"}}),
             (["triadj"], {"edges": [], "triangles": [], "vertex_classes": {"u": [1]}}),
+            (["per3"], {"dims": [2, 2], "entries": []}),
+            (["per3"], {"dims": [2, -1, 2], "entries": []}),
+            (["per3"], {"dims": [2, 2, 2], "entries": [[0, 2, 0, 1]]}),
         ],
     )
     def test_malformed_documents_exit_2(self, capsys, tmp_path, command, doc):
@@ -253,6 +256,22 @@ class TestErrors:
         status, out = invoke(capsys, *command, str(path))
         assert status == 2
         assert json.loads(out)["error"]["type"] == "schema"
+
+    @pytest.mark.parametrize("dims, classes", [((3, 3, 3), (14, 13)), ((1, 1, 1), (1, 0))])
+    def test_odd_box_export_names_the_box(self, capsys, tmp_path, monkeypatch, dims, classes):
+        def refuse(self):
+            raise AssertionError("support matrix built for an odd box")
+
+        monkeypatch.setattr(BipartiteGraph, "biadjacency", refuse)
+        target = tmp_path / "odd.off"
+        status, out = invoke(capsys, "lattice", *map(str, dims), "--export-off", str(target))
+        assert status == 1
+        assert json.loads(out) == {"error": {
+            "type": "operation",
+            "message": "cannot realize the {}x{}x{} box: its colour classes have {} and {} vertices, "
+                       "and the construction needs them equal".format(*dims, *classes),
+        }}
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "read, doc, field",
@@ -299,16 +318,9 @@ class TestErrors:
         assert parse_config_doc({"weights": {"t": "-4"}})[1] == {"t": -4}
         assert BinaryCode.from_doc({"k": "1", "n": 2, "rows": [[0, 1]]}).rows == (2,)
 
-    @pytest.mark.parametrize(
-        "extra, env",
-        [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "x")],
-    )
-    def test_bad_thread_count_exit_2(self, capsys, monkeypatch, tensor_file, extra, env):
-        if env is None:
-            monkeypatch.delenv("KAS3_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("KAS3_THREADS", env)
-        status, out = invoke(capsys, "per3", tensor_file, *extra)
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bad_thread_count_exit_2(self, capsys, tensor_file, threads):
+        status, out = invoke(capsys, "per3", tensor_file, "--threads", threads)
         assert status == 2
         assert json.loads(out)["error"]["type"] == "schema"
 
@@ -461,11 +473,6 @@ class TestDeterminism:
         b = invoke(capsys, "bc-check", "--r", "2", "--n", "5", "--seed", "2", "--json")
         assert a1 == a2
         assert json.loads(a1[1])["seed"] != json.loads(b[1])["seed"]
-
-    def test_env_threads_fallback(self, capsys, tensor_file, monkeypatch):
-        monkeypatch.setenv("KAS3_THREADS", "2")
-        status, out = invoke(capsys, "per3", tensor_file)
-        assert (status, out) == (0, "4\n")
 
     def test_run_returns_payload(self):
         result = run(["lattice", "2", "2", "1", "--dimers"])

@@ -20,10 +20,10 @@ from kas3.gadgets import (
     make_matching_triangular_triangle,
     make_s5,
     make_tunnel,
-    remove_triangles,
     tripartite_reduction,
 )
 from kas3.core import TriangularConfiguration
+from kas3.tensor3 import triadjacency
 
 
 class TestTunnel:
@@ -177,7 +177,10 @@ class TestLink:
             {f"c{i}:t": (f"c{i}:a", f"c{i}:b", f"c{i}:c") for i in (1, 2, 3)},
         )
         linked = link_by_mtt(copies, "c1:t", "c2:t", "c3:t")
-        manual = remove_triangles(linked, ["c1:t", "c2:t", "c3:t"])
+        manual = TriangularConfiguration(
+            {e: linked.edge_ends(e) for e in linked.edge_ids},
+            {t: linked.triangle_edges(t) for t in linked.triangle_ids if t not in ("c1:t", "c2:t", "c3:t")},
+        )
         assert manual == result.config
 
 
@@ -233,6 +236,17 @@ class TestReduction:
             ]
             assert sizes[0] == sizes[1] == sizes[2]
             assert check_edge_tripartition(result.config, result.edge_classes) == []
+
+    def test_sweep_reductions_pass_the_public_checks(self, reduction_sweep):
+        # tripartite_reduction checks none of its own classes; triadjacency
+        # refuses invalid ones, and the public checkers run here on every
+        # reduction of the acceptance sweep
+        for _config, _w, result, _sp, _rp in reduction_sweep:
+            assert validate(result.config) == []
+            assert check_edge_tripartition(result.config, result.edge_classes) == []
+            tensor, axes = triadjacency(result.config, result.edge_classes, result.weighting)
+            assert len(tensor.entries) == len(result.config.triangle_ids)
+            assert sorted(e for axis in axes for e in axis) == sorted(result.config.edge_ids)
 
     def test_rejects_invalid_input(self):
         broken = TriangularConfiguration(["a", "b"], {"t": ("a", "b", "ghost")})

@@ -1,10 +1,11 @@
 """Matrix-to-configuration construction and its two certifications."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_strong_matchings, permanent2_bruteforce
+from conftest import brute_force_strong_matchings, construction_tensor, permanent2_bruteforce
 from kas3.core import (
     check_vertex_tripartition,
     enumerate_perfect_strong_matchings,
@@ -18,7 +19,38 @@ from kas3.kasteleyn_construct import (
     matrix_from_doc,
     strong_matching_bijection_check,
 )
-from kas3.tensor3 import determinant3, permanent2, permanent3, projection_graphs
+from kas3.tensor3 import determinant3, permanent2, permanent3, projection_graphs, vertex_adjacency
+
+
+def _oracle_matrices():
+    """Zero, sparse, dense and Fraction matrices, then the benchmark's families:
+    all-ones 6, dense 5 and 6, and circulants 5, 6 and 7 with rows and columns
+    permuted."""
+    rng = random.Random(1407)
+    nonzero = [-3, -2, -1, 1, 2, 3]
+    cases = [("empty", [])] + [(f"zero{n}", [[0] * n for _ in range(n)]) for n in (1, 2, 3)]
+    draws = {
+        "sparse": lambda: rng.choice(nonzero) if rng.random() < 0.35 else 0,
+        "dense": lambda: rng.choice(nonzero),
+        "fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    }
+    for n in range(1, 6):
+        for copy in range(3):
+            for style, draw in draws.items():
+                cases.append((f"{style}{n}-{copy}", [[draw() for _ in range(n)] for _ in range(n)]))
+    cases.append(("ones6", [[1] * 6 for _ in range(6)]))
+    cases += [(f"dense{n}", [[draws["dense"]() for _ in range(n)] for _ in range(n)]) for n in (5, 6)]
+    for n, offsets in ((5, (0, 1, 3)), (6, (0, 1, 3)), (7, (0, 1, 2, 4))):
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for offset in offsets:
+                matrix[rows[i]][cols[(i + offset) % n]] = rng.choice(nonzero)
+        cases.append((f"circulant{n}", matrix))
+    return cases
+
+
+ORACLE_MATRICES = _oracle_matrices()
 
 
 class TestBuild:
@@ -69,6 +101,21 @@ class TestBuild:
     def test_vertex_classes_are_a_tripartition(self):
         tc = build_T([[1, 1], [1, 0]])
         assert check_vertex_tripartition(tc.config, tc.vertex_classes) == []
+
+    @pytest.mark.parametrize("matrix", [m for _, m in ORACLE_MATRICES], ids=[name for name, _ in ORACLE_MATRICES])
+    def test_tensor_passes_the_public_checks(self, matrix):
+        # build_T writes its cells and classes itself; the checks it does not
+        # run are made here: the cell oracle, the vertex tripartition, and the
+        # public vertex_adjacency, whose sorted axes are moved to w0/w1/w2 order
+        tc = build_T(matrix)
+        assert tc.tensor == construction_tensor(tc)
+        assert check_vertex_tripartition(tc.config, tc.vertex_classes) == []
+        tensor, orders = vertex_adjacency(tc.config, tc.vertex_classes, tc.entry_values)
+        axes = (tc.w0, tc.w1, tc.w2)
+        assert orders == tuple(tuple(sorted(axis)) for axis in axes)
+        to_w = [[axis.index(v) for v in order] for axis, order in zip(axes, orders)]
+        moved = {(to_w[0][i], to_w[1][j], to_w[2][k]): v for (i, j, k), v in tensor.entries.items()}
+        assert (tensor.dims, moved) == (tc.tensor.dims, tc.tensor.entries)
 
     def test_pinned_search_recovers_a_tripartition(self):
         tc = build_T([[1]])

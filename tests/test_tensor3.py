@@ -26,7 +26,6 @@ from kas3.tensor3 import (
     determinant3,
     diagonal_sign,
     encode_ring_value,
-    enumerate_graph_perfect_matchings,
     find_pfaffian_signing,
     kasteleyn_sign_via_k1,
     permanent2,
@@ -395,8 +394,8 @@ class TestBuilders:
             {"ab": ("u", "v"), "bc": ("v", "w"), "ca": ("w", "u")},
             {"t": ("ab", "bc", "ca")},
         )
-        tensor, _ = vertex_adjacency(config, {"u": 1, "v": 2, "w": 3}, {"t": 9})
-        assert tensor.dims == (1, 1, 1)
+        tensor, axes = vertex_adjacency(config, {"u": 1, "v": 2, "w": 3}, {"t": 9})
+        assert (tensor.dims, axes) == ((1, 1, 1), (("u",), ("v",), ("w",)))
         assert tensor[(0, 0, 0)] == 9
 
     def test_vertex_adjacency_refuses_bad_classes(self):
@@ -406,21 +405,6 @@ class TestBuilders:
         )
         with pytest.raises(ToolkitError):
             vertex_adjacency(config, {"u": 1, "v": 1, "w": 3}, {})
-
-    @pytest.mark.parametrize(
-        "orders",
-        [(["u"], ["v"], []), (["u", "u"], ["v"], ["w"]), (["u"], ["v"], ["w", "x"]), (["u"], ["v"]), (["v"], ["u"], ["w"])],
-    )
-    def test_vertex_adjacency_refuses_bad_class_orders(self, orders):
-        config = TriangularConfiguration(
-            {"ab": ("u", "v"), "bc": ("v", "w"), "ca": ("w", "u")},
-            {"t": ("ab", "bc", "ca")},
-        )
-        classes = {"u": 1, "v": 2, "w": 3, "x": 3}
-        with pytest.raises(ToolkitError):
-            vertex_adjacency(config, classes, {}, class_orders=orders)
-        tensor, axes = vertex_adjacency(config, classes, {}, class_orders=(["u"], ["v"], ["w"]))
-        assert (tensor.dims, axes) == ((1, 1, 1), (("u",), ("v",), ("w",)))
 
     def test_unknown_edge_is_an_invalid_edge_tripartition(self):
         config = TriangularConfiguration(["a", "b"], {"t": ("a", "b", "zz")})
@@ -625,9 +609,11 @@ class TestTwoMatrixKernels:
 
     def test_graph_matching_enumeration(self):
         g = BipartiteGraph(("a", "b"), ("x", "y"), frozenset([("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]))
-        assert len(enumerate_graph_perfect_matchings(g)) == 2
+        edges = sorted(g.edges)
+        matchings = sorted(sorted(edges[oi] for oi in cover) for cover in core.exact_covers(*g.matching_problem(edges)))
+        assert matchings == [[("a", "x"), ("b", "y")], [("a", "y"), ("b", "x")]]
         unbalanced = BipartiteGraph(("a",), ("x", "y"), frozenset([("a", "x")]))
-        assert enumerate_graph_perfect_matchings(unbalanced) == []
+        assert list(core.exact_covers(*unbalanced.matching_problem([("a", "x")]))) == []
 
 
 class TestBinetCauchy:
