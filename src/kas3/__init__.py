@@ -4,7 +4,6 @@ determinants, Kasteleyn-style signings, binary-code enumerators and dimer counts
 from .algebra import BinaryCode, Polynomial, fold_enumerator, weight_enumerator
 from .core import (
     TriangularConfiguration,
-    compose,
     cycle_space_weight_enumerator,
     defect,
     enumerate_matchings_with_defect_within,

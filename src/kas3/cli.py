@@ -36,6 +36,7 @@ from .tensor3 import (
     RectMatrixTriple,
     binet_cauchy_C,
     binet_cauchy_rhs,
+    check_binet_cauchy_shape,
     determinant3,
     encode_ring_value,
     kasteleyn_sign_via_k1,
@@ -187,7 +188,10 @@ def _cmd_lattice(args) -> CommandResult:
     if args.export_off:
         emb = embed_T(lattice)
         text = emb.to_off()
-        Path(args.export_off).write_text(text, encoding="utf-8")
+        try:
+            Path(args.export_off).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.export_off}: {exc}") from exc
         payload = {
             "dims": list(lattice.dims),
             "off_path": args.export_off,
@@ -241,6 +245,7 @@ def _cmd_bc_check(args) -> CommandResult:
     r, n = args.r, args.n
     if r < 1 or n < r:
         raise SchemaError(f"need 1 <= r <= n, got r={r}, n={n}")
+    check_binet_cauchy_shape(r, n)
     draw = lambda: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
     triple = RectMatrixTriple.from_rows(draw(), draw(), draw())
     lhs = determinant3(binet_cauchy_C(triple))

@@ -135,26 +135,6 @@ class TriangularConfiguration:
     def has_full_vertex_data(self) -> bool:
         return all(ends is not None for ends in self._edges.values())
 
-    def relabeled(
-        self,
-        edge_map: Mapping[str, str] | None = None,
-        triangle_map: Mapping[str, str] | None = None,
-        vertex_map: Mapping[str, str] | None = None,
-    ) -> "TriangularConfiguration":
-        em = edge_map or {}
-        tm = triangle_map or {}
-        vm = vertex_map or {}
-        edges = {
-            em.get(e, e): (None if ends is None else (vm.get(ends[0], ends[0]), vm.get(ends[1], ends[1])))
-            for e, ends in self._edges.items()
-        }
-        triangles = {
-            tm.get(t, t): tuple(em.get(e, e) for e in tri)
-            for t, tri in self._triangles.items()
-        }
-        vertices = [vm.get(v, v) for v in self._vertex_order]
-        return TriangularConfiguration(edges, triangles, vertices)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TriangularConfiguration):
             return NotImplemented
@@ -913,121 +893,6 @@ def check_vertex_tripartition(
     return _check_tripartition("vertex", sorted(config.vertices), triangles, classes, "vertex classes")
 
 
-# -- composition ---------------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, x: str) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smallest id as representative
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def compose(
-    configs: Sequence[TriangularConfiguration],
-    identifications: Iterable[tuple[str, str]] = (),
-) -> TriangularConfiguration:
-    """Disjoint union followed by a quotient on identified edges.
-
-    Component ids are namespaced as `"{index}:{id}"`; identification pairs
-    reference those namespaced edge ids and may chain (equivalence closure).
-    Endpoint pairs of identified edges, when present, are unified greedily
-    (existing unions choose the orientation, otherwise sorted order).
-    The result must pass `validate`, otherwise this raises.
-    """
-    edges: dict[str, tuple[str, str] | None] = {}
-    triangles: dict[str, tuple[str, ...]] = {}
-    vertices: set[str] = set()
-    for i, cfg in enumerate(configs):
-        for e in cfg.edge_ids:
-            ends = cfg.edge_ends(e)
-            edges[f"{i}:{e}"] = None if ends is None else (f"{i}:{ends[0]}", f"{i}:{ends[1]}")
-        for t in cfg.triangle_ids:
-            triangles[f"{i}:{t}"] = tuple(f"{i}:{e}" for e in cfg.triangle_edges(t))
-        vertices.update(f"{i}:{v}" for v in cfg.vertices)
-
-    euf = _UnionFind()
-    vuf = _UnionFind()
-    for e in edges:
-        euf.add(e)
-    for v in vertices:
-        vuf.add(v)
-
-    for a, b in identifications:
-        if a not in edges or b not in edges:
-            raise ToolkitError(f"identification references unknown edge: {a!r} or {b!r}")
-        if a == b:
-            raise ToolkitError(f"cannot identify edge {a!r} with itself")
-        euf.union(a, b)
-        ea, eb = edges[a], edges[b]
-        if ea is not None and eb is not None:
-            u1, u2 = ea
-            w1, w2 = eb
-            ru1, ru2 = vuf.find(u1), vuf.find(u2)
-            rw1, rw2 = vuf.find(w1), vuf.find(w2)
-            if ru1 == rw2 or ru2 == rw1:
-                vuf.union(u1, w2)
-                vuf.union(u2, w1)
-            else:
-                vuf.union(u1, w1)
-                vuf.union(u2, w2)
-
-    new_edges: dict[str, tuple[str, str] | None] = {}
-    for e, ends in edges.items():
-        rep = euf.find(e)
-        mapped = None
-        if ends is not None:
-            va, vb = vuf.find(ends[0]), vuf.find(ends[1])
-            if va == vb:
-                raise ToolkitError(
-                    f"inconsistent vertex unification collapses edge {e!r}"
-                )
-            mapped = (va, vb)
-        if rep in new_edges:
-            prev = new_edges[rep]
-            if prev is None:
-                new_edges[rep] = mapped
-            elif mapped is not None and set(prev) != set(mapped):
-                raise ToolkitError(
-                    f"inconsistent vertex unification on identified edge {rep!r}"
-                )
-        else:
-            new_edges[rep] = mapped
-
-    new_triangles: dict[str, tuple[str, ...]] = {}
-    for t, tri in triangles.items():
-        mapped_tri = tuple(sorted(euf.find(e) for e in tri))
-        if len(set(mapped_tri)) != 3:
-            raise ToolkitError(
-                f"identification creates triangle {t!r} with repeated edges"
-            )
-        new_triangles[t] = mapped_tri
-
-    new_vertices = {vuf.find(v) for v in vertices}
-    result = TriangularConfiguration(new_edges, new_triangles, new_vertices)
-    problems = validate(result)
-    if problems:
-        raise ToolkitError("composition is not a valid configuration: " + "; ".join(problems))
-    return result
-
-
 # -- cycle space ---------------------------------------------------------------
 
 
@@ -1047,8 +912,13 @@ def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Po
     Computed from the nullspace basis, over GF(2) as a binary code through
     `weight_enumerator` and otherwise by `gf_p_weight_enumerator`; both
     enumerate each direct-sum block of the kernel. Guarded, not truncated,
-    when the kernel's p^dim codewords are too many.
+    when the kernel's p^dim codewords are too many; a p above the guard is
+    refused before its primality test, even for a zero-dimensional kernel.
     """
+    if p > KERNEL_ENUM_MAX_CODEWORDS:
+        raise GuardExceeded(
+            f"GF({p}) is beyond the enumeration guard: any nonzero kernel has p codewords or more"
+        )
     if not is_prime(p):
         raise ToolkitError(f"{p} is not prime")
     rows, _, tri_ids = incidence_matrix(config)

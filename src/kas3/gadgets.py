@@ -1,24 +1,26 @@
 """Certified building blocks for the matching-preserving tripartite reduction.
 
 The three shipped constructions (tunnel band, five-triangle sphere piece,
-and their composition into the triangle-linking block) are octahedron-based
-candidates defined purely at the edge level. Nothing downstream relies on
-their particular shape: each carries a certification suite that re-proves
-the required matching and tripartition properties by exhaustive enumeration,
-and any construction passing the suite would do.
+and the triangle-linking block glued from one sphere piece and three
+tunnels) are octahedron-based candidates defined purely at the edge level.
+Nothing downstream relies on their particular shape: each carries a
+certification suite that re-proves the required matching and tripartition
+properties by exhaustive enumeration, and any construction passing the
+suite would do. One routine, `_glue`, does all gluing: it builds the
+linking block from its pieces and glues each block into the reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     TriangularConfiguration,
     build_config_doc,
     check_edge_tripartition,
-    compose,
     defect,
     enumerate_matchings_with_defect_within,
     find_edge_tripartition,
@@ -275,54 +277,65 @@ def make_s5(certify: bool = True) -> Gadget:
 # -- matching triangular triangle ---------------------------------------------------
 
 
+def _glue(
+    edges: dict[str, tuple[str, str] | None],
+    triangles: dict[str, tuple[str, ...]],
+    ref: Gadget,
+    prefix: str,
+    triples: Sequence[Sequence[str]],
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Add a fresh copy of `ref` to `edges` and `triangles`, glued onto `triples`.
+
+    End i of `ref`, sorted, becomes `triples[i]` edge by edge; every other
+    edge and every triangle `x` becomes `prefix:x`. New edges carry no
+    endpoints, and an edge already present keeps its own. Returns the edge
+    and triangle maps from `ref`'s names to the new ones.
+    """
+    edge_map = {e: f"{prefix}:{e}" for e in ref.config.edge_ids}
+    for end, triple in zip(ref.ends, triples):
+        edge_map.update(zip(sorted(end), triple))
+    for e in edge_map.values():
+        edges.setdefault(e, None)
+    triangle_map = {t: f"{prefix}:{t}" for t in ref.config.triangle_ids}
+    for t, new_t in triangle_map.items():
+        if new_t in triangles:
+            raise ToolkitError(f"block triangle id {new_t!r} collides; already linked here?")
+        triangles[new_t] = tuple(sorted(edge_map[e] for e in ref.config.triangle_edges(t)))
+    return edge_map, triangle_map
+
+
 def _mtt_uncertified() -> Gadget:
-    """Compose the sphere piece with three tunnels, one per end."""
-    s5 = _s5_uncertified()
-    tunnels = [_tunnel_uncertified() for _ in range(3)]
-    components = [s5.config] + [t.config for t in tunnels]
-    identifications = []
-    for i, end in enumerate(s5.ends, start=1):
-        inner = sorted(tunnels[i - 1].ends[0])
-        for s5_edge, tunnel_edge in zip(sorted(end), inner):
-            identifications.append((f"0:{s5_edge}", f"{i}:{tunnel_edge}"))
-    composed = compose(components, identifications)
+    """Glue one tunnel onto each end of the sphere piece.
 
-    edge_map: dict[str, str] = {}
-    for e in s5.config.edge_ids:
-        edge_map[f"0:{e}"] = f"s5:{e}"
-    outer = {"a2": "a", "b2": "b", "c2": "c"}
-    for i in (1, 2, 3):
-        for k in range(1, 7):
-            edge_map[f"{i}:d{k}"] = f"t{i}:d{k}"
-        for old, new in outer.items():
-            edge_map[f"{i}:{old}"] = f"end{i}:{new}"
-    triangle_map = {f"0:{t}": f"s5:{t}" for t in s5.config.triangle_ids}
-    for i in (1, 2, 3):
-        for t in tunnels[i - 1].config.triangle_ids:
-            triangle_map[f"{i}:{t}"] = f"t{i}:{t}"
-    config = composed.relabeled(edge_map, triangle_map)
-
-    m1 = tuple(sorted(
-        [f"s5:{t}" for t in ("t1", "t2", "t4", "t5")]
-        + [f"t{i}:dn{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    ))
-    m0 = tuple(sorted(
-        ["s5:t3"] + [f"t{i}:up{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    ))
+    The sphere piece's edges and triangles are named `s5:x`. Tunnel i's inner
+    end is glued onto the sphere piece's end i, its outer end becomes the
+    block's end i, `end{i}:a/b/c`, and its other names get the prefix `t{i}:`.
+    """
+    s5, tunnel = _s5_uncertified(), _tunnel_uncertified()
+    edges: dict[str, tuple[str, str] | None] = {f"s5:{e}": None for e in s5.config.edge_ids}
+    triangles = {
+        f"s5:{t}": tuple(f"s5:{e}" for e in s5.config.triangle_edges(t))
+        for t in s5.config.triangle_ids
+    }
+    m1 = [f"s5:{t}" for t in s5.matchings["perfect"]]
+    m0 = [f"s5:{t}" for t in s5.matchings["all_ends_defect"]]
     classes = {f"s5:{e}": cls for e, cls in s5.edge_classes.items()}
-    for i in (1, 2, 3):
-        lo, hi = sorted({1, 2, 3} - {i})
-        for k in range(1, 7):
-            classes[f"t{i}:d{k}"] = lo if k % 2 else hi
-        for name in ("a", "b", "c"):
-            classes[f"end{i}:{name}"] = i
-    ends = tuple(
-        (f"end{i}:a", f"end{i}:b", f"end{i}:c") for i in (1, 2, 3)
-    )
+    ends = []
+    for i, end in enumerate(s5.ends, start=1):
+        outer = (f"end{i}:a", f"end{i}:b", f"end{i}:c")
+        inner = tuple(sorted(f"s5:{e}" for e in end))
+        edge_map, triangle_map = _glue(edges, triangles, tunnel, f"t{i}", [inner, outer])
+        # the sphere piece's perfect matching covers end i, so tunnel i leaves its inner end
+        m1.extend(triangle_map[t] for t in tunnel.matchings["defect_end1"])
+        m0.extend(triangle_map[t] for t in tunnel.matchings["defect_end2"])
+        # tunnel classes 1, 2, 3 become i and the other two in order
+        order = (i, *sorted({1, 2, 3} - {i}))
+        classes.update({edge_map[e]: order[cls - 1] for e, cls in tunnel.edge_classes.items()})
+        ends.append(outer)
     return Gadget(
-        config=config,
-        ends=ends,  # type: ignore[arg-type]
-        matchings={"perfect": m1, "all_ends_defect": m0},
+        config=TriangularConfiguration(edges, triangles),
+        ends=tuple(ends),  # type: ignore[arg-type]
+        matchings={"perfect": tuple(sorted(m1)), "all_ends_defect": tuple(sorted(m0))},
         edge_classes=classes,
     )
 
@@ -368,14 +381,9 @@ def make_matching_triangular_triangle(certify: bool = True) -> Gadget:
     return _finish("matching triangular triangle", gadget, certify_mtt(gadget))
 
 
-_REFERENCE_MTT: Gadget | None = None
-
-
+@functools.cache
 def _reference_mtt() -> Gadget:
-    global _REFERENCE_MTT
-    if _REFERENCE_MTT is None:
-        _REFERENCE_MTT = _mtt_uncertified()
-    return _REFERENCE_MTT
+    return _mtt_uncertified()
 
 
 # -- linking and reduction ------------------------------------------------------------
@@ -398,28 +406,14 @@ def _add_block(
     targets: tuple[str, str, str],
     triples: list[tuple[str, ...]],
 ) -> MttBlock:
-    """Add a fresh linking block glued onto the three end triples to `edges` and `triangles`.
+    """Glue a fresh linking block onto the three end triples and record its matchings.
 
-    The block's end edges become the sorted edges of `triples`; its other
-    edges and its triangles get the prefix `mtt[t1|t2|t3]:`. New edges carry
-    no endpoints, and an edge already present keeps its own.
+    The block's other edges and its triangles get the prefix
+    `mtt[t1|t2|t3]:`; `_glue` does the gluing.
     """
     ref = _reference_mtt()
     prefix = f"mtt[{targets[0]}|{targets[1]}|{targets[2]}]"
-    edge_map: dict[str, str] = {}
-    for end, triple in zip(ref.ends, triples):
-        for ref_edge, target_edge in zip(sorted(end), triple):
-            edge_map[ref_edge] = target_edge
-    for e in ref.config.edge_ids:
-        if e not in edge_map:
-            edge_map[e] = f"{prefix}:{e}"
-    for e in edge_map.values():
-        edges.setdefault(e, None)
-    triangle_map = {t: f"{prefix}:{t}" for t in ref.config.triangle_ids}
-    for t, new_t in triangle_map.items():
-        if new_t in triangles:
-            raise ToolkitError(f"block triangle id {new_t!r} collides; already linked here?")
-        triangles[new_t] = tuple(sorted(edge_map[e] for e in ref.config.triangle_edges(t)))
+    edge_map, triangle_map = _glue(edges, triangles, ref, prefix, triples)
     return MttBlock(
         prefix=prefix,
         triangles=tuple(sorted(triangle_map.values())),

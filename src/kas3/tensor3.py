@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -634,14 +635,23 @@ def binet_cauchy_C(triple: RectMatrixTriple) -> Tensor3:
     return Tensor3((r, r, r), entries)
 
 
+def check_binet_cauchy_shape(r: int, n: int) -> None:
+    """Refuse r x n triples whose subset sum is past a guard, from the shape alone.
+
+    The sum takes one r x r permanent per r-subset of the n columns, so r is
+    held to the Ryser guard and the subsets to `BINET_CAUCHY_MAX_SUBSETS`.
+    """
+    if r > PERMANENT2_MAX_SIDE:
+        raise GuardExceeded(f"Ryser guard is r <= {PERMANENT2_MAX_SIDE}, got r = {r}")
+    subsets = math.comb(n, r)
+    if subsets > BINET_CAUCHY_MAX_SUBSETS:
+        raise GuardExceeded(f"{subsets} column subsets exceed the guard")
+
+
 def binet_cauchy_rhs(triple: RectMatrixTriple) -> RingValue:
     """Sum over r-subsets I of Per(A1_I) * det(A2_I) * det(A3_I)."""
     r, n = triple.shape
-    subsets = 1
-    for i in range(r):
-        subsets = subsets * (n - i) // (i + 1)
-    if subsets > BINET_CAUCHY_MAX_SUBSETS:
-        raise GuardExceeded(f"{subsets} column subsets exceed the guard")
+    check_binet_cauchy_shape(r, n)
     total: RingValue = 0
     for cols in itertools.combinations(range(n), r):
         sub = lambda m: [[m[i][j] for j in cols] for i in range(r)]

@@ -214,6 +214,19 @@ def tetrahedron_boundary() -> TriangularConfiguration:
     return TriangularConfiguration(edges, triangles)
 
 
+def disjoint_union(configs) -> TriangularConfiguration:
+    """The configurations side by side, copy i's edges, triangles and vertices named `i:x`."""
+    edges, triangles, vertices = {}, {}, []
+    for i, config in enumerate(configs):
+        for e in config.edge_ids:
+            ends = config.edge_ends(e)
+            edges[f"{i}:{e}"] = None if ends is None else tuple(f"{i}:{v}" for v in ends)
+        for t in config.triangle_ids:
+            triangles[f"{i}:{t}"] = [f"{i}:{e}" for e in config.triangle_edges(t)]
+        vertices += [f"{i}:{v}" for v in config.vertex_order]
+    return TriangularConfiguration(edges, triangles, vertices)
+
+
 def random_config(rng: random.Random, max_triangles: int = 6) -> TriangularConfiguration:
     """Valid random configuration, biased toward ones with perfect matchings.
 

@@ -273,6 +273,49 @@ class TestErrors:
         }}
         assert not target.exists()
 
+    @pytest.mark.parametrize("target", ["missing/lattice.off", "."], ids=["missing_directory", "directory"])
+    def test_unwritable_export_path_is_schema_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        status, out = invoke(capsys, "lattice", "2", "2", "2", "--export-off", str(path))
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "schema"
+        assert error["message"].startswith(f"cannot write {path}: ")
+        assert not any(tmp_path.iterdir())  # no file, no directory made
+
+    @pytest.mark.parametrize(
+        "r, n, message",
+        [
+            (80, 80, "Ryser guard is r <= 20, got r = 80"),
+            (21, 21, "Ryser guard is r <= 20, got r = 21"),
+            (10, 40, "847660528 column subsets exceed the guard"),
+        ],
+    )
+    def test_bc_check_guards_fire_before_the_matrices_are_drawn(self, monkeypatch, r, n, message):
+        import kas3.cli
+
+        def refuse(*rows):
+            raise AssertionError("matrices drawn past a guard")
+
+        monkeypatch.setattr(kas3.cli.RectMatrixTriple, "from_rows", refuse)
+        result = run(["bc-check", "--r", str(r), "--n", str(n)])
+        assert (result.status, result.payload) == (1, {"error": {"type": "operation", "message": message}})
+
+    def test_kernel_wenum_refuses_a_huge_prime_before_testing_it(self, capsys, config_file, monkeypatch):
+        import kas3.core
+
+        def refuse(p):
+            raise AssertionError("primality tested past the guard")
+
+        monkeypatch.setattr(kas3.core, "is_prime", refuse)
+        status, out = invoke(capsys, "kernel-wenum", config_file, "--p", "1000000000000000003")
+        assert status == 1
+        assert json.loads(out) == {"error": {
+            "type": "operation",
+            "message": "GF(1000000000000000003) is beyond the enumeration guard: "
+                       "any nonzero kernel has p codewords or more",
+        }}
+
     @pytest.mark.parametrize(
         "read, doc, field",
         [
@@ -406,6 +449,50 @@ class TestGoldenBytes:
         path = tmp_path / "golden_matrix.json"
         path.write_text(json.dumps({"n": 4, "rows": rows}))
         return str(path)
+
+    @pytest.fixture
+    def golden_config(self, tmp_path):
+        edges = {"a": "pq", "b": "qr", "c": "pr", "d": "qs", "e": "rs", "f": "ps"}
+        doc = {
+            "edges": [{"id": e, "ends": list(ends)} for e, ends in edges.items()],
+            "triangles": [
+                {"id": "t1", "edges": ["a", "b", "c"]},
+                {"id": "t2", "edges": ["b", "d", "e"]},
+                {"id": "t3", "edges": ["c", "e", "f"]},
+            ],
+            "weights": {"t1": 2, "t3": 1},
+        }
+        path = tmp_path / "golden_config.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "kind, size, digest",
+        [
+            ("tunnel", 1001, "1a4afb1154bbe0fa89470f5e69a68b9624a7c66ef840a90bcf0307ed76d67739"),
+            ("s5", 934, "c76188b9e22510ef4e8139cf978f24c18182764fe24c87362b3a00eb9dc8d459"),
+            ("mtt", 2740, "206e26b8314622d17eddd1f85effbb30a5af9fe51301aa4920dbbbd0450dbbb8"),
+        ],
+    )
+    def test_gadget_certify(self, capsys, kind, size, digest):
+        status, out = invoke(capsys, "gadget", kind, "--certify", "--json")
+        data = out.encode()
+        assert (status, len(data)) == (0, size)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_reduce(self, capsys, golden_config):
+        status, out = invoke(capsys, "reduce", golden_config, "--json")
+        data = out.encode()
+        assert (status, len(data)) == (0, 20581)
+        assert hashlib.sha256(data).hexdigest() == (
+            "a47a4b3900c708ae02b6be3c93ac06030fa2d618da6e73d5ee5bff8eba6ccb4b"
+        )
+
+    def test_bc_check(self, capsys):
+        assert invoke(capsys, "bc-check", "--r", "3", "--n", "6", "--json") == (
+            0,
+            '{"equal":true,"lhs":6474,"n":6,"r":3,"rhs":6474,"seed":0}\n',
+        )
 
     def test_per3_det3(self, capsys, golden_tensor):
         assert invoke(capsys, "per3", golden_tensor, "--json") == (0, '{"value":-288}\n')

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_matchings, brute_force_strong_matchings, random_config
+from conftest import brute_force_matchings, brute_force_strong_matchings, disjoint_union, random_config
 import kas3.core as core
 from kas3.algebra import Polynomial
 from kas3.core import (
     TriangularConfiguration,
     check_edge_tripartition,
     check_vertex_tripartition,
-    compose,
     cycle_space_weight_enumerator,
     defect,
     count_perfect_strong_matchings,
@@ -676,13 +675,18 @@ class TestTripartitionClassings:
 
 
 def shuffled(config: TriangularConfiguration, rng: random.Random) -> TriangularConfiguration:
-    """The configuration with its edge, triangle and vertex names permuted."""
+    """The configuration, every edge with its ends, with its edge, triangle and vertex names permuted."""
     maps = []
     for names in (config.edge_ids, config.triangle_ids, sorted(config.vertices)):
         image = list(names)
         rng.shuffle(image)
         maps.append(dict(zip(names, image)))
-    return config.relabeled(*maps)
+    edge_map, triangle_map, vertex_map = maps
+    edges = {edge_map[e]: [vertex_map[v] for v in config.edge_ends(e)] for e in config.edge_ids}
+    triangles = {
+        triangle_map[t]: [edge_map[e] for e in config.triangle_edges(t)] for t in config.triangle_ids
+    }
+    return TriangularConfiguration(edges, triangles, [vertex_map[v] for v in config.vertex_order])
 
 
 def backtracking_family(seed: int = 4242) -> tuple[list, list]:
@@ -778,42 +782,6 @@ def test_matching_and_cycle_space_paths_refuse_an_unknown_edge(call):
         call(config)
 
 
-class TestCompose:
-    def test_identity(self):
-        config = single_triangle()
-        composed = compose([config])
-        assert len(composed.edge_ids) == 3
-        assert len(composed.triangle_ids) == 1
-
-    def test_disjoint_union_counts_add(self):
-        a, b = single_triangle(), single_triangle()
-        composed = compose([a, b])
-        assert len(composed.edge_ids) == 6
-        assert len(composed.triangle_ids) == 2
-        assert validate(composed) == []
-
-    def test_bowtie(self):
-        t1 = TriangularConfiguration(
-            {"a": ("u", "v"), "b": ("v", "w"), "c": ("w", "u")}, {"t": ("a", "b", "c")}
-        )
-        t2 = TriangularConfiguration(
-            {"x": ("p", "q"), "y": ("q", "r"), "z": ("r", "p")}, {"s": ("x", "y", "z")}
-        )
-        bowtie = compose([t1, t2], [("0:a", "1:x")])
-        assert len(bowtie.edge_ids) == 5
-        assert len(bowtie.triangle_ids) == 2
-        assert len(bowtie.vertices) == 4
-        assert validate(bowtie) == []
-
-    def test_identifying_edge_with_itself_fails(self):
-        with pytest.raises(ToolkitError):
-            compose([single_triangle()], [("0:a", "0:a")])
-
-    def test_collapsing_a_triangle_fails(self):
-        with pytest.raises(ToolkitError):
-            compose([single_triangle()], [("0:a", "0:b")])
-
-
 class TestCycleSpace:
     def test_single_triangle_trivial_kernel(self):
         assert cycle_space_weight_enumerator(single_triangle(), 2) == Polynomial({0: 1})
@@ -860,26 +828,40 @@ class TestCycleSpace:
         with pytest.raises(ToolkitError):
             cycle_space_weight_enumerator(single_triangle(), 6)
 
+    def test_p_past_the_guard_is_refused_before_its_primality_test(self, tetrahedron, monkeypatch):
+        # a zero-dimensional kernel is refused too: the guard reads p alone
+        largest = 16777213  # the largest prime below 2^24
+        assert cycle_space_weight_enumerator(single_triangle(), largest) == Polynomial({0: 1})
+
+        def refuse(p):
+            raise AssertionError("primality tested past the guard")
+
+        monkeypatch.setattr(core, "is_prime", refuse)
+        for p in (1 << 24 | 1, 1000000000000000003):
+            for config in (single_triangle(), tetrahedron):
+                with pytest.raises(GuardExceeded, match=rf"GF\({p}\) is beyond the enumeration guard"):
+                    cycle_space_weight_enumerator(config, p)
+
     @pytest.mark.parametrize("p, copies", [(2, 24), (3, 15), (5, 10)])
     def test_disjoint_unions_are_powers_of_one_block(self, tetrahedron, p, copies):
         # p^dim is within the guard, but only a factored enumeration is quick
         block = tetrahedron if p == 2 else self.octahedron()
         single = cycle_space_weight_enumerator(block, p)
         assert single == Polynomial({0: 1, 4 if p == 2 else 8: p - 1})
-        union = compose([block] * copies)
+        union = disjoint_union([block] * copies)
         assert cycle_space_weight_enumerator(union, p) == single**copies
         latin = TriangularConfiguration(
             [f"{axis}{i}" for axis in "RCS" for i in range(3)],
             {f"t{i}{j}": (f"R{i}", f"C{j}", f"S{(i + j) % 3}") for i in range(3) for j in range(3)},
         )
         latin_single = cycle_space_weight_enumerator(latin, p)
-        assert cycle_space_weight_enumerator(compose([latin] * 3), p) == latin_single**3
+        assert cycle_space_weight_enumerator(disjoint_union([latin] * 3), p) == latin_single**3
 
     @pytest.mark.parametrize("p, copies", [(2, 25), (3, 16), (5, 11)])
     def test_guard_is_on_the_total_dimension(self, tetrahedron, p, copies):
         block = tetrahedron if p == 2 else self.octahedron()
         with pytest.raises(GuardExceeded, match=rf"kernel has {p}\^{copies} codewords, beyond the enumeration guard"):
-            cycle_space_weight_enumerator(compose([block] * copies), p)
+            cycle_space_weight_enumerator(disjoint_union([block] * copies), p)
 
 
 class TestJsonDocs:

@@ -96,6 +96,7 @@ class TestMtt:
         assert all(check.passed for check in gadget.certificate)
         assert len(gadget.config.edge_ids) == 39
         assert len(gadget.config.triangle_ids) == 23
+        assert validate(gadget.config) == []
 
     def test_exactly_two_matchings_within_outer_ends(self):
         gadget = make_matching_triangular_triangle(certify=False)
@@ -154,6 +155,11 @@ class TestLink:
         # originals survive
         for t in ("x", "y", "z"):
             assert linked.has_triangle(t)
+
+    def test_linking_the_same_targets_twice_is_refused(self):
+        linked = link_by_mtt(self.three_disjoint(), "x", "y", "z")
+        with pytest.raises(ToolkitError, match=r"block triangle id 'mtt\[x\|y\|z\]:\S+' collides"):
+            link_by_mtt(linked, "x", "y", "z")
 
     def test_rejects_repeated_target(self):
         config = self.three_disjoint()

@@ -290,7 +290,13 @@ class TestCertifications:
         as_set = TriangularConfiguration(edges, triangles, frozenset(tc.config.vertex_order))
         assert listed == as_set == tc.config
         assert as_set.vertex_order == tuple(sorted(tc.config.vertices))
-        assert listed.relabeled().vertex_order == listed.vertex_order
+        renamed = TriangularConfiguration(
+            {f"r{e}": [f"r{v}" for v in ends] for e, ends in edges.items()},
+            {f"r{t}": [f"r{e}" for e in tri] for t, tri in triangles.items()},
+            [f"r{v}" for v in listed.vertex_order],
+        )
+        assert renamed.vertex_order == tuple(f"r{v}" for v in listed.vertex_order)
+        assert count_perfect_strong_matchings(renamed) == 3
         assert count_perfect_strong_matchings(listed) == count_perfect_strong_matchings(as_set) == 3
         assert enumerate_perfect_strong_matchings(listed) == enumerate_perfect_strong_matchings(as_set)
 

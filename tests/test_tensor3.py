@@ -22,6 +22,7 @@ from kas3.tensor3 import (
     apply_signing,
     binet_cauchy_C,
     binet_cauchy_rhs,
+    check_binet_cauchy_shape,
     determinant2,
     determinant3,
     diagonal_sign,
@@ -662,6 +663,26 @@ class TestBinetCauchy:
             n = rng.randint(r, 5)
             t = RectMatrixTriple.from_rows(rows(r, n), rows(r, n), rows(r, n))
             assert determinant3(binet_cauchy_C(t)) == binet_cauchy_rhs(t)
+
+    def test_shape_guards_fire_before_any_minor(self, monkeypatch):
+        import kas3.tensor3
+
+        def refuse(matrix):
+            raise AssertionError("minor computed past a guard")
+
+        monkeypatch.setattr(kas3.tensor3, "permanent2", refuse)
+        square = [[1] * 21 for _ in range(21)]
+        with pytest.raises(GuardExceeded, match=r"Ryser guard is r <= 20, got r = 21"):
+            binet_cauchy_rhs(RectMatrixTriple.from_rows(square, square, square))
+        wide = [[1] * 40 for _ in range(10)]
+        with pytest.raises(GuardExceeded, match="847660528 column subsets exceed the guard"):
+            binet_cauchy_rhs(RectMatrixTriple.from_rows(wide, wide, wide))
+        check_binet_cauchy_shape(20, 20)
+        check_binet_cauchy_shape(5, 20)  # C(20, 5) = 15504 subsets
+        with pytest.raises(GuardExceeded, match="184756 column subsets exceed the guard"):
+            check_binet_cauchy_shape(10, 20)
+        with pytest.raises(GuardExceeded, match="Ryser guard"):
+            check_binet_cauchy_shape(10**9, 10**9)
 
     def test_shape_validation(self):
         with pytest.raises(ToolkitError):
