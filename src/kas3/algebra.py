@@ -57,10 +57,6 @@ class Polynomial:
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self._coeffs == other._coeffs

@@ -18,6 +18,7 @@ from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
     BinaryCode,
     Polynomial,
+    _gf2_insert,
     gf_p_nullspace,
     gf_p_weight_enumerator,
     is_prime,
@@ -324,29 +325,31 @@ COVER_GRAPH_MAX_SIZE = 1 << 21
 
 
 class CoverIndex:
-    """The search state shared by every search over one exact-cover problem.
+    """One exact-cover problem and its one search, shared by every caller.
 
     Options are item bitmasks. `item_opts[i]` is the bitmask of the options
     holding item i. `choose(covered, live)` returns the live options of the
     uncovered item with the fewest of them, taking the lowest item index on
     ties and stopping at a count <= 1 (the choice rule of Knuth's Algorithm
     X): 0 when some item has none left, None when every item is covered.
-    Every search starts with all options live and clears the options that
+    The search starts with all options live and clears the options that
     clash with each chosen one, so `live` is always the set of options
     disjoint from `covered`, and the choice depends on `covered` alone.
     `blocked(o)` is `clash[o]`, the options sharing an item with option o,
     built the first time o is chosen, so a search that ends at once builds
     none.
 
-    The first fold builds the search's state graph, `graph` (see `_build`),
-    and every fold sums it. Its size, the states visited plus the arcs
+    `_build` is the only search and `choose` runs nowhere else. The first
+    fold, listing or parity span builds its state graph, `graph`, and every
+    later one reads it: `fold` sums it, `covers` walks it and `parity_span`
+    reduces over it. Its size, the states visited plus the arcs
     kept, may not pass `COVER_GRAPH_MAX_SIZE` (2^21); the arcs hold the
     memory, about 110 bytes each. Measured with CPython 3.11 on x86-64:
     `kas3 per3` peaks at 239 MB resident when the all-ones 10x10x10 tensor
     is refused at the guard, and at 128 MB answering the all-ones 9x9x9
     (1,091,090 states and arcs). Past the guard the build raises
-    `GuardExceeded` and leaves `graph` None, so the next fold builds again
-    and raises again.
+    `GuardExceeded` and leaves `graph` None, so the next caller builds
+    again and raises again.
     """
 
     __slots__ = ("item_count", "options", "item_opts", "choose", "blocked", "graph")
@@ -398,43 +401,39 @@ class CoverIndex:
         self.blocked = blocked
         self.graph: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None
 
+    def _graph(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The state graph, built by the first search over this index (see `_build`)."""
+        if self.graph is None:
+            self.graph = self._build()
+        return self.graph
+
     def covers(self) -> Iterator[list[int]]:
         """Every exact cover, as option indices in the order they were chosen.
 
-        Every step branches on the item `choose` picks and tries its live
-        options in ascending index, so covers come out in a fixed order.
-        Choosing option o clears `clash[o]` from `live`. The search keeps an
-        explicit stack of `(covered, live, untried)` frames, so its depth is
-        bounded by memory alone.
+        A depth-first walk of the state graph's arcs: they come in ascending
+        option order and lead only to states with a cover below, so covers
+        come out in the search's order and no choice is made again. The walk
+        keeps an explicit stack, so its depth is bounded by memory alone.
         """
-        choose, blocked, options = self.choose, self.blocked, self.options
-        live = (1 << len(options)) - 1
-        root = choose(0, live)
-        if root is None:
-            yield []
-            return
+        graph = self._graph()
+        if graph and not graph[-1][1]:
+            yield []  # the root is the full cover
         chosen: list[int] = []
-        stack = [(0, live, root)]  # per depth: covered and live before the choice, untried options
+        stack = [iter(graph[-1][1])] if graph else []  # per depth: the arcs not yet taken
         while stack:
-            covered, live, untried = stack[-1]
-            if not untried:
-                stack.pop()
-                continue
-            low = untried & -untried
-            stack[-1] = (covered, live, untried ^ low)
-            oi = low.bit_length() - 1
-            del chosen[len(stack) - 1 :]
-            chosen.append(oi)
-            covered |= options[oi]
-            live &= ~blocked(oi)
-            nxt = choose(covered, live)
-            if nxt is None:
+            for oi, child in stack[-1]:
+                del chosen[len(stack) - 1 :]
+                chosen.append(oi)
+                arcs = graph[child][1]
+                if arcs:
+                    stack.append(iter(arcs))
+                    break
                 yield list(chosen)
-            elif nxt:
-                stack.append((covered, live, nxt))
+            else:
+                stack.pop()
 
     def _build(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """The state graph of the search of `covers`, memoized on `covered`.
+        """The state graph of the search, memoized on `covered`.
 
         One entry `(covered, arcs)` per state with a cover below it, each
         after every state it branches to, so the root comes last. `arcs`
@@ -501,20 +500,17 @@ class CoverIndex:
         The covers are those of `covers`. With `signs`, choosing option o
         negates its factor when `covered & signs[o]`, the items covered
         before it, has odd popcount. A subsearch depends on `covered`
-        alone, so the first fold builds the search's state graph once
-        (`_build`): a decision diagram of the covers (Nishino, Yasuda,
-        Minato and Nagata, "Dancing with Decision Diagrams", AAAI 2017).
+        alone, so the search's state graph is built once (`_build`): a
+        decision diagram of the covers (Nishino, Yasuda, Minato and Nagata,
+        "Dancing with Decision Diagrams", AAAI 2017).
         Every fold is one pass over it in its order, which meets each
         child's sum before its parent needs it, reading the values and
         signs it is given. Arcs come in ascending option order, so terms
         are added in the order the search meets them. The empty sum is the
         integer 0 and the empty product the integer 1.
         """
-        graph = self.graph
-        if graph is None:
-            graph = self.graph = self._build()
         sums: list = []
-        for covered, arcs in graph:
+        for covered, arcs in self._graph():
             total = None
             for oi, child in arcs:
                 factor = values[oi]
@@ -524,6 +520,29 @@ class CoverIndex:
                 total = term if total is None else total + term
             sums.append(1 if total is None else total)
         return sums[-1] if sums else 0
+
+    def parity_span(self, signs: Sequence[int]) -> list[int]:
+        """The reduced GF(2) echelon basis of the covers' rows (see `algebra._gf2_insert`).
+
+        A cover's row has bit 1 + o for each chosen option o and bit 0 for
+        its sign parity as `fold` takes it with `signs`. A state's reference
+        row is that of the path through its first arc and then that child's
+        reference path. The rows of all covers are spanned by the root's
+        reference and, at every state, each further arc's row XOR the
+        state's reference, so one pass over the graph inserts those rows and
+        lists no cover. It stops once the row 1 enters the basis.
+        """
+        basis: list[int] = []
+        refs: list[int] = []  # per state: the row of its reference path
+        for covered, arcs in self._graph():
+            rows = [(2 << oi | (covered & signs[oi]).bit_count() & 1) ^ refs[child] for oi, child in arcs]
+            for row in rows[1:]:
+                _gf2_insert(basis, row ^ rows[0])
+                if basis and basis[-1] == 1:
+                    return basis
+            refs.append(rows[0] if rows else 0)
+        _gf2_insert(basis, refs[-1] if refs else 0)  # the root's reference; 0 adds nothing
+        return basis
 
 
 def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:

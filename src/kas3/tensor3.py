@@ -5,19 +5,19 @@ Cubic permanents and determinants are folded sums over the nonzero support
 diagonals, the exact covers of the padded cube's axis indices by nonzero
 cells: `core.CoverIndex.fold` sums the search's state graph, one state per
 set of covered indices, and keeps the determinant's sign from per-cell
-masks, so no diagonal is listed. `support_diagonals` still lists them for
-witnesses and tests. A tensor with an axis index that no entry uses has no
-support diagonal, and is answered from its entries before anything of the
-cube's size is built; otherwise a support whose masks would pass
-`SUPPORT_MAX_BITS` is refused before any is built, and a state graph that
-would pass `core.COVER_GRAPH_MAX_SIZE` is refused while it is built. Each
-tensor keeps the cover index of its support, so the first fold over an
-unchanged support builds the graph and every fold (`per3`, `det3`, the
-signing certificate's folds, the strong count of a construction) is one
-pass over it with the values it is given. Pfaffian signings of bipartite
-graphs come from one GF(2) solve over the perfect matchings, reduced as
-they are walked, so a graph with no signing stops at the first
-contradiction.
+masks, so no diagonal is listed. `support_diagonals` lists them for
+witnesses and tests by walking the same graph. A tensor with an axis index
+that no entry uses has no support diagonal, and is answered from its
+entries before anything of the cube's size is built; otherwise a support
+whose masks would pass `SUPPORT_MAX_BITS` is refused before any is built,
+and a state graph that would pass `core.COVER_GRAPH_MAX_SIZE` is refused
+while it is built. Each tensor keeps the cover index of its support, so
+the first search over an unchanged support builds the graph and every
+fold (`per3`, `det3`, the signing certificate's folds, the strong count of
+a construction) and every listing reads it. Pfaffian signings of bipartite
+graphs come from one GF(2) solve over the rows of the perfect matchings,
+reduced over their own state graph (`core.CoverIndex.parity_span`), so no
+matching is listed.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ from .core import (
     TriangularConfiguration,
     check_edge_tripartition,
     check_vertex_tripartition,
-    exact_covers,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 PERMANENT2_MAX_SIDE = 20
 SUPPORT_MAX_BITS = 1 << 28
-SIGNING_MAX_MATCHINGS = 1 << 16
 BINET_CAUCHY_MAX_SUBSETS = 100_000
 
 RingValue = int | Fraction | Polynomial
@@ -206,7 +204,8 @@ def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
     """Yield the cells of every (sigma1, sigma2) pair with a nonzero entry product.
 
     Such a pair is an exact cover of the 3n axis indices of the zero-padded
-    cube by nonzero cells. Cells come in search order, not row order.
+    cube by nonzero cells. Cells come in search order, not row order, from
+    a walk of the state graph of the tensor's cover index (see `per3`).
     """
     if _index_gap(tensor):
         return
@@ -528,28 +527,23 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     sign, det = per iff every M has sum of s_e over M = parity(sigma) over
     GF(2) (Little 1975; Vazirani and Yannakakis 1989). Each matching is one
     row, bit 1 + o for edge o of the sorted edges and bit 0 for the parity,
-    and one echelon reduction, run alongside the walk, solves the system: it
-    is inconsistent iff the basis holds the row 1 (0 = 1), so the walk stops
-    with None as soon as that row appears. Otherwise each pivot edge takes
-    bit 0 of its row and every free edge +1. The walk is guarded at
-    `SIGNING_MAX_MATCHINGS` matchings.
+    reduced by `CoverIndex.parity_span` over the matching problem's state
+    graph, under its guard, with no matching listed. Edge (i, j) gets the
+    sign mask "left vertices below i and right vertices below j", so a
+    pair of edges adds one to the parity iff it is an inversion of sigma.
+    The system is inconsistent iff the basis holds the row 1 (0 = 1).
+    Otherwise each pivot edge takes bit 0 of its row and every free edge +1.
     """
     edges = sorted(graph.edges)
     item_count, options = graph.matching_problem(edges)
-    nl = len(graph.left)
-    basis: list[int] = []
-    perm = [0] * nl
-    for count, cover in enumerate(exact_covers(item_count, options), 1):
-        if count > SIGNING_MAX_MATCHINGS:
-            raise GuardExceeded(f"signing guard is {SIGNING_MAX_MATCHINGS} perfect matchings")
-        row = 0
-        for oi in cover:
-            mask = options[oi]  # left vertex i and right vertex j as items i and nl + j
-            perm[(mask & -mask).bit_length() - 1] = mask.bit_length() - 1 - nl
-            row |= 2 << oi
-        _gf2_insert(basis, row | (permutation_sign(perm) < 0))
-        if basis and basis[-1] == 1:
-            return None
+    left = (1 << len(graph.left)) - 1
+    signs = []
+    for mask in options:  # left vertex i and right vertex j as items i and nl + j
+        low = mask & -mask
+        signs.append((low - 1) | ((mask ^ low) - 1) ^ left)
+    basis = CoverIndex(item_count, options).parity_span(signs)
+    if basis and basis[-1] == 1:
+        return None
     signing = dict.fromkeys(edges, 1)
     for row in basis:
         if row & 1:

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import kas3.core as core
 from kas3.core import TriangularConfiguration, perfect_matching_polynomial
 from kas3.errors import GuardExceeded
 from kas3.gadgets import tripartite_reduction
@@ -134,6 +135,45 @@ def determinant3_dense(tensor):
             sign = sign1 * permutation_parity(s2)
             total = total + (product if sign > 0 else -product)
     return total
+
+
+def support_diagonals_by_rows(tensor):
+    """Cells of every support diagonal, in row order, by a plain search over the
+    rows 0..n-1 of the zero-padded cube (no side guard, no cover index)."""
+    n = tensor.cube_side
+    by_row = [[] for _ in range(n)]
+    for (i, j, k), value in sorted(tensor.entries.items()):
+        if value:
+            by_row[i].append((j, k))
+    out = []
+    stack = [(0, 0, 0, ())]  # row, bitmasks of the used j and k, cells so far
+    while stack:
+        i, used_j, used_k, cells = stack.pop()
+        if i == n:
+            out.append(list(cells))
+            continue
+        for j, k in by_row[i]:
+            if not (used_j >> j & 1 or used_k >> k & 1):
+                stack.append((i + 1, used_j | 1 << j, used_k | 1 << k, cells + ((i, j, k),)))
+    return sorted(out)
+
+
+def counting_index(item_count: int, options: list[int]) -> tuple[core.CoverIndex, list[int]]:
+    """A fresh `CoverIndex` whose `choose` calls record their `covered` argument."""
+    index = core.CoverIndex(item_count, options)
+    calls: list[int] = []
+    choose = index.choose
+    index.choose = lambda covered, live: calls.append(covered) or choose(covered, live)
+    return index, calls
+
+
+def cover_graph_size(item_count: int, options: list[int]) -> int:
+    """States visited plus arcs kept by a `CoverIndex` build, counted from its
+    `choose` calls: the size its guard is checked against (a measure, not an oracle)."""
+    index, calls = counting_index(item_count, options)
+    index.fold([1] * len(options))
+    assert len(calls) == len(set(calls))  # the build visits each state once
+    return len(calls) + sum(len(arcs) for _, arcs in index.graph)
 
 
 def signed_biadjacency(graph, signing):

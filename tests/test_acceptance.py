@@ -97,7 +97,7 @@ def test_criterion_2_reduction_soundness(reduction_sweep):
     for config, _w, result, source_poly, reduced_poly in reduction_sweep:
         if source_poly != reduced_poly:
             mismatches.append(config)
-        if not source_poly.is_zero:
+        if source_poly:
             nonzero += 1
             sizes = [
                 sum(1 for c in result.edge_classes.values() if c == cls)

@@ -62,8 +62,8 @@ class TestDimerCounts:
         assert permanent2_bruteforce(q.graph.biadjacency()) == 9
 
     def test_odd_boxes_have_no_matchings(self):
-        assert dimer_polynomial(cubic_lattice(3, 1, 1)).is_zero
-        assert dimer_polynomial(cubic_lattice(3, 3, 1)).is_zero
+        assert not dimer_polynomial(cubic_lattice(3, 1, 1))
+        assert not dimer_polynomial(cubic_lattice(3, 3, 1))
 
     def test_polynomial_form(self):
         assert dimer_polynomial(cubic_lattice(2, 2, 1)) == Polynomial({2: 2})

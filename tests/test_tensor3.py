@@ -1,5 +1,6 @@
 """3-matrix permanents/determinants, builders, signings and Binet-Cauchy."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -38,12 +39,14 @@ from kas3.tensor3 import (
 )
 import kas3.tensor3 as tensor3
 from conftest import (
+    cover_graph_size,
     determinant2_leibniz,
     determinant3_dense,
     permanent2_bruteforce,
     permanent3_dense,
     pfaffian_signing_exists,
     signed_biadjacency,
+    support_diagonals_by_rows,
 )
 
 
@@ -60,6 +63,11 @@ def random_bipartite_graph(rng: random.Random) -> BipartiteGraph:
     while len(edges) > 16:
         edges.discard(min(edges))
     return BipartiteGraph(tuple(range(nl)), tuple(range(nr)), frozenset(edges))
+
+
+def circulant(n: int) -> BipartiteGraph:
+    """The three-diagonal circulant: i is adjacent to i, i + 1 and i + 2 mod n."""
+    return BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset((i, (i + d) % n) for i in range(n) for d in range(3)))
 
 
 def random_tensor(rng: random.Random, n: int, density: float = 0.5, lo=-3, hi=3) -> Tensor3:
@@ -288,11 +296,13 @@ class TestPermanentDeterminant:
         rng = random.Random(36)
         tensors = [random_tensor(rng, rng.randint(1, 7), density=0.4) for _ in range(25)]
         expected = []
-        for t in tensors:  # the diagonal walk lists covers and builds no graph
-            terms = [(diagonal_sign(cells), math.prod(t.entries[c] for c in cells)) for cells in support_diagonals(t)]
+        diagonals = [support_diagonals_by_rows(t) for t in tensors]  # no cover index
+        for t, cells_of in zip(tensors, diagonals):
+            terms = [(diagonal_sign(cells), math.prod(t.entries[c] for c in cells)) for cells in cells_of]
             expected.append((sum(p for _, p in terms), sum(s * p for s, p in terms)))
-        assert [(permanent3(t), determinant3(t)) for t in tensors] == expected
+        assert [(permanent3(t), determinant3(t)) for t in tensors] == expected  # per3 builds each graph
         assert [(permanent3(t), determinant3(t)) for t in tensors] == expected  # both sum the kept graph
+        assert [sorted(sorted(c) for c in support_diagonals(t)) for t in tensors] == diagonals  # a walk of the kept graph
         fresh = [Tensor3(t.dims, t.entries) for t in tensors]
         assert [(determinant3(t), permanent3(t)) for t in fresh] == [(d, p) for p, d in expected]
         assert interleaved_searches(random.Random(37)) == interleaved_searches(random.Random(37))
@@ -466,20 +476,24 @@ class TestProjectionsAndSignings:
         signing = find_pfaffian_signing(g)
         assert signing == {(0, 0): 1, (1, 0): 1}
 
-    def test_signing_matchings_guard(self, monkeypatch):
-        # a graph with a signing walks all of its matchings, so the guard is met
-        n = 8
-        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset((i, (i + d) % n) for i in range(n) for d in range(3)))
-        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 49)  # its perfect matchings
+    def test_signing_graph_guard_boundary(self, monkeypatch):
+        # the signing solves over its matching problem's state graph, under the graph guard
+        g = circulant(8)
+        size = cover_graph_size(*g.matching_problem(sorted(g.edges)))
+        built = []
+
+        class RecordedIndex(core.CoverIndex):
+            def __init__(self, item_count, options):
+                super().__init__(item_count, options)
+                built.append(self)
+
+        monkeypatch.setattr(tensor3, "CoverIndex", RecordedIndex)
+        monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size)
         assert find_pfaffian_signing(g) is not None
-        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 48)
-        with pytest.raises(GuardExceeded, match="48 perfect matchings"):
+        monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size - 1)
+        with pytest.raises(GuardExceeded, match=f"cover graph guard is {size - 1} states visited plus arcs kept"):
             find_pfaffian_signing(g)
-        # K_{4,4} has 24 matchings and no signing; the walk stops at 0 = 1, below the guard
-        edges = frozenset((i, j) for i in range(4) for j in range(4))
-        g = BipartiteGraph(tuple(range(4)), tuple(range(4)), edges)
-        monkeypatch.setattr(tensor3, "SIGNING_MAX_MATCHINGS", 23)
-        assert find_pfaffian_signing(g) is None
+        assert len(built) == 2 and built[-1].graph is None
 
     def test_signing_agrees_with_exhaustive_search(self):
         rng = random.Random(51)
@@ -507,21 +521,30 @@ class TestProjectionsAndSignings:
         if signing is not None:
             assert determinant2(signed_biadjacency(g, signing)) == permanent2(g.biadjacency()) == 121
 
-    def test_walk_stops_at_the_first_contradiction(self, monkeypatch):
-        walked = []
+    def test_box_past_65536_matchings_signs(self):
+        g = cubic_lattice(2, 2, 10).graph  # 326,041 perfect matchings
+        signing = find_pfaffian_signing(g)
+        assert signing is not None
+        assert determinant2(signed_biadjacency(g, signing)) == permanent2(g.biadjacency()) == 326041
 
-        def counting_covers(item_count, options):
-            for cover in core.exact_covers(item_count, options):
-                walked.append(cover)
-                yield cover
-
-        monkeypatch.setattr(tensor3, "exact_covers", counting_covers)
-        assert find_pfaffian_signing(cubic_lattice(2, 3, 4).graph) is None
-        assert len(walked) <= 415  # of its 1845 perfect matchings
+    def test_signings_of_random_graphs_are_pinned(self):
+        # a reduced echelon basis is unique, so these bytes do not depend on how the rows are reduced
+        rng = random.Random(52)
+        digest = hashlib.sha256()
+        found = 0
+        for _ in range(3000):
+            nl = rng.randint(0, 8)
+            nr = nl if rng.random() < 0.9 else rng.randint(0, 8)
+            p = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = frozenset((i, j) for i in range(nl) for j in range(nr) if rng.random() < p)
+            signing = find_pfaffian_signing(BipartiteGraph(tuple(range(nl)), tuple(range(nr)), edges))
+            found += signing is not None
+            digest.update(repr(None if signing is None else sorted(signing.items())).encode() + b";")
+        assert found == 2150
+        assert digest.hexdigest() == "86a81457764044992c0b0aa407f1226809f257061013ad3166755dd2bef678de"
 
     def test_three_diagonal_circulant_has_a_signing(self):
-        n = 8
-        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset((i, (i + d) % n) for i in range(n) for d in range(3)))
+        g = circulant(8)
         signing = find_pfaffian_signing(g)
         assert signing is not None and len(signing) == 24
         assert determinant2(signed_biadjacency(g, signing)) == permanent2(g.biadjacency()) == 49
@@ -533,6 +556,16 @@ class TestProjectionsAndSignings:
         count = dimer_polynomial(lattice, cross_check=False)(1)
         assert count == 229
         assert determinant3(build_T(lattice.graph.biadjacency()).tensor) == count
+
+    def test_sign_via_projections_of_a_large_circulant(self):
+        # entries (a, b, b) for each edge (a, b): both projections are the circulant
+        g = circulant(30)
+        t = Tensor3((30,) * 3, {(a, b, b): 1 for a, b in g.edges})
+        out = kasteleyn_sign_via_k1(t)
+        assert out is not None
+        signed, sign1, sign2 = out
+        assert len(sign1) == len(sign2) == 90
+        assert determinant3(signed) == permanent3(t) > 1 << 16
 
     def test_sign_via_projections_all_ones(self):
         t = Tensor3((2, 2, 2), {(i, j, k): 1 for i in range(2) for j in range(2) for k in range(2)})
