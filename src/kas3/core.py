@@ -545,15 +545,6 @@ class CoverIndex:
         return basis
 
 
-def exact_covers(item_count: int, options: Sequence[int]) -> Iterator[list[int]]:
-    """Yield every set of options covering each of `item_count` items exactly once.
-
-    Options are item bitmasks; each cover is a list of option indices in the
-    order they were chosen (see `CoverIndex.covers`).
-    """
-    return CoverIndex(item_count, options).covers()
-
-
 def exact_cover_tally(item_count: int, options: Sequence[int], weights: Sequence[int]) -> Polynomial:
     """Sum of x^(total weight) over the exact covers, given one integer weight per option.
 
@@ -562,25 +553,10 @@ def exact_cover_tally(item_count: int, options: Sequence[int], weights: Sequence
     cover's total is negative. A negative total raises `ToolkitError`.
     """
     coeffs: dict[int, int] = {}
-    for cover in exact_covers(item_count, options):
+    for cover in CoverIndex(item_count, options).covers():
         w = sum(weights[oi] for oi in cover)
         coeffs[w] = coeffs.get(w, 0) + 1
     return Polynomial(coeffs)
-
-
-def exact_cover_sum(
-    item_count: int,
-    options: Sequence[int],
-    values: Sequence,
-    signs: Sequence[int] | None = None,
-):
-    """Sum over the exact covers of the product of the chosen options' values.
-
-    See `CoverIndex.fold`. This builds a fresh index, so it always builds
-    the state graph; a caller that folds one problem more than once keeps a
-    `CoverIndex` instead, so later folds sum the graph the first one built.
-    """
-    return CoverIndex(item_count, options).fold(values, signs)
 
 
 # -- matchings and defects ----------------------------------------------------
@@ -616,7 +592,7 @@ class _SearchIndex:
         ntri = len(self.tri_ids)
         named = [
             tuple(sorted(self.tri_ids[oi] for oi in cover if oi < ntri))
-            for cover in exact_covers(item_count, options)
+            for cover in CoverIndex(item_count, options).covers()
         ]
         named.sort()
         return named
@@ -701,7 +677,7 @@ def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[
 def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
     """Number of perfect strong matchings, by a fold over the state graph (nothing is listed)."""
     idx, masks = _vertex_masks(config)
-    return exact_cover_sum(len(idx.vertex_ids), masks, [1] * len(masks))
+    return CoverIndex(len(idx.vertex_ids), masks).fold([1] * len(masks))
 
 
 def strong_matching_masks(config: TriangularConfiguration) -> tuple[dict[str, int], int]:

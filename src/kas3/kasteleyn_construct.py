@@ -22,9 +22,9 @@ from typing import Mapping, Sequence
 
 from ._util import read_int
 from .core import (
+    CoverIndex,
     TriangularConfiguration,
     count_perfect_strong_matchings,
-    exact_covers,
     strong_matching_masks,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
@@ -32,7 +32,7 @@ from .tensor3 import (
     BipartiteGraph,
     RingValue,
     Tensor3,
-    _support_options,
+    _support,
     diagonal_sign,
     support_diagonals,
     support_sum,
@@ -291,13 +291,13 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     matchings; together these say the images are exactly the strong
     matchings. When the tensor's cells, as masks over its axis indices, are
     the configuration's triangle vertex masks (same item count, same
-    multiset), the two cover problems are one, and the count is the
-    tensor's indicator fold over the tensor's cover index, one pass over
-    its state graph when `per3` or a certificate has built it; otherwise
-    the configuration gets its own graph. An image enters through the XOR
-    and popcount sum of its vertex masks: with every triangle present it is
-    a perfect strong matching iff the XOR is the full mask and the sum the
-    vertex count. A weight mismatch names the first failing matching by its
+    multiset, read from the tensor's support), the two cover problems are
+    one, and the count is the tensor's indicator fold over the tensor's
+    cover index, one pass over its state graph when `per3` or a
+    certificate has built it; otherwise the configuration gets its own
+    graph. An image enters through the XOR and popcount sum of its vertex
+    masks: with every triangle present it is a perfect strong matching iff
+    the XOR is the full mask and the sum the vertex count. A weight mismatch names the first failing matching by its
     sorted name pairs. Guarded like `certify_trivial_signing`; `threads` is
     ignored, kept so that existing callers keep working.
     """
@@ -306,8 +306,9 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     if sorted(edges) != sorted(tc.graph.edges):
         raise ToolkitError("the support graph's edges are not those of the edge list")
     mask_of, full = strong_matching_masks(tc.config)
-    item_count, _cells, options = _support_options(tc.tensor)
-    if item_count == full.bit_length() and sorted(options) == sorted(mask_of.values()):
+    support = _support(tc.tensor)
+    index = support[1] if support else None
+    if index and index.item_count == full.bit_length() and sorted(index.options) == sorted(mask_of.values()):
         strong = support_sum(tc.tensor, indicator=True)  # the same problem, on the tensor's index
     else:
         strong = count_perfect_strong_matchings(tc.config)
@@ -316,7 +317,7 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     graph_matchings = 0
     all_strong = True
     broken = None  # the first matching, by names, whose weights disagree
-    for cover in exact_covers(*tc.graph.matching_problem(edges)):
+    for cover in CoverIndex(*tc.graph.matching_problem(edges)).covers():
         graph_matchings += 1
         key = 0
         xor, popcount, missing = base

@@ -72,15 +72,14 @@ def cubic_lattice(a: int, b: int, c: int) -> CubicLattice:
 def dimer_polynomial(
     lattice: CubicLattice,
     edge_weights: Mapping[tuple[Coord, Coord], int] | None = None,
-    cross_check: bool = True,
     threads: int = 1,
 ) -> Polynomial:
     """Generating polynomial of perfect matchings; zero when the box is odd.
 
-    With `cross_check` (the default) the matching count is recomputed through
-    the support-matrix permanent and the tensor-pipeline permanent, and all
-    three values must agree exactly. `threads` is ignored; it stays so that
-    existing callers keep working.
+    The matching count is recomputed through the support-matrix permanent
+    and the tensor-pipeline permanent, and all three values must agree
+    exactly. `threads` is ignored; it stays so that existing callers keep
+    working.
     """
     if lattice.vertex_count > DIMER_MAX_VERTICES:
         raise GuardExceeded(
@@ -92,16 +91,15 @@ def dimer_polynomial(
     edge_weights = edge_weights or {}
     weights = [operator.index(edge_weights.get(e, 1)) for e in edges]
     poly = exact_cover_tally(*lattice.graph.matching_problem(edges), weights)
-    if cross_check:
-        count = poly(1)
-        biadj = lattice.graph.biadjacency()
-        via_matrix = permanent2(biadj)
-        via_tensor = permanent3(build_T(biadj).tensor)
-        if not (via_matrix == count and via_tensor == count):
-            raise ToolkitError(
-                f"dimer pipelines disagree: direct={count}, "
-                f"matrix={via_matrix}, tensor={via_tensor}"
-            )
+    count = poly(1)
+    biadj = lattice.graph.biadjacency()
+    via_matrix = permanent2(biadj)
+    via_tensor = permanent3(build_T(biadj).tensor)
+    if not (via_matrix == count and via_tensor == count):
+        raise ToolkitError(
+            f"dimer pipelines disagree: direct={count}, "
+            f"matrix={via_matrix}, tensor={via_tensor}"
+        )
     return poly
 
 

@@ -1,22 +1,19 @@
 """Sparse exact 3-matrices: permanents, determinants, adjacency builders, signings.
 
 Entry values are exact ring elements: Python ints, fractions, or Polynomial.
-Cubic permanents and determinants are folded sums over the nonzero support
-diagonals, the exact covers of the padded cube's axis indices by nonzero
-cells: `core.CoverIndex.fold` sums the search's state graph, one state per
-set of covered indices, and keeps the determinant's sign from per-cell
-masks, so no diagonal is listed. `support_diagonals` lists them for
-witnesses and tests by walking the same graph. A tensor with an axis index
-that no entry uses has no support diagonal, and is answered from its
-entries before anything of the cube's size is built; otherwise a support
+A `Tensor3` is a value with read-only entries. Cubic permanents and
+determinants are folded sums over the nonzero support diagonals, the exact
+covers of the padded cube's axis indices by nonzero cells:
+`core.CoverIndex.fold` sums the search's state graph, one state per set of
+covered indices, and keeps the determinant's sign from per-cell masks, so
+no diagonal is listed; `support_diagonals` lists them by walking the same
+graph. Each tensor works out its support once (`_support`), and its
+resignings share it. A tensor with an axis index that no entry uses has no
+support diagonal and is answered from its entries; otherwise a support
 whose masks would pass `SUPPORT_MAX_BITS` is refused before any is built,
-and a state graph that would pass `core.COVER_GRAPH_MAX_SIZE` is refused
-while it is built. Each tensor keeps the cover index of its support, so
-the first search over an unchanged support builds the graph and every
-fold (`per3`, `det3`, the signing certificate's folds, the strong count of
-a construction) and every listing reads it. Pfaffian signings of bipartite
-graphs come from one GF(2) solve over the rows of the perfect matchings,
-reduced over their own state graph (`core.CoverIndex.parity_span`), so no
+and a state graph past `core.COVER_GRAPH_MAX_SIZE` while it is built.
+Pfaffian signings of bipartite graphs come from one GF(2) solve over their
+perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.
 """
 
@@ -28,7 +25,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._util import read_int
 from .algebra import Polynomial, _gf2_insert
@@ -50,10 +48,12 @@ RingValue = int | Fraction | Polynomial
 class Tensor3:
     """Sparse n1 x n2 x n3 array over exact ring values; absent entries are zero.
 
-    `_cover` caches the cover index of the support (see `_support_index`).
+    `entries` is a read-only view of the nonzero cells: to change an entry,
+    build a new `Tensor3`. `_support` keeps the support once it is worked
+    out (see `_support`).
     """
 
-    __slots__ = ("dims", "entries", "_cover")
+    __slots__ = ("dims", "entries", "_support")
 
     def __init__(self, dims: Sequence[int], entries: Mapping[tuple[int, int, int], RingValue]):
         self.dims = tuple(operator.index(d) for d in dims)
@@ -66,8 +66,8 @@ class Tensor3:
                 raise ToolkitError(f"entry index ({i},{j},{k}) outside dims {self.dims}")
             if value:
                 clean[(i, j, k)] = value
-        self.entries = clean
-        self._cover: CoverIndex | None = None
+        self.entries: Mapping[tuple[int, int, int], RingValue] = MappingProxyType(clean)
+        self._support: Support | None = None
 
     @property
     def cube_side(self) -> int:
@@ -185,19 +185,23 @@ def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], 
     return 3 * n, cells, options
 
 
-def _support_index(tensor: Tensor3) -> tuple[CoverIndex, list[tuple[int, int, int]]]:
-    """The tensor's cover index and its cells, rebuilt when the support changed.
+Support = Literal[False] | tuple[list[tuple[int, int, int]], CoverIndex]
 
-    The options are recomputed from `entries` on every call and the cached
-    index is kept only when its item count and options equal them, so an
-    index never outlives an in-place change to the support. Values are not
-    part of the index; callers read them fresh.
+
+def _support(tensor: Tensor3) -> Support:
+    """The tensor's sorted cells and the cover index of their masks, or False
+    when some axis index has no entry, worked out on first use and kept.
+
+    Values are not part of the support; callers read them from `entries`.
     """
-    item_count, cells, options = _support_options(tensor)
-    index = tensor._cover
-    if index is None or index.item_count != item_count or index.options != options:
-        index = tensor._cover = CoverIndex(item_count, options)
-    return index, cells
+    support = tensor._support
+    if support is None:
+        support = False
+        if not _index_gap(tensor):
+            item_count, cells, options = _support_options(tensor)
+            support = (cells, CoverIndex(item_count, options))
+        tensor._support = support
+    return support
 
 
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
@@ -207,11 +211,11 @@ def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
     cube by nonzero cells. Cells come in search order, not row order, from
     a walk of the state graph of the tensor's cover index (see `per3`).
     """
-    if _index_gap(tensor):
-        return
-    index, cells = _support_index(tensor)
-    for cover in index.covers():
-        yield [cells[oi] for oi in cover]
+    support = _support(tensor)
+    if support:
+        cells, index = support
+        for cover in index.covers():
+            yield [cells[oi] for oi in cover]
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -254,14 +258,15 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     items below k, and the fold of `core.CoverIndex.fold` negates its factor
     when the covered part of that mask has odd size.
 
-    Every call sums the state graph of the tensor's cover index, which the
-    first call over an unchanged support builds; a graph past
-    `core.COVER_GRAPH_MAX_SIZE` states and arcs raises `GuardExceeded`. A
-    tensor with an unused axis index sums to 0 before any index is built.
+    Every call sums the state graph of the tensor's cover index (see
+    `_support`), which the first search over the support builds; a graph
+    past `core.COVER_GRAPH_MAX_SIZE` states and arcs raises `GuardExceeded`.
+    A tensor with an unused axis index sums to 0 before any index is built.
     """
-    if _index_gap(tensor):
+    support = _support(tensor)
+    if not support:
         return 0
-    index, cells = _support_index(tensor)
+    cells, index = support
     values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
     signs = None
     if signed:
@@ -397,12 +402,17 @@ class BipartiteGraph:
 
         Items are the left vertices, then the right ones; option o is edge
         `edges[o]`. With sides of unequal size there are no options, so no
-        cover.
+        cover. Otherwise the masks take `len(edges) * item_count` bits, and
+        past `SUPPORT_MAX_BITS` of them the problem is refused before any
+        mask is built.
         """
         nl = len(self.left)
         item_count = nl + len(self.right)
         if nl != len(self.right):
             return item_count, []
+        bits = len(edges) * item_count
+        if bits > SUPPORT_MAX_BITS:
+            raise GuardExceeded(f"matching guard is {SUPPORT_MAX_BITS} mask bits (edges * vertices), got {bits}")
         lpos = {u: i for i, u in enumerate(self.left)}
         rpos = {v: nl + j for j, v in enumerate(self.right)}
         return item_count, [1 << lpos[u] | 1 << rpos[v] for u, v in edges]
@@ -504,7 +514,11 @@ EdgeSigning = dict
 
 
 def apply_signing(tensor: Tensor3, sign1: Mapping, sign2: Mapping) -> Tensor3:
-    """Entrywise resigning A'[a,b,c] = sign1[(a,b)] * sign2[(a,c)] * A[a,b,c]."""
+    """Entrywise resigning A'[a,b,c] = sign1[(a,b)] * sign2[(a,c)] * A[a,b,c].
+
+    A sign flip zeroes no entry, so the resigning has the same cells and
+    shares the tensor's support (see `_support`).
+    """
     entries: dict[tuple[int, int, int], RingValue] = {}
     for (a, b, c), value in tensor.entries.items():
         if (a, b) not in sign1:
@@ -515,7 +529,9 @@ def apply_signing(tensor: Tensor3, sign1: Mapping, sign2: Mapping) -> Tensor3:
         if s not in (1, -1):
             raise ToolkitError(f"signs must be +1 or -1, got {s}")
         entries[(a, b, c)] = value if s == 1 else -value
-    return Tensor3(tensor.dims, entries)
+    signed = Tensor3(tensor.dims, entries)
+    signed._support = tensor._support
+    return signed
 
 
 def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
@@ -558,7 +574,9 @@ def kasteleyn_sign_via_k1(tensor: Tensor3) -> tuple[Tensor3, EdgeSigning, EdgeSi
     That is *not* a proof that no resigning of the tensor exists, only that
     this sufficient condition does not apply. A tensor with an unused axis-0
     index gives both graphs an isolated left vertex, so neither has a perfect
-    matching and every edge is signed +1 without building the graphs.
+    matching and every edge is signed +1 without building the graphs. The
+    permanent is taken before the resigning, which shares its support, so
+    the verification's two folds sum one state graph.
     """
     if _index_gap(tensor, (0,)):
         sign1 = {(a, b): 1 for a, b, _c in tensor.entries}
@@ -571,8 +589,9 @@ def kasteleyn_sign_via_k1(tensor: Tensor3) -> tuple[Tensor3, EdgeSigning, EdgeSi
         sign2 = find_pfaffian_signing(graphs.g2)
         if sign2 is None:
             return None
+    per = permanent3(tensor)
     signed = apply_signing(tensor, sign1, sign2)
-    if determinant3(signed) != permanent3(tensor):
+    if determinant3(signed) != per:
         raise ToolkitError("resigning verification failed; this should be impossible")
     return signed, sign1, sign2
 

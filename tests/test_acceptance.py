@@ -219,7 +219,7 @@ def test_criterion_7_lattice_counts():
     results = {}
     for dims, want in expected.items():
         q = cubic_lattice(*dims)
-        direct = dimer_polynomial(q, cross_check=False)(1)
+        direct = dimer_polynomial(q)(1)
         pipeline = permanent3(build_T(q.graph.biadjacency()).tensor)
         results[dims] = (direct, pipeline, want)
     brute = permanent2_bruteforce(cubic_lattice(2, 2, 2).graph.biadjacency())

@@ -23,6 +23,7 @@ from conftest import (
 import kas3.core as core
 from kas3.algebra import Polynomial
 from kas3.core import (
+    CoverIndex,
     TriangularConfiguration,
     check_edge_tripartition,
     check_vertex_tripartition,
@@ -30,8 +31,6 @@ from kas3.core import (
     defect,
     count_perfect_strong_matchings,
     enumerate_matchings_with_defect_within,
-    exact_cover_sum,
-    exact_covers,
     enumerate_perfect_strong_matchings,
     find_edge_tripartition,
     find_vertex_tripartition,
@@ -190,21 +189,21 @@ class TestExactCovers:
                 for item in rng.sample(range(item_count), min(size, item_count)):
                     mask |= 1 << item
                 options.append(mask)
-            covers = [tuple(sorted(cover)) for cover in exact_covers(item_count, options)]
+            covers = [tuple(sorted(cover)) for cover in CoverIndex(item_count, options).covers()]
             assert sorted(covers) == brute_force_exact_covers(item_count, options)
 
     def test_edge_cases(self):
-        assert list(exact_covers(0, [])) == [[]]
-        assert list(exact_covers(2, [])) == []
+        assert list(CoverIndex(0, []).covers()) == [[]]
+        assert list(CoverIndex(2, []).covers()) == []
         # item 2 is in no option
-        assert list(exact_covers(3, [0b011, 0b001, 0b010])) == []
-        assert list(exact_covers(1, [0b1, 0b1])) == [[0], [1]]
+        assert list(CoverIndex(3, [0b011, 0b001, 0b010]).covers()) == []
+        assert list(CoverIndex(1, [0b1, 0b1]).covers()) == [[0], [1]]
 
     def test_yield_order_is_pinned(self):
         # items 0-3; every item starts with 3 options, so the root branches on
         # item 0 and each cover lists its options in the order they were chosen
         options = [0b0011, 0b1100, 0b0001, 0b0010, 0b0110, 0b1000, 0b1001, 0b0100]
-        assert list(exact_covers(4, options)) == [
+        assert list(CoverIndex(4, options).covers()) == [
             [0, 1],
             [0, 7, 5],
             [2, 3, 1],
@@ -235,8 +234,8 @@ class TestExactCoverSum:
             values = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in options]
             covers = brute_force_exact_covers(item_count, options)
             expected = sum(math.prod(values[oi] for oi in cover) for cover in covers)
-            assert exact_cover_sum(item_count, options, values) == expected
-            assert exact_cover_sum(item_count, options, [1] * len(options)) == len(covers)
+            assert CoverIndex(item_count, options).fold(values) == expected
+            assert CoverIndex(item_count, options).fold([1] * len(options)) == len(covers)
 
     def test_signs_follow_the_enumeration_order(self):
         # a term's sign is fixed by the items covered before each of its
@@ -247,23 +246,23 @@ class TestExactCoverSum:
             values = [rng.choice((-2, 1, 3)) for _ in options]
             signs = [rng.getrandbits(max(item_count, 1)) for _ in options]
             expected = 0
-            for cover in exact_covers(item_count, options):
+            for cover in CoverIndex(item_count, options).covers():
                 covered, term = 0, 1
                 for oi in cover:
                     term *= -values[oi] if (covered & signs[oi]).bit_count() & 1 else values[oi]
                     covered |= options[oi]
                 expected += term
-            assert exact_cover_sum(item_count, options, values, signs) == expected
+            assert CoverIndex(item_count, options).fold(values, signs) == expected
 
     def test_empty_sum_and_empty_product(self):
-        assert exact_cover_sum(0, [], []) == 1
-        assert exact_cover_sum(2, [], []) == 0
-        assert exact_cover_sum(3, [0b011, 0b001, 0b010], [1, 1, 1]) == 0
-        assert exact_cover_sum(1, [0b1, 0b1], [2, 3]) == 5
+        assert CoverIndex(0, []).fold([]) == 1
+        assert CoverIndex(2, []).fold([]) == 0
+        assert CoverIndex(3, [0b011, 0b001, 0b010]).fold([1, 1, 1]) == 0
+        assert CoverIndex(1, [0b1, 0b1]).fold([2, 3]) == 5
 
     def test_fold_depth_is_not_bounded_by_recursion_limit(self):
         options = [0b111 << 3 * i for i in range(3000)]
-        assert exact_cover_sum(9000, options, [2] * 3000) == 2**3000
+        assert CoverIndex(9000, options).fold([2] * 3000) == 2**3000
         edges = {
             f"e{i}": (f"v{i}", f"v{i + 1 if i % 3 < 2 else i - 2}") for i in range(9000)
         }
@@ -316,7 +315,7 @@ class TestFoldReplay:
                 item_count = 15
                 options = [sum(1 << i for i in rng.sample(range(15), rng.randint(1, 4))) for _ in range(30)]
             folds = [self.random_fold(rng, item_count, len(options)) for _ in range(3)]
-            expected = [exact_cover_sum(item_count, options, *fold) for fold in folds]
+            expected = [CoverIndex(item_count, options).fold(*fold) for fold in folds]
             for (values, signs), total in zip(folds, expected):
                 if signs is None:
                     assert total == self.unsigned_sum(item_count, options, values)
@@ -349,7 +348,7 @@ class TestFoldReplay:
             if size < 2:
                 continue
             sizes += 1
-            expected = exact_cover_sum(item_count, options, [2] * len(options))
+            expected = CoverIndex(item_count, options).fold([2] * len(options))
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size)
             assert core.CoverIndex(item_count, options).fold([2] * len(options)) == expected
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size - 1)
@@ -408,7 +407,7 @@ class TestFoldReplay:
             if size < 2:
                 continue
             checked += 1
-            expected = list(exact_covers(item_count, options))
+            expected = list(CoverIndex(item_count, options).covers())
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size)
             assert list(core.CoverIndex(item_count, options).covers()) == expected
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size - 1)

@@ -273,7 +273,7 @@ class TestCertifications:
             raise AssertionError("matchings listed above the guard")
 
         monkeypatch.setattr(kc, "TRIVIAL_SIGNING_MAX_SIDE", 7)
-        monkeypatch.setattr(kc, "exact_covers", refuse)
+        monkeypatch.setattr(kc, "CoverIndex", refuse)
         tc = build_T([[1, 1], [1, 1]])
         assert tc.m == 8
         with pytest.raises(GuardExceeded, match="guard is side 7, got 8"):
@@ -342,6 +342,29 @@ class TestSearchWork:
         assert work(lambda: determinant3(tc.tensor)) == (0, 0)
         assert work(lambda: certify_trivial_signing(tc)) == (0, 0)
         assert work(lambda: strong_matching_bijection_check(tc)) == (1, 64)  # graph matchings only
+
+    def test_each_tensor_works_out_its_support_once(self, monkeypatch):
+        from dataclasses import replace
+
+        import kas3.tensor3 as tensor3
+        from kas3.tensor3 import Tensor3
+
+        worked_out = []
+        support_options = tensor3._support_options
+
+        def recording(tensor):
+            worked_out.append(tensor)
+            return support_options(tensor)
+
+        monkeypatch.setattr(tensor3, "_support_options", recording)
+        tc = build_T([[1] * 4] * 4)
+        assert permanent3(tc.tensor) == determinant3(tc.tensor) == 24
+        assert certify_trivial_signing(tc).passed
+        assert strong_matching_bijection_check(tc).passed
+        ones = Tensor3((2, 2, 2), {(i, j, k): 1 for i in range(2) for j in range(2) for k in range(2)})
+        failing = certify_trivial_signing(replace(tc, tensor=ones))  # folds, then the witness walk
+        assert (failing.passed, failing.contributing_pairs, failing.witness) == (False, 4, ((0, 1), (1, 0)))
+        assert [id(t) for t in worked_out] == [id(tc.tensor), id(ones)]
 
 
 class TestSharedStrongCount:

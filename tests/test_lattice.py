@@ -76,11 +76,10 @@ class TestDimerCounts:
         # one matching uses the heavy edge (3 + 1), the other does not (1 + 1)
         assert poly == Polynomial({4: 1, 2: 1})
 
-    @pytest.mark.parametrize("cross_check", [True, False])
-    def test_negative_weight_with_non_negative_totals(self, cross_check):
+    def test_negative_weight_with_non_negative_totals(self):
         q = cubic_lattice(2, 2, 1)
         heavy = min(q.graph.edges)
-        poly = dimer_polynomial(q, edge_weights={heavy: -1}, cross_check=cross_check)
+        poly = dimer_polynomial(q, edge_weights={heavy: -1})
         assert poly == Polynomial({0: 1, 2: 1})
 
     def test_negative_total_weight_raises(self):
@@ -106,7 +105,7 @@ class TestDimerCounts:
     def test_pipeline_agreement_small_boxes(self):
         for dims in [(2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 2)]:
             q = cubic_lattice(*dims)
-            direct = dimer_polynomial(q, cross_check=False)(1)
+            direct = dimer_polynomial(q)(1)
             tc = build_T(q.graph.biadjacency())
             assert permanent3(tc.tensor) == direct
 
@@ -114,7 +113,7 @@ class TestDimerCounts:
         from kas3.tensor3 import permanent2
 
         q = cubic_lattice(2, 2, 4)
-        direct = dimer_polynomial(q, cross_check=False)(1)
+        direct = dimer_polynomial(q)(1)
         assert direct == 121
         assert permanent2(q.graph.biadjacency()) == 121
         assert permanent3(build_T(q.graph.biadjacency()).tensor) == 121

@@ -113,12 +113,13 @@ def _dense_searches(t: Tensor3):
     return permanent3_dense(t), determinant3_dense(t), pairs, determinant3_dense(ones) == pairs, sorted(diagonals)
 
 
-def interleaved_searches(rng: random.Random) -> list:
-    """Run the four searches on one tensor while its entries change in place.
+def changed_searches(rng: random.Random) -> list:
+    """Run the four searches on chains of tensors, each one change from the last.
 
-    Between rounds one value changes, one cell is removed and one is added,
-    and every result must equal that of a fresh tensor with the same entries
-    and the dense oracle. Returns the results, for comparing runs.
+    Each round builds a new tensor with one value changed, one cell removed
+    or one cell added, and every result must equal that of another fresh
+    tensor with the same entries and the dense oracle. Returns the results,
+    for comparing runs.
     """
     out = []
     for trial in range(10):
@@ -126,25 +127,27 @@ def interleaved_searches(rng: random.Random) -> list:
         t = random_tensor(rng, n, density=0.7)
         for change in ("value", "remove", "add", "value"):
             got = _searches(t, trial + len(out))
-            assert got == _searches(Tensor3(t.dims, dict(t.entries)), 0)
+            assert got == _searches(Tensor3(t.dims, t.entries), 0)
             per, det, pairs, passed, diagonals = _dense_searches(t)
             assert got[:2] == [per, det]
             assert (got[2].contributing_pairs, got[2].passed) == (pairs, passed)
             assert got[3] == diagonals
             out.append(got)
-            cells = sorted(t.entries)
+            entries = dict(t.entries)
+            cells = sorted(entries)
             if change == "value" and cells:
-                t.entries[rng.choice(cells)] = rng.choice([-2, 2, 3, Fraction(1, 2)])
+                entries[rng.choice(cells)] = rng.choice([-2, 2, 3, Fraction(1, 2)])
             elif change == "remove" and cells:
-                del t.entries[rng.choice(cells)]
+                del entries[rng.choice(cells)]
             else:
                 empty = [
                     (i, j, k)
                     for i in range(n) for j in range(n) for k in range(n)
-                    if (i, j, k) not in t.entries
+                    if (i, j, k) not in entries
                 ]
                 if empty:
-                    t.entries[rng.choice(empty)] = rng.choice([-1, 1, 2])
+                    entries[rng.choice(empty)] = rng.choice([-1, 1, 2])
+            t = Tensor3(t.dims, entries)
     return out
 
 
@@ -305,39 +308,32 @@ class TestPermanentDeterminant:
         assert [sorted(sorted(c) for c in support_diagonals(t)) for t in tensors] == diagonals  # a walk of the kept graph
         fresh = [Tensor3(t.dims, t.entries) for t in tensors]
         assert [(determinant3(t), permanent3(t)) for t in fresh] == [(d, p) for p, d in expected]
-        assert interleaved_searches(random.Random(37)) == interleaved_searches(random.Random(37))
+        assert changed_searches(random.Random(37)) == changed_searches(random.Random(37))
 
-    def test_cover_index_follows_in_place_changes(self):
-        interleaved_searches(random.Random(38))
+    def test_entries_are_read_only(self):
+        source = {(0, 0, 0): 2, (1, 1, 1): 3}
+        t = Tensor3((2, 2, 2), source)
+        with pytest.raises(TypeError):
+            t.entries[(0, 0, 0)] = 5
+        with pytest.raises(TypeError):
+            del t.entries[(1, 1, 1)]
+        source[(0, 0, 0)] = 7  # the tensor keeps its own copy
+        assert dict(t.entries) == {(0, 0, 0): 2, (1, 1, 1): 3}
+        assert t == Tensor3((2, 2, 2), t.entries) and permanent3(t) == determinant3(t) == 6
 
-    def test_cover_index_is_shared_until_the_support_changes(self):
+    def test_resigning_shares_the_support(self):
         t = random_tensor(random.Random(39), 4, density=0.6)
-        permanent3(t)
-        index = t._cover
-        key = next(iter(t.entries))
-        t.entries[key] = t.entries[key] * 5
-        assert determinant3(t) == determinant3_dense(t)
-        assert list(support_diagonals(t)) and t._cover is index
-        del t.entries[key]
         assert permanent3(t) == permanent3_dense(t)
-        assert t._cover is not index
-
-    def test_folds_read_values_changed_in_place(self):
-        # the support stays, so every fold after the first replays its state graph
-        rng = random.Random(40)
-        x = Polynomial.monomial(1)
-        replayed = 0
-        for trial in range(30):
-            t = random_tensor(rng, rng.randint(2, 4), density=0.7)
-            assert permanent3(t) == permanent3_dense(t)
-            pool = [-2, 3] + ([Fraction(1, 2), Fraction(-2, 3)] if trial % 2 else [x, 1 - x])
-            for _ in range(4):
-                for key in rng.sample(sorted(t.entries), min(3, len(t.entries))):
-                    t.entries[key] = rng.choice(pool)
-                assert permanent3(t) == permanent3_dense(t)
-                assert determinant3(t) == determinant3_dense(t)
-            replayed += t._cover is not None and t._cover.graph is not None
-        assert replayed >= 20
+        ones = {(i, j): 1 for i in range(4) for j in range(4)}
+        flips = {(i, j): -1 if (i + j) % 3 else 1 for i in range(4) for j in range(4)}
+        signed = apply_signing(t, flips, ones)
+        assert signed._support is t._support
+        assert determinant3(signed) == determinant3_dense(signed)
+        assert permanent3(signed) == permanent3_dense(signed)
+        cells, index = t._support
+        assert cells == sorted(signed.entries) and index.graph is not None
+        fresh = Tensor3(t.dims, t.entries)  # equal, but not a resigning: it works out its own
+        assert fresh == t and permanent3(fresh) == permanent3(t) and fresh._support[1] is not index
 
     def test_support_guard_fires_before_any_mask(self, monkeypatch):
         t = Tensor3((30000,) * 3, {(i, i, i): 1 for i in range(30000)})
@@ -368,7 +364,7 @@ class TestPermanentDeterminant:
         for t in tensors:
             assert permanent3(t) == determinant3(t) == 0
             assert list(support_diagonals(t)) == []
-            assert t._cover is None
+            assert t._support is False
 
     def test_dense_guard(self):
         t = Tensor3((5, 5, 5), {(0, 0, 0): 1})
@@ -553,7 +549,7 @@ class TestProjectionsAndSignings:
         # the 2-D identity fails on the 2x3x3 box, the 3-matrix determinant does not
         lattice = cubic_lattice(2, 3, 3)
         assert find_pfaffian_signing(lattice.graph) is None
-        count = dimer_polynomial(lattice, cross_check=False)(1)
+        count = dimer_polynomial(lattice)(1)
         assert count == 229
         assert determinant3(build_T(lattice.graph.biadjacency()).tensor) == count
 
@@ -597,6 +593,38 @@ class TestProjectionsAndSignings:
                 abs(v) for v in t.entries.values()
             }
         assert certified >= 20
+
+    def test_sign_verification_builds_one_support_graph(self, monkeypatch):
+        # one graph per projection's signing, and one for the support: per3 and det3 share it
+        built = []
+        build = core.CoverIndex._build
+
+        def counting_build(index):
+            built.append(index.item_count)
+            return build(index)
+
+        monkeypatch.setattr(core.CoverIndex, "_build", counting_build)
+        t = Tensor3((8,) * 3, {(a, b, b): 1 for a, b in circulant(8).edges})
+        signed, _, _ = kasteleyn_sign_via_k1(t)
+        assert built == [16, 16, 24]
+        assert signed._support is t._support and determinant3(signed) == permanent3(t) == 49
+        assert built == [16, 16, 24]
+
+    def test_matching_guard_fires_before_any_mask(self, monkeypatch):
+        def refuse(item_count, options):
+            raise AssertionError("cover index built past the guard")
+
+        t = Tensor3((30000,) * 3, {(i, i, i): 1 for i in range(30000)})
+        monkeypatch.setattr(tensor3, "CoverIndex", refuse)
+        with pytest.raises(GuardExceeded, match="matching guard is 268435456 mask bits .* got 1800000000"):
+            kasteleyn_sign_via_k1(t)
+        monkeypatch.undo()
+        g = circulant(8)  # 24 edges over 16 vertices
+        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 24 * 16)
+        assert find_pfaffian_signing(g) is not None
+        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 24 * 16 - 1)
+        with pytest.raises(GuardExceeded, match="got 384"):
+            find_pfaffian_signing(g)
 
 
 class TestTwoMatrixKernels:
@@ -644,10 +672,10 @@ class TestTwoMatrixKernels:
     def test_graph_matching_enumeration(self):
         g = BipartiteGraph(("a", "b"), ("x", "y"), frozenset([("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]))
         edges = sorted(g.edges)
-        matchings = sorted(sorted(edges[oi] for oi in cover) for cover in core.exact_covers(*g.matching_problem(edges)))
+        matchings = sorted(sorted(edges[oi] for oi in cover) for cover in core.CoverIndex(*g.matching_problem(edges)).covers())
         assert matchings == [[("a", "x"), ("b", "y")], [("a", "y"), ("b", "x")]]
         unbalanced = BipartiteGraph(("a",), ("x", "y"), frozenset([("a", "x")]))
-        assert list(core.exact_covers(*unbalanced.matching_problem([("a", "x")]))) == []
+        assert list(core.CoverIndex(*unbalanced.matching_problem([("a", "x")])).covers()) == []
 
 
 class TestBinetCauchy:
@@ -777,9 +805,7 @@ def _one_triangle():
             lambda: tripartite_reduction(_one_triangle(), {"t": 2.5}), id="tripartite_reduction"
         ),
         pytest.param(
-            lambda: dimer_polynomial(
-                cubic_lattice(2, 1, 1), {((0, 0, 0), (1, 0, 0)): 1.5}, cross_check=False
-            ),
+            lambda: dimer_polynomial(cubic_lattice(2, 1, 1), {((0, 0, 0), (1, 0, 0)): 1.5}),
             id="dimer_polynomial",
         ),
         pytest.param(lambda: core.build_config_doc(_one_triangle(), weights={"t": 2.7}), id="build_config_doc-weight"),
