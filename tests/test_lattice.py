@@ -76,10 +76,15 @@ class TestDimerCounts:
         # one matching uses the heavy edge (3 + 1), the other does not (1 + 1)
         assert poly == Polynomial({4: 1, 2: 1})
 
-    def test_negative_weight_with_non_negative_totals(self):
+    @pytest.mark.parametrize("explicit_units", [True, False])
+    def test_negative_weight_with_non_negative_totals(self, explicit_units):
+        # an edge left out of the weight map counts as weight 1, the same as
+        # an edge listed with weight 1
         q = cubic_lattice(2, 2, 1)
         heavy = min(q.graph.edges)
-        poly = dimer_polynomial(q, edge_weights={heavy: -1})
+        weights = {e: 1 for e in q.graph.edges} if explicit_units else {}
+        weights[heavy] = -1
+        poly = dimer_polynomial(q, edge_weights=weights)
         assert poly == Polynomial({0: 1, 2: 1})
 
     def test_negative_total_weight_raises(self):
