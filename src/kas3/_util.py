@@ -1,4 +1,4 @@
-"""Shared plumbing: canonical JSON, integer fields and exact decimals."""
+"""Shared plumbing: canonical JSON, integer and array fields, exact decimals."""
 
 from __future__ import annotations
 
@@ -25,6 +25,13 @@ def read_int(value, field: str) -> int:
         except (TypeError, ValueError):
             pass
     raise SchemaError(f"{field} is not an integer: {value!r}")
+
+
+def read_array(value, field: str) -> list | tuple:
+    """The array a document gives for `field`; a string or object would pass for its letters or keys."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{field} must be an array")
+    return value
 
 
 def exact_decimal(value: Fraction) -> str:

@@ -1,15 +1,16 @@
-"""Exact univariate polynomials, GF(p) linear algebra and binary-code enumerators.
+"""Exact univariate polynomials, sparse GF(p) echelon forms and binary-code enumerators.
 
 Coefficients are Python big integers throughout; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from typing import Iterable, Mapping, Sequence
 
-from ._util import read_int
+from ._util import read_array, read_int
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 WEIGHT_ENUM_MAX_DIM = 24
@@ -216,56 +217,50 @@ def fold_enumerator(poly: Polynomial, e: int) -> Polynomial:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def gf_p_rref(rows: Sequence[Sequence[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce over GF(p) with leftmost-pivot order; returns (rref, pivot columns)."""
+def gf_p_echelon(rows: Iterable[Mapping[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Echelon form over GF(p) of sparse rows (column -> value maps), keyed by pivot column.
+
+    Each kept row is 1 at its pivot, its leftmost column, and stores no zero.
+    p is tested for primality before the first row is read.
+    """
     if not is_prime(p):
         raise ToolkitError(f"{p} is not prime")
-    work = [[v % p for v in row] for row in rows]
-    for row in work:
-        if len(row) != ncols:
-            raise ToolkitError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][col], p - 2, p) if p > 2 else work[r][col]
-        work[r] = [(v * inv) % p for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            col = min(row)
+            pivot_row = echelon.get(col)
+            if pivot_row is None:
+                inv = pow(row[col], -1, p)
+                echelon[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot_row.items():
+                row[c] = (row.get(c, 0) - factor * v) % p
+            row = {c: v for c, v in row.items() if v}
+    return echelon
 
 
-def gf_p_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Deterministic kernel basis of the matrix over GF(p) (one vector per free column)."""
-    rref, pivots = gf_p_rref(rows, ncols, p)
-    pivot_set = set(pivots)
+def gf_p_nullspace(echelon: Mapping[int, Mapping[int, int]], ncols: int, p: int) -> list[tuple[int, ...]]:
+    """Kernel basis of a `gf_p_echelon` form over GF(p): one vector per free column, ascending.
+
+    The vector of free column f is 1 at f and 0 at the other free columns,
+    which fixes it; its pivot entries are back-substituted right to left.
+    """
+    pivots = sorted(echelon, reverse=True)
     basis: list[tuple[int, ...]] = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in echelon:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-rref[r][free]) % p
+        for col in pivots:
+            # vec[col] is still 0, so the pivot's own entry adds nothing
+            vec[col] = -sum(v * vec[c] for c, v in echelon[col].items()) % p
         basis.append(tuple(vec))
     return basis
 
@@ -293,7 +288,7 @@ class BinaryCode:
             n = len(rows[0]) if rows else 0
         masks = []
         for r, row in enumerate(rows):
-            if len(row) != n:
+            if len(read_array(row, f"rows[{r}]")) != n:
                 raise SchemaError("ragged generator matrix")
             mask = 0
             for j, bit in enumerate(row):
@@ -307,7 +302,7 @@ class BinaryCode:
     @classmethod
     def from_doc(cls, doc) -> "BinaryCode":
         try:
-            k, n, rows = read_int(doc["k"], "k"), read_int(doc["n"], "n"), doc["rows"]
+            k, n, rows = read_int(doc["k"], "k"), read_int(doc["n"], "n"), read_array(doc["rows"], "rows")
             if len(rows) != k:
                 raise SchemaError(f"expected {k} generator rows, got {len(rows)}")
             return cls.from_rows(rows, n)

@@ -1,4 +1,4 @@
-"""Triangular configurations: data model, validation and exact matching enumeration.
+"""Triangular configurations: data model, validation, exact matchings and sparse GF(p) cycle spaces.
 
 A configuration is a 2-complex whose maximal simplices are triangles or edges.
 Edges are first-class opaque ids; vertex endpoints are optional per edge, so
@@ -13,15 +13,15 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from ._util import read_int
+from ._util import read_array, read_int
 from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
     BinaryCode,
     Polynomial,
     _gf2_insert,
+    gf_p_echelon,
     gf_p_nullspace,
     gf_p_weight_enumerator,
-    is_prime,
     weight_enumerator,
 )
 from .errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
@@ -185,13 +185,12 @@ def parse_config_doc(
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("configuration document must be an object")
-    # a string or an object where an array belongs would be read item by item as names
-    for key in ("edges", "triangles", "vertices"):
-        if not isinstance(doc.get(key, []), (list, tuple)):
-            raise SchemaError(f"{key} must be an array")
+    edge_docs, triangle_docs, vertex_names = (
+        read_array(doc.get(key, []), key) for key in ("edges", "triangles", "vertices")
+    )
     try:
         edges: dict[str, tuple[str, str] | None] = {}
-        for entry in doc.get("edges", []):
+        for entry in edge_docs:
             eid = str(entry["id"])
             if eid in edges:
                 raise SchemaError(f"duplicate edge id {eid!r}")
@@ -202,14 +201,12 @@ def parse_config_doc(
                 ends = (str(ends[0]), str(ends[1]))
             edges[eid] = ends
         triangles: dict[str, Sequence[str]] = {}
-        for entry in doc.get("triangles", []):
+        for entry in triangle_docs:
             tid = str(entry["id"])
             if tid in triangles:
                 raise SchemaError(f"duplicate triangle id {tid!r}")
-            if not isinstance(entry["edges"], (list, tuple)):
-                raise SchemaError(f"triangle {tid!r} edges must be an array")
-            triangles[tid] = [str(e) for e in entry["edges"]]
-        vertices = [str(v) for v in doc.get("vertices", [])]
+            triangles[tid] = [str(e) for e in read_array(entry["edges"], f"triangle {tid!r} edges")]
+        vertices = [str(v) for v in vertex_names]
     except (KeyError, TypeError, IndexError) as exc:
         raise SchemaError(f"bad configuration document: {exc}") from exc
     config = TriangularConfiguration(edges, triangles, vertices)
@@ -891,39 +888,36 @@ def check_vertex_tripartition(
 # -- cycle space ---------------------------------------------------------------
 
 
-def incidence_matrix(config: TriangularConfiguration) -> tuple[list[list[int]], tuple[str, ...], tuple[str, ...]]:
-    """0/1 incidence of edges (rows) against triangles (columns), both sorted."""
+def _edge_rows(config: TriangularConfiguration) -> Iterator[dict[int, int]]:
+    """One sparse row per edge, in sorted order: 1 in the column of each triangle holding it."""
     idx = _index(config)
-    rows = [[0] * len(idx.tri_ids) for _ in idx.edge_ids]
+    rows: list[dict[int, int]] = [{} for _ in idx.edge_ids]
     for j, t in enumerate(idx.tri_ids):
         for e in config.triangle_edges(t):
             rows[idx.edge_pos[e]][j] = 1
-    return rows, idx.edge_ids, idx.tri_ids
+    yield from rows
 
 
 def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Polynomial:
-    """Weight enumerator of the GF(p) kernel of the incidence matrix.
+    """Weight enumerator of the GF(p) kernel of the edge-triangle incidence.
 
-    Computed from the nullspace basis, over GF(2) as a binary code through
-    `weight_enumerator` and otherwise by `gf_p_weight_enumerator`; both
-    enumerate each direct-sum block of the kernel. Guarded, not truncated,
-    when the kernel's p^dim codewords are too many; a p above the guard is
-    refused before its primality test, even for a zero-dimensional kernel.
+    The kernel's dimension is read off the echelon form of the edge rows, so
+    its p^dim guard fires before any basis vector is built; each direct-sum
+    block of the basis is enumerated by `weight_enumerator` over GF(2) and by
+    `gf_p_weight_enumerator` otherwise. A p above the guard is refused before
+    its primality test, then a composite p, then an unknown edge (the rows
+    are read after the test), then the kernel's size.
     """
     if p > KERNEL_ENUM_MAX_CODEWORDS:
         raise GuardExceeded(
             f"GF({p}) is beyond the enumeration guard: any nonzero kernel has p codewords or more"
         )
-    if not is_prime(p):
-        raise ToolkitError(f"{p} is not prime")
-    rows, _, tri_ids = incidence_matrix(config)
-    ncols = len(tri_ids)
-    basis = gf_p_nullspace(rows, ncols, p)
-    dim = len(basis)
+    echelon = gf_p_echelon(_edge_rows(config), p)
+    ncols = len(config.triangle_ids)
+    dim = ncols - len(echelon)
     if p**dim > KERNEL_ENUM_MAX_CODEWORDS:
-        raise GuardExceeded(
-            f"kernel has {p}^{dim} codewords, beyond the enumeration guard"
-        )
+        raise GuardExceeded(f"kernel has {p}^{dim} codewords, beyond the enumeration guard")
+    basis = gf_p_nullspace(echelon, ncols, p)
     if p == 2:
         masks = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
         return weight_enumerator(BinaryCode(ncols, masks))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import read_int
+from ._util import read_array, read_int
 from .core import (
     CoverIndex,
     TriangularConfiguration,
@@ -168,7 +168,7 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
 def matrix_from_doc(doc: Mapping) -> list[list[int]]:
     try:
         n = read_int(doc["n"], "n")
-        rows = doc["rows"]
+        rows = [read_array(row, f"rows[{r}]") for r, row in enumerate(read_array(doc["rows"], "rows"))]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise SchemaError(f"matrix rows do not form an {n} x {n} square")
         return [[read_int(v, f"rows[{r}][{c}]") for c, v in enumerate(row)] for r, row in enumerate(rows)]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
 
-from ._util import read_int
+from ._util import read_array, read_int
 from .algebra import Polynomial, _gf2_insert
 from .core import (
     CoverIndex,
@@ -101,11 +101,10 @@ class Tensor3:
     @classmethod
     def from_doc(cls, doc: Mapping) -> "Tensor3":
         try:
-            dims = [read_int(d, f"dims[{a}]") for a, d in enumerate(doc["dims"])]
-            raw = doc["entries"]
+            dims = [read_int(d, f"dims[{a}]") for a, d in enumerate(read_array(doc["dims"], "dims"))]
             entries: dict[tuple[int, int, int], RingValue] = {}
-            for r, row in enumerate(raw):
-                if len(row) != 4:
+            for r, row in enumerate(read_array(doc["entries"], "entries")):
+                if len(read_array(row, f"entries[{r}]")) != 4:
                     raise SchemaError(f"tensor entry {row!r} must be [i, j, k, value]")
                 key = tuple(read_int(x, f"entries[{r}][{a}]") for a, x in enumerate(row[:3]))
                 if key in entries:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's search paths: matchings are
 filtered from full subset enumeration, permanents and determinants come from
-the n! definitions, Pfaffian signings from trying every sign pattern, and the
-matrix-to-tensor construction's cells from its triangles' vertices.
+the n! definitions, Pfaffian signings from trying every sign pattern, cycle
+spaces from trying every triangle weighting, and the matrix-to-tensor
+construction's cells from its triangles' vertices.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import pytest
 
 import kas3.core as core
+from kas3.algebra import Polynomial
 from kas3.core import TriangularConfiguration, perfect_matching_polynomial
 from kas3.errors import GuardExceeded
 from kas3.gadgets import tripartite_reduction
@@ -239,6 +241,23 @@ def construction_tensor(tc):
         entries[cell] = tc.entry_values.get(t, 1)
     assert len(entries) == 4 * len(tc.edge_list)
     return Tensor3((tc.m, tc.m, tc.m), entries)
+
+
+def brute_force_kernel_enumerator(config, p):
+    """GF(p) cycle-space enumerator, by trying all p^T triangle weightings.
+
+    A weighting is kept when the weights of the triangles holding each edge
+    sum to 0 mod p; its weight is its number of nonzero triangles.
+    """
+    tri_ids = config.triangle_ids
+    assert p ** len(tri_ids) <= 4096, "oracle only works at desk scale"
+    holders = [[j for j, t in enumerate(tri_ids) if e in config.triangle_edges(t)] for e in config.edge_ids]
+    counts: dict[int, int] = {}
+    for weighting in itertools.product(range(p), repeat=len(tri_ids)):
+        if all(sum(weighting[j] for j in js) % p == 0 for js in holders):
+            weight = sum(1 for v in weighting if v)
+            counts[weight] = counts.get(weight, 0) + 1
+    return Polynomial(counts)
 
 
 def tetrahedron_boundary() -> TriangularConfiguration:

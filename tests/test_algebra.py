@@ -11,12 +11,18 @@ from kas3.algebra import (
     BinaryCode,
     Polynomial,
     fold_enumerator,
+    gf_p_echelon,
     gf_p_nullspace,
     gf_p_weight_enumerator,
     parse_polynomial,
     weight_enumerator,
 )
 from kas3.errors import GuardExceeded, SchemaError, ToolkitError
+
+
+def nullspace(rows, ncols, p):
+    """`gf_p_nullspace` of a dense matrix, through `gf_p_echelon` of its rows."""
+    return gf_p_nullspace(gf_p_echelon([dict(enumerate(row)) for row in rows], p), ncols, p)
 
 
 small_polys = st.dictionaries(
@@ -106,29 +112,29 @@ class TestFold:
 
 class TestNullspace:
     def test_identity_has_trivial_kernel(self):
-        assert gf_p_nullspace([[1, 0], [0, 1]], 2, 2) == []
+        assert nullspace([[1, 0], [0, 1]], 2, 2) == []
 
     def test_single_parity_row(self):
-        assert gf_p_nullspace([[1, 1]], 2, 2) == [(1, 1)]
+        assert nullspace([[1, 1]], 2, 2) == [(1, 1)]
 
     def test_no_rows_means_full_space(self):
-        basis = gf_p_nullspace([], 3, 2)
+        basis = nullspace([], 3, 2)
         assert len(basis) == 3
 
     def test_gf3(self):
-        basis = gf_p_nullspace([[1, 2]], 2, 3)
+        basis = nullspace([[1, 2]], 2, 3)
         assert basis == [(1, 1)]  # 1*1 + 2*1 = 3 = 0 mod 3
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ToolkitError):
-            gf_p_nullspace([[1, 0]], 2, 4)
+            nullspace([[1, 0]], 2, 4)
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.lists(st.integers(0, 1), min_size=5, max_size=5), min_size=0, max_size=5)
     )
     def test_basis_vectors_lie_in_kernel(self, rows):
-        basis = gf_p_nullspace(rows, 5, 2)
+        basis = nullspace(rows, 5, 2)
         for vec in basis:
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vec)) % 2 == 0
@@ -139,7 +145,7 @@ class TestNullspace:
 
 def _dual_code(code: BinaryCode) -> BinaryCode:
     rows = [[(row >> j) & 1 for j in range(code.n)] for row in code.rows]
-    basis = gf_p_nullspace(rows, code.n, 2)
+    basis = nullspace(rows, code.n, 2)
     return BinaryCode.from_rows([list(v) for v in basis], code.n)
 
 
@@ -273,7 +279,7 @@ class TestFactoredEnumerator:
                 [rng.randrange(1, p) if rng.random() < 0.4 else 0 for _ in range(ncols)]
                 for _ in range(rng.randint(0, ncols))
             ]
-            basis = gf_p_nullspace(rows, ncols, p)
+            basis = nullspace(rows, ncols, p)
             counts: dict[int, int] = {}
             for coeffs in itertools.product(range(p), repeat=len(basis)):
                 word = [sum(c * vec[j] for c, vec in zip(coeffs, basis)) % p for j in range(ncols)]

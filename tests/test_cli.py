@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import disjoint_union, tetrahedron_boundary
 import kas3
 from kas3._util import canonical_json
 from kas3.algebra import BinaryCode
@@ -302,12 +303,12 @@ class TestErrors:
         assert (result.status, result.payload) == (1, {"error": {"type": "operation", "message": message}})
 
     def test_kernel_wenum_refuses_a_huge_prime_before_testing_it(self, capsys, config_file, monkeypatch):
-        import kas3.core
+        import kas3.algebra
 
         def refuse(p):
             raise AssertionError("primality tested past the guard")
 
-        monkeypatch.setattr(kas3.core, "is_prime", refuse)
+        monkeypatch.setattr(kas3.algebra, "is_prime", refuse)
         status, out = invoke(capsys, "kernel-wenum", config_file, "--p", "1000000000000000003")
         assert status == 1
         assert json.loads(out) == {"error": {
@@ -354,6 +355,23 @@ class TestErrors:
         error = json.loads(out)["error"]
         assert error["type"] == "schema"
         assert error["message"].startswith(f"{field} must be an array")
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            (["code", "wenum"], {"k": 1, "n": 2, "rows": ["10"]}, "rows[0]"),
+            (["kasteleyn", "build"], {"n": 2, "rows": ["12", "34"]}, "rows[0]"),
+            (["per3"], {"dims": [1, 1, 1], "entries": ["0001"]}, "entries[0]"),
+            (["per3"], {"dims": "111", "entries": []}, "dims"),
+        ],
+        ids=["code_row", "matrix_rows", "tensor_entry", "tensor_dims"],
+    )
+    def test_strings_are_not_read_as_rows(self, capsys, tmp_path, command, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert invoke(capsys, *command, str(path)) == (
+            2, canonical_json({"error": {"type": "schema", "message": f"{field} must be an array"}}) + "\n"
+        )
 
     def test_integers_and_integer_strings_are_read(self):
         assert matrix_from_doc({"n": "2", "rows": [[1, "-3"], [0, 2**70]]}) == [[1, -3], [0, 2**70]]
@@ -427,6 +445,21 @@ class TestScale:
             )
             assert (proc.returncode, proc.stderr) == (1, "")
             assert "support guard" in json.loads(proc.stdout)["error"]["message"]
+
+
+    def test_kernel_guard_fires_before_any_kernel_vector(self, capsys, tmp_path, monkeypatch):
+        # 1000 disjoint tetrahedra: E = 6000, T = 4000 and a 1000-dimensional GF(2) kernel
+        import kas3.core
+
+        def refuse(*args):
+            raise AssertionError("kernel vectors built past the guard")
+
+        monkeypatch.setattr(kas3.core, "gf_p_nullspace", refuse)
+        path = tmp_path / "tetrahedra.json"
+        path.write_text(json.dumps(disjoint_union([tetrahedron_boundary()] * 1000).to_doc()))
+        assert invoke(capsys, "kernel-wenum", str(path), "--p", "2") == (1, canonical_json({"error": {
+            "type": "operation", "message": "kernel has 2^1000 codewords, beyond the enumeration guard",
+        }}) + "\n")
 
 
 class TestGoldenBytes:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_force_kernel_enumerator,
     brute_force_matchings,
     brute_force_strong_matchings,
     counting_index,
@@ -20,6 +21,7 @@ from conftest import (
     disjoint_union,
     random_config,
 )
+import kas3.algebra as algebra
 import kas3.core as core
 from kas3.algebra import Polynomial
 from kas3.core import (
@@ -883,11 +885,46 @@ class TestCycleSpace:
         def refuse(p):
             raise AssertionError("primality tested past the guard")
 
-        monkeypatch.setattr(core, "is_prime", refuse)
+        monkeypatch.setattr(algebra, "is_prime", refuse)
         for p in (1 << 24 | 1, 1000000000000000003):
             for config in (single_triangle(), tetrahedron):
                 with pytest.raises(GuardExceeded, match=rf"GF\({p}\) is beyond the enumeration guard"):
                     cycle_space_weight_enumerator(config, p)
+
+    def test_checks_run_in_order(self, tetrahedron, monkeypatch):
+        # p past the guard, then a composite p, then an unknown edge, then the
+        # kernel's size; each configuration also fails every later check
+        def refuse(*args):
+            raise AssertionError("checked out of order")
+
+        monkeypatch.setattr(core, "gf_p_nullspace", refuse)
+        union = disjoint_union([tetrahedron] * 25)
+        triangles = {t: union.triangle_edges(t) for t in union.triangle_ids}
+        dangling = TriangularConfiguration(union.edge_ids, {**triangles, "zz": ("0:e12", "0:e13", "missing")})
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "is_prime", refuse)
+            with pytest.raises(GuardExceeded, match=r"GF\(16777217\) is beyond the enumeration guard"):
+                cycle_space_weight_enumerator(dangling, 1 << 24 | 1)  # 97 * 172961
+        with pytest.raises(ToolkitError, match="^4 is not prime$"):
+            cycle_space_weight_enumerator(dangling, 4)
+        with pytest.raises(ToolkitError, match="^triangle 'zz' references dangling edge 'missing'$"):
+            cycle_space_weight_enumerator(dangling, 2)
+        with pytest.raises(GuardExceeded, match=r"^kernel has 2\^25 codewords, beyond the enumeration guard$"):
+            cycle_space_weight_enumerator(union, 2)
+
+    @pytest.mark.parametrize("p, max_triangles", [(2, 12), (3, 7), (5, 5)])
+    def test_equals_the_brute_force_oracle(self, p, max_triangles):
+        # few edges and triangles that share them, repeats included: p^T <= 4096
+        rng = random.Random(p)
+        nontrivial = 0
+        for _ in range(30):
+            edges = [f"e{i}" for i in range(rng.randint(3, 8))]
+            triangles = {f"t{j}": rng.sample(edges, 3) for j in range(rng.randint(1, max_triangles))}
+            config = TriangularConfiguration(edges, triangles)
+            expected = brute_force_kernel_enumerator(config, p)
+            assert cycle_space_weight_enumerator(config, p) == expected
+            nontrivial += expected != 1
+        assert nontrivial >= 5
 
     @pytest.mark.parametrize("p, copies", [(2, 24), (3, 15), (5, 10)])
     def test_disjoint_unions_are_powers_of_one_block(self, tetrahedron, p, copies):
