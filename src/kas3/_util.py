@@ -1,11 +1,11 @@
-"""Shared plumbing: canonical JSON, integer and array fields, exact decimals."""
+"""Shared plumbing: canonical JSON, integer, array and name fields, integer text, exact decimals."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import SchemaError, ToolkitError
 
 
 def canonical_json(doc) -> str:
@@ -32,6 +32,32 @@ def read_array(value, field: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise SchemaError(f"{field} must be an array")
     return value
+
+
+def read_name(value, field: str) -> str:
+    """The name a document gives for `field`: a string, or an integer read as its decimal text.
+
+    Arrays, objects, booleans and floats are refused, so `["a"]`, `true` and
+    `1.5` do not pass for the names "['a']", "True" and "1.5".
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise SchemaError(f"{field} is not a name (a string or an integer): {value!r}")
+
+
+def int_text(value: int) -> str:
+    """The decimal text of an integer result.
+
+    An integer with more digits than the interpreter converts to text
+    (`sys.get_int_max_str_digits`, 4300 by default) raises `ToolkitError`
+    naming that limit, not a bare ValueError.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ToolkitError(f"cannot print the result: {exc}") from None
 
 
 def exact_decimal(value: Fraction) -> str:

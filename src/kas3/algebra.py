@@ -10,7 +10,7 @@ import operator
 import re
 from typing import Iterable, Mapping, Sequence
 
-from ._util import read_array, read_int
+from ._util import int_text, read_array, read_int
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 WEIGHT_ENUM_MAX_DIM = 24
@@ -138,11 +138,11 @@ class Polynomial:
         for exp, coeff in self.terms():
             mag = abs(coeff)
             if exp == 0:
-                body = str(mag)
+                body = int_text(mag)
             elif mag == 1:
-                body = f"x^{exp}"
+                body = f"x^{int_text(exp)}"
             else:
-                body = f"{mag}*x^{exp}"
+                body = f"{int_text(mag)}*x^{int_text(exp)}"
             if not parts:
                 parts.append(("-" if coeff < 0 else "") + body)
             else:
@@ -180,11 +180,14 @@ def parse_polynomial(text: str) -> Polynomial:
         match = _TERM_RE.match(pieces[idx].strip())
         if not match:
             raise SchemaError(f"cannot parse polynomial term {pieces[idx]!r}")
-        if match.group(3) is not None:
-            exp, coeff = 0, int(match.group(3))
-        else:
-            coeff = int(match.group(1)) if match.group(1) else 1
-            exp = int(match.group(2)) if match.group(2) else 1
+        try:
+            if match.group(3) is not None:
+                exp, coeff = 0, int(match.group(3))
+            else:
+                coeff = int(match.group(1)) if match.group(1) else 1
+                exp = int(match.group(2)) if match.group(2) else 1
+        except ValueError as exc:  # more digits than the interpreter reads as an integer
+            raise SchemaError(f"cannot parse polynomial term: {exc}") from None
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         idx += 1
         if idx < len(pieces):

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._util import canonical_json
+from ._util import canonical_json, int_text
 from .algebra import BinaryCode, fold_enumerator, parse_polynomial, weight_enumerator
 from .core import (
     cycle_space_weight_enumerator,
@@ -60,11 +60,13 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not UTF-8
+        raise SchemaError(f"cannot read {path} as JSON: {exc}") from exc
 
 
 def _value_text(value) -> str:
     if isinstance(value, int):
-        return str(value)
+        return int_text(value)
     return value.to_text()
 
 

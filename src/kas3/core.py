@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from ._util import read_array, read_int
+from ._util import read_array, read_int, read_name
 from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
     BinaryCode,
@@ -190,23 +190,24 @@ def parse_config_doc(
     )
     try:
         edges: dict[str, tuple[str, str] | None] = {}
-        for entry in edge_docs:
-            eid = str(entry["id"])
+        for n, entry in enumerate(edge_docs):
+            eid = read_name(entry["id"], f"edges[{n}] id")
             if eid in edges:
                 raise SchemaError(f"duplicate edge id {eid!r}")
             ends = entry.get("ends")
             if ends is not None:
                 if not isinstance(ends, (list, tuple)) or len(ends) != 2:
                     raise SchemaError(f"edge {eid!r} ends must be an array of two names")
-                ends = (str(ends[0]), str(ends[1]))
+                ends = (read_name(ends[0], f"edge {eid!r} ends[0]"), read_name(ends[1], f"edge {eid!r} ends[1]"))
             edges[eid] = ends
         triangles: dict[str, Sequence[str]] = {}
-        for entry in triangle_docs:
-            tid = str(entry["id"])
+        for n, entry in enumerate(triangle_docs):
+            tid = read_name(entry["id"], f"triangles[{n}] id")
             if tid in triangles:
                 raise SchemaError(f"duplicate triangle id {tid!r}")
-            triangles[tid] = [str(e) for e in read_array(entry["edges"], f"triangle {tid!r} edges")]
-        vertices = [str(v) for v in vertex_names]
+            names = read_array(entry["edges"], f"triangle {tid!r} edges")
+            triangles[tid] = [read_name(e, f"triangle {tid!r} edges[{a}]") for a, e in enumerate(names)]
+        vertices = [read_name(v, f"vertices[{n}]") for n, v in enumerate(vertex_names)]
     except (KeyError, TypeError, IndexError) as exc:
         raise SchemaError(f"bad configuration document: {exc}") from exc
     config = TriangularConfiguration(edges, triangles, vertices)
@@ -319,22 +320,26 @@ def validate(config: TriangularConfiguration) -> list[str]:
 
 
 COVER_GRAPH_MAX_SIZE = 1 << 21
+SUPPORT_MAX_BITS = 1 << 28
 
 
 class CoverIndex:
     """One exact-cover problem and its one search, shared by every caller.
 
-    Options are item bitmasks. `item_opts[i]` is the bitmask of the options
-    holding item i. `choose(covered, live)` returns the live options of the
-    uncovered item with the fewest of them, taking the lowest item index on
-    ties and stopping at a count <= 1 (the choice rule of Knuth's Algorithm
-    X): 0 when some item has none left, None when every item is covered.
-    The search starts with all options live and clears the options that
-    clash with each chosen one, so `live` is always the set of options
-    disjoint from `covered`, and the choice depends on `covered` alone.
-    `blocked(o)` is `clash[o]`, the options sharing an item with option o,
-    built the first time o is chosen, so a search that ends at once builds
-    none.
+    Option o lists the items it holds, `options[o]`. Only the index builds
+    bitmasks: `masks[o]` of option o's items and `item_opts[i]` of the
+    options holding item i. Past `SUPPORT_MAX_BITS` (2^28) bits, options *
+    items, a problem is refused before any mask is built: the one size
+    guard of every cover problem. `choose(covered, live)` returns the live
+    options of the uncovered item with the fewest of them, taking the lowest
+    item index on ties and stopping at a count <= 1 (the choice rule of
+    Knuth's Algorithm X): 0 when some item has none left, None when every
+    item is covered. The search starts with all options live and clears the
+    options that clash with each chosen one, so `live` is always the set of
+    options disjoint from `covered`, and the choice depends on `covered`
+    alone. `blocked(o)` is `clash[o]`, the options sharing an item with
+    option o, built the first time o is chosen, so a search that ends at
+    once builds none.
 
     `_build` is the only search and `choose` runs nowhere else. The first
     fold, listing or parity span builds its state graph, `graph`, and every
@@ -349,18 +354,23 @@ class CoverIndex:
     again and raises again.
     """
 
-    __slots__ = ("item_count", "options", "item_opts", "choose", "blocked", "graph")
+    __slots__ = ("item_count", "options", "masks", "item_opts", "choose", "blocked", "graph")
 
-    def __init__(self, item_count: int, options: Sequence[int]):
+    def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
+        bits = len(options) * item_count
+        if bits > SUPPORT_MAX_BITS:
+            raise GuardExceeded(f"cover mask guard is {SUPPORT_MAX_BITS} bits (options * items), got {bits}")
         self.item_count = item_count
         self.options = options = list(options)
+        self.masks = masks = []
         self.item_opts = item_opts = [0] * item_count
-        for oi, mask in enumerate(options):
+        for oi, items in enumerate(options):
             bit = 1 << oi
-            while mask:
-                top = mask.bit_length() - 1
-                item_opts[top] |= bit
-                mask ^= 1 << top
+            mask = 0
+            for i in items:
+                mask |= 1 << i
+                item_opts[i] |= bit
+            masks.append(mask)
         full = (1 << item_count) - 1
         unreachable = len(options) + 1  # above every item's count
         clash: dict[int, int] = {}
@@ -384,11 +394,8 @@ class CoverIndex:
             mask = clash.get(oi)
             if mask is None:
                 mask = 0
-                rest = options[oi]
-                while rest:
-                    top = rest.bit_length() - 1
-                    mask |= item_opts[top]
-                    rest ^= 1 << top
+                for i in options[oi]:
+                    mask |= item_opts[i]
                 clash[oi] = mask
             return mask
 
@@ -440,8 +447,8 @@ class CoverIndex:
         keeps an explicit stack and counts the states it visits plus the
         arcs it keeps against `COVER_GRAPH_MAX_SIZE`.
         """
-        choose, blocked, options = self.choose, self.blocked, self.options
-        live = (1 << len(options)) - 1
+        choose, blocked, masks = self.choose, self.blocked, self.masks
+        live = (1 << len(masks)) - 1
         root = choose(0, live)
         if root is None:
             return [(0, ())]
@@ -458,7 +465,7 @@ class CoverIndex:
                 low = untried & -untried
                 frame[2] = untried ^ low
                 oi = low.bit_length() - 1
-                child = covered | options[oi]
+                child = covered | masks[oi]
                 at = position.get(child, -1)  # -1: not visited yet
                 if at == -1:
                     size += 1
@@ -542,7 +549,7 @@ class CoverIndex:
         return basis
 
 
-def exact_cover_tally(item_count: int, options: Sequence[int], weights: Sequence[int]) -> Polynomial:
+def exact_cover_tally(item_count: int, options: Sequence[Sequence[int]], weights: Sequence[int]) -> Polynomial:
     """Sum of x^(total weight) over the exact covers, given one integer weight per option.
 
     Covers are tallied one by one rather than folded: a fold would build
@@ -560,31 +567,30 @@ def exact_cover_tally(item_count: int, options: Sequence[int], weights: Sequence
 
 
 class _SearchIndex:
-    """Bitmask indexes shared by the enumeration routines (built once per config).
+    """Item positions shared by the enumeration routines (built once per config).
 
-    Mapping the triangles' edge names to positions refuses the first unknown
-    edge, in sorted triangle order and then edge order.
+    Per triangle, `tri_edges` holds its edges' positions, refusing the first
+    unknown edge in sorted triangle order and then edge order, and
+    `tri_vertices` its vertices' positions, ascending, once a strong-matching
+    call has built it.
     """
 
     def __init__(self, config: TriangularConfiguration):
         self.edge_ids = config.edge_ids
-        self.edge_pos = {e: i for i, e in enumerate(self.edge_ids)}
+        self.edge_pos = edge_pos = {e: i for i, e in enumerate(self.edge_ids)}
         self.tri_ids = config.triangle_ids
         self.tri_pos = {t: i for i, t in enumerate(self.tri_ids)}
-        self.tri_masks: list[int] = []
+        self.tri_edges: list[tuple[int, ...]] = []
         try:
             for t in self.tri_ids:
-                mask = 0
-                for e in config.triangle_edges(t):
-                    mask |= 1 << self.edge_pos[e]
-                self.tri_masks.append(mask)
-        except KeyError:
-            raise ToolkitError(f"triangle {t!r} references dangling edge {e!r}") from None
+                self.tri_edges.append(tuple(edge_pos[e] for e in config.triangle_edges(t)))
+        except KeyError as exc:
+            raise ToolkitError(f"triangle {t!r} references dangling edge {exc.args[0]!r}") from None
 
         self.vertex_ids = config.vertex_order
-        self.tri_vertex_masks: list[int] | None = None  # built by the first strong-matching call
+        self.tri_vertices: list[tuple[int, ...]] | None = None
 
-    def triangle_sets(self, item_count: int, options: Sequence[int]) -> list[tuple[str, ...]]:
+    def triangle_sets(self, item_count: int, options: Sequence[Sequence[int]]) -> list[tuple[str, ...]]:
         """Exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
         ntri = len(self.tri_ids)
         named = [
@@ -604,15 +610,15 @@ def _index(config: TriangularConfiguration) -> _SearchIndex:
 def defect(config: TriangularConfiguration, matching: Iterable[str]) -> frozenset[str]:
     """Edges of the configuration covered by no triangle of the matching."""
     idx = _index(config)
-    covered = 0
+    covered: set[int] = set()
     for t in matching:
         if t not in idx.tri_pos:
             raise ToolkitError(f"unknown triangle {t!r}")
-        mask = idx.tri_masks[idx.tri_pos[t]]
-        if covered & mask:
+        edges = idx.tri_edges[idx.tri_pos[t]]
+        if not covered.isdisjoint(edges):
             raise NotAMatching(f"triangle {t!r} shares an edge with the rest")
-        covered |= mask
-    return frozenset(e for i, e in enumerate(idx.edge_ids) if not covered >> i & 1)
+        covered.update(edges)
+    return frozenset(e for i, e in enumerate(idx.edge_ids) if i not in covered)
 
 
 def enumerate_matchings_with_defect_within(
@@ -631,8 +637,8 @@ def enumerate_matchings_with_defect_within(
     for e in allowed:
         if e not in idx.edge_pos:
             raise ToolkitError(f"unknown edge {e!r}")
-        slack.add(1 << idx.edge_pos[e])
-    return idx.triangle_sets(len(idx.edge_ids), idx.tri_masks + sorted(slack))
+        slack.add(idx.edge_pos[e])
+    return idx.triangle_sets(len(idx.edge_ids), idx.tri_edges + [(pos,) for pos in sorted(slack)])
 
 
 def perfect_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
@@ -650,42 +656,42 @@ def perfect_matching_polynomial(
     idx = _index(config)
     weighting = weighting or {}
     weights = [operator.index(weighting.get(t, 1)) for t in idx.tri_ids]
-    return exact_cover_tally(len(idx.edge_ids), idx.tri_masks, weights)
+    return exact_cover_tally(len(idx.edge_ids), idx.tri_edges, weights)
 
 
-def _vertex_masks(config: TriangularConfiguration) -> tuple[_SearchIndex, list[int]]:
+def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:
+    """The search index, with every triangle's vertex positions worked out."""
     idx = _index(config)
-    if idx.tri_vertex_masks is None:
+    if idx.tri_vertices is None:
         if not config.has_full_vertex_data:
             raise ToolkitError("perfect strong matchings need vertex data on every edge")
         vertex_pos = {v: i for i, v in enumerate(idx.vertex_ids)}
-        idx.tri_vertex_masks = [
-            sum(1 << vertex_pos[v] for v in config.triangle_vertices(t) or ()) for t in idx.tri_ids
+        idx.tri_vertices = [
+            tuple(sorted(vertex_pos[v] for v in config.triangle_vertices(t) or ())) for t in idx.tri_ids
         ]
-    return idx, idx.tri_vertex_masks
+    return idx
 
 
 def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
-    idx, masks = _vertex_masks(config)
-    return idx.triangle_sets(len(idx.vertex_ids), masks)
+    idx = _vertex_index(config)
+    return idx.triangle_sets(len(idx.vertex_ids), idx.tri_vertices)
 
 
 def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
     """Number of perfect strong matchings, by a fold over the state graph (nothing is listed)."""
-    idx, masks = _vertex_masks(config)
-    return CoverIndex(len(idx.vertex_ids), masks).fold([1] * len(masks))
+    idx = _vertex_index(config)
+    return CoverIndex(len(idx.vertex_ids), idx.tri_vertices).fold([1] * len(idx.tri_vertices))
 
 
-def strong_matching_masks(config: TriangularConfiguration) -> tuple[dict[str, int], int]:
-    """Vertex bitmask of every triangle, and the mask of every vertex.
+def strong_matching_items(config: TriangularConfiguration) -> tuple[dict[str, tuple[int, ...]], int]:
+    """Vertex positions of every triangle, ascending, and the number of vertices.
 
-    Bit i stands for vertex i of `config.vertex_order`. A set of triangles is
-    a perfect strong matching iff their masks are disjoint and OR to the
-    full mask.
+    Position i is vertex i of `config.vertex_order`. A set of triangles is a
+    perfect strong matching iff it holds every position exactly once.
     """
-    idx, masks = _vertex_masks(config)
-    return dict(zip(idx.tri_ids, masks)), (1 << len(idx.vertex_ids)) - 1
+    idx = _vertex_index(config)
+    return dict(zip(idx.tri_ids, idx.tri_vertices)), len(idx.vertex_ids)
 
 
 # -- tripartitions -------------------------------------------------------------
@@ -892,9 +898,9 @@ def _edge_rows(config: TriangularConfiguration) -> Iterator[dict[int, int]]:
     """One sparse row per edge, in sorted order: 1 in the column of each triangle holding it."""
     idx = _index(config)
     rows: list[dict[int, int]] = [{} for _ in idx.edge_ids]
-    for j, t in enumerate(idx.tri_ids):
-        for e in config.triangle_edges(t):
-            rows[idx.edge_pos[e]][j] = 1
+    for j, edges in enumerate(idx.tri_edges):
+        for i in edges:
+            rows[i][j] = 1
     yield from rows
 
 

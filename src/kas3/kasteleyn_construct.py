@@ -25,7 +25,7 @@ from .core import (
     CoverIndex,
     TriangularConfiguration,
     count_perfect_strong_matchings,
-    strong_matching_masks,
+    strong_matching_items,
 )
 from .errors import GuardExceeded, SchemaError, ToolkitError
 from .tensor3 import (
@@ -237,14 +237,15 @@ class BijectionReport:
         return doc
 
 
-def _image_changes(tc: TConstruction, mask_of: Mapping[str, int]):
+def _image_changes(tc: TConstruction, items_of: Mapping[str, Sequence[int]]):
     """The image of the empty edge set, and what choosing each support edge changes.
 
     A chosen edge ei = (i, j) adds tri:edge[ei], tri:left[i,ei] and
     tri:right[j,ei] to an image; an edge left out adds tri:gadget[ei]. A
     part of an image is summed as `(xor, popcount, missing, value)`: the
-    XOR and summed popcount of its triangles' vertex masks, the number of
-    them the configuration lacks, and the product of their entry values.
+    XOR and summed popcount of its triangles' vertex masks (bit v for each
+    vertex position v in `items_of`), the number of them the configuration
+    lacks, and the product of their entry values.
     Returns the three sums of the image with every edge left out; for each
     support edge, `(bit, xor, popcount, missing, matrix value, value)`, the
     change choosing it makes to the edge set and those sums and the weights
@@ -256,12 +257,12 @@ def _image_changes(tc: TConstruction, mask_of: Mapping[str, int]):
         xor = popcount = missing = 0
         value: RingValue = 1
         for name in names:
-            mask = mask_of.get(name)
-            if mask is None:
+            items = items_of.get(name)
+            if items is None:
                 missing += 1
             else:
-                xor ^= mask
-                popcount += mask.bit_count()
+                xor ^= sum(1 << v for v in items)
+                popcount += len(items)
             value = value * tc.entry_values.get(name, 1)
         return xor, popcount, missing, value
 
@@ -289,8 +290,8 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     fixed by the chosen edges, so the map is injective, and the number of
     strong matchings, counted by a fold, must equal the number of graph
     matchings; together these say the images are exactly the strong
-    matchings. When the tensor's cells, as masks over its axis indices, are
-    the configuration's triangle vertex masks (same item count, same
+    matchings. When the tensor's cells, as items over its axis indices, are
+    the configuration's triangle vertex positions (same item count, same
     multiset, read from the tensor's support), the two cover problems are
     one, and the count is the tensor's indicator fold over the tensor's
     cover index, one pass over its state graph when `per3` or a
@@ -305,15 +306,15 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     edges = [(tc.graph.left[i], tc.graph.right[j]) for i, j in tc.edge_list]
     if sorted(edges) != sorted(tc.graph.edges):
         raise ToolkitError("the support graph's edges are not those of the edge list")
-    mask_of, full = strong_matching_masks(tc.config)
+    items_of, vertex_count = strong_matching_items(tc.config)
     support = _support(tc.tensor)
     index = support[1] if support else None
-    if index and index.item_count == full.bit_length() and sorted(index.options) == sorted(mask_of.values()):
+    if index and index.item_count == vertex_count and sorted(index.options) == sorted(items_of.values()):
         strong = support_sum(tc.tensor, indicator=True)  # the same problem, on the tensor's index
     else:
         strong = count_perfect_strong_matchings(tc.config)
-    base, changes, left_out_values = _image_changes(tc, mask_of)
-    vertex_count = full.bit_count()
+    base, changes, left_out_values = _image_changes(tc, items_of)
+    full = (1 << vertex_count) - 1
     graph_matchings = 0
     all_strong = True
     broken = None  # the first matching, by names, whose weights disagree

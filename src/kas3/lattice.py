@@ -1,8 +1,9 @@
 """Cubic-lattice dimer counting and an integer-grid realization export.
 
-Dimer generating functions are computed twice on purpose: by a tally over the
-perfect matchings of the grid graph and through the matrix-to-tensor pipeline;
-the counts must agree exactly or the call fails loudly.
+Dimer counts are computed three times on purpose: by a tally over the perfect
+matchings of the grid graph, by the Ryser permanent of its support matrix, and
+by the permanent of the matrix-to-tensor pipeline's tensor; the counts must
+agree exactly or the call fails loudly.
 
 The realization holds integer coordinates in units of 1/GRID: lattice points
 and edge midpoints lie on the half-integer grid, each auxiliary vertex less

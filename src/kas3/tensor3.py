@@ -9,9 +9,10 @@ covered indices, and keeps the determinant's sign from per-cell masks, so
 no diagonal is listed; `support_diagonals` lists them by walking the same
 graph. Each tensor works out its support once (`_support`), and its
 resignings share it. A tensor with an axis index that no entry uses has no
-support diagonal and is answered from its entries; otherwise a support
-whose masks would pass `SUPPORT_MAX_BITS` is refused before any is built,
-and a state graph past `core.COVER_GRAPH_MAX_SIZE` while it is built.
+support diagonal and is answered from its entries; otherwise the cover
+index refuses a support whose masks would pass `core.SUPPORT_MAX_BITS`
+before it builds any, and a state graph past `core.COVER_GRAPH_MAX_SIZE`
+while it is built.
 Pfaffian signings of bipartite graphs come from one GF(2) solve over their
 perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
 
-from ._util import read_array, read_int
+from ._util import int_text, read_array, read_int
 from .algebra import Polynomial, _gf2_insert
 from .core import (
     CoverIndex,
@@ -39,7 +40,6 @@ from .core import (
 from .errors import GuardExceeded, SchemaError, ToolkitError
 
 PERMANENT2_MAX_SIDE = 20
-SUPPORT_MAX_BITS = 1 << 28
 BINET_CAUCHY_MAX_SUBSETS = 100_000
 
 RingValue = int | Fraction | Polynomial
@@ -124,9 +124,9 @@ def encode_ring_value(value: RingValue):
     if isinstance(value, bool):
         raise SchemaError("boolean is not a ring value")
     if isinstance(value, int):
-        return value if abs(value) < _JSON_SAFE_INT else str(value)
+        return value if abs(value) < _JSON_SAFE_INT else int_text(value)
     if isinstance(value, Polynomial):
-        return {"poly": {str(e): encode_ring_value(c) for e, c in value.terms()}}
+        return {"poly": {int_text(e): encode_ring_value(c) for e, c in value.terms()}}
     raise SchemaError(f"cannot serialize ring value of type {type(value).__name__}")
 
 
@@ -168,20 +168,11 @@ def _index_gap(tensor: Tensor3, axes: Iterable[int] = (0, 1, 2)) -> bool:
     return any(len(set(columns[a])) < n for a in axes)
 
 
-def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """Item count, sorted cells and their item masks: cell (i, j, k) covers row i, j and k.
-
-    The masks, and the cover index built from them, take about nnz * 3 *
-    side bits, so a support above `SUPPORT_MAX_BITS` of them is refused
-    before any mask is built.
-    """
+def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """Item count, sorted cells and their items: cell (i, j, k) covers items i, n + j and 2n + k."""
     n = tensor.cube_side
-    bits = len(tensor.entries) * 3 * n
-    if bits > SUPPORT_MAX_BITS:
-        raise GuardExceeded(f"support guard is {SUPPORT_MAX_BITS} mask bits (nnz * 3 * side), got {bits}")
     cells = sorted(tensor.entries)
-    options = [1 << i | 1 << (n + j) | 1 << (2 * n + k) for i, j, k in cells]
-    return 3 * n, cells, options
+    return 3 * n, cells, [(i, n + j, 2 * n + k) for i, j, k in cells]
 
 
 Support = Literal[False] | tuple[list[tuple[int, int, int]], CoverIndex]
@@ -396,25 +387,21 @@ class BipartiteGraph:
             mat[lpos[u]][rpos[v]] = 1
         return mat
 
-    def matching_problem(self, edges: Sequence[tuple]) -> tuple[int, list[int]]:
+    def matching_problem(self, edges: Sequence[tuple]) -> tuple[int, list[tuple[int, int]]]:
         """The perfect matchings as an exact-cover problem over `edges`, in their order.
 
         Items are the left vertices, then the right ones; option o is edge
-        `edges[o]`. With sides of unequal size there are no options, so no
-        cover. Otherwise the masks take `len(edges) * item_count` bits, and
-        past `SUPPORT_MAX_BITS` of them the problem is refused before any
-        mask is built.
+        `edges[o]`, holding its left end i and right end j as items
+        (i, nl + j). With sides of unequal size there are no options, so no
+        cover.
         """
         nl = len(self.left)
         item_count = nl + len(self.right)
         if nl != len(self.right):
             return item_count, []
-        bits = len(edges) * item_count
-        if bits > SUPPORT_MAX_BITS:
-            raise GuardExceeded(f"matching guard is {SUPPORT_MAX_BITS} mask bits (edges * vertices), got {bits}")
         lpos = {u: i for i, u in enumerate(self.left)}
         rpos = {v: nl + j for j, v in enumerate(self.right)}
-        return item_count, [1 << lpos[u] | 1 << rpos[v] for u, v in edges]
+        return item_count, [(lpos[u], rpos[v]) for u, v in edges]
 
 
 def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
@@ -543,20 +530,20 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     GF(2) (Little 1975; Vazirani and Yannakakis 1989). Each matching is one
     row, bit 1 + o for edge o of the sorted edges and bit 0 for the parity,
     reduced by `CoverIndex.parity_span` over the matching problem's state
-    graph, under its guard, with no matching listed. Edge (i, j) gets the
+    graph, under its guards, with no matching listed. Edge (i, j) gets the
     sign mask "left vertices below i and right vertices below j", so a
-    pair of edges adds one to the parity iff it is an inversion of sigma.
-    The system is inconsistent iff the basis holds the row 1 (0 = 1).
+    pair of edges adds one to the parity iff it is an inversion of sigma;
+    the masks are built once the index has passed its size guard. The
+    system is inconsistent iff the basis holds the row 1 (0 = 1).
     Otherwise each pivot edge takes bit 0 of its row and every free edge +1.
     """
     edges = sorted(graph.edges)
     item_count, options = graph.matching_problem(edges)
+    index = CoverIndex(item_count, options)
     left = (1 << len(graph.left)) - 1
-    signs = []
-    for mask in options:  # left vertex i and right vertex j as items i and nl + j
-        low = mask & -mask
-        signs.append((low - 1) | ((mask ^ low) - 1) ^ left)
-    basis = CoverIndex(item_count, options).parity_span(signs)
+    # edge (i, j) holds items i and nl + j: the left items below i, the right items below nl + j
+    signs = [(1 << i) - 1 | ((1 << nl_j) - 1) ^ left for i, nl_j in options]
+    basis = index.parity_span(signs)
     if basis and basis[-1] == 1:
         return None
     signing = dict.fromkeys(edges, 1)

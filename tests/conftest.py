@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -160,7 +162,12 @@ def support_diagonals_by_rows(tensor):
     return sorted(out)
 
 
-def counting_index(item_count: int, options: list[int]) -> tuple[core.CoverIndex, list[int]]:
+def mask_items(masks: list[int]) -> list[tuple[int, ...]]:
+    """Cover options given as item bitmasks, restated as the ascending items each holds."""
+    return [tuple(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks]
+
+
+def counting_index(item_count: int, options: list[tuple[int, ...]]) -> tuple[core.CoverIndex, list[int]]:
     """A fresh `CoverIndex` whose `choose` calls record their `covered` argument."""
     index = core.CoverIndex(item_count, options)
     calls: list[int] = []
@@ -169,13 +176,26 @@ def counting_index(item_count: int, options: list[int]) -> tuple[core.CoverIndex
     return index, calls
 
 
-def cover_graph_size(item_count: int, options: list[int]) -> int:
+def cover_graph_size(item_count: int, options: list[tuple[int, ...]]) -> int:
     """States visited plus arcs kept by a `CoverIndex` build, counted from its
     `choose` calls: the size its guard is checked against (a measure, not an oracle)."""
     index, calls = counting_index(item_count, options)
     index.fold([1] * len(options))
     assert len(calls) == len(set(calls))  # the build visits each state once
     return len(calls) + sum(len(arcs) for _, arcs in index.graph)
+
+
+@contextmanager
+def traced_peak():
+    """Yield a list that holds, once the block ends (raising or not), the peak
+    bytes Python allocated inside it, as `tracemalloc` counts them."""
+    peak: list[int] = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def signed_biadjacency(graph, signing):

@@ -16,13 +16,19 @@ from hypothesis import strategies as st
 from conftest import disjoint_union, tetrahedron_boundary
 import kas3
 from kas3._util import canonical_json
-from kas3.algebra import BinaryCode
+from kas3.algebra import BinaryCode, Polynomial
 from kas3.cli import main, run
 from kas3.core import check_edge_tripartition, parse_config_doc
-from kas3.errors import SchemaError
+from kas3.errors import SchemaError, ToolkitError
 from kas3.kasteleyn_construct import matrix_from_doc
 from kas3.lattice import cubic_lattice
 from kas3.tensor3 import BipartiteGraph, Tensor3
+
+
+needs_default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the interpreter's default int/str conversion limit of 4300 digits",
+)
 
 
 def invoke(capsys, *argv):
@@ -379,6 +385,88 @@ class TestErrors:
         assert parse_config_doc({"weights": {"t": "-4"}})[1] == {"t": -4}
         assert BinaryCode.from_doc({"k": "1", "n": 2, "rows": [[0, 1]]}).rows == (2,)
 
+    @pytest.mark.parametrize("command", [["triadj"], ["reduce"], ["kernel-wenum", "--p", "2"]], ids=lambda c: c[0])
+    def test_names_are_strings_or_integers(self, capsys, tmp_path, command):
+        # once read as the edge names "['a']", "True" and "1.5", with exit status 0
+        doc = {
+            "edges": [{"id": ["a"]}, {"id": True}, {"id": 1.5}],
+            "triangles": [{"id": {"x": 1}, "edges": [["a"], True, 1.5]}],
+        }
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(doc))
+        assert invoke(capsys, command[0], str(path), *command[1:]) == (2, canonical_json({"error": {
+            "type": "schema", "message": "edges[0] id is not a name (a string or an integer): ['a']",
+        }}) + "\n")
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"edges": [{"id": "a"}, {"id": 1.5}]}, "edges[1] id"),
+            ({"edges": [{"id": "e", "ends": ["u", True]}]}, "edge 'e' ends[1]"),
+            ({"triangles": [{"id": {"x": 1}, "edges": []}]}, "triangles[0] id"),
+            ({"triangles": [{"id": "t", "edges": ["a", ["b"], "c"]}]}, "triangle 't' edges[1]"),
+            ({"vertices": ["u", None]}, "vertices[1]"),
+        ],
+        ids=["edge_id", "edge_end", "triangle_id", "triangle_edge", "vertex"],
+    )
+    def test_every_name_field_is_checked(self, doc, field):
+        with pytest.raises(SchemaError, match=re.escape(f"{field} is not a name")):
+            parse_config_doc(doc)
+
+    def test_integer_names_are_read_as_decimal_text(self):
+        doc = {
+            "vertices": [7],
+            "edges": [{"id": 1, "ends": [7, 8]}, {"id": 2, "ends": [8, 9]}, {"id": 3, "ends": [7, 9]}],
+            "triangles": [{"id": -4, "edges": [1, 2, 3]}],
+        }
+        config = parse_config_doc(doc)[0]
+        assert config.edge_ids == ("1", "2", "3") and config.triangle_ids == ("-4",)
+        assert config.triangle_edges("-4") == ("1", "2", "3") and config.edge_ends("1") == ("7", "8")
+        assert config.vertex_order == ("7", "8", "9")
+
+    @needs_default_digit_limit
+    @pytest.mark.parametrize("command", ["reduce", "triadj"])
+    def test_integer_literal_past_the_digit_limit_is_schema_error(self, capsys, tmp_path, command):
+        path = tmp_path / "weights.json"
+        path.write_text(
+            '{"edges": [{"id": "a"}, {"id": "b"}, {"id": "c"}], "triangles": [{"id": "t", "edges": ["a", "b", "c"]}],'
+            ' "weights": {"t": ' + "7" * 5000 + "}}"
+        )
+        status, out = invoke(capsys, command, str(path))
+        error = json.loads(out)["error"]
+        assert (status, error["type"]) == (2, "schema")
+        assert error["message"].startswith(f"cannot read {path} as JSON: Exceeds the limit (4300 digits)")
+
+    def test_bytes_that_are_not_utf8_are_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"edges": [{"id": "é"}]}'.encode("latin-1"))
+        status, out = invoke(capsys, "triadj", str(path))
+        error = json.loads(out)["error"]
+        assert (status, error["type"]) == (2, "schema")
+        assert error["message"].startswith(f"cannot read {path} as JSON: 'utf-8' codec can't decode byte 0xe9")
+
+    @needs_default_digit_limit
+    def test_polynomial_past_the_digit_limit_is_schema_error(self, capsys):
+        status, out = invoke(capsys, "fold", "x^" + "1" * 5000, "--e", "2")
+        error = json.loads(out)["error"]
+        assert (status, error["type"]) == (2, "schema")
+        assert error["message"].startswith("cannot parse polynomial term: Exceeds the limit (4300 digits)")
+
+    @needs_default_digit_limit
+    @pytest.mark.parametrize("command", ["per3", "det3"])
+    def test_result_past_the_digit_limit_is_operation_error(self, capsys, tmp_path, command):
+        # each entry has 4000 digits, the product 7999
+        entry = "1" + "0" * 3999
+        path = tmp_path / "diagonal.json"
+        path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [[0, 0, 0, entry], [1, 1, 1, entry]]}))
+        for argv in ([command, str(path)], [command, str(path), "--json"]):
+            status, out = invoke(capsys, *argv)
+            error = json.loads(out)["error"]
+            assert (status, error["type"]) == (1, "operation")
+            assert error["message"].startswith("cannot print the result: Exceeds the limit (4300 digits)")
+        with pytest.raises(ToolkitError, match=re.escape("Exceeds the limit (4300 digits)")):
+            Polynomial({1: 10**5000}).to_text()
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_bad_thread_count_exit_2(self, capsys, tensor_file, threads):
         status, out = invoke(capsys, "per3", tensor_file, "--threads", threads)
@@ -444,7 +532,7 @@ class TestScale:
                 [sys.executable, "-c", child, command, str(path), "--json"], capture_output=True, text=True, env=env
             )
             assert (proc.returncode, proc.stderr) == (1, "")
-            assert "support guard" in json.loads(proc.stdout)["error"]["message"]
+            assert "cover mask guard" in json.loads(proc.stdout)["error"]["message"]
 
 
     def test_kernel_guard_fires_before_any_kernel_vector(self, capsys, tmp_path, monkeypatch):

@@ -19,6 +19,8 @@ from conftest import (
     counting_index,
     cover_graph_size,
     disjoint_union,
+    mask_items,
+    traced_peak,
     random_config,
 )
 import kas3.algebra as algebra
@@ -191,21 +193,21 @@ class TestExactCovers:
                 for item in rng.sample(range(item_count), min(size, item_count)):
                     mask |= 1 << item
                 options.append(mask)
-            covers = [tuple(sorted(cover)) for cover in CoverIndex(item_count, options).covers()]
+            covers = [tuple(sorted(cover)) for cover in CoverIndex(item_count, mask_items(options)).covers()]
             assert sorted(covers) == brute_force_exact_covers(item_count, options)
 
     def test_edge_cases(self):
         assert list(CoverIndex(0, []).covers()) == [[]]
         assert list(CoverIndex(2, []).covers()) == []
         # item 2 is in no option
-        assert list(CoverIndex(3, [0b011, 0b001, 0b010]).covers()) == []
-        assert list(CoverIndex(1, [0b1, 0b1]).covers()) == [[0], [1]]
+        assert list(CoverIndex(3, mask_items([0b011, 0b001, 0b010])).covers()) == []
+        assert list(CoverIndex(1, mask_items([0b1, 0b1])).covers()) == [[0], [1]]
 
     def test_yield_order_is_pinned(self):
         # items 0-3; every item starts with 3 options, so the root branches on
         # item 0 and each cover lists its options in the order they were chosen
         options = [0b0011, 0b1100, 0b0001, 0b0010, 0b0110, 0b1000, 0b1001, 0b0100]
-        assert list(CoverIndex(4, options).covers()) == [
+        assert list(CoverIndex(4, mask_items(options)).covers()) == [
             [0, 1],
             [0, 7, 5],
             [2, 3, 1],
@@ -236,8 +238,8 @@ class TestExactCoverSum:
             values = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in options]
             covers = brute_force_exact_covers(item_count, options)
             expected = sum(math.prod(values[oi] for oi in cover) for cover in covers)
-            assert CoverIndex(item_count, options).fold(values) == expected
-            assert CoverIndex(item_count, options).fold([1] * len(options)) == len(covers)
+            assert CoverIndex(item_count, mask_items(options)).fold(values) == expected
+            assert CoverIndex(item_count, mask_items(options)).fold([1] * len(options)) == len(covers)
 
     def test_signs_follow_the_enumeration_order(self):
         # a term's sign is fixed by the items covered before each of its
@@ -248,23 +250,23 @@ class TestExactCoverSum:
             values = [rng.choice((-2, 1, 3)) for _ in options]
             signs = [rng.getrandbits(max(item_count, 1)) for _ in options]
             expected = 0
-            for cover in CoverIndex(item_count, options).covers():
+            for cover in CoverIndex(item_count, mask_items(options)).covers():
                 covered, term = 0, 1
                 for oi in cover:
                     term *= -values[oi] if (covered & signs[oi]).bit_count() & 1 else values[oi]
                     covered |= options[oi]
                 expected += term
-            assert CoverIndex(item_count, options).fold(values, signs) == expected
+            assert CoverIndex(item_count, mask_items(options)).fold(values, signs) == expected
 
     def test_empty_sum_and_empty_product(self):
         assert CoverIndex(0, []).fold([]) == 1
         assert CoverIndex(2, []).fold([]) == 0
-        assert CoverIndex(3, [0b011, 0b001, 0b010]).fold([1, 1, 1]) == 0
-        assert CoverIndex(1, [0b1, 0b1]).fold([2, 3]) == 5
+        assert CoverIndex(3, mask_items([0b011, 0b001, 0b010])).fold([1, 1, 1]) == 0
+        assert CoverIndex(1, mask_items([0b1, 0b1])).fold([2, 3]) == 5
 
     def test_fold_depth_is_not_bounded_by_recursion_limit(self):
         options = [0b111 << 3 * i for i in range(3000)]
-        assert CoverIndex(9000, options).fold([2] * 3000) == 2**3000
+        assert CoverIndex(9000, mask_items(options)).fold([2] * 3000) == 2**3000
         edges = {
             f"e{i}": (f"v{i}", f"v{i + 1 if i % 3 < 2 else i - 2}") for i in range(9000)
         }
@@ -317,18 +319,18 @@ class TestFoldReplay:
                 item_count = 15
                 options = [sum(1 << i for i in rng.sample(range(15), rng.randint(1, 4))) for _ in range(30)]
             folds = [self.random_fold(rng, item_count, len(options)) for _ in range(3)]
-            expected = [CoverIndex(item_count, options).fold(*fold) for fold in folds]
+            expected = [CoverIndex(item_count, mask_items(options)).fold(*fold) for fold in folds]
             for (values, signs), total in zip(folds, expected):
                 if signs is None:
                     assert total == self.unsigned_sum(item_count, options, values)
-            index = core.CoverIndex(item_count, options)
+            index = core.CoverIndex(item_count, mask_items(options))
             assert [index.fold(*fold) for fold in folds] == expected
 
     def test_every_graph_state_reaches_a_full_cover(self):
         rng = random.Random(13)
         for _ in range(200):
             item_count, options = random_cover_instance(rng)
-            index = core.CoverIndex(item_count, options)
+            index = core.CoverIndex(item_count, mask_items(options))
             count = index.fold([1] * len(options))
             graph = index.graph
             full = (1 << item_count) - 1
@@ -346,15 +348,15 @@ class TestFoldReplay:
         sizes = 0
         while sizes < 20:
             item_count, options = random_cover_instance(rng)
-            size = cover_graph_size(item_count, options)
+            size = cover_graph_size(item_count, mask_items(options))
             if size < 2:
                 continue
             sizes += 1
-            expected = CoverIndex(item_count, options).fold([2] * len(options))
+            expected = CoverIndex(item_count, mask_items(options)).fold([2] * len(options))
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size)
-            assert core.CoverIndex(item_count, options).fold([2] * len(options)) == expected
+            assert core.CoverIndex(item_count, mask_items(options)).fold([2] * len(options)) == expected
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size - 1)
-            index = core.CoverIndex(item_count, options)
+            index = core.CoverIndex(item_count, mask_items(options))
             with pytest.raises(GuardExceeded, match=f"cover graph guard is {size - 1} states"):
                 index.fold([2] * len(options))
             assert index.graph is None  # no partial graph is kept
@@ -367,7 +369,7 @@ class TestFoldReplay:
         rng = random.Random(12)
         for _ in range(50):
             item_count, options = random_cover_instance(rng)
-            index = core.CoverIndex(item_count, options)
+            index = core.CoverIndex(item_count, mask_items(options))
             first = index.fold([1] * len(options))
             graph = index.graph
             calls = []
@@ -381,7 +383,7 @@ class TestFoldReplay:
         rng = random.Random(15)
         for _ in range(50):
             item_count, options = random_cover_instance(rng)
-            index, calls = counting_index(item_count, options)
+            index, calls = counting_index(item_count, mask_items(options))
             count = index.fold([1] * len(options))
             graph, built = index.graph, len(calls)
             covers = list(index.covers())
@@ -393,7 +395,7 @@ class TestFoldReplay:
         rng = random.Random(16)
         for _ in range(50):
             item_count, options = random_cover_instance(rng)
-            index, calls = counting_index(item_count, options)
+            index, calls = counting_index(item_count, mask_items(options))
             first = list(index.covers())
             graph, built = index.graph, len(calls)
             assert graph is not None
@@ -405,15 +407,15 @@ class TestFoldReplay:
         checked = 0
         while checked < 20:
             item_count, options = random_cover_instance(rng)
-            size = cover_graph_size(item_count, options)
+            size = cover_graph_size(item_count, mask_items(options))
             if size < 2:
                 continue
             checked += 1
-            expected = list(CoverIndex(item_count, options).covers())
+            expected = list(CoverIndex(item_count, mask_items(options)).covers())
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size)
-            assert list(core.CoverIndex(item_count, options).covers()) == expected
+            assert list(core.CoverIndex(item_count, mask_items(options)).covers()) == expected
             monkeypatch.setattr(core, "COVER_GRAPH_MAX_SIZE", size - 1)
-            index = core.CoverIndex(item_count, options)
+            index = core.CoverIndex(item_count, mask_items(options))
             with pytest.raises(GuardExceeded, match=f"cover graph guard is {size - 1} states"):
                 next(index.covers())
             assert index.graph is None
@@ -460,6 +462,46 @@ class TestEnumeration:
             inner = set(enumerate_matchings_with_defect_within(config, small))
             outer = set(enumerate_matchings_with_defect_within(config, large))
             assert inner <= outer
+
+
+def octahedron_boundary() -> TriangularConfiguration:
+    """The eight faces of an octahedron on the vertices x0, x1, y0, y1, z0 and z1."""
+    faces = list(itertools.product(("x0", "x1"), ("y0", "y1"), ("z0", "z1")))
+    edges = {a + b: (a, b) for face in faces for a, b in itertools.combinations(face, 2)}
+    triangles = {"".join(face): [a + b for a, b in itertools.combinations(face, 2)] for face in faces}
+    return TriangularConfiguration(edges, triangles)
+
+
+class TestCoverMaskGuard:
+    """Configuration problems meet the one mask guard of `CoverIndex`, options * items bits."""
+
+    @pytest.mark.parametrize(
+        "solve, options, items",
+        [
+            (perfect_matching_polynomial, 8, 12),
+            (lambda config: enumerate_matchings_with_defect_within(config, ["x0y0", "y1z1"]), 10, 12),
+            (count_perfect_strong_matchings, 8, 6),
+        ],
+        ids=["perfect_matching_polynomial", "enumerate_matchings_with_defect_within", "count_perfect_strong_matchings"],
+    )
+    def test_guard_boundary(self, monkeypatch, solve, options, items):
+        config = octahedron_boundary()
+        expected = solve(config)
+        assert expected
+        bits = options * items
+        monkeypatch.setattr(core, "SUPPORT_MAX_BITS", bits)
+        assert solve(config) == expected
+        monkeypatch.setattr(core, "SUPPORT_MAX_BITS", bits - 1)
+        with pytest.raises(GuardExceeded, match=f"cover mask guard is {bits - 1} bits .* got {bits}$"):
+            solve(config)
+
+    def test_long_strip_is_refused_before_any_mask(self):
+        # the masks would take 20000 triangles * 40001 edges = 8.0e8 bits, 100 MB
+        config = strip_config(20000)
+        with traced_peak() as peak:
+            with pytest.raises(GuardExceeded, match="cover mask guard is 268435456 bits .* got 800020000$"):
+                perfect_matching_polynomial(config)
+        assert peak[0] < 64 << 20
 
 
 class TestPerfectMatchingPolynomial:

@@ -47,6 +47,7 @@ from conftest import (
     pfaffian_signing_exists,
     signed_biadjacency,
     support_diagonals_by_rows,
+    traced_peak,
 )
 
 
@@ -336,17 +337,18 @@ class TestPermanentDeterminant:
         assert fresh == t and permanent3(fresh) == permanent3(t) and fresh._support[1] is not index
 
     def test_support_guard_fires_before_any_mask(self, monkeypatch):
+        # the masks would take nnz * 3 * side = 2.7e9 bits, 337 MB
         t = Tensor3((30000,) * 3, {(i, i, i): 1 for i in range(30000)})
-        monkeypatch.setattr(tensor3, "CoverIndex", None)  # nothing may reach the index
-        with pytest.raises(GuardExceeded, match="support guard is 268435456 mask bits"):
-            permanent3(t)
-        with pytest.raises(GuardExceeded):
-            list(support_diagonals(t))
-        monkeypatch.undo()
+        with traced_peak() as peak:
+            with pytest.raises(GuardExceeded, match="cover mask guard is 268435456 bits .* got 2700000000$"):
+                permanent3(t)
+            with pytest.raises(GuardExceeded, match="got 2700000000$"):
+                list(support_diagonals(t))
+        assert peak[0] < 64 << 20
         t = Tensor3((40,) * 3, {(i, i, i): 2 for i in range(40)})
-        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 40 * 3 * 40)
+        monkeypatch.setattr(core, "SUPPORT_MAX_BITS", 40 * 3 * 40)
         assert determinant3(t) == 2**40
-        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 40 * 3 * 40 - 1)
+        monkeypatch.setattr(core, "SUPPORT_MAX_BITS", 40 * 3 * 40 - 1)
         with pytest.raises(GuardExceeded, match="got 4800"):
             determinant3(Tensor3(t.dims, t.entries))
 
@@ -611,18 +613,16 @@ class TestProjectionsAndSignings:
         assert built == [16, 16, 24]
 
     def test_matching_guard_fires_before_any_mask(self, monkeypatch):
-        def refuse(item_count, options):
-            raise AssertionError("cover index built past the guard")
-
+        # the projection graph's masks would take edges * vertices = 1.8e9 bits, 225 MB
         t = Tensor3((30000,) * 3, {(i, i, i): 1 for i in range(30000)})
-        monkeypatch.setattr(tensor3, "CoverIndex", refuse)
-        with pytest.raises(GuardExceeded, match="matching guard is 268435456 mask bits .* got 1800000000"):
-            kasteleyn_sign_via_k1(t)
-        monkeypatch.undo()
+        with traced_peak() as peak:
+            with pytest.raises(GuardExceeded, match="cover mask guard is 268435456 bits .* got 1800000000$"):
+                kasteleyn_sign_via_k1(t)
+        assert peak[0] < 64 << 20
         g = circulant(8)  # 24 edges over 16 vertices
-        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 24 * 16)
+        monkeypatch.setattr(core, "SUPPORT_MAX_BITS", 24 * 16)
         assert find_pfaffian_signing(g) is not None
-        monkeypatch.setattr(tensor3, "SUPPORT_MAX_BITS", 24 * 16 - 1)
+        monkeypatch.setattr(core, "SUPPORT_MAX_BITS", 24 * 16 - 1)
         with pytest.raises(GuardExceeded, match="got 384"):
             find_pfaffian_signing(g)
 
