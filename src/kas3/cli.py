@@ -264,8 +264,18 @@ def _cmd_bc_check(args) -> CommandResult:
     return CommandResult(0 if lhs == rhs else 1, payload, summary)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose argument errors are schema errors (exit 2, one JSON error), not usage on stderr.
+
+    Subparsers are made with the class of their parent, so they raise too.
+    """
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="print the JSON payload")
     common.add_argument(
         "--threads",
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="validated (at least 1) and kept for compatibility; has no effect",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kas3",
         description="Exact matchings, 3-matrix permanents/determinants and dimer counts",
     )
@@ -345,19 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(args) -> CommandResult:
+def _execute(argv: list[str]) -> tuple[CommandResult, bool]:
+    """Parse and execute: the result, and whether the command line asked for JSON."""
     try:
+        args = _parser().parse_args(argv)
         if args.threads < 1:
             raise SchemaError(f"thread count must be >= 1, got {args.threads}")
-        return args.func(args)
+        return args.func(args), args.json
     except SchemaError as exc:
         return CommandResult(
             2, {"error": {"type": "schema", "message": str(exc)}}, f"schema error: {exc}"
-        )
+        ), True
     except ToolkitError as exc:
         return CommandResult(
             1, {"error": {"type": "operation", "message": str(exc)}}, f"error: {exc}"
-        )
+        ), True
 
 
 @functools.cache
@@ -368,13 +380,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; the entry point tests drive directly."""
-    return _execute(_parser().parse_args(argv))
+    return _execute(argv)[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
-    result = _execute(args)
-    if result.status != 0 or getattr(args, "json", False):
+    result, as_json = _execute(sys.argv[1:] if argv is None else argv)
+    if result.status != 0 or as_json:
         print(canonical_json(result.payload))
     else:
         print(result.summary)

@@ -1,5 +1,8 @@
 """Triangular configurations: data model, validation, exact matchings and sparse GF(p) cycle spaces.
 
+Every matching problem is an exact-cover problem over a `CoverIndex`, whose
+state graph is listed only to name covers and folded for every sum over them.
+
 A configuration is a 2-complex whose maximal simplices are triangles or edges.
 Edges are first-class opaque ids; vertex endpoints are optional per edge, so
 purely combinatorial gadgets need no artificial vertices while vertex-level
@@ -33,8 +36,12 @@ class TriangularConfiguration:
     """Immutable triangular configuration.
 
     `edges` maps edge id -> (u, v) endpoint pair or None; `triangles` maps
-    triangle id -> triple of edge ids. Construction never rejects bad data;
-    `validate` reports violations instead, so invalid inputs stay inspectable.
+    triangle id -> triple of edge ids. Every name (edge and triangle ids,
+    edge ends, triangle edges, vertices) follows `_util.read_name`: a string
+    as given, an integer as its decimal text, anything else refused with
+    `SchemaError` naming the field. Beyond names and two ends per edge,
+    construction never rejects bad data; `validate` reports violations
+    instead, so invalid inputs stay inspectable.
     Vertices keep the order they are given in (a set is taken sorted), then
     edge endpoints not yet named, in edge order; the strong-matching search
     numbers its vertex items in that order, so a builder can hand it a
@@ -61,23 +68,25 @@ class TriangularConfiguration:
         triangles: Mapping[str, Sequence[str]] | None = None,
         vertices: Iterable[str] = (),
     ):
+        name = read_name
         if isinstance(edges, Mapping):
             edge_map = {
-                str(e): (None if ends is None else tuple(sorted(str(x) for x in ends)))
+                name(e, "edge id"): (None if ends is None else tuple(sorted([name(x, "edge end") for x in ends])))
                 for e, ends in edges.items()
             }
         else:
-            edge_map = {str(e): None for e in edges}
+            edge_map = {name(e, "edge id"): None for e in edges}
         for e, ends in edge_map.items():
             if ends is not None and len(ends) != 2:
                 raise ToolkitError(f"edge {e!r} must have exactly two endpoints")
         tri_map = {
-            str(t): tuple(sorted(str(e) for e in tri))
+            name(t, "triangle id"): tuple(sorted([name(e, "triangle edge") for e in tri]))
             for t, tri in (triangles or {}).items()
         }
+        vertex_names = [name(v, "vertex") for v in vertices]
         if isinstance(vertices, (set, frozenset)):
-            vertices = sorted(str(v) for v in vertices)
-        order = dict.fromkeys(str(v) for v in vertices)
+            vertex_names.sort()
+        order = dict.fromkeys(vertex_names)
         for ends in edge_map.values():
             if ends is not None:
                 order.update(dict.fromkeys(ends))
@@ -344,9 +353,11 @@ class CoverIndex:
     `_build` is the only search and `choose` runs nowhere else. The first
     fold, listing or parity span builds its state graph, `graph`, and every
     later one reads it: `fold` sums it, `covers` walks it and `parity_span`
-    reduces over it. Its size, the states visited plus the arcs
-    kept, may not pass `COVER_GRAPH_MAX_SIZE` (2^21); the arcs hold the
-    memory, about 110 bytes each. Measured with CPython 3.11 on x86-64:
+    reduces over it. Only callers that return or inspect covers list them;
+    every sum over covers, weight polynomials included, is a fold. Its
+    size, the states visited plus the arcs kept, may not pass
+    `COVER_GRAPH_MAX_SIZE` (2^21); the arcs hold the memory, about 110
+    bytes each. Measured with CPython 3.11 on x86-64:
     `kas3 per3` peaks at 239 MB resident when the all-ones 10x10x10 tensor
     is refused at the guard, and at 128 MB answering the all-ones 9x9x9
     (1,091,090 states and arcs). Past the guard the build raises
@@ -549,18 +560,33 @@ class CoverIndex:
         return basis
 
 
-def exact_cover_tally(item_count: int, options: Sequence[Sequence[int]], weights: Sequence[int]) -> Polynomial:
+def cover_polynomial(item_count: int, options: Sequence[Sequence[int]], weights: Sequence[int]) -> Polynomial:
     """Sum of x^(total weight) over the exact covers, given one integer weight per option.
 
-    Covers are tallied one by one rather than folded: a fold would build
-    x^w for every option and so refuse a negative weight even when no
-    cover's total is negative. A negative total raises `ToolkitError`.
+    One fold of x^w values over the state graph; no cover is listed. A
+    cover holds each item exactly once, so a negative weight is folded
+    exactly: option o gets x^(w_o + L * s_o), with s_o its number of
+    distinct items and L the least lift that makes every such exponent
+    non-negative, and every cover's total rises by L * item_count, which is
+    taken off the sum. An option that holds no item lies in no cover and
+    gets no value. A negative cover total raises `ToolkitError` naming the
+    least one.
     """
-    coeffs: dict[int, int] = {}
-    for cover in CoverIndex(item_count, options).covers():
-        w = sum(weights[oi] for oi in cover)
-        coeffs[w] = coeffs.get(w, 0) + 1
-    return Polynomial(coeffs)
+    index = CoverIndex(item_count, options)
+    lift = 0
+    exponents: Sequence[int | None] = weights
+    if min(weights, default=0) < 0:
+        sizes = [mask.bit_count() for mask in index.masks]
+        lift = max(((s - w - 1) // s for w, s in zip(weights, sizes) if w < 0 and s), default=0)  # ceil(-w / s)
+        exponents = [w + lift * s if s else None for w, s in zip(weights, sizes)]
+    # a polynomial is a value, so options of equal exponent share one monomial
+    monomials = {e: Polynomial.monomial(e) for e in set(exponents) if e is not None}
+    total = index.fold(list(map(monomials.get, exponents)))
+    if isinstance(total, int):  # no cover, or only the empty one
+        return Polynomial(total)
+    shift = lift * item_count
+    # the terms ascend, so the first negative exponent met, the one named, is the least total
+    return Polynomial({e - shift: c for e, c in total.terms()}) if shift else total
 
 
 # -- matchings and defects ----------------------------------------------------
@@ -652,11 +678,14 @@ def perfect_matching_polynomial(
     """Generating polynomial sum of x^(total weight) over perfect matchings.
 
     A triangle weighs `weighting[t]`, or 1 when the weighting leaves it out.
+    The sum is one fold over the state graph (`cover_polynomial`): no
+    matching is listed, and a negative weight is refused only when some
+    matching's total is negative.
     """
     idx = _index(config)
     weighting = weighting or {}
     weights = [operator.index(weighting.get(t, 1)) for t in idx.tri_ids]
-    return exact_cover_tally(len(idx.edge_ids), idx.tri_edges, weights)
+    return cover_polynomial(len(idx.edge_ids), idx.tri_edges, weights)
 
 
 def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:

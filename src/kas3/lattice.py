@@ -1,9 +1,10 @@
 """Cubic-lattice dimer counting and an integer-grid realization export.
 
-Dimer counts are computed three times on purpose: by a tally over the perfect
-matchings of the grid graph, by the Ryser permanent of its support matrix, and
-by the permanent of the matrix-to-tensor pipeline's tensor; the counts must
-agree exactly or the call fails loudly.
+Dimer counts are computed three times on purpose: by a fold of x^weight over
+the state graph of the grid graph's perfect matchings (none is listed), by the
+Ryser permanent of its support matrix, and by the permanent of the
+matrix-to-tensor pipeline's tensor; the counts must agree exactly or the call
+fails loudly.
 
 The realization holds integer coordinates in units of 1/GRID: lattice points
 and edge midpoints lie on the half-integer grid, each auxiliary vertex less
@@ -19,11 +20,13 @@ from typing import Mapping
 
 from ._util import exact_decimal
 from .algebra import Polynomial
-from .core import exact_cover_tally
+from .core import cover_polynomial
 from .errors import GuardExceeded, ToolkitError
 from .kasteleyn_construct import TConstruction, build_T
 from .tensor3 import BipartiteGraph, permanent2, permanent3
 
+# the fold alone answers far larger boxes; the guard bounds the two
+# cross-checks, the Ryser permanent and per3 of the build_T tensor
 DIMER_MAX_VERTICES = 24
 LATTICE_MAX_VERTICES = 1 << 16
 
@@ -77,10 +80,12 @@ def dimer_polynomial(
 ) -> Polynomial:
     """Generating polynomial of perfect matchings; zero when the box is odd.
 
-    The matching count is recomputed through the support-matrix permanent
-    and the tensor-pipeline permanent, and all three values must agree
-    exactly. `threads` is ignored; it stays so that existing callers keep
-    working.
+    The polynomial is one fold over the state graph of the grid graph's
+    matching problem (`core.cover_polynomial`), so no matching is listed
+    and negative edge weights stay exact. The matching count is recomputed
+    through the support-matrix permanent and the tensor-pipeline permanent,
+    and all three values must agree exactly. `threads` is ignored; it stays
+    so that existing callers keep working.
     """
     if lattice.vertex_count > DIMER_MAX_VERTICES:
         raise GuardExceeded(
@@ -91,7 +96,7 @@ def dimer_polynomial(
     edges = sorted(lattice.graph.edges)
     edge_weights = edge_weights or {}
     weights = [operator.index(edge_weights.get(e, 1)) for e in edges]
-    poly = exact_cover_tally(*lattice.graph.matching_problem(edges), weights)
+    poly = cover_polynomial(*lattice.graph.matching_problem(edges), weights)
     count = poly(1)
     biadj = lattice.graph.biadjacency()
     via_matrix = permanent2(biadj)

@@ -182,6 +182,32 @@ class TestCommands:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lattice", "a", "1", "1"], "kas3 lattice: argument a: invalid int value: 'a'"),
+            (["per3"], "kas3 per3: the following arguments are required: tensor"),
+            (["bogus"], "kas3: argument command: invalid choice: 'bogus'"),
+            (["fold", "-x", "--e", "2"], "kas3 fold: "),
+            (["per3", "a.json", "b.json"], "kas3: unrecognized arguments: b.json"),
+        ],
+        ids=["bad_int", "missing_path", "unknown_command", "unknown_option", "extra_argument"],
+    )
+    def test_argument_error_is_one_json_error(self, capsys, argv, message):
+        # argparse printed its usage on stderr and nothing on stdout
+        status = main(argv)
+        out, err = capsys.readouterr()
+        assert (status, err) == (2, "")
+        assert out.endswith("\n") and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "schema" and error["message"].startswith(message)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["lattice", "--help"])
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kas3 lattice")
+
     def test_missing_file_is_schema_error(self, capsys):
         status, out = invoke(capsys, "per3", "/nonexistent.json")
         assert status == 2

@@ -6,6 +6,7 @@ import heapq
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -540,6 +541,45 @@ class TestPerfectMatchingPolynomial:
     def test_negative_weight_outside_every_matching_is_ignored(self):
         assert perfect_matching_polynomial(self.two_matchings(), {"t5": -7}) == Polynomial({2: 2})
 
+    def test_polynomial_lists_no_cover(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a weight polynomial listed its covers")
+
+        monkeypatch.setattr(core.CoverIndex, "covers", refuse)
+        assert perfect_matching_polynomial(self.two_matchings(), {"t1": -1}) == Polynomial({0: 1, 2: 1})
+
+    def test_against_subset_enumeration(self):
+        rng = random.Random(20)
+        refused = 0
+        for _ in range(300):
+            config = random_config(rng, max_triangles=rng.randint(3, 9))
+            weights = {t: rng.randint(-4, 5) for t in config.triangle_ids}
+            totals = [sum(weights[t] for t in m) for m in brute_force_matchings(config, ())]
+            if totals and min(totals) < 0:
+                refused += 1
+                with pytest.raises(ToolkitError, match=f"^negative exponent {min(totals)} not representable$"):
+                    perfect_matching_polynomial(config, weights)
+            else:
+                expected = Polynomial({total: totals.count(total) for total in totals})
+                assert perfect_matching_polynomial(config, weights) == expected
+        assert 0 < refused < 300
+
+    def test_triangle_with_no_edges_is_ignored(self):
+        config = TriangularConfiguration(list("abc"), {"t": ("a", "b", "c"), "u": ()})
+        assert perfect_matching_polynomial(config, {"u": -3}) == Polynomial({1: 1})
+
+    def test_repeated_edge_lifts_by_distinct_edges(self):
+        # "r" holds the two items a and b: lifting by its three listed edges
+        # would shift the sum by the wrong amount
+        config = TriangularConfiguration(list("abcd"), {"r": ("a", "a", "b"), "s": ("c", "d", "d")})
+        assert perfect_matching_polynomial(config, {"r": -3, "s": 5}) == Polynomial({2: 1})
+        with pytest.raises(ToolkitError, match="^negative exponent -2 not representable$"):
+            perfect_matching_polynomial(config, {"r": -3, "s": 1})
+
+    def test_empty_problem_is_one(self):
+        assert perfect_matching_polynomial(TriangularConfiguration([])) == Polynomial(1)
+        assert core.cover_polynomial(0, [], []) == Polynomial(1)
+
 
 class TestStrongMatchings:
     def test_single_triangle(self):
@@ -988,6 +1028,37 @@ class TestCycleSpace:
         block = tetrahedron if p == 2 else self.octahedron()
         with pytest.raises(GuardExceeded, match=rf"kernel has {p}\^{copies} codewords, beyond the enumeration guard"):
             cycle_space_weight_enumerator(disjoint_union([block] * copies), p)
+
+
+class TestConfigurationNames:
+    def test_non_names_are_refused(self):
+        # once read as the names "['b']" and "True", giving one perfect matching
+        with pytest.raises(ToolkitError, match=re.escape("triangle edge is not a name (a string or an integer): ['b']")):
+            TriangularConfiguration({"a": None, "['b']": None, "True": None}, {"t": ["a", ["b"], True]})
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((["a", 1.5],), "edge id"),
+            (({"a": None, True: None},), "edge id"),
+            (({"e": ("u", None)},), "edge end"),
+            ((["a"], {("t",): ["a"]}), "triangle id"),
+            ((["a"], {"t": ["a", 2.0]}), "triangle edge"),
+            ((["a"], {}, ["u", ["v"]]), "vertex"),
+            ((["a"], {}, {"u", frozenset()}), "vertex"),
+        ],
+        ids=["edge_id_list", "edge_id_map", "edge_end", "triangle_id", "triangle_edge", "vertex_list", "vertex_set"],
+    )
+    def test_every_name_field_is_checked(self, args, field):
+        with pytest.raises(ToolkitError, match=f"^{field} is not a name"):
+            TriangularConfiguration(*args)
+
+    def test_integer_names_are_decimal_text(self):
+        config = TriangularConfiguration([1, 2, 3], {5: (1, 2, 3)})
+        assert config.edge_ids == ("1", "2", "3") and config.triangle_ids == ("5",)
+        assert config.triangle_edges("5") == ("1", "2", "3")
+        config = TriangularConfiguration({-1: (7, "u")}, {}, {9, 10})
+        assert config.edge_ends("-1") == ("7", "u") and config.vertex_order == ("10", "9", "7", "u")
 
 
 class TestJsonDocs:

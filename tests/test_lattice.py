@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import permanent2_bruteforce
+import kas3.core as core
 from kas3.algebra import Polynomial
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
@@ -91,6 +92,13 @@ class TestDimerCounts:
         q = cubic_lattice(2, 2, 1)
         with pytest.raises(ToolkitError, match="negative exponent -4"):
             dimer_polynomial(q, edge_weights={min(q.graph.edges): -5})
+
+    def test_polynomial_lists_no_matching(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the dimer polynomial listed its matchings")
+
+        monkeypatch.setattr(core.CoverIndex, "covers", refuse)
+        assert dimer_polynomial(cubic_lattice(2, 2, 3)) == Polynomial({6: 32})
 
     def test_negative_weight_outside_every_matching_is_ignored(self):
         # the middle edge of a four-vertex path lies in no perfect matching
