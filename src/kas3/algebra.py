@@ -21,7 +21,10 @@ class Polynomial:
 
     Exponents are non-negative integers and zero coefficients are never
     stored, so two polynomials are equal iff their coefficient maps are.
-    Instances are treated as immutable values.
+    Instances are treated as immutable values. The constructor checks every
+    term it is given; arithmetic builds its results with `_make`, which
+    stores a map that already holds only int exponents >= 0 and nonzero int
+    coefficients.
     """
 
     __slots__ = ("_coeffs",)
@@ -38,6 +41,13 @@ class Polynomial:
             if coeff:
                 clean[exp] = coeff
         self._coeffs = clean
+
+    @classmethod
+    def _make(cls, coeffs: dict[int, int]) -> "Polynomial":
+        """A polynomial holding `coeffs` as given: the caller guarantees what `__init__` checks."""
+        poly = cls.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "Polynomial":
@@ -76,13 +86,17 @@ class Polynomial:
             return NotImplemented
         merged = dict(self._coeffs)
         for exp, coeff in other._coeffs.items():
-            merged[exp] = merged.get(exp, 0) + coeff
-        return Polynomial(merged)
+            coeff += merged.get(exp, 0)
+            if coeff:
+                merged[exp] = coeff
+            else:
+                del merged[exp]
+        return Polynomial._make(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self._coeffs.items()})
+        return Polynomial._make({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -100,12 +114,20 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
         out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        if len(b) == 1:  # one term: the products have distinct exponents and none is zero
+            ((e2, c2),) = b.items()
+            for e1, c1 in a.items():
+                out[e1 + e2] = c1 * c2
+            return Polynomial._make(out)
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 exp = e1 + e2
                 out[exp] = out.get(exp, 0) + c1 * c2
-        return Polynomial(out)
+        return Polynomial._make({e: c for e, c in out.items() if c} if 0 in out.values() else out)
 
     __rmul__ = __mul__
 
@@ -154,7 +176,7 @@ def _coerce(value) -> "Polynomial":
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, int):
-        return Polynomial(value)
+        return Polynomial._make({0: int(value)} if value else {})  # int(): a bool is stored as its int
     return NotImplemented
 
 

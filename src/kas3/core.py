@@ -7,6 +7,10 @@ A configuration is a 2-complex whose maximal simplices are triangles or edges.
 Edges are first-class opaque ids; vertex endpoints are optional per edge, so
 purely combinatorial gadgets need no artificial vertices while vertex-level
 constructions keep full incidence data.
+
+Outside input is checked once, at the boundary: the constructor and
+`parse_config_doc` read every name, and kas3's own builders hand their
+finished maps to `TriangularConfiguration._make`, which trusts them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_array, read_int, read_name
 from .algebra import (
@@ -46,6 +50,10 @@ class TriangularConfiguration:
     edge endpoints not yet named, in edge order; the strong-matching search
     numbers its vertex items in that order, so a builder can hand it a
     structural one. Equality ignores the order.
+
+    The constructor checks and normalises outside input once. kas3's own
+    builders and `parse_config_doc`, which read every name themselves, hand
+    finished maps to `_make` instead, which stores them as given.
 
     The sorted id tuples and the triangles' vertex sets are computed once,
     on first use, and shared by every later call.
@@ -86,14 +94,36 @@ class TriangularConfiguration:
         vertex_names = [name(v, "vertex") for v in vertices]
         if isinstance(vertices, (set, frozenset)):
             vertex_names.sort()
-        order = dict.fromkeys(vertex_names)
-        for ends in edge_map.values():
-            if ends is not None:
-                order.update(dict.fromkeys(ends))
-        self._vertex_order = tuple(order)
-        self._vertices = frozenset(order)
-        self._edges = edge_map
-        self._triangles = tri_map
+        self._store(edge_map, tri_map, _order_vertices(vertex_names, edge_map))
+
+    @classmethod
+    def _make(
+        cls,
+        edges: dict[str, tuple[str, str] | None],
+        triangles: dict[str, tuple[str, ...]],
+        vertex_order: tuple[str, ...] = (),
+    ) -> "TriangularConfiguration":
+        """A configuration holding the maps as given, which it then owns.
+
+        The caller guarantees what `__init__` enforces: `str` names, each
+        edge's ends a sorted pair or None, each triangle's edges a sorted
+        tuple, and `vertex_order` the order `__init__` would give (see
+        `_order_vertices`).
+        """
+        config = cls.__new__(cls)
+        config._store(edges, triangles, vertex_order)
+        return config
+
+    def _store(
+        self,
+        edges: dict[str, tuple[str, str] | None],
+        triangles: dict[str, tuple[str, ...]],
+        vertex_order: tuple[str, ...],
+    ) -> None:
+        self._vertex_order = vertex_order
+        self._vertices = frozenset(vertex_order)
+        self._edges = edges
+        self._triangles = triangles
         self._edge_ids: tuple[str, ...] | None = None
         self._triangle_ids: tuple[str, ...] | None = None
         self._triangle_vertex_sets: dict[str, frozenset[str] | None] | None = None
@@ -184,13 +214,23 @@ class TriangularConfiguration:
         return config
 
 
+def _order_vertices(vertices: Iterable[str], edges: Mapping[str, tuple[str, str] | None]) -> tuple[str, ...]:
+    """The vertices in order, then the edge ends not yet named, in edge order; each name once."""
+    order = dict.fromkeys(vertices)
+    for ends in edges.values():
+        if ends is not None:
+            order[ends[0]] = order[ends[1]] = None
+    return tuple(order)
+
+
 def parse_config_doc(
     doc: Mapping,
 ) -> tuple[TriangularConfiguration, dict[str, int] | None, dict[str, int] | None, dict[str, int] | None]:
     """Parse the shared JSON document form.
 
     Returns (config, weights, edge_classes, vertex_classes); the last three are
-    None when the corresponding optional key is absent.
+    None when the corresponding optional key is absent. Every name is read
+    once, here, and the configuration is built from the finished maps.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("configuration document must be an object")
@@ -207,19 +247,22 @@ def parse_config_doc(
             if ends is not None:
                 if not isinstance(ends, (list, tuple)) or len(ends) != 2:
                     raise SchemaError(f"edge {eid!r} ends must be an array of two names")
-                ends = (read_name(ends[0], f"edge {eid!r} ends[0]"), read_name(ends[1], f"edge {eid!r} ends[1]"))
+                u, v = read_name(ends[0], f"edge {eid!r} ends[0]"), read_name(ends[1], f"edge {eid!r} ends[1]")
+                ends = (u, v) if u <= v else (v, u)
             edges[eid] = ends
-        triangles: dict[str, Sequence[str]] = {}
+        triangles: dict[str, tuple[str, ...]] = {}
         for n, entry in enumerate(triangle_docs):
             tid = read_name(entry["id"], f"triangles[{n}] id")
             if tid in triangles:
                 raise SchemaError(f"duplicate triangle id {tid!r}")
             names = read_array(entry["edges"], f"triangle {tid!r} edges")
-            triangles[tid] = [read_name(e, f"triangle {tid!r} edges[{a}]") for a, e in enumerate(names)]
+            tri = [read_name(e, f"triangle {tid!r} edges[{a}]") for a, e in enumerate(names)]
+            tri.sort()
+            triangles[tid] = tuple(tri)
         vertices = [read_name(v, f"vertices[{n}]") for n, v in enumerate(vertex_names)]
     except (KeyError, TypeError, IndexError) as exc:
         raise SchemaError(f"bad configuration document: {exc}") from exc
-    config = TriangularConfiguration(edges, triangles, vertices)
+    config = TriangularConfiguration._make(edges, triangles, _order_vertices(vertices, edges))
 
     def _int_map(key: str, allowed: tuple[int, ...] | None = None) -> dict[str, int] | None:
         if key not in doc:
@@ -335,7 +378,7 @@ SUPPORT_MAX_BITS = 1 << 28
 class CoverIndex:
     """One exact-cover problem and its one search, shared by every caller.
 
-    Option o lists the items it holds, `options[o]`. Only the index builds
+    Option o is given as the items it holds. Only the index builds
     bitmasks: `masks[o]` of option o's items and `item_opts[i]` of the
     options holding item i. Past `SUPPORT_MAX_BITS` (2^28) bits, options *
     items, a problem is refused before any mask is built: the one size
@@ -347,8 +390,10 @@ class CoverIndex:
     options that clash with each chosen one, so `live` is always the set of
     options disjoint from `covered`, and the choice depends on `covered`
     alone. `blocked(o)` is `clash[o]`, the options sharing an item with
-    option o, built the first time o is chosen, so a search that ends at
-    once builds none.
+    option o, built from o's items the first time o is chosen, so a search
+    that ends at once builds none. `choose` and `blocked` serve the search
+    alone: once it has built the graph, the index drops them, with the item
+    lists and the clash masks, and keeps each option once, as its mask.
 
     `_build` is the only search and `choose` runs nowhere else. The first
     fold, listing or parity span builds its state graph, `graph`, and every
@@ -365,14 +410,14 @@ class CoverIndex:
     again and raises again.
     """
 
-    __slots__ = ("item_count", "options", "masks", "item_opts", "choose", "blocked", "graph")
+    __slots__ = ("item_count", "masks", "item_opts", "choose", "blocked", "graph")
 
     def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
         bits = len(options) * item_count
         if bits > SUPPORT_MAX_BITS:
             raise GuardExceeded(f"cover mask guard is {SUPPORT_MAX_BITS} bits (options * items), got {bits}")
         self.item_count = item_count
-        self.options = options = list(options)
+        options = list(options)
         self.masks = masks = []
         self.item_opts = item_opts = [0] * item_count
         for oi, items in enumerate(options):
@@ -383,7 +428,7 @@ class CoverIndex:
                 item_opts[i] |= bit
             masks.append(mask)
         full = (1 << item_count) - 1
-        unreachable = len(options) + 1  # above every item's count
+        unreachable = len(masks) + 1  # above every item's count
         clash: dict[int, int] = {}
 
         def choose(covered: int, live: int) -> int | None:
@@ -412,14 +457,15 @@ class CoverIndex:
 
         # closures rather than methods: they run at every search node, and
         # free variables are read faster than attributes
-        self.choose = choose
-        self.blocked = blocked
+        self.choose: Callable[[int, int], int | None] | None = choose
+        self.blocked: Callable[[int], int] | None = blocked
         self.graph: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None
 
     def _graph(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         """The state graph, built by the first search over this index (see `_build`)."""
         if self.graph is None:
             self.graph = self._build()
+            self.choose = self.blocked = None  # the search is done
         return self.graph
 
     def covers(self) -> Iterator[list[int]]:

@@ -8,12 +8,17 @@ certification suite that re-proves the required matching and tripartition
 properties by exhaustive enumeration, and any construction passing the
 suite would do. One routine, `_glue`, does all gluing: it builds the
 linking block from its pieces and glues each block into the reduction.
+It works from a form of each reference block compiled once (`_compile`),
+with names by slot and suffix and triangle edges and matchings in sorted
+slot order, so a block costs string concatenations and no sort. The
+configurations it builds are stored as built (`TriangularConfiguration._make`).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -277,31 +282,81 @@ def make_s5(certify: bool = True) -> Gadget:
 # -- matching triangular triangle ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Template:
+    """A reference gadget compiled once for `_glue`.
+
+    Edge slot s is the reference's s-th edge and triangle slot s its s-th
+    triangle, both in sorted id order, so names that share a prefix stay
+    in that order. Per slot, a suffix is `:x` for name `x`. An end's slots
+    follow its sorted edges. A triangle holds its interior edge slots,
+    ascending, and its end edge slots. A matching is its triangle slots,
+    ascending, and `interior_classes` pairs each classed interior edge
+    slot with its class, in the order of the stored classes.
+    """
+
+    gadget: Gadget
+    edge_suffixes: tuple[str, ...]
+    end_slots: tuple[tuple[int, ...], ...]
+    triangle_suffixes: tuple[str, ...]
+    triangle_slots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    matchings: dict[str, tuple[int, ...]]
+    interior_classes: tuple[tuple[int, int], ...]
+
+
+def _compile(ref: Gadget) -> _Template:
+    config = ref.config
+    edge_slot = {e: s for s, e in enumerate(config.edge_ids)}
+    triangle_slot = {t: s for s, t in enumerate(config.triangle_ids)}
+    end_slots = tuple(tuple(edge_slot[e] for e in sorted(end)) for end in ref.ends)
+    on_end = {s for slots in end_slots for s in slots}
+    triangle_slots = []
+    for t in config.triangle_ids:
+        slots = [edge_slot[e] for e in config.triangle_edges(t)]
+        triangle_slots.append((tuple(s for s in slots if s not in on_end), tuple(s for s in slots if s in on_end)))
+    return _Template(
+        gadget=ref,
+        edge_suffixes=tuple(f":{e}" for e in config.edge_ids),
+        end_slots=end_slots,
+        triangle_suffixes=tuple(f":{t}" for t in config.triangle_ids),
+        triangle_slots=tuple(triangle_slots),
+        matchings={k: tuple(sorted(triangle_slot[t] for t in m)) for k, m in ref.matchings.items()},
+        interior_classes=tuple((edge_slot[e], c) for e, c in ref.edge_classes.items() if edge_slot[e] not in on_end),
+    )
+
+
 def _glue(
     edges: dict[str, tuple[str, str] | None],
     triangles: dict[str, tuple[str, ...]],
-    ref: Gadget,
+    template: _Template,
     prefix: str,
     triples: Sequence[Sequence[str]],
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Add a fresh copy of `ref` to `edges` and `triangles`, glued onto `triples`.
+) -> tuple[list[str], list[str]]:
+    """Add a fresh copy of `template`'s gadget to `edges` and `triangles`, glued onto `triples`.
 
-    End i of `ref`, sorted, becomes `triples[i]` edge by edge; every other
-    edge and every triangle `x` becomes `prefix:x`. New edges carry no
-    endpoints, and an edge already present keeps its own. Returns the edge
-    and triangle maps from `ref`'s names to the new ones.
+    End i of the gadget, sorted, becomes `triples[i]` edge by edge; every
+    other edge and every triangle `x` becomes `prefix:x`. New edges carry
+    no endpoints, and an edge already present keeps its own. Each
+    triangle's edges come out sorted: its interior names share the prefix,
+    so they are in slot order, and each end name is inserted among them.
+    Returns the new edge and triangle names, by slot.
     """
-    edge_map = {e: f"{prefix}:{e}" for e in ref.config.edge_ids}
-    for end, triple in zip(ref.ends, triples):
-        edge_map.update(zip(sorted(end), triple))
-    for e in edge_map.values():
-        edges.setdefault(e, None)
-    triangle_map = {t: f"{prefix}:{t}" for t in ref.config.triangle_ids}
-    for t, new_t in triangle_map.items():
-        if new_t in triangles:
-            raise ToolkitError(f"block triangle id {new_t!r} collides; already linked here?")
-        triangles[new_t] = tuple(sorted(edge_map[e] for e in ref.config.triangle_edges(t)))
-    return edge_map, triangle_map
+    names = [prefix + x for x in template.edge_suffixes]
+    for slots, triple in zip(template.end_slots, triples):
+        for s, e in zip(slots, triple):
+            names[s] = e
+    add = edges.setdefault
+    for e in names:
+        add(e, None)
+    triangle_names = [prefix + x for x in template.triangle_suffixes]
+    for t, (interior, on_end) in zip(triangle_names, template.triangle_slots):
+        if t in triangles:
+            raise ToolkitError(f"block triangle id {t!r} collides; already linked here?")
+        tri = [names[s] for s in interior]
+        for s in on_end:
+            insort(tri, names[s])
+        triangles[t] = tuple(tri)
+    return names, triangle_names
 
 
 def _mtt_uncertified() -> Gadget:
@@ -311,29 +366,29 @@ def _mtt_uncertified() -> Gadget:
     end is glued onto the sphere piece's end i, its outer end becomes the
     block's end i, `end{i}:a/b/c`, and its other names get the prefix `t{i}:`.
     """
-    s5, tunnel = _s5_uncertified(), _tunnel_uncertified()
-    edges: dict[str, tuple[str, str] | None] = {f"s5:{e}": None for e in s5.config.edge_ids}
-    triangles = {
-        f"s5:{t}": tuple(f"s5:{e}" for e in s5.config.triangle_edges(t))
-        for t in s5.config.triangle_ids
-    }
-    m1 = [f"s5:{t}" for t in s5.matchings["perfect"]]
-    m0 = [f"s5:{t}" for t in s5.matchings["all_ends_defect"]]
-    classes = {f"s5:{e}": cls for e, cls in s5.edge_classes.items()}
+    s5, tunnel = _compile(_s5_uncertified()), _compile(_tunnel_uncertified())
+    edges: dict[str, tuple[str, str] | None] = {}
+    triangles: dict[str, tuple[str, ...]] = {}
+    s5_names, s5_triangles = _glue(edges, triangles, s5, "s5", ())
+    m1 = [s5_triangles[s] for s in s5.matchings["perfect"]]
+    m0 = [s5_triangles[s] for s in s5.matchings["all_ends_defect"]]
+    edge_map = dict(zip(s5.gadget.config.edge_ids, s5_names))
+    classes = {edge_map[e]: cls for e, cls in s5.gadget.edge_classes.items()}
     ends = []
-    for i, end in enumerate(s5.ends, start=1):
+    for i, slots in enumerate(s5.end_slots, start=1):
         outer = (f"end{i}:a", f"end{i}:b", f"end{i}:c")
-        inner = tuple(sorted(f"s5:{e}" for e in end))
-        edge_map, triangle_map = _glue(edges, triangles, tunnel, f"t{i}", [inner, outer])
+        inner = [s5_names[s] for s in slots]  # sorted: the slots follow the sorted end
+        names, triangle_names = _glue(edges, triangles, tunnel, f"t{i}", [inner, outer])
         # the sphere piece's perfect matching covers end i, so tunnel i leaves its inner end
-        m1.extend(triangle_map[t] for t in tunnel.matchings["defect_end1"])
-        m0.extend(triangle_map[t] for t in tunnel.matchings["defect_end2"])
+        m1.extend(triangle_names[s] for s in tunnel.matchings["defect_end1"])
+        m0.extend(triangle_names[s] for s in tunnel.matchings["defect_end2"])
         # tunnel classes 1, 2, 3 become i and the other two in order
         order = (i, *sorted({1, 2, 3} - {i}))
-        classes.update({edge_map[e]: order[cls - 1] for e, cls in tunnel.edge_classes.items()})
+        edge_map = dict(zip(tunnel.gadget.config.edge_ids, names))
+        classes.update({edge_map[e]: order[cls - 1] for e, cls in tunnel.gadget.edge_classes.items()})
         ends.append(outer)
     return Gadget(
-        config=TriangularConfiguration(edges, triangles),
+        config=TriangularConfiguration._make(edges, triangles),
         ends=tuple(ends),  # type: ignore[arg-type]
         matchings={"perfect": tuple(sorted(m1)), "all_ends_defect": tuple(sorted(m0))},
         edge_classes=classes,
@@ -382,8 +437,8 @@ def make_matching_triangular_triangle(certify: bool = True) -> Gadget:
 
 
 @functools.cache
-def _reference_mtt() -> Gadget:
-    return _mtt_uncertified()
+def _reference_mtt() -> _Template:
+    return _compile(_mtt_uncertified())
 
 
 # -- linking and reduction ------------------------------------------------------------
@@ -413,17 +468,13 @@ def _add_block(
     """
     ref = _reference_mtt()
     prefix = f"mtt[{targets[0]}|{targets[1]}|{targets[2]}]"
-    edge_map, triangle_map = _glue(edges, triangles, ref, prefix, triples)
+    names, triangle_names = _glue(edges, triangles, ref, prefix, triples)
     return MttBlock(
         prefix=prefix,
-        triangles=tuple(sorted(triangle_map.values())),
-        m1=tuple(sorted(triangle_map[t] for t in ref.matchings["perfect"])),
-        m0=tuple(sorted(triangle_map[t] for t in ref.matchings["all_ends_defect"])),
-        interior_edge_classes={
-            edge_map[e]: cls
-            for e, cls in ref.edge_classes.items()
-            if edge_map[e].startswith(prefix + ":")
-        },
+        triangles=tuple(triangle_names),
+        m1=tuple(triangle_names[s] for s in ref.matchings["perfect"]),
+        m0=tuple(triangle_names[s] for s in ref.matchings["all_ends_defect"]),
+        interior_edge_classes={names[s]: cls for s, cls in ref.interior_classes},
     )
 
 
@@ -448,7 +499,8 @@ def link_by_mtt(
     edges = {e: config.edge_ends(e) for e in config.edge_ids}
     triangles = {t: config.triangle_edges(t) for t in config.triangle_ids}
     _add_block(edges, triangles, targets, triples)
-    return TriangularConfiguration(edges, triangles, config.vertices)
+    # the vertex order a vertex set gets: every edge end is one of the vertices
+    return TriangularConfiguration._make(edges, triangles, tuple(sorted(config.vertices)))
 
 
 @dataclass(frozen=True)
@@ -506,33 +558,21 @@ def tripartite_reduction(
     problems = validate(config)
     if problems:
         raise ToolkitError("reduction input is invalid: " + "; ".join(problems))
-    edges: dict[str, tuple[str, str] | None] = {}
-    for i in (1, 2, 3):
-        for e in config.edge_ids:
-            edges[f"c{i}:{e}"] = None
+    classes = {f"c{i}:{e}": i for i in (1, 2, 3) for e in config.edge_ids}
+    edges: dict[str, tuple[str, str] | None] = dict.fromkeys(classes)
     # the copies' triangles are only the blocks' end triples: the result drops them
     triangles: dict[str, tuple[str, ...]] = {}
     blocks: dict[str, MttBlock] = {}
+    weights: dict[str, int] = {}
     for t in config.triangle_ids:
         tri = config.triangle_edges(t)
         triples = [tuple(f"c{i}:{e}" for e in tri) for i in (1, 2, 3)]
-        blocks[t] = _add_block(edges, triangles, (f"c1:{t}", f"c2:{t}", f"c3:{t}"), triples)
-    work = TriangularConfiguration(edges, triangles)
-
-    weights: dict[str, int] = {}
-    for t in config.triangle_ids:
-        block = blocks[t]
-        designated = min(block.m1)
-        for bt in block.triangles:
-            weights[bt] = 0
-        weights[designated] = operator.index(weighting.get(t, 1)) if weighting is not None else 1
-
-    classes: dict[str, int] = {}
-    for i in (1, 2, 3):
-        for e in config.edge_ids:
-            classes[f"c{i}:{e}"] = i
-    for block in blocks.values():
+        blocks[t] = block = _add_block(edges, triangles, (f"c1:{t}", f"c2:{t}", f"c3:{t}"), triples)
+        weights.update(dict.fromkeys(block.triangles, 0))
+        weights[block.m1[0]] = operator.index(weighting.get(t, 1)) if weighting is not None else 1
         classes.update(block.interior_edge_classes)
+    # every triangle is a block's, with its edges sorted by `_glue`; no edge has ends
+    work = TriangularConfiguration._make(edges, triangles)
 
     return ReductionResult(
         source=config,

@@ -122,23 +122,20 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
         triangles_by_vertices[f"tri:right[{j},{ei}]"] = (w02[j], v1c[j], w2e[ei])
         cells[(e + n + j, e + n + j, ei)] = 1
 
-    pair_edges: dict[tuple[str, str], str] = {}
+    # edge u~v has the sorted ends (u, v); no vertex name is a prefix of
+    # another (each ends at its one ")"), so the ids sort like their ends
     edges: dict[str, tuple[str, str]] = {}
     tri_edge_map: dict[str, tuple[str, str, str]] = {}
     for tid, verts in triangles_by_vertices.items():
-        eids = []
-        for a in range(3):
-            for b in range(a + 1, 3):
-                pair = tuple(sorted((verts[a], verts[b])))
-                if pair not in pair_edges:
-                    eid = f"{pair[0]}~{pair[1]}"
-                    pair_edges[pair] = eid
-                    edges[eid] = pair  # type: ignore[assignment]
-                eids.append(pair_edges[pair])
-        tri_edge_map[tid] = tuple(eids)  # type: ignore[assignment]
+        a, b, c = sorted(verts)
+        eids = (f"{a}~{b}", f"{a}~{c}", f"{b}~{c}")
+        edges.setdefault(eids[0], (a, b))
+        edges.setdefault(eids[1], (a, c))
+        edges.setdefault(eids[2], (b, c))
+        tri_edge_map[tid] = eids
 
-    all_vertices = list(w0) + list(w1) + list(w2)
-    config = TriangularConfiguration(edges, tri_edge_map, all_vertices)
+    # every edge end is a vertex of w0, w1 or w2, so the vertex order is theirs
+    config = TriangularConfiguration._make(edges, tri_edge_map, w0 + w1 + w2)
 
     vertex_classes = {v: 1 for v in w0}
     vertex_classes.update({v: 2 for v in w1})
@@ -161,7 +158,7 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
         w2=w2,
         vertex_classes=vertex_classes,
         entry_values=entry_values,
-        tensor=Tensor3((m, m, m), cells),
+        tensor=Tensor3._make((m, m, m), cells),
     )
 
 
@@ -292,9 +289,9 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     matchings; together these say the images are exactly the strong
     matchings. When the tensor's cells, as items over its axis indices, are
     the configuration's triangle vertex positions (same item count, same
-    multiset, read from the tensor's support), the two cover problems are
-    one, and the count is the tensor's indicator fold over the tensor's
-    cover index, one pass over its state graph when `per3` or a
+    multiset of item masks, read from the tensor's support), the two cover
+    problems are one, and the count is the tensor's indicator fold over the
+    tensor's cover index, one pass over its state graph when `per3` or a
     certificate has built it; otherwise the configuration gets its own
     graph. An image enters through the XOR and popcount sum of its vertex
     masks: with every triangle present it is a perfect strong matching iff
@@ -309,7 +306,11 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     items_of, vertex_count = strong_matching_items(tc.config)
     support = _support(tc.tensor)
     index = support[1] if support else None
-    if index and index.item_count == vertex_count and sorted(index.options) == sorted(items_of.values()):
+    if (
+        index
+        and index.item_count == vertex_count
+        and sorted(index.masks) == sorted(sum(1 << v for v in items) for items in items_of.values())
+    ):
         strong = support_sum(tc.tensor, indicator=True)  # the same problem, on the tensor's index
     else:
         strong = count_perfect_strong_matchings(tc.config)

@@ -16,6 +16,9 @@ while it is built.
 Pfaffian signings of bipartite graphs come from one GF(2) solve over their
 perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.
+`Tensor3(...)` and `Tensor3.from_doc` check outside input; the adjacency
+builders, resignings, contractions and `build_T` make tensors whose cells
+they have already made valid, through `Tensor3._make`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class Tensor3:
 
     `entries` is a read-only view of the nonzero cells: to change an entry,
     build a new `Tensor3`. `_support` keeps the support once it is worked
-    out (see `_support`).
+    out (see `_support`). The constructor checks the dims and every cell it
+    is given; kas3's builders make their tensors with `_make`, which stores
+    cells they have already made valid.
     """
 
     __slots__ = ("dims", "entries", "_support")
@@ -68,6 +73,19 @@ class Tensor3:
                 clean[(i, j, k)] = value
         self.entries: Mapping[tuple[int, int, int], RingValue] = MappingProxyType(clean)
         self._support: Support | None = None
+
+    @classmethod
+    def _make(cls, dims: tuple[int, int, int], entries: dict[tuple[int, int, int], RingValue]) -> "Tensor3":
+        """A tensor holding `entries` as given, which it then owns.
+
+        The caller guarantees what `__init__` enforces: three non-negative
+        int dims, int index triples inside them, and no zero value.
+        """
+        tensor = cls.__new__(cls)
+        tensor.dims = dims
+        tensor.entries = MappingProxyType(entries)
+        tensor._support = None
+        return tensor
 
     @property
     def cube_side(self) -> int:
@@ -306,7 +324,11 @@ def _adjacency_tensor(
     default: RingValue,
 ) -> Tensor3:
     """A cube with one cell per triangle, holding `values[triangle]` or `default`: each
-    member's class picks an axis and its place in `orders` the index on it."""
+    member's class picks an axis and its place in `orders` the index on it.
+
+    The classes have been checked, so every index is inside the cube, and
+    the caller's values are nonzero.
+    """
     pos = {x: i for axis in orders for i, x in enumerate(axis)}
     entries: dict[tuple[int, int, int], RingValue] = {}
     index = [0, 0, 0]
@@ -319,7 +341,7 @@ def _adjacency_tensor(
             raise ToolkitError(f"two triangles map to tensor cell {key}")
         entries[key] = values.get(t, default)
     side = max(len(axis) for axis in orders)
-    return Tensor3((side, side, side), entries)
+    return Tensor3._make((side, side, side), entries)
 
 
 def triadjacency(
@@ -359,7 +381,10 @@ def vertex_adjacency(
         raise ToolkitError("invalid vertex tripartition: " + "; ".join(problems))
     orders = _split_by_class(sorted(config.vertices), vertex_classes)
     triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
-    return _adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1), orders  # type: ignore[arg-type]
+    tensor = _adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1)  # type: ignore[arg-type]
+    if not all(tensor.entries.values()):  # the caller's zero values make no cell
+        tensor = Tensor3._make(tensor.dims, {key: value for key, value in tensor.entries.items() if value})
+    return tensor, orders
 
 
 # -- bipartite graphs and 2-matrix kernels ---------------------------------------
@@ -515,7 +540,7 @@ def apply_signing(tensor: Tensor3, sign1: Mapping, sign2: Mapping) -> Tensor3:
         if s not in (1, -1):
             raise ToolkitError(f"signs must be +1 or -1, got {s}")
         entries[(a, b, c)] = value if s == 1 else -value
-    signed = Tensor3(tensor.dims, entries)
+    signed = Tensor3._make(tensor.dims, entries)
     signed._support = tensor._support
     return signed
 
@@ -631,7 +656,7 @@ def binet_cauchy_C(triple: RectMatrixTriple) -> Tensor3:
                     total = total + triple.a1[i1][j] * triple.a2[i2][j] * triple.a3[i3][j]
                 if total:
                     entries[(i1, i2, i3)] = total
-    return Tensor3((r, r, r), entries)
+    return Tensor3._make((r, r, r), entries)
 
 
 def check_binet_cauchy_shape(r: int, n: int) -> None:
