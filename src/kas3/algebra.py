@@ -114,17 +114,9 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
         out: dict[int, int] = {}
-        if len(b) == 1:  # one term: the products have distinct exponents and none is zero
-            ((e2, c2),) = b.items()
-            for e1, c1 in a.items():
-                out[e1 + e2] = c1 * c2
-            return Polynomial._make(out)
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in self._coeffs.items():
+            for e2, c2 in other._coeffs.items():
                 exp = e1 + e2
                 out[exp] = out.get(exp, 0) + c1 * c2
         return Polynomial._make({e: c for e, c in out.items() if c} if 0 in out.values() else out)

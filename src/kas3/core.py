@@ -378,14 +378,14 @@ SUPPORT_MAX_BITS = 1 << 28
 class CoverIndex:
     """One exact-cover problem and its one search, shared by every caller.
 
-    Option o is given as the items it holds. Only the index builds
-    bitmasks: `masks[o]` of option o's items and `item_opts[i]` of the
-    options holding item i. Past `SUPPORT_MAX_BITS` (2^28) bits, options *
-    items, a problem is refused before any mask is built: the one size
-    guard of every cover problem. `choose(covered, live)` returns the live
-    options of the uncovered item with the fewest of them, taking the lowest
-    item index on ties and stopping at a count <= 1 (the choice rule of
-    Knuth's Algorithm X): 0 when some item has none left, None when every
+    Option o is given as the items it holds. Only the index builds bitmasks:
+    `masks[o]` of option o's items and, for the search alone, `item_opts[i]`
+    of the options holding item i. Past `SUPPORT_MAX_BITS` (2^28) bits,
+    options * items, a problem is refused before any mask is built: the one
+    size guard of every cover problem. `choose(covered, live)` returns the
+    live options of the uncovered item with the fewest of them, taking the
+    lowest item index on ties and stopping at a count <= 1 (the choice rule
+    of Knuth's Algorithm X): 0 when some item has none left, None when every
     item is covered. The search starts with all options live and clears the
     options that clash with each chosen one, so `live` is always the set of
     options disjoint from `covered`, and the choice depends on `covered`
@@ -393,7 +393,8 @@ class CoverIndex:
     option o, built from o's items the first time o is chosen, so a search
     that ends at once builds none. `choose` and `blocked` serve the search
     alone: once it has built the graph, the index drops them, with the item
-    lists and the clash masks, and keeps each option once, as its mask.
+    lists, `item_opts` and the clash masks, and keeps each option once, as
+    its mask.
 
     `_build` is the only search and `choose` runs nowhere else. The first
     fold, listing or parity span builds its state graph, `graph`, and every
@@ -410,7 +411,7 @@ class CoverIndex:
     again and raises again.
     """
 
-    __slots__ = ("item_count", "masks", "item_opts", "choose", "blocked", "graph")
+    __slots__ = ("item_count", "masks", "choose", "blocked", "graph")
 
     def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
         bits = len(options) * item_count
@@ -419,7 +420,7 @@ class CoverIndex:
         self.item_count = item_count
         options = list(options)
         self.masks = masks = []
-        self.item_opts = item_opts = [0] * item_count
+        item_opts = [0] * item_count
         for oi, items in enumerate(options):
             bit = 1 << oi
             mask = 0

@@ -291,16 +291,17 @@ class _Template:
     in that order. Per slot, a suffix is `:x` for name `x`. An end's slots
     follow its sorted edges. A triangle holds its interior edge slots,
     ascending, and its end edge slots. A matching is its triangle slots,
-    ascending, and `interior_classes` pairs each classed interior edge
-    slot with its class, in the order of the stored classes.
+    ascending. `classes` pairs each classed edge slot with its class, in
+    the order of the stored classes, and `interior_classes` is its
+    interior part.
     """
 
-    gadget: Gadget
     edge_suffixes: tuple[str, ...]
     end_slots: tuple[tuple[int, ...], ...]
     triangle_suffixes: tuple[str, ...]
     triangle_slots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     matchings: dict[str, tuple[int, ...]]
+    classes: tuple[tuple[int, int], ...]
     interior_classes: tuple[tuple[int, int], ...]
 
 
@@ -314,14 +315,15 @@ def _compile(ref: Gadget) -> _Template:
     for t in config.triangle_ids:
         slots = [edge_slot[e] for e in config.triangle_edges(t)]
         triangle_slots.append((tuple(s for s in slots if s not in on_end), tuple(s for s in slots if s in on_end)))
+    classes = tuple((edge_slot[e], c) for e, c in ref.edge_classes.items())
     return _Template(
-        gadget=ref,
         edge_suffixes=tuple(f":{e}" for e in config.edge_ids),
         end_slots=end_slots,
         triangle_suffixes=tuple(f":{t}" for t in config.triangle_ids),
         triangle_slots=tuple(triangle_slots),
         matchings={k: tuple(sorted(triangle_slot[t] for t in m)) for k, m in ref.matchings.items()},
-        interior_classes=tuple((edge_slot[e], c) for e, c in ref.edge_classes.items() if edge_slot[e] not in on_end),
+        classes=classes,
+        interior_classes=tuple((s, c) for s, c in classes if s not in on_end),
     )
 
 
@@ -372,8 +374,7 @@ def _mtt_uncertified() -> Gadget:
     s5_names, s5_triangles = _glue(edges, triangles, s5, "s5", ())
     m1 = [s5_triangles[s] for s in s5.matchings["perfect"]]
     m0 = [s5_triangles[s] for s in s5.matchings["all_ends_defect"]]
-    edge_map = dict(zip(s5.gadget.config.edge_ids, s5_names))
-    classes = {edge_map[e]: cls for e, cls in s5.gadget.edge_classes.items()}
+    classes = {s5_names[s]: cls for s, cls in s5.classes}
     ends = []
     for i, slots in enumerate(s5.end_slots, start=1):
         outer = (f"end{i}:a", f"end{i}:b", f"end{i}:c")
@@ -384,8 +385,7 @@ def _mtt_uncertified() -> Gadget:
         m0.extend(triangle_names[s] for s in tunnel.matchings["defect_end2"])
         # tunnel classes 1, 2, 3 become i and the other two in order
         order = (i, *sorted({1, 2, 3} - {i}))
-        edge_map = dict(zip(tunnel.gadget.config.edge_ids, names))
-        classes.update({edge_map[e]: order[cls - 1] for e, cls in tunnel.gadget.edge_classes.items()})
+        classes.update({names[s]: order[cls - 1] for s, cls in tunnel.classes})
         ends.append(outer)
     return Gadget(
         config=TriangularConfiguration._make(edges, triangles),

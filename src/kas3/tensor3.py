@@ -16,9 +16,11 @@ while it is built.
 Pfaffian signings of bipartite graphs come from one GF(2) solve over their
 perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.
-`Tensor3(...)` and `Tensor3.from_doc` check outside input; the adjacency
-builders, resignings, contractions and `build_T` make tensors whose cells
-they have already made valid, through `Tensor3._make`.
+`Tensor3(...)` and `Tensor3.from_doc` check outside input; `triadjacency`,
+the resignings, the contractions and `build_T` make tensors whose cells
+they have already made valid, through `Tensor3._make`. `vertex_adjacency`
+holds values its caller gives, so it builds through `Tensor3(...)`, which
+drops the zero ones.
 """
 
 from __future__ import annotations
@@ -322,12 +324,14 @@ def _adjacency_tensor(
     orders: tuple[tuple[str, ...], ...],
     values: Mapping[str, RingValue],
     default: RingValue,
-) -> Tensor3:
-    """A cube with one cell per triangle, holding `values[triangle]` or `default`: each
-    member's class picks an axis and its place in `orders` the index on it.
+) -> tuple[tuple[int, int, int], dict[tuple[int, int, int], RingValue]]:
+    """The dims and cells of a cube with one cell per triangle, holding
+    `values[triangle]` or `default`: each member's class picks an axis and
+    its place in `orders` the index on it.
 
-    The classes have been checked, so every index is inside the cube, and
-    the caller's values are nonzero.
+    The classes have been checked, so every index is inside the cube. A
+    cell may hold a zero value; the caller decides how the cells become a
+    tensor.
     """
     pos = {x: i for axis in orders for i, x in enumerate(axis)}
     entries: dict[tuple[int, int, int], RingValue] = {}
@@ -341,7 +345,7 @@ def _adjacency_tensor(
             raise ToolkitError(f"two triangles map to tensor cell {key}")
         entries[key] = values.get(t, default)
     side = max(len(axis) for axis in orders)
-    return Tensor3._make((side, side, side), entries)
+    return (side, side, side), entries
 
 
 def triadjacency(
@@ -363,7 +367,8 @@ def triadjacency(
     values = {t: monomial(operator.index(w)) for t, w in (weighting or {}).items() if config.has_triangle(t)}
     orders = _split_by_class(config.edge_ids, edge_classes)
     triangles = ((t, config.triangle_edges(t)) for t in config.triangle_ids)
-    return _adjacency_tensor(triangles, edge_classes, orders, values, monomial(1)), orders
+    # every value is a monomial, never zero
+    return Tensor3._make(*_adjacency_tensor(triangles, edge_classes, orders, values, monomial(1))), orders
 
 
 def vertex_adjacency(
@@ -381,10 +386,8 @@ def vertex_adjacency(
         raise ToolkitError("invalid vertex tripartition: " + "; ".join(problems))
     orders = _split_by_class(sorted(config.vertices), vertex_classes)
     triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
-    tensor = _adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1)  # type: ignore[arg-type]
-    if not all(tensor.entries.values()):  # the caller's zero values make no cell
-        tensor = Tensor3._make(tensor.dims, {key: value for key, value in tensor.entries.items() if value})
-    return tensor, orders
+    # the caller's values: the public constructor drops the zero ones
+    return Tensor3(*_adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1)), orders
 
 
 # -- bipartite graphs and 2-matrix kernels ---------------------------------------
