@@ -381,13 +381,6 @@ def _support_blocks(vectors: Sequence, supports: Sequence[int]) -> list[list]:
     return [members for _, members in blocks]
 
 
-def _product(polys: Iterable[Polynomial]) -> Polynomial:
-    out = Polynomial.one()
-    for poly in polys:
-        out = out * poly
-    return out
-
-
 def _gray_enumerator(rows: Sequence[int]) -> Polynomial:
     """Sum of x^weight over the GF(2) span of independent masks, by Gray code."""
     counts: dict[int, int] = {0: 1}
@@ -429,32 +422,33 @@ def _odometer_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
 def weight_enumerator(code: BinaryCode) -> Polynomial:
     """Sum of x^weight over all 2^k codewords.
 
-    The generators are brought to reduced echelon form and split into
-    direct-sum blocks; each block is spanned by a Gray-code walk and the
-    block enumerators are multiplied.
+    The generators are brought to reduced echelon form, a systematic basis,
+    which `gf_p_weight_enumerator` spans over GF(2).
     """
     if code.k > WEIGHT_ENUM_MAX_DIM:
         raise GuardExceeded(
             f"code dimension {code.k} exceeds enumeration guard {WEIGHT_ENUM_MAX_DIM}"
         )
-    basis = _gf2_echelon(code.rows)
-    return _product(_gray_enumerator(block) for block in _support_blocks(basis, basis))
+    rows = [[(mask >> j) & 1 for j in range(code.n)] for mask in _gf2_echelon(code.rows)]
+    return gf_p_weight_enumerator(rows, 2)
 
 
 def gf_p_weight_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
     """Sum of x^weight over the GF(p) span of a systematic basis, such as `gf_p_nullspace`'s.
 
-    This is the odometer path for odd p; GF(2) codes go through
-    `weight_enumerator`. Entries lie in 0..p-1. Each vector has a coordinate
-    where it is 1 and every other vector is 0, so the vectors are independent
-    and their direct-sum blocks are found from their supports alone. Each
-    block is spanned by the odometer on its own columns and the block
-    enumerators are multiplied. The caller guards the total count
-    p^len(basis).
+    Entries lie in 0..p-1. Each vector has a coordinate where it is 1 and
+    every other vector is 0, so the vectors are independent and their
+    direct-sum blocks are found from their supports alone. Each block is
+    spanned by a Gray-code walk over its supports when p = 2 and by the
+    odometer on its own columns otherwise, and the block enumerators are
+    multiplied. The caller guards the total count p^len(basis).
     """
     supports = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
-    polys = []
-    for block in _support_blocks(basis, supports):
-        cols = [j for j in range(len(block[0])) if any(vec[j] for vec in block)]
-        polys.append(_odometer_enumerator([[vec[j] for j in cols] for vec in block], p))
-    return _product(polys)
+    out = Polynomial.one()
+    for block in _support_blocks(supports if p == 2 else basis, supports):
+        if p == 2:
+            out = out * _gray_enumerator(block)
+        else:
+            cols = [j for j in range(len(block[0])) if any(vec[j] for vec in block)]
+            out = out * _odometer_enumerator([[vec[j] for j in cols] for vec in block], p)
+    return out

@@ -277,12 +277,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="print the JSON payload")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="validated (at least 1) and kept for compatibility; has no effect",
-    )
     parser = _Parser(
         prog="kas3",
         description="Exact matchings, 3-matrix permanents/determinants and dimer counts",
@@ -359,8 +353,6 @@ def _execute(argv: list[str]) -> tuple[CommandResult, bool]:
     """Parse and execute: the result, and whether the command line asked for JSON."""
     try:
         args = _parser().parse_args(argv)
-        if args.threads < 1:
-            raise SchemaError(f"thread count must be >= 1, got {args.threads}")
         return args.func(args), args.json
     except SchemaError as exc:
         return CommandResult(

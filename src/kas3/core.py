@@ -23,13 +23,11 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from ._util import read_array, read_int, read_name
 from .algebra import (
     WEIGHT_ENUM_MAX_DIM,
-    BinaryCode,
     Polynomial,
     _gf2_insert,
     gf_p_echelon,
     gf_p_nullspace,
     gf_p_weight_enumerator,
-    weight_enumerator,
 )
 from .errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
 
@@ -984,11 +982,11 @@ def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Po
     """Weight enumerator of the GF(p) kernel of the edge-triangle incidence.
 
     The kernel's dimension is read off the echelon form of the edge rows, so
-    its p^dim guard fires before any basis vector is built; each direct-sum
-    block of the basis is enumerated by `weight_enumerator` over GF(2) and by
-    `gf_p_weight_enumerator` otherwise. A p above the guard is refused before
-    its primality test, then a composite p, then an unknown edge (the rows
-    are read after the test), then the kernel's size.
+    its p^dim guard fires before any basis vector is built; the
+    `gf_p_nullspace` basis then goes to `gf_p_weight_enumerator` for every
+    p. A p above the guard is refused before its primality test, then a
+    composite p, then an unknown edge (the rows are read after the test),
+    then the kernel's size.
     """
     if p > KERNEL_ENUM_MAX_CODEWORDS:
         raise GuardExceeded(
@@ -999,8 +997,4 @@ def cycle_space_weight_enumerator(config: TriangularConfiguration, p: int) -> Po
     dim = ncols - len(echelon)
     if p**dim > KERNEL_ENUM_MAX_CODEWORDS:
         raise GuardExceeded(f"kernel has {p}^{dim} codewords, beyond the enumeration guard")
-    basis = gf_p_nullspace(echelon, ncols, p)
-    if p == 2:
-        masks = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
-        return weight_enumerator(BinaryCode(ncols, masks))
-    return gf_p_weight_enumerator(basis, p)
+    return gf_p_weight_enumerator(gf_p_nullspace(echelon, ncols, p), p)

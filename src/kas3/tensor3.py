@@ -165,8 +165,11 @@ def decode_ring_value(value) -> RingValue:
             raise SchemaError("poly value must map exponents to coefficients")
         coeffs = {}
         for e, c in value["poly"].items():
-            coeffs[int(e)] = decode_ring_value(c)
-            if not isinstance(coeffs[int(e)], int):
+            exp = int(e)
+            if exp in coeffs:  # keys such as "1", "01" and "+1" read as one exponent
+                raise SchemaError(f"duplicate polynomial exponent {exp}")
+            coeffs[exp] = decode_ring_value(c)
+            if not isinstance(coeffs[exp], int):
                 raise SchemaError("polynomial coefficients must be integers")
         return Polynomial(coeffs)
     raise SchemaError(f"cannot parse ring value {value!r}")

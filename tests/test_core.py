@@ -1008,6 +1008,31 @@ class TestCycleSpace:
             nontrivial += expected != 1
         assert nontrivial >= 5
 
+    @pytest.mark.parametrize("p, max_triangles", [(2, 12), (3, 8), (5, 6)])
+    def test_macwilliams_identity_with_the_row_space(self, p, max_triangles):
+        # K is the kernel of the edge-triangle incidence over GF(p), K⊥ its row space and T
+        # the number of triangles: p^dim(K) W_K⊥(z) = sum_w A_w (1 - z)^w (1 + (p - 1) z)^(T - w)
+        rng = random.Random(100 + p)
+        z = Polynomial.monomial(1)
+        nontrivial = 0
+        for _ in range(60):
+            edges = [f"e{i}" for i in range(rng.randint(3, 8))]
+            triangles = {f"t{j}": rng.sample(edges, 3) for j in range(rng.randint(1, max_triangles))}
+            config = TriangularConfiguration(edges, triangles)
+            tri_ids = config.triangle_ids
+            rows = [{j: 1 for j, t in enumerate(tri_ids) if e in config.triangle_edges(t)} for e in config.edge_ids]
+            kernel = algebra.gf_p_nullspace(algebra.gf_p_echelon(rows, p), len(tri_ids), p)
+            dual = algebra.gf_p_nullspace(algebra.gf_p_echelon([dict(enumerate(v)) for v in kernel], p), len(tri_ids), p)
+            enum = cycle_space_weight_enumerator(config, p)
+            rhs = sum(
+                c * (1 - z) ** w * (1 + (p - 1) * z) ** (len(tri_ids) - w) for w, c in enum.terms()
+            )
+            scale = p ** len(kernel)
+            assert all(c % scale == 0 for _, c in rhs.terms())
+            assert Polynomial({e: c // scale for e, c in rhs.terms()}) == algebra.gf_p_weight_enumerator(dual, p)
+            nontrivial += len(kernel) > 0
+        assert nontrivial >= 20
+
     @pytest.mark.parametrize("p, copies", [(2, 24), (3, 15), (5, 10)])
     def test_disjoint_unions_are_powers_of_one_block(self, tetrahedron, p, copies):
         # p^dim is within the guard, but only a factored enumeration is quick
