@@ -262,23 +262,25 @@ def gf_p_echelon(rows: Iterable[Mapping[int, int]], p: int) -> dict[int, dict[in
     return echelon
 
 
-def gf_p_nullspace(echelon: Mapping[int, Mapping[int, int]], ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Kernel basis of a `gf_p_echelon` form over GF(p): one vector per free column, ascending.
+def gf_p_nullspace(echelon: Mapping[int, Mapping[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
+    """Kernel basis of a `gf_p_echelon` form over GF(p): one sparse vector per free column, ascending.
 
-    The vector of free column f is 1 at f and 0 at the other free columns,
-    which fixes it; its pivot entries are back-substituted right to left.
+    Each vector is a column -> value map storing no zero. The vector of free
+    column f is 1 at f and holds no other free column, which fixes it; its
+    pivot entries are back-substituted right to left.
     """
     pivots = sorted(echelon, reverse=True)
-    basis: list[tuple[int, ...]] = []
+    basis: list[dict[int, int]] = []
     for free in range(ncols):
         if free in echelon:
             continue
-        vec = [0] * ncols
-        vec[free] = 1
+        vec = {free: 1}
         for col in pivots:
-            # vec[col] is still 0, so the pivot's own entry adds nothing
-            vec[col] = -sum(v * vec[c] for c, v in echelon[col].items()) % p
-        basis.append(tuple(vec))
+            # vec has no entry at col yet, so the pivot's own entry adds nothing
+            value = -sum(v * vec.get(c, 0) for c, v in echelon[col].items()) % p
+            if value:
+                vec[col] = value
+        basis.append(vec)
     return basis
 
 
@@ -363,15 +365,16 @@ def _gf2_echelon(masks: Iterable[int]) -> list[int]:
     return basis
 
 
-def _support_blocks(vectors: Sequence, supports: Sequence[int]) -> list[list]:
-    """Split vectors into blocks whose supports (bit masks) are pairwise disjoint.
+def _support_blocks(basis: Sequence[Mapping[int, int]]) -> list[list[Mapping[int, int]]]:
+    """Split sparse vectors into blocks whose supports are pairwise disjoint.
 
     Two vectors land in one block when a chain of vectors with overlapping
-    supports joins them. For a reduced basis the blocks are the code's
+    supports joins them. For a systematic basis the blocks are the span's
     direct-sum components, and its enumerator is the product of theirs.
     """
     blocks: list[tuple[int, list]] = []
-    for vec, support in zip(vectors, supports):
+    for vec in basis:
+        support = sum(1 << j for j in vec)
         members = [vec]
         for block in [b for b in blocks if b[0] & support]:
             blocks.remove(block)
@@ -381,74 +384,60 @@ def _support_blocks(vectors: Sequence, supports: Sequence[int]) -> list[list]:
     return [members for _, members in blocks]
 
 
-def _gray_enumerator(rows: Sequence[int]) -> Polynomial:
-    """Sum of x^weight over the GF(2) span of independent masks, by Gray code."""
-    counts: dict[int, int] = {0: 1}
-    word = 0
-    for i in range(1, 1 << len(rows)):
-        flip = (i & -i).bit_length() - 1
-        word ^= rows[flip]
-        w = word.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return Polynomial(counts)
+def _gray_enumerator(rows: Sequence[Mapping[int, int]], p: int) -> Polynomial:
+    """Sum of x^weight over the GF(p) span of independent sparse rows, by a p-ary Gray code.
 
-
-def _odometer_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
-    """Sum of x^weight over the GF(p) span of independent vectors.
-
-    Steps through the coefficient vectors as an odometer; a wheel that wraps
-    past p - 1 has added its vector p times, which is zero mod p.
+    Step s adds row v_p(s), the number of times p divides s. The modular
+    Gray digits g_i = (s_i - s_(i+1)) mod p of the base-p digits s_i are a
+    bijection on [0, p^k), and going from s - 1 to s raises exactly digit
+    v_p(s) by 1, so every combination of the rows is met once (Knuth, TAOCP
+    Vol. 4A, 7.2.1.1). For p = 2 the word is a bit mask and a step is one
+    XOR; otherwise it is a column -> value map, and a step adds the row's
+    entries and moves the weight by the columns that turn nonzero or zero.
     """
-    dim = len(basis)
-    ncols = len(basis[0]) if basis else 0
     counts = {0: 1}
-    coeffs = [0] * dim
-    vec = [0] * ncols
-    for _ in range(1, p**dim):
-        k = 0
-        while True:
-            coeffs[k] += 1
-            for j in range(ncols):
-                vec[j] = (vec[j] + basis[k][j]) % p
-            if coeffs[k] < p:
-                break
-            coeffs[k] = 0
-            k += 1
-        w = sum(1 for v in vec if v)
+    masks = [sum(1 << j for j in row) for row in rows] if p == 2 else []
+    mask, word, w = 0, {}, 0
+    for s in range(1, p ** len(rows)):
+        if p == 2:
+            mask ^= masks[(s & -s).bit_length() - 1]
+            w = mask.bit_count()
+        else:
+            i, t = 0, s
+            while not t % p:
+                t //= p
+                i += 1
+            for c, v in rows[i].items():
+                old = word.get(c, 0)
+                word[c] = new = (old + v) % p
+                w += (not old) - (not new)
         counts[w] = counts.get(w, 0) + 1
-    return Polynomial(counts)
+    return Polynomial._make(counts)
 
 
 def weight_enumerator(code: BinaryCode) -> Polynomial:
     """Sum of x^weight over all 2^k codewords.
 
     The generators are brought to reduced echelon form, a systematic basis,
-    which `gf_p_weight_enumerator` spans over GF(2).
+    whose rows go to `gf_p_weight_enumerator` as maps of their set bits.
     """
     if code.k > WEIGHT_ENUM_MAX_DIM:
-        raise GuardExceeded(
-            f"code dimension {code.k} exceeds enumeration guard {WEIGHT_ENUM_MAX_DIM}"
-        )
-    rows = [[(mask >> j) & 1 for j in range(code.n)] for mask in _gf2_echelon(code.rows)]
+        raise GuardExceeded(f"code dimension {code.k} exceeds enumeration guard {WEIGHT_ENUM_MAX_DIM}")
+    rows = [{j: 1 for j in range(mask.bit_length()) if mask >> j & 1} for mask in _gf2_echelon(code.rows)]
     return gf_p_weight_enumerator(rows, 2)
 
 
-def gf_p_weight_enumerator(basis: Sequence[Sequence[int]], p: int) -> Polynomial:
+def gf_p_weight_enumerator(basis: Sequence[Mapping[int, int]], p: int) -> Polynomial:
     """Sum of x^weight over the GF(p) span of a systematic basis, such as `gf_p_nullspace`'s.
 
-    Entries lie in 0..p-1. Each vector has a coordinate where it is 1 and
-    every other vector is 0, so the vectors are independent and their
-    direct-sum blocks are found from their supports alone. Each block is
-    spanned by a Gray-code walk over its supports when p = 2 and by the
-    odometer on its own columns otherwise, and the block enumerators are
-    multiplied. The caller guards the total count p^len(basis).
+    Each vector is a column -> value map with values in 1..p-1 and no zero
+    stored. Each vector has a column where it is 1 and every other vector is
+    0, so the vectors are independent and their direct-sum blocks are found
+    from their supports alone. Each block is spanned by one p-ary Gray-code
+    walk and the block enumerators are multiplied. The caller guards the
+    total count p^len(basis).
     """
-    supports = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
     out = Polynomial.one()
-    for block in _support_blocks(supports if p == 2 else basis, supports):
-        if p == 2:
-            out = out * _gray_enumerator(block)
-        else:
-            cols = [j for j in range(len(block[0])) if any(vec[j] for vec in block)]
-            out = out * _odometer_enumerator([[vec[j] for j in cols] for vec in block], p)
+    for block in _support_blocks(basis):
+        out = out * _gray_enumerator(block, p)
     return out

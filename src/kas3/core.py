@@ -34,6 +34,13 @@ from .errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
 KERNEL_ENUM_MAX_CODEWORDS = 1 << WEIGHT_ENUM_MAX_DIM
 
 
+def _collection(values, field: str, *args):
+    """`values`, unless a string, which would pass for its letters; names `field.format(*args)`, built only then."""
+    if isinstance(values, str):
+        raise SchemaError(f"{field.format(*args)} must be a collection of names, not the string {values!r}")
+    return values
+
+
 class TriangularConfiguration:
     """Immutable triangular configuration.
 
@@ -41,9 +48,10 @@ class TriangularConfiguration:
     triangle id -> triple of edge ids. Every name (edge and triangle ids,
     edge ends, triangle edges, vertices) follows `_util.read_name`: a string
     as given, an integer as its decimal text, anything else refused with
-    `SchemaError` naming the field. Beyond names and two ends per edge,
-    construction never rejects bad data; `validate` reports violations
-    instead, so invalid inputs stay inspectable.
+    `SchemaError` naming the field; so is a string given in place of a
+    collection of names. Beyond names and two ends per edge, construction
+    never rejects bad data; `validate` reports violations instead, so
+    invalid inputs stay inspectable.
     Vertices keep the order they are given in (a set is taken sorted), then
     edge endpoints not yet named, in edge order; the strong-matching search
     numbers its vertex items in that order, so a builder can hand it a
@@ -74,22 +82,23 @@ class TriangularConfiguration:
         triangles: Mapping[str, Sequence[str]] | None = None,
         vertices: Iterable[str] = (),
     ):
-        name = read_name
         if isinstance(edges, Mapping):
             edge_map = {
-                name(e, "edge id"): (None if ends is None else tuple(sorted([name(x, "edge end") for x in ends])))
+                read_name(e, "edge id"): None if ends is None
+                else tuple(sorted([read_name(x, "edge end") for x in _collection(ends, "edge {!r} ends", e)]))
                 for e, ends in edges.items()
             }
         else:
-            edge_map = {name(e, "edge id"): None for e in edges}
+            edge_map = {read_name(e, "edge id"): None for e in _collection(edges, "edges")}
         for e, ends in edge_map.items():
             if ends is not None and len(ends) != 2:
                 raise ToolkitError(f"edge {e!r} must have exactly two endpoints")
         tri_map = {
-            name(t, "triangle id"): tuple(sorted([name(e, "triangle edge") for e in tri]))
+            read_name(t, "triangle id"):
+            tuple(sorted([read_name(e, "triangle edge") for e in _collection(tri, "triangle {!r} edges", t)]))
             for t, tri in (triangles or {}).items()
         }
-        vertex_names = [name(v, "vertex") for v in vertices]
+        vertex_names = [read_name(v, "vertex") for v in _collection(vertices, "vertices")]
         if isinstance(vertices, (set, frozenset)):
             vertex_names.sort()
         self._store(edge_map, tri_map, _order_vertices(vertex_names, edge_map))

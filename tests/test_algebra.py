@@ -115,7 +115,7 @@ class TestNullspace:
         assert nullspace([[1, 0], [0, 1]], 2, 2) == []
 
     def test_single_parity_row(self):
-        assert nullspace([[1, 1]], 2, 2) == [(1, 1)]
+        assert nullspace([[1, 1]], 2, 2) == [{0: 1, 1: 1}]
 
     def test_no_rows_means_full_space(self):
         basis = nullspace([], 3, 2)
@@ -123,7 +123,7 @@ class TestNullspace:
 
     def test_gf3(self):
         basis = nullspace([[1, 2]], 2, 3)
-        assert basis == [(1, 1)]  # 1*1 + 2*1 = 3 = 0 mod 3
+        assert basis == [{0: 1, 1: 1}]  # 1*1 + 2*1 = 3 = 0 mod 3
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ToolkitError):
@@ -134,10 +134,15 @@ class TestNullspace:
         st.lists(st.lists(st.integers(0, 1), min_size=5, max_size=5), min_size=0, max_size=5)
     )
     def test_basis_vectors_lie_in_kernel(self, rows):
-        basis = nullspace(rows, 5, 2)
-        for vec in basis:
+        echelon = gf_p_echelon([dict(enumerate(row)) for row in rows], 2)
+        basis = gf_p_nullspace(echelon, 5, 2)
+        free = [c for c in range(5) if c not in echelon]
+        for f, vec in zip(free, basis, strict=True):
+            # sparse: no stored zero, 1 at its own free column, no other free column
+            assert 0 not in vec.values()
+            assert vec[f] == 1 and set(vec) & set(free) == {f}
             for row in rows:
-                assert sum(r * v for r, v in zip(row, vec)) % 2 == 0
+                assert sum(r * vec.get(j, 0) for j, r in enumerate(row)) % 2 == 0
         # rank-nullity over GF(2)
         rank = 5 - len(basis)
         assert 0 <= rank <= min(len(rows), 5)
@@ -146,7 +151,7 @@ class TestNullspace:
 def _dual_code(code: BinaryCode) -> BinaryCode:
     rows = [[(row >> j) & 1 for j in range(code.n)] for row in code.rows]
     basis = nullspace(rows, code.n, 2)
-    return BinaryCode.from_rows([list(v) for v in basis], code.n)
+    return BinaryCode.from_rows([[v.get(j, 0) for j in range(code.n)] for v in basis], code.n)
 
 
 def _macwilliams_transform(enum: Polynomial, n: int, k: int) -> Polynomial:
@@ -270,11 +275,11 @@ class TestFactoredEnumerator:
                     rows[i] = [a ^ b for a, b in zip(rows[i], rows[j])]
             assert weight_enumerator(BinaryCode.from_rows(rows, n)) == expected
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_gf_p_span_matches_coefficient_enumeration(self, p):
         rng = random.Random(p)
         for _ in range(30):
-            ncols = rng.randint(1, 8 if p < 5 else 6)
+            ncols = rng.randint(1, 8 if p < 5 else 6 if p < 7 else 5)
             rows = [
                 [rng.randrange(1, p) if rng.random() < 0.4 else 0 for _ in range(ncols)]
                 for _ in range(rng.randint(0, ncols))
@@ -282,7 +287,7 @@ class TestFactoredEnumerator:
             basis = nullspace(rows, ncols, p)
             counts: dict[int, int] = {}
             for coeffs in itertools.product(range(p), repeat=len(basis)):
-                word = [sum(c * vec[j] for c, vec in zip(coeffs, basis)) % p for j in range(ncols)]
+                word = [sum(c * vec.get(j, 0) for c, vec in zip(coeffs, basis)) % p for j in range(ncols)]
                 w = sum(1 for v in word if v)
                 counts[w] = counts.get(w, 0) + 1
             assert gf_p_weight_enumerator(basis, p) == Polynomial(counts)

@@ -44,7 +44,7 @@ from kas3.core import (
     perfect_matchings,
     validate,
 )
-from kas3.errors import GuardExceeded, NotAMatching, ToolkitError
+from kas3.errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
 from kas3._util import canonical_json
 
 
@@ -1022,7 +1022,7 @@ class TestCycleSpace:
             tri_ids = config.triangle_ids
             rows = [{j: 1 for j, t in enumerate(tri_ids) if e in config.triangle_edges(t)} for e in config.edge_ids]
             kernel = algebra.gf_p_nullspace(algebra.gf_p_echelon(rows, p), len(tri_ids), p)
-            dual = algebra.gf_p_nullspace(algebra.gf_p_echelon([dict(enumerate(v)) for v in kernel], p), len(tri_ids), p)
+            dual = algebra.gf_p_nullspace(algebra.gf_p_echelon(kernel, p), len(tri_ids), p)
             enum = cycle_space_weight_enumerator(config, p)
             rhs = sum(
                 c * (1 - z) ** w * (1 + (p - 1) * z) ** (len(tri_ids) - w) for w, c in enum.terms()
@@ -1076,6 +1076,21 @@ class TestConfigurationNames:
     )
     def test_every_name_field_is_checked(self, args, field):
         with pytest.raises(ToolkitError, match=f"^{field} is not a name"):
+            TriangularConfiguration(*args)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("abc",), "edges"),
+            (({"e": "uv", "f": ("u", "w"), "g": ("v", "w")},), "edge 'e' ends"),
+            ((["e", "f", "g"], {"t": "efg"}), "triangle 't' edges"),
+            ((["e"], {}, "uvw"), "vertices"),
+        ],
+        ids=["edges", "edge_ends", "triangle_edges", "vertices"],
+    )
+    def test_a_string_is_not_a_collection_of_names(self, args, field):
+        # once read letter by letter, as the names a, b, c or u, v, w
+        with pytest.raises(SchemaError, match=f"^{re.escape(field)} must be a collection of names, not the string "):
             TriangularConfiguration(*args)
 
     def test_integer_names_are_decimal_text(self):

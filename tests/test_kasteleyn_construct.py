@@ -266,6 +266,13 @@ class TestCertifications:
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 4, 4)
         assert report.detail == f"weights disagree on {first}"
 
+    def test_edge_list_that_disagrees_with_the_graph_is_refused(self):
+        from dataclasses import replace
+
+        tc = build_T([[1, 1], [1, 1]])
+        with pytest.raises(ToolkitError, match="^the support graph's edges are not those of the edge list$"):
+            strong_matching_bijection_check(replace(tc, edge_list=tc.edge_list[:-1]))
+
     def test_bijection_guard_fires_before_listing(self, monkeypatch):
         import kas3.kasteleyn_construct as kc
 
