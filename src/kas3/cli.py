@@ -62,6 +62,8 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not UTF-8
         raise SchemaError(f"cannot read {path} as JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise SchemaError(f"{path} is nested too deeply to read as JSON") from exc
 
 
 def _value_text(value) -> str:

@@ -52,10 +52,7 @@ class TriangularConfiguration:
     collection of names. Beyond names and two ends per edge, construction
     never rejects bad data; `validate` reports violations instead, so
     invalid inputs stay inspectable.
-    Vertices keep the order they are given in (a set is taken sorted), then
-    edge endpoints not yet named, in edge order; the strong-matching search
-    numbers its vertex items in that order, so a builder can hand it a
-    structural one. Equality ignores the order.
+    The vertices are a set: the names given plus every edge end.
 
     The constructor checks and normalises outside input once. kas3's own
     builders and `parse_config_doc`, which read every name themselves, hand
@@ -67,7 +64,6 @@ class TriangularConfiguration:
 
     __slots__ = (
         "_vertices",
-        "_vertex_order",
         "_edges",
         "_triangles",
         "_edge_ids",
@@ -98,37 +94,33 @@ class TriangularConfiguration:
             tuple(sorted([read_name(e, "triangle edge") for e in _collection(tri, "triangle {!r} edges", t)]))
             for t, tri in (triangles or {}).items()
         }
-        vertex_names = [read_name(v, "vertex") for v in _collection(vertices, "vertices")]
-        if isinstance(vertices, (set, frozenset)):
-            vertex_names.sort()
-        self._store(edge_map, tri_map, _order_vertices(vertex_names, edge_map))
+        vertex_set = frozenset([read_name(v, "vertex") for v in _collection(vertices, "vertices")])
+        self._store(edge_map, tri_map, vertex_set.union(*filter(None, edge_map.values())))
 
     @classmethod
     def _make(
         cls,
         edges: dict[str, tuple[str, str] | None],
         triangles: dict[str, tuple[str, ...]],
-        vertex_order: tuple[str, ...] = (),
+        vertices: frozenset[str] = frozenset(),
     ) -> "TriangularConfiguration":
-        """A configuration holding the maps as given, which it then owns.
+        """A configuration holding the maps and the vertex set as given, which it then owns.
 
         The caller guarantees what `__init__` enforces: `str` names, each
         edge's ends a sorted pair or None, each triangle's edges a sorted
-        tuple, and `vertex_order` the order `__init__` would give (see
-        `_order_vertices`).
+        tuple, and every edge end among `vertices`.
         """
         config = cls.__new__(cls)
-        config._store(edges, triangles, vertex_order)
+        config._store(edges, triangles, vertices)
         return config
 
     def _store(
         self,
         edges: dict[str, tuple[str, str] | None],
         triangles: dict[str, tuple[str, ...]],
-        vertex_order: tuple[str, ...],
+        vertices: frozenset[str],
     ) -> None:
-        self._vertex_order = vertex_order
-        self._vertices = frozenset(vertex_order)
+        self._vertices = vertices
         self._edges = edges
         self._triangles = triangles
         self._edge_ids: tuple[str, ...] | None = None
@@ -139,10 +131,6 @@ class TriangularConfiguration:
     @property
     def vertices(self) -> frozenset[str]:
         return self._vertices
-
-    @property
-    def vertex_order(self) -> tuple[str, ...]:
-        return self._vertex_order
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -221,15 +209,6 @@ class TriangularConfiguration:
         return config
 
 
-def _order_vertices(vertices: Iterable[str], edges: Mapping[str, tuple[str, str] | None]) -> tuple[str, ...]:
-    """The vertices in order, then the edge ends not yet named, in edge order; each name once."""
-    order = dict.fromkeys(vertices)
-    for ends in edges.values():
-        if ends is not None:
-            order[ends[0]] = order[ends[1]] = None
-    return tuple(order)
-
-
 def parse_config_doc(
     doc: Mapping,
 ) -> tuple[TriangularConfiguration, dict[str, int] | None, dict[str, int] | None, dict[str, int] | None]:
@@ -266,10 +245,10 @@ def parse_config_doc(
             tri = [read_name(e, f"triangle {tid!r} edges[{a}]") for a, e in enumerate(names)]
             tri.sort()
             triangles[tid] = tuple(tri)
-        vertices = [read_name(v, f"vertices[{n}]") for n, v in enumerate(vertex_names)]
+        vertices = frozenset([read_name(v, f"vertices[{n}]") for n, v in enumerate(vertex_names)])
     except (KeyError, TypeError, IndexError) as exc:
         raise SchemaError(f"bad configuration document: {exc}") from exc
-    config = TriangularConfiguration._make(edges, triangles, _order_vertices(vertices, edges))
+    config = TriangularConfiguration._make(edges, triangles, vertices.union(*filter(None, edges.values())))
 
     def _int_map(key: str, allowed: tuple[int, ...] | None = None) -> dict[str, int] | None:
         if key not in doc:
@@ -651,8 +630,8 @@ class _SearchIndex:
 
     Per triangle, `tri_edges` holds its edges' positions, refusing the first
     unknown edge in sorted triangle order and then edge order, and
-    `tri_vertices` its vertices' positions, ascending, once a strong-matching
-    call has built it.
+    `tri_vertices` its vertices' positions in sorted vertex order, ascending,
+    once a strong-matching call has built it.
     """
 
     def __init__(self, config: TriangularConfiguration):
@@ -667,7 +646,6 @@ class _SearchIndex:
         except KeyError as exc:
             raise ToolkitError(f"triangle {t!r} references dangling edge {exc.args[0]!r}") from None
 
-        self.vertex_ids = config.vertex_order
         self.tri_vertices: list[tuple[int, ...]] | None = None
 
     def triangle_sets(self, item_count: int, options: Sequence[Sequence[int]]) -> list[tuple[str, ...]]:
@@ -748,7 +726,7 @@ def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:
     if idx.tri_vertices is None:
         if not config.has_full_vertex_data:
             raise ToolkitError("perfect strong matchings need vertex data on every edge")
-        vertex_pos = {v: i for i, v in enumerate(idx.vertex_ids)}
+        vertex_pos = {v: i for i, v in enumerate(sorted(config.vertices))}
         idx.tri_vertices = [
             tuple(sorted(vertex_pos[v] for v in config.triangle_vertices(t) or ())) for t in idx.tri_ids
         ]
@@ -758,23 +736,13 @@ def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:
 def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
     idx = _vertex_index(config)
-    return idx.triangle_sets(len(idx.vertex_ids), idx.tri_vertices)
+    return idx.triangle_sets(len(config.vertices), idx.tri_vertices)
 
 
 def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
     """Number of perfect strong matchings, by a fold over the state graph (nothing is listed)."""
     idx = _vertex_index(config)
-    return CoverIndex(len(idx.vertex_ids), idx.tri_vertices).fold([1] * len(idx.tri_vertices))
-
-
-def strong_matching_items(config: TriangularConfiguration) -> tuple[dict[str, tuple[int, ...]], int]:
-    """Vertex positions of every triangle, ascending, and the number of vertices.
-
-    Position i is vertex i of `config.vertex_order`. A set of triangles is a
-    perfect strong matching iff it holds every position exactly once.
-    """
-    idx = _vertex_index(config)
-    return dict(zip(idx.tri_ids, idx.tri_vertices)), len(idx.vertex_ids)
+    return CoverIndex(len(config.vertices), idx.tri_vertices).fold([1] * len(idx.tri_vertices))
 
 
 # -- tripartitions -------------------------------------------------------------

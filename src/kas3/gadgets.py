@@ -448,7 +448,6 @@ def _reference_mtt() -> _Template:
 class MttBlock:
     """One linking block instance inside a larger configuration."""
 
-    prefix: str
     triangles: tuple[str, ...]
     m1: tuple[str, ...]
     m0: tuple[str, ...]
@@ -470,7 +469,6 @@ def _add_block(
     prefix = f"mtt[{targets[0]}|{targets[1]}|{targets[2]}]"
     names, triangle_names = _glue(edges, triangles, ref, prefix, triples)
     return MttBlock(
-        prefix=prefix,
         triangles=tuple(triangle_names),
         m1=tuple(triangle_names[s] for s in ref.matchings["perfect"]),
         m0=tuple(triangle_names[s] for s in ref.matchings["all_ends_defect"]),
@@ -499,8 +497,8 @@ def link_by_mtt(
     edges = {e: config.edge_ends(e) for e in config.edge_ids}
     triangles = {t: config.triangle_edges(t) for t in config.triangle_ids}
     _add_block(edges, triangles, targets, triples)
-    # the vertex order a vertex set gets: every edge end is one of the vertices
-    return TriangularConfiguration._make(edges, triangles, tuple(sorted(config.vertices)))
+    # the block's edges have no ends, so the vertices stay the source's
+    return TriangularConfiguration._make(edges, triangles, config.vertices)
 
 
 @dataclass(frozen=True)

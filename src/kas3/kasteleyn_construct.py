@@ -21,18 +21,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._util import read_array, read_int
-from .core import (
-    CoverIndex,
-    TriangularConfiguration,
-    count_perfect_strong_matchings,
-    strong_matching_items,
-)
+from .core import CoverIndex, TriangularConfiguration, count_perfect_strong_matchings
 from .errors import GuardExceeded, SchemaError, ToolkitError
 from .tensor3 import (
     BipartiteGraph,
     RingValue,
     Tensor3,
-    _support,
     diagonal_sign,
     support_diagonals,
     support_sum,
@@ -134,8 +128,8 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
         edges.setdefault(eids[2], (b, c))
         tri_edge_map[tid] = eids
 
-    # every edge end is a vertex of w0, w1 or w2, so the vertex order is theirs
-    config = TriangularConfiguration._make(edges, tri_edge_map, w0 + w1 + w2)
+    # every edge end is a vertex of w0, w1 or w2
+    config = TriangularConfiguration._make(edges, tri_edge_map, frozenset(w0 + w1 + w2))
 
     vertex_classes = {v: 1 for v in w0}
     vertex_classes.update({v: 2 for v in w1})
@@ -287,33 +281,40 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     fixed by the chosen edges, so the map is injective, and the number of
     strong matchings, counted by a fold, must equal the number of graph
     matchings; together these say the images are exactly the strong
-    matchings. When the tensor's cells, as items over its axis indices, are
-    the configuration's triangle vertex positions (same item count, same
-    multiset of item masks, read from the tensor's support), the two cover
-    problems are one, and the count is the tensor's indicator fold over the
-    tensor's cover index, one pass over its state graph when `per3` or a
-    certificate has built it; otherwise the configuration gets its own
-    graph. An image enters through the XOR and popcount sum of its vertex
-    masks: with every triangle present it is a perfect strong matching iff
-    the XOR is the full mask and the sum the vertex count. A weight mismatch names the first failing matching by its
-    sorted name pairs. Guarded like `certify_trivial_signing`; `threads` is
-    ignored, kept so that existing callers keep working.
+    matchings. The configuration's vertices are numbered by the axes
+    `w0 + w1 + w2` when they are its vertex set, and in sorted order
+    otherwise. Cell (i, j, k) of the side-m tensor covers items i, m + j
+    and 2m + k, so when every edge has its ends, there are 3m vertices and
+    the triangles' vertex positions are the tensor's cells as items, the
+    two cover problems are one, and the count is the tensor's indicator
+    fold, one pass over its state graph when `per3` or a certificate has
+    built it; otherwise the configuration gets its own search. An image enters through the XOR and popcount sum of its
+    vertex masks: with every triangle present it is a perfect strong
+    matching iff the XOR is the full mask and the sum the vertex count. A
+    weight mismatch names the first failing matching by its sorted name
+    pairs. Guarded like `certify_trivial_signing`; `threads` is ignored,
+    kept so that existing callers keep working.
     """
     _check_side(tc)
     edges = [(tc.graph.left[i], tc.graph.right[j]) for i, j in tc.edge_list]
     if sorted(edges) != sorted(tc.graph.edges):
         raise ToolkitError("the support graph's edges are not those of the edge list")
-    items_of, vertex_count = strong_matching_items(tc.config)
-    support = _support(tc.tensor)
-    index = support[1] if support else None
+    config, m = tc.config, tc.m
+    axes = tc.w0 + tc.w1 + tc.w2
+    own = len(axes) == len(config.vertices) and config.vertices.issuperset(axes)
+    vertex_ids = axes if own else sorted(config.vertices)
+    vertex_count = len(vertex_ids)
+    position = {v: p for p, v in enumerate(vertex_ids)}
+    items_of = {t: tuple(sorted(position[v] for v in config.triangle_vertices(t) or ())) for t in config.triangle_ids}
     if (
-        index
-        and index.item_count == vertex_count
-        and sorted(index.masks) == sorted(sum(1 << v for v in items) for items in items_of.values())
+        config.has_full_vertex_data
+        and tc.tensor.cube_side == m
+        and vertex_count == 3 * m
+        and sorted(items_of.values()) == sorted((i, m + j, 2 * m + k) for i, j, k in tc.tensor.entries)
     ):
         strong = support_sum(tc.tensor, indicator=True)  # the same problem, on the tensor's index
     else:
-        strong = count_perfect_strong_matchings(tc.config)
+        strong = count_perfect_strong_matchings(config)
     base, changes, left_out_values = _image_changes(tc, items_of)
     full = (1 << vertex_count) - 1
     graph_matchings = 0

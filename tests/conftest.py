@@ -302,7 +302,7 @@ def disjoint_union(configs) -> TriangularConfiguration:
             edges[f"{i}:{e}"] = None if ends is None else tuple(f"{i}:{v}" for v in ends)
         for t in config.triangle_ids:
             triangles[f"{i}:{t}"] = [f"{i}:{e}" for e in config.triangle_edges(t)]
-        vertices += [f"{i}:{v}" for v in config.vertex_order]
+        vertices += [f"{i}:{v}" for v in config.vertices]
     return TriangularConfiguration(edges, triangles, vertices)
 
 

@@ -69,6 +69,10 @@ def matrix_file(tmp_path):
 
 
 class TestCommands:
+    def test_lattice_prints_its_size(self, capsys):
+        assert invoke(capsys, "lattice", "2", "2", "2") == (0, "8 vertices, 12 edges\n")
+        assert invoke(capsys, "lattice", "2", "2", "2", "--json") == (0, '{"dims":[2,2,2],"edges":12,"vertices":8}\n')
+
     def test_lattice_dimers_prints_count(self, capsys):
         status, out = invoke(capsys, "lattice", "2", "2", "2", "--dimers")
         assert status == 0
@@ -190,8 +194,10 @@ class TestErrors:
             (["bogus"], "kas3: argument command: invalid choice: 'bogus'"),
             (["fold", "-x", "--e", "2"], "kas3 fold: "),
             (["per3", "a.json", "b.json"], "kas3: unrecognized arguments: b.json"),
+            (["bc-check", "--r", "0", "--n", "1"], "need 1 <= r <= n, got r=0, n=1"),
+            (["bc-check", "--r", "3", "--n", "2"], "need 1 <= r <= n, got r=3, n=2"),
         ],
-        ids=["bad_int", "missing_path", "unknown_command", "unknown_option", "extra_argument"],
+        ids=["bad_int", "missing_path", "unknown_command", "unknown_option", "extra_argument", "r_zero", "r_above_n"],
     )
     def test_argument_error_is_one_json_error(self, capsys, argv, message):
         # argparse printed its usage on stderr and nothing on stdout
@@ -281,6 +287,8 @@ class TestErrors:
             (["per3"], {"dims": [2, 2], "entries": []}),
             (["per3"], {"dims": [2, -1, 2], "entries": []}),
             (["per3"], {"dims": [2, 2, 2], "entries": [[0, 2, 0, 1]]}),
+            (["triadj"], {"edges": [], "triangles": [], "edge_classes": {"a": 4}}),
+            (["code", "wenum"], {"k": 1, "n": 2, "rows": [[1, 2]]}),
         ],
     )
     def test_malformed_documents_exit_2(self, capsys, tmp_path, command, doc):
@@ -289,6 +297,29 @@ class TestErrors:
         status, out = invoke(capsys, *command, str(path))
         assert status == 2
         assert json.loads(out)["error"]["type"] == "schema"
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("per3", "[" * 2000 + "]" * 2000), ("reduce", '{"a": ' * 2000 + "1" + "}" * 2000)],
+        ids=["array", "object"],
+    )
+    def test_deeply_nested_document_is_schema_error(self, capsys, tmp_path, command, text):
+        # past the interpreter's recursion limit; written as text, since json.dumps would recurse too
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert invoke(capsys, command, str(path)) == (2, canonical_json({"error": {
+            "type": "schema", "message": f"{path} is nested too deeply to read as JSON",
+        }}) + "\n")
+
+    def test_two_triangles_on_one_edge_triple_is_operation_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({
+            "edges": [{"id": e} for e in "abc"],
+            "triangles": [{"id": t, "edges": ["a", "b", "c"]} for t in ("t1", "t2")],
+        }))
+        assert invoke(capsys, "triadj", str(path)) == (1, canonical_json({"error": {
+            "type": "operation", "message": "two triangles map to tensor cell (0, 0, 0)",
+        }}) + "\n")
 
     @pytest.mark.parametrize("poly", [{"1": 2, "01": 5}, {" 1": 2, "1": 5, "+1": 7}])
     def test_duplicate_polynomial_exponent_exit_2(self, capsys, tmp_path, poly):
@@ -457,7 +488,7 @@ class TestErrors:
         config = parse_config_doc(doc)[0]
         assert config.edge_ids == ("1", "2", "3") and config.triangle_ids == ("-4",)
         assert config.triangle_edges("-4") == ("1", "2", "3") and config.edge_ends("1") == ("7", "8")
-        assert config.vertex_order == ("7", "8", "9")
+        assert config.vertices == {"7", "8", "9"}
 
     @needs_default_digit_limit
     @pytest.mark.parametrize("command", ["reduce", "triadj"])

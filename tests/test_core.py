@@ -76,6 +76,14 @@ class TestValidate:
         config = TriangularConfiguration(["a", "b"], {"t": ("a", "a", "b")})
         assert any("repeated or missing" in v for v in validate(config))
 
+    def test_loop_edge(self):
+        assert validate(TriangularConfiguration({"a": ("u", "u")})) == ["edge 'a' is a loop on vertex 'u'"]
+
+    def test_triangle_on_one_shared_vertex(self):
+        # each pair of edges meets in a, so the triangle has no three corners
+        config = TriangularConfiguration({"x": ("a", "b"), "y": ("a", "c"), "z": ("a", "d")}, {"t": ("x", "y", "z")})
+        assert validate(config) == ["triangle 't' does not span three distinct vertices"]
+
     def test_vertex_level_condition(self):
         # edges b and c do not share a vertex, so the triangle cannot close
         config = TriangularConfiguration(
@@ -817,7 +825,7 @@ def shuffled(config: TriangularConfiguration, rng: random.Random) -> TriangularC
     triangles = {
         triangle_map[t]: [edge_map[e] for e in config.triangle_edges(t)] for t in config.triangle_ids
     }
-    return TriangularConfiguration(edges, triangles, [vertex_map[v] for v in config.vertex_order])
+    return TriangularConfiguration(edges, triangles, {vertex_map[v] for v in config.vertices})
 
 
 def backtracking_family(seed: int = 4242) -> tuple[list, list]:
@@ -1093,12 +1101,16 @@ class TestConfigurationNames:
         with pytest.raises(SchemaError, match=f"^{re.escape(field)} must be a collection of names, not the string "):
             TriangularConfiguration(*args)
 
+    def test_an_edge_has_two_ends(self):
+        with pytest.raises(ToolkitError, match="^edge 'e' must have exactly two endpoints$"):
+            TriangularConfiguration({"e": ("u", "v", "w")})
+
     def test_integer_names_are_decimal_text(self):
         config = TriangularConfiguration([1, 2, 3], {5: (1, 2, 3)})
         assert config.edge_ids == ("1", "2", "3") and config.triangle_ids == ("5",)
         assert config.triangle_edges("5") == ("1", "2", "3")
         config = TriangularConfiguration({-1: (7, "u")}, {}, {9, 10})
-        assert config.edge_ends("-1") == ("7", "u") and config.vertex_order == ("10", "9", "7", "u")
+        assert config.edge_ends("-1") == ("7", "u") and config.vertices == {"10", "9", "7", "u"}
 
 
 class TestJsonDocs:

@@ -37,7 +37,7 @@ def assert_public(config: TriangularConfiguration, vertices=()) -> None:
         vertices,
     )
     assert config == public
-    assert config.vertex_order == public.vertex_order
+    assert type(config.vertices) is frozenset
     assert config.edge_ids == public.edge_ids
     assert config.triangle_ids == public.triangle_ids
     # equal maps hold equal values, and tuples are not equal to lists

@@ -286,23 +286,23 @@ class TestCertifications:
         with pytest.raises(GuardExceeded, match="guard is side 7, got 8"):
             strong_matching_bijection_check(tc)
 
-    def test_vertex_order_changes_no_count_or_enumeration(self):
+    def test_vertex_collection_changes_no_count_or_enumeration(self):
         from kas3.core import TriangularConfiguration, count_perfect_strong_matchings
 
         tc = build_T([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-        assert tc.config.vertex_order == tc.w0 + tc.w1 + tc.w2
+        axes = tc.w0 + tc.w1 + tc.w2
+        assert tc.config.vertices == frozenset(axes)
         edges = {e: tc.config.edge_ends(e) for e in tc.config.edge_ids}
         triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
-        listed = TriangularConfiguration(edges, triangles, list(tc.config.vertex_order))
-        as_set = TriangularConfiguration(edges, triangles, frozenset(tc.config.vertex_order))
+        listed = TriangularConfiguration(edges, triangles, list(axes))
+        as_set = TriangularConfiguration(edges, triangles, frozenset(axes))
         assert listed == as_set == tc.config
-        assert as_set.vertex_order == tuple(sorted(tc.config.vertices))
         renamed = TriangularConfiguration(
             {f"r{e}": [f"r{v}" for v in ends] for e, ends in edges.items()},
             {f"r{t}": [f"r{e}" for e in tri] for t, tri in triangles.items()},
-            [f"r{v}" for v in listed.vertex_order],
+            [f"r{v}" for v in axes],
         )
-        assert renamed.vertex_order == tuple(f"r{v}" for v in listed.vertex_order)
+        assert renamed.vertices == {f"r{v}" for v in axes}
         assert count_perfect_strong_matchings(renamed) == 3
         assert count_perfect_strong_matchings(listed) == count_perfect_strong_matchings(as_set) == 3
         assert enumerate_perfect_strong_matchings(listed) == enumerate_perfect_strong_matchings(as_set)
@@ -404,6 +404,17 @@ class TestSharedStrongCount:
         report = strong_matching_bijection_check(tampered)
         assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (True, 2, 2, "")
 
+    def test_padded_tensor_keeps_the_configuration_count(self):
+        # the same cells in a cube one wider leave an axis index empty, so the tensor's own count is 0
+        from dataclasses import replace
+
+        from kas3.tensor3 import Tensor3
+
+        tc = build_T(self.MATRIX)
+        m = tc.m
+        report = strong_matching_bijection_check(replace(tc, tensor=Tensor3((m, m, m + 1), dict(tc.tensor.entries))))
+        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (True, 2, 2, "")
+
     def test_tampered_configuration_is_searched_on_its_own(self):
         # the extra triangle has the vertex mask of tri:gadget[0], so the
         # tensor's masks are no longer the configuration's
@@ -414,6 +425,20 @@ class TestSharedStrongCount:
         report = strong_matching_bijection_check(with_triangles(tc, triangles))
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 3)
         assert report.detail == "image set differs from the 3 enumerated strong matchings"
+
+    def test_configuration_without_vertex_data_is_refused(self):
+        # every triangle still matches its tensor cell; the edge without ends is in none of them
+        from dataclasses import replace
+
+        from kas3.core import TriangularConfiguration
+
+        tc = build_T(self.MATRIX)
+        permanent3(tc.tensor)
+        edges = {e: tc.config.edge_ends(e) for e in tc.config.edge_ids}
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        config = TriangularConfiguration({**edges, "x": None}, triangles, tc.config.vertices)
+        with pytest.raises(ToolkitError, match="^perfect strong matchings need vertex data on every edge$"):
+            strong_matching_bijection_check(replace(tc, config=config))
 
 
 def with_triangles(tc, triangles):
