@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from ._util import int_text, read_array, read_int
@@ -267,19 +268,34 @@ def gf_p_nullspace(echelon: Mapping[int, Mapping[int, int]], ncols: int, p: int)
 
     Each vector is a column -> value map storing no zero. The vector of free
     column f is 1 at f and holds no other free column, which fixes it; its
-    pivot entries are back-substituted right to left.
+    pivot entries are back-substituted right to left. Only the pivots whose
+    rows meet the vector's support so far can be nonzero, so those alone
+    are taken, highest first: a row holds columns right of its pivot only,
+    so each pivot is met after every column its value reads.
     """
-    pivots = sorted(echelon, reverse=True)
+    meets: dict[int, list[int]] = {}  # column -> the pivots whose rows hold it
+    for pivot, row in echelon.items():
+        for col in row:
+            if col != pivot:
+                meets.setdefault(col, []).append(-pivot)
     basis: list[dict[int, int]] = []
     for free in range(ncols):
         if free in echelon:
             continue
         vec = {free: 1}
-        for col in pivots:
+        pending = list(meets.get(free, ()))  # negated pivots, a max-heap
+        heapify(pending)
+        queued = set(pending)
+        while pending:
+            col = -heappop(pending)
             # vec has no entry at col yet, so the pivot's own entry adds nothing
             value = -sum(v * vec.get(c, 0) for c, v in echelon[col].items()) % p
             if value:
                 vec[col] = value
+                for neg in meets.get(col, ()):
+                    if neg not in queued:
+                        queued.add(neg)
+                        heappush(pending, neg)
         basis.append(vec)
     return basis
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_array, read_int, read_name
 from .algebra import (
@@ -365,48 +365,56 @@ class CoverIndex:
     """One exact-cover problem and its one search, shared by every caller.
 
     Option o is given as the items it holds. Only the index builds bitmasks:
-    `masks[o]` of option o's items and, for the search alone, `item_opts[i]`
-    of the options holding item i. Past `SUPPORT_MAX_BITS` (2^28) bits,
-    options * items, a problem is refused before any mask is built: the one
-    size guard of every cover problem. `choose(covered, live)` returns the
-    live options of the uncovered item with the fewest of them, taking the
-    lowest item index on ties and stopping at a count <= 1 (the choice rule
-    of Knuth's Algorithm X): 0 when some item has none left, None when every
-    item is covered. The search starts with all options live and clears the
-    options that clash with each chosen one, so `live` is always the set of
-    options disjoint from `covered`, and the choice depends on `covered`
-    alone. `blocked(o)` is `clash[o]`, the options sharing an item with
-    option o, built from o's items the first time o is chosen, so a search
-    that ends at once builds none. `choose` and `blocked` serve the search
-    alone: once it has built the graph, the index drops them, with the item
-    lists, `item_opts` and the clash masks, and keeps each option once, as
-    its mask.
+    `masks[o]` of option o's items and, for the search alone, the options
+    holding each item. Past `SUPPORT_MAX_BITS` (2^28) bits, options * items,
+    a problem is refused before any mask is built: the one size guard of
+    every cover problem.
 
-    `_build` is the only search and `choose` runs nowhere else. The first
-    fold, listing or parity span builds its state graph, `graph`, and every
-    later one reads it: `fold` sums it, `covers` walks it and `parity_span`
-    reduces over it. Only callers that return or inspect covers list them;
-    every sum over covers, weight polynomials included, is a fold. Its
-    size, the states visited plus the arcs kept, may not pass
-    `COVER_GRAPH_MAX_SIZE` (2^21); the arcs hold the memory, about 110
-    bytes each. Measured with CPython 3.11 on x86-64:
-    `kas3 per3` peaks at 239 MB resident when the all-ones 10x10x10 tensor
-    is refused at the guard, and at 128 MB answering the all-ones 9x9x9
-    (1,091,090 states and arcs). Past the guard the build raises
-    `GuardExceeded` and leaves `graph` None, so the next caller builds
-    again and raises again.
+    The search is Knuth's Algorithm X over `covered`, the items covered so
+    far; the options disjoint from it are live, and an item's count is its
+    number of live options. Choosing an option closes the state it leads
+    to: while some uncovered item has one live option, that option is
+    forced and applied in the same step, the lowest such item first, and an
+    item with none is a dead end. Only the items sharing an option with
+    what was just applied are counted again, since only their counts can
+    change; those sets, like the options each option clashes with, are
+    built the first time an option is applied. A closed state with an
+    uncovered item branches on the item with the fewest live options,
+    taking the lowest item index on ties, in ascending option order.
+
+    `_build` is the only search. The first fold, listing or parity span
+    builds its state graph, `graph`, and every later one reads it: `fold`
+    sums it, `covers` walks it and `parity_span` reduces over it. Only
+    callers that return or inspect covers list them; every sum over covers,
+    weight polynomials included, is a fold. The graph keeps the branch
+    states and the full cover, plus the root when it is forced. Each arc is
+    `(option, position)`: the child's graph position, or ~t when the
+    closure forced options after the arc's option, and tail t,
+    `tails[t] = (forced, child position)`, lists them in the order it
+    applied them. Once the graph is built the index drops the search's
+    tables and keeps each option once, as its mask.
+
+    `states_visited` counts the states the searches met, every option a
+    closure applied included, and `arcs_kept` the arcs they kept; a build
+    may not take their sum past `COVER_GRAPH_MAX_SIZE` (2^21). The arcs
+    hold the memory, about 110 bytes each. Measured with CPython 3.11 on
+    x86-64: `kas3 per3` peaks at 239 MB resident when the all-ones
+    10x10x10 tensor is refused at the guard, and at 128 MB answering the
+    all-ones 9x9x9 (1,091,090 states and arcs). Past the guard the build
+    raises `GuardExceeded` and leaves `graph` None, so the next caller
+    builds again and raises again.
     """
 
-    __slots__ = ("item_count", "masks", "choose", "blocked", "graph")
+    __slots__ = ("item_count", "masks", "graph", "tails", "states_visited", "arcs_kept", "_options", "_item_opts")
 
     def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
         bits = len(options) * item_count
         if bits > SUPPORT_MAX_BITS:
             raise GuardExceeded(f"cover mask guard is {SUPPORT_MAX_BITS} bits (options * items), got {bits}")
         self.item_count = item_count
-        options = list(options)
+        self._options = options = list(options)
         self.masks = masks = []
-        item_opts = [0] * item_count
+        self._item_opts = item_opts = [0] * item_count
         for oi, items in enumerate(options):
             bit = 1 << oi
             mask = 0
@@ -414,45 +422,15 @@ class CoverIndex:
                 mask |= 1 << i
                 item_opts[i] |= bit
             masks.append(mask)
-        full = (1 << item_count) - 1
-        unreachable = len(masks) + 1  # above every item's count
-        clash: dict[int, int] = {}
-
-        def choose(covered: int, live: int) -> int | None:
-            remaining = full & ~covered
-            best = None
-            best_count = unreachable
-            while remaining:
-                low = remaining & -remaining
-                opts = item_opts[low.bit_length() - 1] & live
-                count = opts.bit_count()
-                if count < best_count:
-                    best, best_count = opts, count
-                    if count <= 1:
-                        break
-                remaining ^= low
-            return best
-
-        def blocked(oi: int) -> int:
-            mask = clash.get(oi)
-            if mask is None:
-                mask = 0
-                for i in options[oi]:
-                    mask |= item_opts[i]
-                clash[oi] = mask
-            return mask
-
-        # closures rather than methods: they run at every search node, and
-        # free variables are read faster than attributes
-        self.choose: Callable[[int, int], int | None] | None = choose
-        self.blocked: Callable[[int], int] | None = blocked
         self.graph: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None
+        self.tails: list[tuple[list[int], int]] = []
+        self.states_visited = self.arcs_kept = 0
 
     def _graph(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         """The state graph, built by the first search over this index (see `_build`)."""
         if self.graph is None:
             self.graph = self._build()
-            self.choose = self.blocked = None  # the search is done
+            self._options = self._item_opts = None  # the search is done
         return self.graph
 
     def covers(self) -> Iterator[list[int]]:
@@ -460,87 +438,198 @@ class CoverIndex:
 
         A depth-first walk of the state graph's arcs: they come in ascending
         option order and lead only to states with a cover below, so covers
-        come out in the search's order and no choice is made again. The walk
-        keeps an explicit stack, so its depth is bounded by memory alone.
+        come out in the search's order and no choice is made again. An arc
+        adds its option and then its tail's forced options. The walk keeps
+        an explicit stack, so its depth is bounded by memory alone.
         """
         graph = self._graph()
+        tails = self.tails
         if graph and not graph[-1][1]:
             yield []  # the root is the full cover
         chosen: list[int] = []
-        stack = [iter(graph[-1][1])] if graph else []  # per depth: the arcs not yet taken
+        # per depth: the arcs not yet taken, and the length of `chosen` above them
+        stack = [(iter(graph[-1][1]), 0)] if graph else []
         while stack:
-            for oi, child in stack[-1]:
-                del chosen[len(stack) - 1 :]
+            arcs, depth = stack[-1]
+            for oi, at in arcs:
+                del chosen[depth:]
                 chosen.append(oi)
-                arcs = graph[child][1]
-                if arcs:
-                    stack.append(iter(arcs))
+                if at < 0:
+                    forced, at = tails[~at]
+                    chosen += forced
+                below = graph[at][1]
+                if below:
+                    stack.append((iter(below), len(chosen)))
                     break
                 yield list(chosen)
             else:
                 stack.pop()
 
     def _build(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """The state graph of the search, memoized on `covered`.
+        """The state graph of the search, memoized on `covered`; fills `tails`.
 
-        One entry `(covered, arcs)` per state with a cover below it, each
-        after every state it branches to, so the root comes last. `arcs`
-        holds `(option, child position)` in ascending option order, skipping
-        children with no cover below them; the full cover is the one state
-        with no arcs. A problem with no cover has an empty graph. The search
-        keeps an explicit stack and counts the states it visits plus the
-        arcs it keeps against `COVER_GRAPH_MAX_SIZE`.
+        One entry `(covered, arcs)` per kept state with a cover below it,
+        each after every state it branches to, so the root comes last. Arcs
+        come in ascending option order and skip children with no cover
+        below them; the full cover is the one state with no arcs. When the
+        root itself forces options, its entry has one arc, the first of
+        them. A problem with no cover has an empty graph. The memo holds
+        each arc's position under the child both before and after its
+        closure, so a repeated arc costs one lookup; its values are ints,
+        which keep it out of the garbage collector's young generation (a
+        dict of fresh tuples re-enters it on every insert). The search
+        keeps an explicit stack and adds its work to `states_visited` and
+        `arcs_kept`.
         """
-        choose, blocked, masks = self.choose, self.blocked, self.masks
-        live = (1 << len(masks)) - 1
-        root = choose(0, live)
-        if root is None:
-            return [(0, ())]
-        graph: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        position: dict[int, int | None] = {}  # covered -> graph position, None when no cover below
+        options, item_opts, masks = self._options, self._item_opts, self.masks
+        full = (1 << self.item_count) - 1
+        unreachable = len(masks) + 1  # above every item's count
+        clash: dict[int, int] = {}
+        nears: dict[int, int] = {}
+        item_near: list[int] = []  # per item, the items of the options holding it
+
+        def blocked(oi: int) -> int:
+            """The options sharing an item with option oi; `nears[oi]` then
+            holds the items of those options."""
+            opts = clash.get(oi)
+            if opts is None:
+                if not item_near:  # the first option applied
+                    item_near.extend([0] * len(item_opts))
+                    for items, mask in zip(options, masks):
+                        for i in items:
+                            item_near[i] |= mask
+                opts = near = 0
+                for i in options[oi]:
+                    opts |= item_opts[i]
+                    near |= item_near[i]
+                clash[oi] = opts
+                nears[oi] = near
+            return opts
+
+        def close(covered: int, live: int, check: int) -> tuple[list[int], int, int, int | None]:
+            """Apply the forced options of a state whose items outside `check`
+            all have two or more live options: (forced, covered, live, branch),
+            where `branch` holds the live options to branch on, None at the
+            full cover and 0 at a dead end."""
+            forced: list[int] = []
+            while True:
+                check &= ~covered
+                seen = check
+                best, best_count, best_low = None, unreachable, 0
+                while check:
+                    low = check & -check
+                    opts = item_opts[low.bit_length() - 1] & live
+                    count = opts.bit_count()
+                    if count < best_count:
+                        if count <= 1:
+                            break
+                        best, best_count, best_low = opts, count, low
+                    check ^= low
+                else:
+                    break  # closed: every uncovered item has two or more
+                if not opts:
+                    return forced, covered, live, 0
+                oi = opts.bit_length() - 1
+                forced.append(oi)
+                covered |= masks[oi]
+                live &= ~blocked(oi)
+                check |= nears[oi]
+            # the branch item among the items this pass did not count; a count
+            # of 2 is the least left, so the scan stops at the first
+            rest = full & ~(covered | seen)
+            if best_count == 2:
+                rest &= best_low - 1
+            while rest:
+                low = rest & -rest
+                opts = item_opts[low.bit_length() - 1] & live
+                count = opts.bit_count()
+                if count < best_count or count == best_count and low < best_low:
+                    best, best_count, best_low = opts, count, low
+                    if count == 2:
+                        break
+                rest ^= low
+            return forced, covered, live, best
+
         limit = COVER_GRAPH_MAX_SIZE
-        size = 1
-        # per depth: covered, live, untried options, arcs kept, the option that led here
-        stack: list[list] = [[0, live, root, [], None]]
-        while True:
+        kept = 0
+        graph: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+        self.tails = tails = []
+        # covered, before or after a closure -> the arc position reaching the
+        # closed state, None when no cover is below it (`...` when not visited)
+        position: dict[int, int | None] = {}
+        # per depth: covered, live, untried options, arcs kept, and the option,
+        # the covered set before closure and the forced options that led here
+        stack: list[list] = []
+        root_forced, covered, live, branch = close(0, (1 << len(masks)) - 1, full)
+        size = 1 + len(root_forced)  # states visited plus arcs kept
+        root = None
+        if branch is None:
+            graph.append((covered, ()))
+            root = 0
+        elif branch:
+            stack.append([covered, live, branch, [], None])
+        while stack:
             frame = stack[-1]
-            covered, live, untried, arcs, _ = frame
+            covered, live, untried, arcs, link = frame
             if untried:
                 low = untried & -untried
                 frame[2] = untried ^ low
                 oi = low.bit_length() - 1
-                child = covered | masks[oi]
-                at = position.get(child, -1)  # -1: not visited yet
-                if at == -1:
-                    size += 1
-                    child_live = live & ~blocked(oi)
-                    nxt = choose(child, child_live)
-                    if nxt:
-                        stack.append([child, child_live, nxt, [], oi])
-                        continue
+                pre = covered | masks[oi]
+                at = position.get(pre, ...)
+                if at is ...:
+                    forced, child, child_live, nxt = close(pre, live & ~blocked(oi), nears[oi])
+                    size += 1 + len(forced)
                     at = None
-                    if nxt is None:
-                        at = len(graph)
-                        graph.append((child, ()))
-                    position[child] = at
+                    if nxt != 0:
+                        at = position.get(child, ...) if forced else ...
+                        if at is ...:
+                            if nxt is not None:
+                                stack.append([child, child_live, nxt, [], (oi, pre, forced)])
+                                continue
+                            graph.append((child, ()))
+                            at = position[child] = len(graph) - 1
+                        if forced and at is not None:
+                            tails.append((forced, at))
+                            at = -len(tails)
+                    position[pre] = at
             else:
                 stack.pop()
                 at = None
                 if arcs:
-                    at = len(graph)
                     graph.append((covered, tuple(arcs)))
+                    kept += len(arcs)
+                    at = len(graph) - 1
                 position[covered] = at
                 if not stack:
-                    return graph
-                oi = frame[4]
+                    root = at
+                    break
+                oi, pre, forced = link
+                if forced:
+                    if at is not None:
+                        tails.append((forced, at))
+                        at = -len(tails)
+                    position[pre] = at
                 arcs = stack[-1][3]
             if at is not None:
                 arcs.append((oi, at))
                 size += 1
             if size > limit:
-                raise GuardExceeded(
-                    f"cover graph guard is {limit} states visited plus arcs kept; the search passed it"
-                )
+                break
+        if root is not None and root_forced:
+            tails.append((root_forced[1:], root))
+            graph.append((0, ((root_forced[0], -len(tails)),)))
+            size += 1
+            kept += 1
+        if size > limit:
+            kept += sum(len(frame[3]) for frame in stack)  # the arcs of states still open
+        self.states_visited += size - kept
+        self.arcs_kept += kept
+        if size > limit:
+            raise GuardExceeded(
+                f"cover graph guard is {limit} states visited plus arcs kept; the search passed it"
+            )
+        return graph
 
     def fold(self, values: Sequence, signs: Sequence[int] | None = None):
         """Sum over the exact covers of the product of the chosen options' values.
@@ -553,18 +642,33 @@ class CoverIndex:
         "Dancing with Decision Diagrams", AAAI 2017).
         Every fold is one pass over it in its order, which meets each
         child's sum before its parent needs it, reading the values and
-        signs it is given. Arcs come in ascending option order, so terms
-        are added in the order the search meets them. The empty sum is the
-        integer 0 and the empty product the integer 1.
+        signs it is given; an arc's factor is the product over its option
+        and its tail's forced options, with `covered` grown option by
+        option. Arcs come in ascending option order, so terms are added in
+        the order the search meets them. The empty sum is the integer 0
+        and the empty product the integer 1.
         """
+        graph = self._graph()
+        masks, tails = self.masks, self.tails
         sums: list = []
-        for covered, arcs in self._graph():
+        for covered, arcs in graph:
             total = None
-            for oi, child in arcs:
+            for oi, at in arcs:
                 factor = values[oi]
                 if signs is not None and (covered & signs[oi]).bit_count() & 1:
                     factor = -factor
-                term = factor * sums[child]
+                if at < 0:
+                    forced, at = tails[~at]
+                    if signs is None:
+                        for f in forced:
+                            factor = factor * values[f]
+                    else:
+                        grown = covered | masks[oi]
+                        for f in forced:
+                            value = values[f]
+                            factor = factor * (-value if (grown & signs[f]).bit_count() & 1 else value)
+                            grown |= masks[f]
+                term = factor * sums[at]
                 total = term if total is None else total + term
             sums.append(1 if total is None else total)
         return sums[-1] if sums else 0
@@ -573,17 +677,29 @@ class CoverIndex:
         """The reduced GF(2) echelon basis of the covers' rows (see `algebra._gf2_insert`).
 
         A cover's row has bit 1 + o for each chosen option o and bit 0 for
-        its sign parity as `fold` takes it with `signs`. A state's reference
-        row is that of the path through its first arc and then that child's
-        reference path. The rows of all covers are spanned by the root's
-        reference and, at every state, each further arc's row XOR the
-        state's reference, so one pass over the graph inserts those rows and
-        lists no cover. It stops once the row 1 enters the basis.
+        its sign parity as `fold` takes it with `signs`. An arc's row is
+        that of its option and its tail's forced options. A state's
+        reference row is that of the path through its first arc and then
+        that child's reference path. The rows of all covers are spanned by
+        the root's reference and, at every state, each further arc's row
+        XOR the state's reference, so one pass over the graph inserts those
+        rows and lists no cover. It stops once the row 1 enters the basis.
         """
+        graph = self._graph()
+        masks, tails = self.masks, self.tails
         basis: list[int] = []
         refs: list[int] = []  # per state: the row of its reference path
-        for covered, arcs in self._graph():
-            rows = [(2 << oi | (covered & signs[oi]).bit_count() & 1) ^ refs[child] for oi, child in arcs]
+        for covered, arcs in graph:
+            rows = []
+            for oi, at in arcs:
+                row = 2 << oi | (covered & signs[oi]).bit_count() & 1
+                if at < 0:
+                    forced, at = tails[~at]
+                    grown = covered | masks[oi]
+                    for f in forced:
+                        row ^= 2 << f | (grown & signs[f]).bit_count() & 1
+                        grown |= masks[f]
+                rows.append(row ^ refs[at])
             for row in rows[1:]:
                 _gf2_insert(basis, row ^ rows[0])
                 if basis and basis[-1] == 1:

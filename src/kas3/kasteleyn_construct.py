@@ -59,7 +59,10 @@ class TConstruction:
 
 
 def _freeze_matrix(matrix: Sequence[Sequence[RingValue]]) -> Matrix:
-    rows = tuple(tuple(v for v in row) for row in matrix)
+    # tuples from lists, not generators: `tuple` of a generator guesses a
+    # size and resizes, which leaves the interpreter's tuple free lists
+    # holding sizes nothing reuses (memory a long-running caller keeps)
+    rows = tuple([tuple(row) for row in matrix])
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ToolkitError("matrix must be square")
@@ -81,9 +84,7 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
     """
     rows = _freeze_matrix(matrix)
     n = len(rows)
-    edge_list = tuple(
-        (i, j) for i in range(n) for j in range(n) if rows[i][j] != 0
-    )
+    edge_list = tuple([(i, j) for i in range(n) for j in range(n) if rows[i][j] != 0])
     e = len(edge_list)
 
     v1 = [f"v(1,{i})" for i in range(n)]

@@ -58,8 +58,8 @@ def cubic_lattice(a: int, b: int, c: int) -> CubicLattice:
             f"lattice guard is {LATTICE_MAX_VERTICES} vertices, got {a * b * c}"
         )
     points = [(x, y, z) for x in range(a) for y in range(b) for z in range(c)]
-    even = tuple(p for p in points if sum(p) % 2 == 0)
-    odd = tuple(p for p in points if sum(p) % 2 == 1)
+    even = tuple([p for p in points if sum(p) % 2 == 0])  # from lists: see `kasteleyn_construct._freeze_matrix`
+    odd = tuple([p for p in points if sum(p) % 2 == 1])
     edges = set()
     for x, y, z in points:
         for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):

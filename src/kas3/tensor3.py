@@ -5,14 +5,16 @@ A `Tensor3` is a value with read-only entries. Cubic permanents and
 determinants are folded sums over the nonzero support diagonals, the exact
 covers of the padded cube's axis indices by nonzero cells:
 `core.CoverIndex.fold` sums the search's state graph, one state per set of
-covered indices, and keeps the determinant's sign from per-cell masks, so
-no diagonal is listed; `support_diagonals` lists them by walking the same
-graph. Each tensor works out its support once (`_support`), and its
-resignings share it. A tensor with an axis index that no entry uses has no
-support diagonal and is answered from its entries; otherwise the cover
-index refuses a support whose masks would pass `core.SUPPORT_MAX_BITS`
-before it builds any, and a state graph past `core.COVER_GRAPH_MAX_SIZE`
-while it is built.
+covered indices at which the search branches, with the cells forced in
+between kept on the arcs, and keeps the determinant's sign from per-cell
+masks, so no diagonal is listed; `support_diagonals` lists them by walking
+the same graph. On `build_T` tensors and reduction gadgets nearly every
+step is forced, so their graphs are small. Each tensor works out its
+support once (`_support`), and its resignings share it. A tensor with an
+axis index that no entry uses has no support diagonal and is answered from
+its entries; otherwise the cover index refuses a support whose masks would
+pass `core.SUPPORT_MAX_BITS` before it builds any, and a state graph past
+`core.COVER_GRAPH_MAX_SIZE` while it is built.
 Pfaffian signings of bipartite graphs come from one GF(2) solve over their
 perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.

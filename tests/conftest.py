@@ -14,6 +14,7 @@ import math
 import random
 import tracemalloc
 from contextlib import contextmanager
+from typing import Callable
 
 import pytest
 
@@ -167,22 +168,31 @@ def mask_items(masks: list[int]) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks]
 
 
-def counting_index(item_count: int, options: list[tuple[int, ...]]) -> tuple[core.CoverIndex, list[int]]:
-    """A fresh `CoverIndex` whose `choose` calls record their `covered` argument."""
+def counting_index(item_count: int, options: list[tuple[int, ...]]) -> tuple[core.CoverIndex, Callable[[], int]]:
+    """A fresh `CoverIndex` and a reading of the work its searches have done so
+    far, the states visited plus the arcs kept, which every build raises."""
     index = core.CoverIndex(item_count, options)
-    calls: list[int] = []
-    choose = index.choose
-    index.choose = lambda covered, live: calls.append(covered) or choose(covered, live)
-    return index, calls
+    return index, lambda: index.states_visited + index.arcs_kept
 
 
 def cover_graph_size(item_count: int, options: list[tuple[int, ...]]) -> int:
-    """States visited plus arcs kept by a `CoverIndex` build, counted from its
-    `choose` calls: the size its guard is checked against (a measure, not an oracle)."""
-    index, calls = counting_index(item_count, options)
+    """States visited plus arcs kept by a `CoverIndex` build, as the index
+    counts them: the size its guard is checked against (a measure, not an oracle)."""
+    index, work = counting_index(item_count, options)
     index.fold([1] * len(options))
-    assert len(calls) == len(set(calls))  # the build visits each state once
-    return len(calls) + sum(len(arcs) for _, arcs in index.graph)
+    assert index.arcs_kept == sum(len(arcs) for _, arcs in index.graph)  # the arcs counted are the arcs kept
+    return work()
+
+
+def path_matching_sum(item_count: int, values: list) -> int:
+    """Sum over the perfect matchings of the path 0 - 1 - ... - (item_count - 1)
+    of the product of their edges' values, edge i joining items i and i + 1,
+    by the recurrence over the path's prefixes (the last item pairs with the
+    one before it): no search, and no recursion."""
+    sums = [1, 0]  # prefixes of 0 and 1 items
+    for k in range(2, item_count + 1):
+        sums.append(values[k - 2] * sums[k - 2])
+    return sums[item_count] if item_count else 1
 
 
 @contextmanager

@@ -21,6 +21,7 @@ from conftest import (
     cover_graph_size,
     disjoint_union,
     mask_items,
+    path_matching_sum,
     traced_peak,
     random_config,
 )
@@ -345,10 +346,23 @@ class TestFoldReplay:
             full = (1 << item_count) - 1
             reaches: list[bool] = []
             for pos, (covered, arcs) in enumerate(graph):
-                assert all(child < pos for _, child in arcs)  # children come first
                 assert [oi for oi, _ in arcs] == sorted(oi for oi, _ in arcs)
-                reaches.append(covered == full if not arcs else any(reaches[c] for _, c in arcs))
+                children = []
+                for oi, at in arcs:  # an arc's options are disjoint and lead to its child
+                    forced, child = index.tails[~at] if at < 0 else ((), at)
+                    assert child < pos  # children come first
+                    grown = covered
+                    for o in (oi, *forced):
+                        assert not grown & options[o]
+                        grown |= options[o]
+                    assert grown == graph[child][0]
+                    children.append(child)
+                reaches.append(covered == full if not arcs else any(reaches[c] for c in children))
             assert all(reaches)
+            # every state but the root is closed: each uncovered item has two or more usable options
+            for covered, _ in graph[:-1]:
+                uncovered = [i for i in range(item_count) if not covered >> i & 1]
+                assert all(sum(1 for m in options if m >> i & 1 and not m & covered) >= 2 for i in uncovered)
             assert len({covered for covered, _ in graph}) == len(graph)
             assert (graph == []) == (count == 0) == (not brute_force_exact_covers(item_count, options))
 
@@ -378,25 +392,22 @@ class TestFoldReplay:
         rng = random.Random(12)
         for _ in range(50):
             item_count, options = random_cover_instance(rng)
-            index = core.CoverIndex(item_count, mask_items(options))
+            index, work = counting_index(item_count, mask_items(options))
             first = index.fold([1] * len(options))
-            graph = index.graph
-            calls = []
-            choose = index.choose
-            index.choose = lambda covered, live: calls.append(covered) or choose(covered, live)
+            graph, built = index.graph, work()
             assert index.fold([1] * len(options)) == first
             assert index.fold([2] * len(options)) == sum(2 ** len(c) for c in brute_force_exact_covers(item_count, options))
-            assert calls == [] and index.graph is graph
+            assert work() == built and index.graph is graph
 
     def test_listing_after_a_fold_makes_no_choice(self):
         rng = random.Random(15)
         for _ in range(50):
             item_count, options = random_cover_instance(rng)
-            index, calls = counting_index(item_count, mask_items(options))
+            index, work = counting_index(item_count, mask_items(options))
             count = index.fold([1] * len(options))
-            graph, built = index.graph, len(calls)
+            graph, built = index.graph, work()
             covers = list(index.covers())
-            assert len(calls) == built and index.graph is graph
+            assert work() == built and index.graph is graph
             assert len(covers) == count
             assert sorted(tuple(sorted(c)) for c in covers) == brute_force_exact_covers(item_count, options)
 
@@ -404,12 +415,12 @@ class TestFoldReplay:
         rng = random.Random(16)
         for _ in range(50):
             item_count, options = random_cover_instance(rng)
-            index, calls = counting_index(item_count, mask_items(options))
+            index, work = counting_index(item_count, mask_items(options))
             first = list(index.covers())
-            graph, built = index.graph, len(calls)
-            assert graph is not None
+            graph, built = index.graph, work()
+            assert graph is not None and built > 0
             assert list(index.covers()) == first
-            assert len(calls) == built and index.graph is graph
+            assert work() == built and index.graph is graph
 
     def test_listing_past_the_guard_keeps_no_graph(self, monkeypatch):
         rng = random.Random(17)
@@ -429,6 +440,23 @@ class TestFoldReplay:
                 next(index.covers())
             assert index.graph is None
             monkeypatch.undo()
+
+
+class TestForcedClosure:
+    """Every step forced: the closure applies a whole chain inside one search step."""
+
+    def test_forced_chain_longer_than_recursion_limit(self):
+        rng = random.Random(18)
+        for item_count in (5000, 5001):  # a path of items, option i joining items i and i + 1
+            options = [(i, i + 1) for i in range(item_count - 1)]
+            values = [rng.choice((-2, -1, 1, 3)) for _ in options]
+            index = CoverIndex(item_count, options)
+            assert index.fold(values) == path_matching_sum(item_count, values)
+            covers = [sorted(cover) for cover in index.covers()]
+            assert covers == ([list(range(0, item_count - 1, 2))] if item_count % 2 == 0 else [])
+            # the root forces the whole matching: one arc to the full cover
+            assert len(index.graph) == (2 if covers else 0)
+            assert index.states_visited >= item_count // 2
 
 
 class TestEnumeration:

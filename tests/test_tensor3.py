@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -625,6 +626,58 @@ class TestProjectionsAndSignings:
         monkeypatch.setattr(core, "SUPPORT_MAX_BITS", 24 * 16 - 1)
         with pytest.raises(GuardExceeded, match="got 384"):
             find_pfaffian_signing(g)
+
+
+class TestForcedSearches:
+    """Supports on which most search steps are forced, against the dense oracles."""
+
+    @staticmethod
+    def forced_options(index: core.CoverIndex) -> int:
+        return sum(len(forced) for forced, _ in index.tails)
+
+    def test_sparse_tensors_match_dense_oracles(self):
+        rng = random.Random(61)
+        forced = 0
+        for _ in range(120):
+            n = rng.randint(2, 4)  # the dense oracles' limit
+            t = random_tensor(rng, n, density=rng.choice((0.15, 0.25, 0.35)))
+            assert permanent3(t) == permanent3_dense(t)
+            assert determinant3(t) == determinant3_dense(t)
+            if t._support:
+                forced += self.forced_options(t._support[1])
+        assert forced >= 150  # 164 with this seed
+
+    @pytest.mark.parametrize("dims", [(1, 2, k) for k in range(1, 8)] + [(2, 2, 2), (2, 2, 3)])
+    def test_signing_on_ladders_and_boxes(self, dims):
+        g = cubic_lattice(*dims).graph  # (1, 2, k) is the ladder with k rungs
+        signing = find_pfaffian_signing(g)
+        assert (signing is not None) == pfaffian_signing_exists(g)
+        if signing is not None:
+            assert determinant2_leibniz(signed_biadjacency(g, signing)) == permanent2_bruteforce(g.biadjacency())
+        index = core.CoverIndex(*g.matching_problem(sorted(g.edges)))
+        index.fold([1] * len(g.edges))
+        assert self.forced_options(index) >= (dims[2] - 1 if dims[0] == 1 else 1)
+
+    def test_cover_order_is_pinned(self):
+        # covers as sorted option lists, pinned from the search without the closure: closing
+        # forced moves keeps the covers and their order
+        tc = build_T([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        permanent3(tc.tensor)
+        assert [sorted(cover) for cover in tc.tensor._support[1].covers()] == [
+            [0, 3, 5, 6, 8, 10, 13, 15, 16, 20, 22, 23, 27],
+            [1, 2, 4, 6, 9, 11, 12, 14, 18, 19, 21, 25, 26],
+            [1, 2, 4, 7, 8, 10, 13, 14, 17, 20, 21, 24, 27],
+        ]
+        g = cubic_lattice(2, 3, 3).graph
+        covers = [sorted(cover) for cover in core.CoverIndex(*g.matching_problem(sorted(g.edges))).covers()]
+        assert len(covers) == 229
+        assert covers[:3] == [
+            [0, 4, 7, 13, 15, 19, 22, 27, 32],
+            [0, 4, 7, 13, 15, 19, 22, 28, 30],
+            [0, 4, 7, 13, 15, 20, 22, 26, 32],
+        ]
+        digest = hashlib.sha256(json.dumps(covers).encode()).hexdigest()
+        assert digest == "c6898cd592aef43eedea3b54404df189d788743922c3618afdf0d2ecac8d44c5"
 
 
 class TestTwoMatrixKernels:
