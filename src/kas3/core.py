@@ -358,6 +358,7 @@ def validate(config: TriangularConfiguration) -> list[str]:
 
 
 COVER_GRAPH_MAX_SIZE = 1 << 21
+COVER_LIST_MAX = 1 << 19
 SUPPORT_MAX_BITS = 1 << 28
 
 
@@ -402,7 +403,11 @@ class CoverIndex:
     10x10x10 tensor is refused at the guard, and at 128 MB answering the
     all-ones 9x9x9 (1,091,090 states and arcs). Past the guard the build
     raises `GuardExceeded` and leaves `graph` None, so the next caller
-    builds again and raises again.
+    builds again and raises again. A listing counts its covers with a fold
+    of ones before the first, and refuses more than `COVER_LIST_MAX` (2^19);
+    every listing in kas3 is a `covers` walk. At the bound, `perfect_matchings`
+    of 19 disjoint blocks of two matchings (524,288 covers of 38 triangles)
+    takes 1.2 s at a 200 MB peak.
     """
 
     __slots__ = ("item_count", "masks", "graph", "tails", "states_visited", "arcs_kept", "_options", "_item_opts")
@@ -443,6 +448,9 @@ class CoverIndex:
         an explicit stack, so its depth is bounded by memory alone.
         """
         graph = self._graph()
+        count = self.fold([1] * len(self.masks))
+        if count > COVER_LIST_MAX:
+            raise GuardExceeded(f"cover listing guard is {COVER_LIST_MAX} covers, got {count}")
         tails = self.tails
         if graph and not graph[-1][1]:
             yield []  # the root is the full cover

@@ -7,7 +7,8 @@ its determinant already equals that permanent (no resigning needed), and its
 perfect strong matchings correspond one-to-one to perfect matchings of the
 support graph. Both facts are certified by exhaustive search, not assumed:
 the first by comparing the folded unsigned and signed sums over the tensor's
-support, the second by checking every image and comparing counts.
+support, the second by checking every image and comparing counts. Their folds
+and their two listings meet the cover index's guards, and no other.
 
 `build_T` writes each tensor cell where it names the triangle and takes its
 vertex classes from its three axes, so it checks no tripartition; the tests
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 
 from ._util import read_array, read_int
 from .core import CoverIndex, TriangularConfiguration, count_perfect_strong_matchings
-from .errors import GuardExceeded, SchemaError, ToolkitError
+from .errors import SchemaError, ToolkitError
 from .tensor3 import (
     BipartiteGraph,
     RingValue,
@@ -31,8 +32,6 @@ from .tensor3 import (
     support_diagonals,
     support_sum,
 )
-
-TRIVIAL_SIGNING_MAX_SIDE = 64
 
 Matrix = tuple[tuple[RingValue, ...], ...]
 
@@ -183,14 +182,6 @@ class SigningCertificate:
         return doc
 
 
-def _check_side(tc: TConstruction) -> None:
-    """Refuse a construction whose side is above what the certificates walk."""
-    if tc.m > TRIVIAL_SIGNING_MAX_SIDE:
-        raise GuardExceeded(
-            f"enumeration guard is side {TRIVIAL_SIGNING_MAX_SIDE}, got {tc.m}"
-        )
-
-
 def certify_trivial_signing(tc: TConstruction, threads: int = 1) -> SigningCertificate:
     """Check sign(sigma1) * sign(sigma2) = +1 for every contributing pair.
 
@@ -199,9 +190,9 @@ def certify_trivial_signing(tc: TConstruction, threads: int = 1) -> SigningCerti
     number of negative pairs. The signing is trivial iff the two are equal,
     and then no pair is listed; on failure the support is walked for the
     first violating pair in search order, returned as a row-indexed witness.
-    `threads` is ignored; it stays so that existing callers keep working.
+    The folds meet the cover index's guards, and the witness walk its listing
+    guard too. `threads` is ignored; it stays so that existing callers keep working.
     """
-    _check_side(tc)
     count = support_sum(tc.tensor, indicator=True)
     if support_sum(tc.tensor, signed=True, indicator=True) == count:
         return SigningCertificate(passed=True, contributing_pairs=count)
@@ -293,10 +284,10 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     vertex masks: with every triangle present it is a perfect strong
     matching iff the XOR is the full mask and the sum the vertex count. A
     weight mismatch names the first failing matching by its sorted name
-    pairs. Guarded like `certify_trivial_signing`; `threads` is ignored,
-    kept so that existing callers keep working.
+    pairs. Guarded like `certify_trivial_signing`: the walk is held to the
+    listing guard before any matching is listed. `threads` is ignored, kept
+    so that existing callers keep working.
     """
-    _check_side(tc)
     edges = [(tc.graph.left[i], tc.graph.right[j]) for i, j in tc.edge_list]
     if sorted(edges) != sorted(tc.graph.edges):
         raise ToolkitError("the support graph's edges are not those of the edge list")

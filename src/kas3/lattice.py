@@ -4,7 +4,8 @@ Dimer counts are computed three times on purpose: by a fold of x^weight over
 the state graph of the grid graph's perfect matchings (none is listed), by the
 Ryser permanent of its support matrix, and by the permanent of the
 matrix-to-tensor pipeline's tensor; the counts must agree exactly or the call
-fails loudly.
+fails loudly. An even box is held to the Ryser guard (40 vertices) before any
+search or matrix, and the fold and per3 to the cover index's own guards.
 
 The realization holds integer coordinates in units of 1/GRID: lattice points
 and edge midpoints lie on the half-integer grid, each auxiliary vertex less
@@ -23,11 +24,8 @@ from .algebra import Polynomial
 from .core import cover_polynomial
 from .errors import GuardExceeded, ToolkitError
 from .kasteleyn_construct import TConstruction, build_T
-from .tensor3 import BipartiteGraph, permanent2, permanent3
+from .tensor3 import BipartiteGraph, check_ryser_side, permanent2, permanent3
 
-# the fold alone answers far larger boxes; the guard bounds the two
-# cross-checks, the Ryser permanent and per3 of the build_T tensor
-DIMER_MAX_VERTICES = 24
 LATTICE_MAX_VERTICES = 1 << 16
 
 Coord = tuple[int, int, int]
@@ -84,15 +82,13 @@ def dimer_polynomial(
     matching problem (`core.cover_polynomial`), so no matching is listed
     and negative edge weights stay exact. The matching count is recomputed
     through the support-matrix permanent and the tensor-pipeline permanent,
-    and all three values must agree exactly. `threads` is ignored; it stays
-    so that existing callers keep working.
+    and all three values must agree exactly. An even box whose colour class
+    is above the Ryser guard is refused before any of them runs. `threads`
+    is ignored; it stays so that existing callers keep working.
     """
-    if lattice.vertex_count > DIMER_MAX_VERTICES:
-        raise GuardExceeded(
-            f"dimer guard is {DIMER_MAX_VERTICES} vertices, got {lattice.vertex_count}"
-        )
     if lattice.vertex_count % 2 == 1:
         return Polynomial.zero()
+    check_ryser_side(len(lattice.graph.left))
     edges = sorted(lattice.graph.edges)
     edge_weights = edge_weights or {}
     weights = [operator.index(edge_weights.get(e, 1)) for e in edges]

@@ -437,6 +437,12 @@ class BipartiteGraph:
         return item_count, [(lpos[u], rpos[v]) for u, v in edges]
 
 
+def check_ryser_side(side: int, name: str = "n") -> None:
+    """Refuse a Ryser permanent whose side, called `name`, is above `PERMANENT2_MAX_SIDE`."""
+    if side > PERMANENT2_MAX_SIDE:
+        raise GuardExceeded(f"Ryser guard is {name} <= {PERMANENT2_MAX_SIDE}, got {name} = {side}")
+
+
 def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
     """Ryser inclusion-exclusion with Gray-code column updates; n <= 20."""
     n = len(matrix)
@@ -444,8 +450,7 @@ def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
         return 1
     if any(len(row) != n for row in matrix):
         raise ToolkitError("permanent needs a square matrix")
-    if n > PERMANENT2_MAX_SIDE:
-        raise GuardExceeded(f"Ryser guard is n <= {PERMANENT2_MAX_SIDE}, got {n}")
+    check_ryser_side(n)
     row_sums: list[RingValue] = [0] * n
     total: RingValue = 0
     prev_gray = 0
@@ -673,8 +678,7 @@ def check_binet_cauchy_shape(r: int, n: int) -> None:
     The sum takes one r x r permanent per r-subset of the n columns, so r is
     held to the Ryser guard and the subsets to `BINET_CAUCHY_MAX_SUBSETS`.
     """
-    if r > PERMANENT2_MAX_SIDE:
-        raise GuardExceeded(f"Ryser guard is r <= {PERMANENT2_MAX_SIDE}, got r = {r}")
+    check_ryser_side(r, "r")
     subsets = math.comb(n, r)
     if subsets > BINET_CAUCHY_MAX_SUBSETS:
         raise GuardExceeded(f"{subsets} column subsets exceed the guard")

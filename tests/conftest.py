@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's search paths: matchings are
 filtered from full subset enumeration, permanents and determinants come from
 the n! definitions, Pfaffian signings from trying every sign pattern, cycle
-spaces from trying every triangle weighting, and the matrix-to-tensor
-construction's cells from its triangles' vertices.
+spaces from trying every triangle weighting, the matrix-to-tensor
+construction's cells from its triangles' vertices, and the dimer counts of
+1 x 2 x n and 2 x 2 x n boxes from their transfer recurrences.
 """
 
 from __future__ import annotations
@@ -193,6 +194,25 @@ def path_matching_sum(item_count: int, values: list) -> int:
     for k in range(2, item_count + 1):
         sums.append(values[k - 2] * sums[k - 2])
     return sums[item_count] if item_count else 1
+
+
+def dimers_1x2xn(n: int) -> int:
+    """Perfect matchings of the 1 x 2 x n box, a ladder of n rungs: the Fibonacci
+    number F(n + 1), since the last rung is either one dimer, or it and the rung
+    before it are covered by two dimers along the ladder."""
+    before, count = 0, 1  # F(0), F(1)
+    for _ in range(n):
+        before, count = count, before + count
+    return count
+
+
+def dimers_2x2xn(n: int) -> int:
+    """Perfect matchings of the 2 x 2 x n box, by the recurrence
+    a(n) = 3a(n - 1) + 3a(n - 2) - a(n - 3) from a(0), a(1), a(2) = 1, 2, 9."""
+    counts = [1, 2, 9]
+    while len(counts) <= n:
+        counts.append(3 * counts[-1] + 3 * counts[-2] - counts[-3])
+    return counts[n]
 
 
 @contextmanager

@@ -229,10 +229,16 @@ class TestErrors:
         status, _ = invoke(capsys, "per3", str(path))
         assert status == 2
 
-    def test_guard_is_operation_error(self, capsys):
-        status, out = invoke(capsys, "lattice", "3", "3", "3", "--dimers")
+    def test_guard_is_operation_error(self, capsys, monkeypatch):
+        import kas3.lattice
+
+        def refuse(*args):
+            raise AssertionError("searched past the Ryser guard")
+
+        monkeypatch.setattr(kas3.lattice, "cover_polynomial", refuse)
+        status, out = invoke(capsys, "lattice", "2", "2", "11", "--dimers")
         assert status == 1
-        assert json.loads(out)["error"]["type"] == "operation"
+        assert json.loads(out)["error"] == {"type": "operation", "message": "Ryser guard is n <= 20, got n = 22"}
 
     def test_lattice_guard_fires_before_allocation(self, capsys):
         # a billion lattice points would exhaust memory if the box were built first
@@ -534,10 +540,14 @@ class TestErrors:
             Polynomial({1: 10**5000}).to_text()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_bad_thread_count_exit_2(self, capsys, tensor_file, threads):
-        status, out = invoke(capsys, "per3", tensor_file, "--threads", threads)
-        assert status == 2
-        assert json.loads(out)["error"]["type"] == "schema"
+    def test_unknown_option_exit_2(self, capsys, tensor_file, threads):
+        # the CLI has no `--threads`: like any unknown option it is malformed input
+        status = main(["per3", str(tensor_file), "--threads", threads])
+        captured = capsys.readouterr()
+        assert status == 2 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert list(doc) == ["error"] and doc["error"]["type"] == "schema"
+        assert "--threads" in doc["error"]["message"]
 
 
 class TestScale:

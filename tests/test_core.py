@@ -411,6 +411,26 @@ class TestFoldReplay:
             assert len(covers) == count
             assert sorted(tuple(sorted(c)) for c in covers) == brute_force_exact_covers(item_count, options)
 
+    def test_listing_guard_after_a_fold_builds_nothing(self, monkeypatch):
+        rng = random.Random(19)
+        checked = 0
+        while checked < 20:
+            item_count, options = random_cover_instance(rng)
+            index, work = counting_index(item_count, mask_items(options))
+            count = index.fold([1] * len(options))
+            if count < 1:
+                continue
+            checked += 1
+            graph, built = index.graph, work()
+            expected = list(CoverIndex(item_count, mask_items(options)).covers())
+            monkeypatch.setattr(core, "COVER_LIST_MAX", count)
+            assert list(index.covers()) == expected
+            monkeypatch.setattr(core, "COVER_LIST_MAX", count - 1)
+            with pytest.raises(GuardExceeded, match=f"^cover listing guard is {count - 1} covers, got {count}$"):
+                next(index.covers())
+            assert work() == built and index.graph is graph  # the refusal keeps the graph
+            monkeypatch.undo()
+
     def test_listing_twice_builds_once(self):
         rng = random.Random(16)
         for _ in range(50):
@@ -539,6 +559,58 @@ class TestCoverMaskGuard:
             with pytest.raises(GuardExceeded, match="cover mask guard is 268435456 bits .* got 800020000$"):
                 perfect_matching_polynomial(config)
         assert peak[0] < 64 << 20
+
+
+def _tampered_witness():
+    """The signing certificate of a construction whose tensor was swapped for
+    the all-ones 3x3x3, which fails and walks its 36 pairs for a witness."""
+    from dataclasses import replace
+
+    from kas3.kasteleyn_construct import build_T, certify_trivial_signing
+    from kas3.tensor3 import Tensor3
+
+    ones = Tensor3((3, 3, 3), dict.fromkeys(itertools.product(range(3), repeat=3), 1))
+    cert = certify_trivial_signing(replace(build_T([[1]]), tensor=ones))
+    return cert.passed, cert.contributing_pairs, cert.witness
+
+
+def _diagonals():
+    from kas3.kasteleyn_construct import build_T
+    from kas3.tensor3 import support_diagonals
+
+    return list(support_diagonals(build_T([[1, 1, 0], [1, 1, 1], [0, 1, 1]]).tensor))
+
+
+class TestCoverListGuard:
+    """Every listing is a `CoverIndex.covers` walk, refused past `COVER_LIST_MAX`
+    covers before the first is yielded."""
+
+    @pytest.mark.parametrize(
+        "solve, count",
+        [
+            (lambda: perfect_matchings(disjoint_union([octahedron_boundary()] * 3)), 8),
+            (_diagonals, 3),
+            (_tampered_witness, 36),
+        ],
+        ids=["perfect_matchings", "support_diagonals", "signing_witness"],
+    )
+    def test_guard_boundary(self, monkeypatch, solve, count):
+        expected = solve()
+        assert expected
+        monkeypatch.setattr(core, "COVER_LIST_MAX", count)
+        assert solve() == expected
+        monkeypatch.setattr(core, "COVER_LIST_MAX", count - 1)
+        with pytest.raises(GuardExceeded, match=f"^cover listing guard is {count - 1} covers, got {count}$"):
+            solve()
+
+    def test_refused_before_the_first_diagonal(self, monkeypatch):
+        from kas3.kasteleyn_construct import build_T
+        from kas3.tensor3 import support_diagonals
+
+        diagonals = support_diagonals(build_T([[1, 1], [1, 1]]).tensor)
+        monkeypatch.setattr(core, "COVER_LIST_MAX", 1)
+        with pytest.raises(GuardExceeded, match="^cover listing guard is 1 covers, got 2$"):
+            next(diagonals)
 
 
 class TestPerfectMatchingPolynomial:

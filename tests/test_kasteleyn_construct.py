@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_strong_matchings, construction_tensor, permanent2_bruteforce
+from conftest import brute_force_strong_matchings, construction_tensor, dimers_2x2xn, permanent2_bruteforce
 from kas3.core import (
     check_vertex_tripartition,
     enumerate_perfect_strong_matchings,
@@ -274,17 +274,39 @@ class TestCertifications:
             strong_matching_bijection_check(replace(tc, edge_list=tc.edge_list[:-1]))
 
     def test_bijection_guard_fires_before_listing(self, monkeypatch):
+        import kas3.core as core
         import kas3.kasteleyn_construct as kc
 
-        def refuse(item_count, options):
-            raise AssertionError("matchings listed above the guard")
+        listed = []
 
-        monkeypatch.setattr(kc, "TRIVIAL_SIGNING_MAX_SIDE", 7)
-        monkeypatch.setattr(kc, "CoverIndex", refuse)
-        tc = build_T([[1, 1], [1, 1]])
-        assert tc.m == 8
-        with pytest.raises(GuardExceeded, match="guard is side 7, got 8"):
+        class Recording(core.CoverIndex):
+            def covers(self):
+                for cover in super().covers():
+                    listed.append(cover)
+                    yield cover
+
+        monkeypatch.setattr(kc, "CoverIndex", Recording)
+        tc = build_T([[1] * 3] * 3)
+        monkeypatch.setattr(core, "COVER_LIST_MAX", 5)
+        with pytest.raises(GuardExceeded, match="^cover listing guard is 5 covers, got 6$"):
             strong_matching_bijection_check(tc)
+        assert listed == []
+        monkeypatch.setattr(core, "COVER_LIST_MAX", 6)
+        report = strong_matching_bijection_check(tc)
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (True, 6, 6)
+        assert len(listed) == 6
+
+    def test_certificates_past_side_64(self):
+        from kas3.lattice import cubic_lattice
+
+        # the 2x2x8 box: colour classes of 16 and 60 edges, so side 2 * 16 + 60
+        tc = build_T(cubic_lattice(2, 2, 8).graph.biadjacency())
+        assert tc.m == 92
+        count = dimers_2x2xn(8)
+        signing = certify_trivial_signing(tc)
+        assert (signing.passed, signing.contributing_pairs) == (True, count)
+        report = strong_matching_bijection_check(tc)
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (True, count, count)
 
     def test_vertex_collection_changes_no_count_or_enumeration(self):
         from kas3.core import TriangularConfiguration, count_perfect_strong_matchings

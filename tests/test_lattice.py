@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from conftest import permanent2_bruteforce
+from conftest import dimers_1x2xn, dimers_2x2xn, permanent2_bruteforce
 import kas3.core as core
+import kas3.lattice as lattice
 from kas3.algebra import Polynomial
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
@@ -131,9 +132,26 @@ class TestDimerCounts:
         assert permanent2(q.graph.biadjacency()) == 121
         assert permanent3(build_T(q.graph.biadjacency()).tensor) == 121
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            dimer_polynomial(cubic_lattice(3, 3, 3))
+    def test_guard(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched or built past the Ryser guard")
+
+        monkeypatch.setattr(lattice, "cover_polynomial", refuse)
+        monkeypatch.setattr(BipartiteGraph, "biadjacency", refuse)
+        # 44 vertices: colour classes of 22, above the Ryser guard's 20
+        with pytest.raises(GuardExceeded, match=r"^Ryser guard is n <= 20, got n = 22$"):
+            dimer_polynomial(cubic_lattice(2, 2, 11))
+        # the guard is on an even box's colour class: an odd box answers 0 unsearched
+        assert dimer_polynomial(cubic_lattice(3, 3, 3)) == Polynomial.zero()
+
+    def test_one_by_two_boxes_against_fibonacci(self):
+        for n in range(1, 21):  # up to 40 vertices
+            assert dimer_polynomial(cubic_lattice(1, 2, n)) == Polynomial({n: dimers_1x2xn(n)})
+
+    def test_two_by_two_boxes_against_recurrence(self):
+        assert [dimers_2x2xn(n) for n in (5, 8, 10)] == [450, 23409, 326041]
+        for n in range(1, 11):  # up to 40 vertices
+            assert dimer_polynomial(cubic_lattice(2, 2, n)) == Polynomial({2 * n: dimers_2x2xn(n)})
 
 
 class TestEmbedding:
