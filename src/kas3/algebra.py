@@ -181,13 +181,12 @@ def parse_polynomial(text: str) -> Polynomial:
     s = text.strip()
     if not s:
         raise SchemaError("empty polynomial text")
-    # re.split with a captured separator alternates term, sign, term, ...
+    # re.split with a captured separator alternates term, sign, term, ...:
+    # an odd number of pieces, so every sign has a term after it
     pieces = re.split(r"\s*([+-])\s*", s)
     sign = 1
     idx = 0
-    if pieces[0] == "":
-        if len(pieces) < 3:
-            raise SchemaError(f"cannot parse polynomial {text!r}")
+    if pieces[0] == "":  # a leading sign
         sign = -1 if pieces[1] == "-" else 1
         idx = 2
     coeffs: dict[int, int] = {}
@@ -206,8 +205,6 @@ def parse_polynomial(text: str) -> Polynomial:
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         idx += 1
         if idx < len(pieces):
-            if idx + 1 >= len(pieces):
-                raise SchemaError(f"dangling sign in polynomial {text!r}")
             sign = -1 if pieces[idx] == "-" else 1
             idx += 1
     return Polynomial(coeffs)

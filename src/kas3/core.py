@@ -387,27 +387,30 @@ class CoverIndex:
     builds its state graph, `graph`, and every later one reads it: `fold`
     sums it, `covers` walks it and `parity_span` reduces over it. Only
     callers that return or inspect covers list them; every sum over covers,
-    weight polynomials included, is a fold. The graph keeps the branch
-    states and the full cover, plus the root when it is forced. Each arc is
-    `(option, position)`: the child's graph position, or ~t when the
-    closure forced options after the arc's option, and tail t,
-    `tails[t] = (forced, child position)`, lists them in the order it
-    applied them. Once the graph is built the index drops the search's
-    tables and keeps each option once, as its mask.
+    weight polynomials included, is a fold. The root and every new state
+    that is no dead end, the full cover too, is a frame on the search's
+    stack, and a popped frame with arcs, or at the full cover, enters the
+    graph: it keeps the branch states and the full cover, plus the root
+    when it is forced. Each arc is `(option, position)`: the child's graph
+    position, or ~t when the closure forced options after the arc's
+    option, and tail t, `tails[t] = (forced, child position)`, lists them
+    in the order it applied them. Once the graph is built the index drops
+    the search's tables and keeps each option once, as its mask.
 
     `states_visited` counts the states the searches met, every option a
     closure applied included, and `arcs_kept` the arcs they kept; a build
     may not take their sum past `COVER_GRAPH_MAX_SIZE` (2^21). The arcs
     hold the memory, about 110 bytes each. Measured with CPython 3.11 on
     x86-64: `kas3 per3` peaks at 239 MB resident when the all-ones
-    10x10x10 tensor is refused at the guard, and at 128 MB answering the
-    all-ones 9x9x9 (1,091,090 states and arcs). Past the guard the build
-    raises `GuardExceeded` and leaves `graph` None, so the next caller
-    builds again and raises again. A listing counts its covers with a fold
-    of ones before the first, and refuses more than `COVER_LIST_MAX` (2^19);
-    every listing in kas3 is a `covers` walk. At the bound, `perfect_matchings`
-    of 19 disjoint blocks of two matchings (524,288 covers of 38 triangles)
-    takes 1.2 s at a 200 MB peak.
+    10x10x10 tensor is refused at the guard, and at 129 MB answering the
+    all-ones 9x9x9 (1,091,090 states and arcs); a certificate refused at
+    the guard peaks at 273 MB (all-ones 30x30) and 187 MB (16x16). Past
+    the guard the build raises `GuardExceeded` and leaves `graph` None, so
+    the next caller builds again and raises again. A listing counts its
+    covers with a fold of ones before the first, and refuses more than
+    `COVER_LIST_MAX` (2^19); every listing in kas3 is a `covers` walk. At
+    the bound, `perfect_matchings` of 19 disjoint blocks of two matchings
+    (524,288 covers of 38 triangles) takes 1.2 s at a 200 MB peak.
     """
 
     __slots__ = ("item_count", "masks", "graph", "tails", "states_visited", "arcs_kept", "_options", "_item_opts")
@@ -481,13 +484,13 @@ class CoverIndex:
         come in ascending option order and skip children with no cover
         below them; the full cover is the one state with no arcs. When the
         root itself forces options, its entry has one arc, the first of
-        them. A problem with no cover has an empty graph. The memo holds
-        each arc's position under the child both before and after its
-        closure, so a repeated arc costs one lookup; its values are ints,
-        which keep it out of the garbage collector's young generation (a
-        dict of fresh tuples re-enters it on every insert). The search
-        keeps an explicit stack and adds its work to `states_visited` and
-        `arcs_kept`.
+        them. A problem with no cover has an empty graph. Every state but a
+        dead end is a frame on an explicit stack, and each new arc is linked
+        once, its tail and then its memo entry. The memo holds each arc's
+        position under the child before and after its closure, so a repeated
+        arc costs one lookup; its int values keep it out of the garbage
+        collector's young generation (a dict of fresh tuples re-enters it on
+        every insert). The search adds its work to `states_visited` and `arcs_kept`.
         """
         options, item_opts, masks = self._options, self._item_opts, self.masks
         full = (1 << self.item_count) - 1
@@ -514,16 +517,16 @@ class CoverIndex:
                 nears[oi] = near
             return opts
 
-        def close(covered: int, live: int, check: int) -> tuple[list[int], int, int, int | None]:
+        def close(covered: int, live: int, check: int) -> tuple[list[int], int, int, int]:
             """Apply the forced options of a state whose items outside `check`
             all have two or more live options: (forced, covered, live, branch),
-            where `branch` holds the live options to branch on, None at the
-            full cover and 0 at a dead end."""
+            where `branch` holds the live options to branch on, 0 at the full
+            cover and at a dead end."""
             forced: list[int] = []
             while True:
                 check &= ~covered
                 seen = check
-                best, best_count, best_low = None, unreachable, 0
+                best, best_count, best_low = 0, unreachable, 0
                 while check:
                     low = check & -check
                     opts = item_opts[low.bit_length() - 1] & live
@@ -567,15 +570,10 @@ class CoverIndex:
         position: dict[int, int | None] = {}
         # per depth: covered, live, untried options, arcs kept, and the option,
         # the covered set before closure and the forced options that led here
-        stack: list[list] = []
         root_forced, covered, live, branch = close(0, (1 << len(masks)) - 1, full)
+        stack: list[list] = [[covered, live, branch, [], None]]
         size = 1 + len(root_forced)  # states visited plus arcs kept
         root = None
-        if branch is None:
-            graph.append((covered, ()))
-            root = 0
-        elif branch:
-            stack.append([covered, live, branch, [], None])
         while stack:
             frame = stack[-1]
             covered, live, untried, arcs, link = frame
@@ -585,26 +583,20 @@ class CoverIndex:
                 oi = low.bit_length() - 1
                 pre = covered | masks[oi]
                 at = position.get(pre, ...)
-                if at is ...:
+                new = at is ...
+                if new:
                     forced, child, child_live, nxt = close(pre, live & ~blocked(oi), nears[oi])
                     size += 1 + len(forced)
                     at = None
-                    if nxt != 0:
+                    if nxt or child == full:
                         at = position.get(child, ...) if forced else ...
                         if at is ...:
-                            if nxt is not None:
-                                stack.append([child, child_live, nxt, [], (oi, pre, forced)])
-                                continue
-                            graph.append((child, ()))
-                            at = position[child] = len(graph) - 1
-                        if forced and at is not None:
-                            tails.append((forced, at))
-                            at = -len(tails)
-                    position[pre] = at
+                            stack.append([child, child_live, nxt, [], (oi, pre, forced)])
+                            continue
             else:
                 stack.pop()
                 at = None
-                if arcs:
+                if arcs or covered == full:
                     graph.append((covered, tuple(arcs)))
                     kept += len(arcs)
                     at = len(graph) - 1
@@ -613,12 +605,13 @@ class CoverIndex:
                     root = at
                     break
                 oi, pre, forced = link
-                if forced:
-                    if at is not None:
-                        tails.append((forced, at))
-                        at = -len(tails)
-                    position[pre] = at
                 arcs = stack[-1][3]
+                new = True
+            if new:  # link the arc: its forced tail, then its memo entry before closure
+                if forced and at is not None:
+                    tails.append((forced, at))
+                    at = -len(tails)
+                position[pre] = at
             if at is not None:
                 arcs.append((oi, at))
                 size += 1

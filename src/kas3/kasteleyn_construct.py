@@ -25,7 +25,6 @@ from ._util import read_array, read_int
 from .core import CoverIndex, TriangularConfiguration, count_perfect_strong_matchings
 from .errors import SchemaError, ToolkitError
 from .tensor3 import (
-    BipartiteGraph,
     RingValue,
     Tensor3,
     diagonal_sign,
@@ -38,23 +37,26 @@ Matrix = tuple[tuple[RingValue, ...], ...]
 
 @dataclass(frozen=True)
 class TConstruction:
-    """The built configuration plus every index map needed to audit it."""
+    """The built configuration plus every index map needed to audit it: the
+    support once, as `edge_list`, and the vertex classes once, as the axes."""
 
     matrix: Matrix
     n: int
     edge_list: tuple[tuple[int, int], ...]
-    graph: BipartiteGraph
     config: TriangularConfiguration
     w0: tuple[str, ...]
     w1: tuple[str, ...]
     w2: tuple[str, ...]
-    vertex_classes: dict[str, int]
     entry_values: dict[str, RingValue]
     tensor: Tensor3
 
     @property
     def m(self) -> int:
         return len(self.w0)
+
+    @property
+    def vertex_classes(self) -> dict[str, int]:
+        return {v: c for c, axis in enumerate((self.w0, self.w1, self.w2), 1) for v in axis}
 
 
 def _freeze_matrix(matrix: Sequence[Sequence[RingValue]]) -> Matrix:
@@ -131,26 +133,15 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
     # every edge end is a vertex of w0, w1 or w2
     config = TriangularConfiguration._make(edges, tri_edge_map, frozenset(w0 + w1 + w2))
 
-    vertex_classes = {v: 1 for v in w0}
-    vertex_classes.update({v: 2 for v in w1})
-    vertex_classes.update({v: 3 for v in w2})
-
     m = e + 2 * n
-    graph = BipartiteGraph(
-        left=tuple(v1),
-        right=tuple(v2),
-        edges=frozenset((v1[i], v2[j]) for i, j in edge_list),
-    )
     return TConstruction(
         matrix=rows,
         n=n,
         edge_list=edge_list,
-        graph=graph,
         config=config,
         w0=w0,
         w1=w1,
         w2=w2,
-        vertex_classes=vertex_classes,
         entry_values=entry_values,
         tensor=Tensor3._make((m, m, m), cells),
     )
@@ -268,30 +259,30 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     """Certify the matching correspondence and its weight preservation.
 
     Each perfect matching of the support graph, walked as an exact cover
-    by indices into `tc.edge_list`, is mapped to its image, which must be a
-    perfect strong matching of the configuration. The image's triangles are
-    fixed by the chosen edges, so the map is injective, and the number of
-    strong matchings, counted by a fold, must equal the number of graph
-    matchings; together these say the images are exactly the strong
-    matchings. The configuration's vertices are numbered by the axes
-    `w0 + w1 + w2` when they are its vertex set, and in sorted order
-    otherwise. Cell (i, j, k) of the side-m tensor covers items i, m + j
-    and 2m + k, so when every edge has its ends, there are 3m vertices and
-    the triangles' vertex positions are the tensor's cells as items, the
-    two cover problems are one, and the count is the tensor's indicator
-    fold, one pass over its state graph when `per3` or a certificate has
-    built it; otherwise the configuration gets its own search. An image enters through the XOR and popcount sum of its
-    vertex masks: with every triangle present it is a perfect strong
+    by indices into `tc.edge_list` (edge (i, j) holds items i and n + j),
+    is mapped to its image, which must be a perfect strong matching of the
+    configuration. The image's triangles are fixed by the chosen edges, so
+    the map is injective, and the number of strong matchings, counted by a
+    fold, must equal the number of graph matchings; together these say the
+    images are exactly the strong matchings. The configuration's vertices
+    are numbered by the axes `w0 + w1 + w2` when they are its vertex set,
+    and in sorted order otherwise. Cell (i, j, k) of the side-m tensor
+    covers items i, m + j and 2m + k, so when every edge has its ends,
+    there are 3m vertices and the triangles' vertex positions are the
+    tensor's cells as items, the two cover problems are one, and the count
+    is the tensor's indicator fold, one pass over its state graph when
+    `per3` or a certificate has built it; otherwise the configuration gets
+    its own search. An image enters through the XOR and popcount sum of
+    its vertex masks: with every triangle present it is a perfect strong
     matching iff the XOR is the full mask and the sum the vertex count. A
-    weight mismatch names the first failing matching by its sorted name
-    pairs. Guarded like `certify_trivial_signing`: the walk is held to the
-    listing guard before any matching is listed. `threads` is ignored, kept
-    so that existing callers keep working.
+    weight mismatch names the first failing matching by its sorted pairs
+    of the axes' v(1,i) and v(2,j) vertices, `w1[m - 2n + i]` and
+    `w2[m - n + j]`. Guarded like `certify_trivial_signing`: the walk is
+    held to the listing guard before any matching is listed. `threads` is
+    ignored, kept so that existing callers keep working.
     """
-    edges = [(tc.graph.left[i], tc.graph.right[j]) for i, j in tc.edge_list]
-    if sorted(edges) != sorted(tc.graph.edges):
-        raise ToolkitError("the support graph's edges are not those of the edge list")
-    config, m = tc.config, tc.m
+    config, m, n = tc.config, tc.m, tc.n
+    names = [(tc.w1[m - 2 * n + i], tc.w2[m - n + j]) for i, j in tc.edge_list]
     axes = tc.w0 + tc.w1 + tc.w2
     own = len(axes) == len(config.vertices) and config.vertices.issuperset(axes)
     vertex_ids = axes if own else sorted(config.vertices)
@@ -312,7 +303,7 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     graph_matchings = 0
     all_strong = True
     broken = None  # the first matching, by names, whose weights disagree
-    for cover in CoverIndex(*tc.graph.matching_problem(edges)).covers():
+    for cover in CoverIndex(2 * n, [(i, n + j) for i, j in tc.edge_list]).covers():
         graph_matchings += 1
         key = 0
         xor, popcount, missing = base
@@ -332,7 +323,7 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
         if missing or xor != full or popcount != vertex_count:
             all_strong = False
         if weight_graph != weight_config:
-            named = tuple(sorted(edges[ei] for ei in cover))
+            named = tuple(sorted(names[ei] for ei in cover))
             if broken is None or named < broken:
                 broken = named
     problems = []

@@ -110,12 +110,12 @@ def dimer_polynomial(
 GRID = 32
 REALIZATION_MAX_VERTICES = 4096
 
-# vertex names and offsets, in units of 1/GRID, placed around each left and
-# right lattice point and each edge midpoint; an offset keeps its auxiliary
-# vertex strictly inside the radius-1/4 ball around that anchor
-_LEFT = (("v(1,{})", (0, 0, 0)), ("w(0,1,{})", (6, 2, 1)), ("v'(2,{})", (-6, 1, 2)))
-_RIGHT = (("v(2,{})", (0, 0, 0)), ("w(0,2,{})", (6, 2, 1)), ("v'(1,{})", (-6, 1, 2)))
-_EDGE = (("w(0,e{})", (2, 3, -1)), ("w(1,e{})", (-2, -3, 1)), ("w(2,e{})", (1, -2, 3)))
+# per block of `build_T`'s axes (support edges, left points, right points), the
+# offsets in units of 1/GRID of the axis-0, -1 and -2 vertex at a position from
+# its anchor; each stays strictly inside the radius-1/4 ball around the anchor
+_EDGE = ((2, 3, -1), (-2, -3, 1), (1, -2, 3))
+_LEFT = ((6, 2, 1), (0, 0, 0), (-6, 1, 2))
+_RIGHT = ((6, 2, 1), (-6, 1, 2), (0, 0, 0))
 _HALF = GRID // 2
 _RADIUS = GRID // 4
 
@@ -178,11 +178,12 @@ def embed_T(lattice: CubicLattice) -> EmbeddedComplex:
         )
     tc = build_T(lattice.graph.biadjacency())
     left, right, midpoints = _anchors(lattice, tc.edge_list)
+    e, n = len(midpoints), len(left)
     coords: dict[str, Point] = {}
-    for placements, anchors in ((_LEFT, left), (_RIGHT, right), (_EDGE, midpoints)):
-        for i, (x, y, z) in enumerate(anchors):
-            for name, (dx, dy, dz) in placements:
-                coords[name.format(i)] = (x + dx, y + dy, z + dz)
+    for p, (x, y, z) in enumerate(midpoints + left + right):
+        offsets = _EDGE if p < e else _LEFT if p < e + n else _RIGHT
+        for axis, (dx, dy, dz) in zip((tc.w0, tc.w1, tc.w2), offsets):
+            coords[axis[p]] = (x + dx, y + dy, z + dz)
     emb = EmbeddedComplex(lattice=lattice, construction=tc, coordinates=coords)
     problems = check_embedding(emb)
     if problems:

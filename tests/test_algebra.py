@@ -185,6 +185,10 @@ class TestWeightEnumerator:
         with pytest.raises(ToolkitError):
             BinaryCode.from_rows([[1, 1, 0], [1, 1, 0]])
 
+    def test_row_outside_the_code_length_rejected(self):
+        with pytest.raises(ToolkitError, match="^generator row outside code length$"):
+            BinaryCode(2, [4])
+
     def test_dimension_guard(self):
         # the guard is on the total dimension, however small the direct-sum blocks
         units = [[1 if j == i else 0 for j in range(30)] for i in range(25)]

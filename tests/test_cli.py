@@ -549,6 +549,56 @@ class TestErrors:
         assert list(doc) == ["error"] and doc["error"]["type"] == "schema"
         assert "--threads" in doc["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "boolean is not a ring value"),
+            ("12x", "bad big-integer string '12x'"),
+            ({"poly": {"1": {"poly": {"0": 1}}}}, "polynomial coefficients must be integers"),
+        ],
+        ids=["boolean", "bad_integer_string", "polynomial_coefficient"],
+    )
+    def test_bad_tensor_values_exit_2(self, capsys, tmp_path, value, message):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"dims": [1, 1, 1], "entries": [[0, 0, 0, value]]}))
+        assert invoke(capsys, "per3", str(path)) == (
+            2, canonical_json({"error": {"type": "schema", "message": message}}) + "\n"
+        )
+
+    def test_failed_certificate_exits_1(self, capsys, monkeypatch, matrix_file):
+        # a rewired tensor with a sign -1 pair, and an edge triangle weighted 7
+        from dataclasses import replace
+
+        import kas3.cli as cli
+
+        build = cli.build_T
+
+        def tampered(matrix):
+            tc = build([[1]])
+            entries = dict(tc.tensor.entries)
+            row1 = next(key for key in entries if key[0] == 1)
+            row2 = next(key for key in entries if key[0] == 2)
+            del entries[row1], entries[row2]
+            entries[(1, row2[1], row1[2])] = entries[(2, row1[1], row2[2])] = 1
+            return replace(
+                tc,
+                tensor=Tensor3(tc.tensor.dims, entries),
+                entry_values={**tc.entry_values, "tri:edge[0]": 7},
+            )
+
+        monkeypatch.setattr(cli, "build_T", tampered)
+        status, out = invoke(capsys, "kasteleyn", "build", matrix_file, "--certify", "--json")
+        assert status == 1
+        assert json.loads(out)["certification"] == {
+            "trivial_signing": {"passed": False, "contributing_pairs": 1, "witness": [[1, 2, 0], [2, 1, 0]]},
+            "strong_matching_bijection": {
+                "passed": False,
+                "graph_matchings": 1,
+                "strong_matchings": 1,
+                "detail": "weights disagree on (('v(1,0)', 'v(2,0)'),)",
+            },
+        }
+
 
 class TestScale:
     def test_triadj_on_long_strip(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import heapq
 import itertools
+import json
 import math
 import random
 import re
@@ -477,6 +478,42 @@ class TestForcedClosure:
             # the root forces the whole matching: one arc to the full cover
             assert len(index.graph) == (2 if covers else 0)
             assert index.states_visited >= item_count // 2
+
+
+class TestGraphShape:
+    """The state graph, its tails and the search's work, pinned over a fixed family:
+    a rewrite of the build must keep every graph as it is."""
+
+    @staticmethod
+    def family():
+        from kas3.kasteleyn_construct import build_T
+        from kas3.lattice import cubic_lattice
+        from kas3.tensor3 import Tensor3, _support_options
+
+        rng = random.Random(27)
+        for _ in range(200):
+            item_count, options = random_cover_instance(rng)
+            yield item_count, mask_items(options)
+        yield 0, []  # the root is the full cover
+        yield 2, [(0,)]  # a dead root
+        yield 50, [(i, i + 1) for i in range(49)]  # the root forces every option
+        # the root forces option 0 and branches: option 1 reaches the full cover
+        # through a forced tail, option 3 reaches it directly
+        yield 3, [(0,), (1,), (2,), (1, 2)]
+        box = cubic_lattice(2, 3, 3).graph
+        yield box.matching_problem(sorted(box.edges))
+        ones = Tensor3((5, 5, 5), dict.fromkeys(itertools.product(range(5), repeat=3), 1))
+        for tensor in (build_T([[1, 1, 0], [1, 1, 1], [0, 1, 1]]).tensor, ones):
+            item_count, _cells, options = _support_options(tensor)
+            yield item_count, options
+
+    def test_graph_shape_is_pinned(self):
+        digest = hashlib.sha256()
+        for item_count, options in self.family():
+            index = CoverIndex(item_count, options)
+            index.fold([1] * len(options))
+            digest.update(json.dumps([index.graph, index.tails, index.states_visited, index.arcs_kept]).encode())
+        assert digest.hexdigest() == "5ed756943b677a23dde9ee09ffb279398d870334f5284b4f2974adeac135bd82"
 
 
 class TestEnumeration:

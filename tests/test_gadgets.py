@@ -1,6 +1,7 @@
 """Gadget certification suites, linking, and the tripartite reduction."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,8 +15,12 @@ from kas3.core import (
     perfect_matchings,
     validate,
 )
-from kas3.errors import ToolkitError
+import kas3.gadgets as gadgets
+from kas3.errors import CertificationError, ToolkitError
 from kas3.gadgets import (
+    certify_mtt,
+    certify_s5,
+    certify_tunnel,
     link_by_mtt,
     make_matching_triangular_triangle,
     make_s5,
@@ -134,6 +139,71 @@ class TestMtt:
         classes = find_edge_tripartition(gadget.config, pins=pins)
         assert classes is not None
         assert check_edge_tripartition(gadget.config, classes) == []
+
+
+def with_triangles(gadget, extra_edges=(), **triangles):
+    """The gadget with more edges and triangles, its ends and classes kept."""
+    config = gadget.config
+    kept = {t: config.triangle_edges(t) for t in config.triangle_ids}
+    return replace(gadget, config=TriangularConfiguration([*config.edge_ids, *extra_edges], {**kept, **triangles}))
+
+
+class TestBrokenGadgets:
+    """Each suite rejects a broken gadget, and the refusal names exactly the checks that failed."""
+
+    SUITES = {
+        "tunnel": (make_tunnel, certify_tunnel, "_tunnel_uncertified", "tripartite_with_monochromatic_ends"),
+        "s5": (make_s5, certify_s5, "_s5_uncertified", "tripartite_with_ends_in_distinct_classes"),
+        "matching triangular triangle": (
+            make_matching_triangular_triangle, certify_mtt, "_mtt_uncertified", "tripartite_with_pinned_end_classes",
+        ),
+    }
+
+    def refusal(self, monkeypatch, kind, broken) -> str:
+        make, certify, uncertified, _ = self.SUITES[kind]
+        monkeypatch.setattr(gadgets, uncertified, lambda: broken)
+        with pytest.raises(CertificationError) as raised:
+            make()
+        message = str(raised.value)
+        assert message.startswith(f"{kind} failed certification: ")
+        checks = certify(broken)
+        assert any(not c.passed for c in checks)
+        for check in checks:
+            assert (f"{check.name}: " in message) == (not check.passed), check
+        return message
+
+    @pytest.mark.parametrize("kind", SUITES)
+    def test_end_filled_by_a_triangle(self, monkeypatch, kind):
+        gadget = getattr(gadgets, self.SUITES[kind][2])()
+        end = gadget.ends[0]
+        message = self.refusal(monkeypatch, kind, with_triangles(gadget, fill=end))
+        assert f"ends_are_disjoint_empty_triangles: end {end} is filled by a triangle" in message
+
+    @pytest.mark.parametrize("kind", SUITES)
+    def test_ends_sharing_an_edge(self, monkeypatch, kind):
+        gadget = getattr(gadgets, self.SUITES[kind][2])()
+        first, second, *rest = gadget.ends
+        shared = first[0]
+        broken = replace(gadget, ends=(first, (shared, *second[1:]), *rest))
+        message = self.refusal(monkeypatch, kind, broken)
+        assert f"ends_are_disjoint_empty_triangles: end edge {shared!r} appears in two end triples" in message
+
+    @pytest.mark.parametrize("kind", SUITES)
+    def test_pins_that_no_tripartition_extends(self, monkeypatch, kind):
+        # two edges of one end share a new triangle, but the pins put them in one class
+        gadget = getattr(gadgets, self.SUITES[kind][2])()
+        a, b, _ = gadget.ends[0]
+        message = self.refusal(monkeypatch, kind, with_triangles(gadget, ["z"], clash=(a, b, "z")))
+        assert f"{self.SUITES[kind][3]}: no tripartition extends the pins" in message
+
+    def test_tunnel_class_sizes(self, monkeypatch):
+        # a disjoint triangle, stored in classes 1, 2 and 3, leaves a valid
+        # tripartition with monochromatic ends but the wrong class sizes
+        gadget = with_triangles(gadgets._tunnel_uncertified(), ["x", "y", "z"], extra=("x", "y", "z"))
+        broken = replace(gadget, edge_classes={**gadget.edge_classes, "x": 1, "y": 2, "z": 3})
+        message = self.refusal(monkeypatch, "tunnel", broken)
+        assert "tripartite_with_monochromatic_ends: class sizes (4, 4, 7) != expected (3, 3, 6)" in message
+        assert "stored_tripartition_valid: " not in message
 
 
 class TestLink:

@@ -270,8 +270,21 @@ class TestCertifications:
         from dataclasses import replace
 
         tc = build_T([[1, 1], [1, 1]])
-        with pytest.raises(ToolkitError, match="^the support graph's edges are not those of the edge list$"):
-            strong_matching_bijection_check(replace(tc, edge_list=tc.edge_list[:-1]))
+        for edge_list in (tc.edge_list[:-1], tc.edge_list[1:]):
+            report = strong_matching_bijection_check(replace(tc, edge_list=edge_list))
+            assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (
+                False, 1, 2, "image set differs from the 2 enumerated strong matchings"
+            )
+        # the broken matching is named by the axes' v(1,.) and v(2,.) blocks,
+        # which a shortened edge list leaves in place
+        report = strong_matching_bijection_check(
+            replace(tc, edge_list=tc.edge_list[:-1], entry_values={**tc.entry_values, "tri:edge[1]": 7})
+        )
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 1, 2)
+        assert report.detail == (
+            "image set differs from the 2 enumerated strong matchings; "
+            "weights disagree on (('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,0)'))"
+        )
 
     def test_bijection_guard_fires_before_listing(self, monkeypatch):
         import kas3.core as core

@@ -457,6 +457,20 @@ class TestProjectionsAndSignings:
         with pytest.raises(ToolkitError):
             apply_signing(t, {}, {(0, 0): 1})
 
+    @pytest.mark.parametrize(
+        "sign2, message",
+        [({}, r"missing sign for projection edge \(0, 0\)"), ({(0, 0): 2}, "signs must be \\+1 or -1, got 2")],
+        ids=["missing_sign2", "sign_of_two"],
+    )
+    def test_apply_signing_refuses_a_bad_sign2(self, sign2, message):
+        t = Tensor3((1, 1, 1), {(0, 0, 0): 1})
+        with pytest.raises(ToolkitError, match=f"^{message}$"):
+            apply_signing(t, {(0, 0): 1}, sign2)
+
+    def test_edge_leaving_the_bipartition_is_refused(self):
+        with pytest.raises(ToolkitError, match=r"^edge \(0, 'x'\) leaves the bipartition$"):
+            BipartiteGraph((0,), (1,), frozenset([(0, "x")]))
+
     def test_forest_gets_all_plus_one(self):
         g = BipartiteGraph((0, 1), (0, 1), frozenset([(0, 0), (1, 0), (1, 1)]))
         signing = find_pfaffian_signing(g)
@@ -831,6 +845,14 @@ class TestTensorJson:
             Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0]]})
         with pytest.raises(SchemaError):
             Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0, 1.5]]})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(True, "boolean is not a ring value"), (Fraction(1, 2), "cannot serialize ring value of type Fraction")],
+    )
+    def test_values_without_a_document_form_are_refused(self, value, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            encode_ring_value(value)
 
 
 def _one_triangle():
