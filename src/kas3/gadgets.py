@@ -65,7 +65,8 @@ class Gadget:
     certificate: tuple[CheckResult, ...] = ()
 
     def end_edge_union(self) -> tuple[str, ...]:
-        return tuple(sorted(e for triple in self.ends for e in triple))
+        """The end edges the configuration has, sorted; the end checks report any other."""
+        return tuple(sorted(e for triple in self.ends for e in triple if self.config.has_edge(e)))
 
     def to_doc(self) -> dict:
         doc = build_config_doc(self.config, edge_classes=self.edge_classes or None)
@@ -86,7 +87,7 @@ def _end_structure_checks(gadget: Gadget) -> list[CheckResult]:
     for triple in gadget.ends:
         if len(set(triple)) != 3:
             problems.append(f"end {triple} has repeated edges")
-        for e in triple:
+        for e in dict.fromkeys(triple):
             if not gadget.config.has_edge(e):
                 problems.append(f"end edge {e!r} missing from configuration")
             if e in seen:
@@ -102,6 +103,7 @@ def _tripartition_checks(
     gadget: Gadget, pins: Mapping[str, int], name: str, expect_sizes: tuple[int, ...] | None = None
 ) -> list[CheckResult]:
     checks = []
+    pins = {e: cls for e, cls in pins.items() if gadget.config.has_edge(e)}  # the end checks report the rest
     stored_problems = check_edge_tripartition(gadget.config, gadget.edge_classes)
     checks.append(
         CheckResult("stored_tripartition_valid", not stored_problems, "; ".join(stored_problems))

@@ -5,14 +5,15 @@ grows a small vertex gadget, and each support vertex a fan of copy triangles.
 The resulting vertex-adjacency tensor has the same permanent as the matrix,
 its determinant already equals that permanent (no resigning needed), and its
 perfect strong matchings correspond one-to-one to perfect matchings of the
-support graph. Both facts are certified by exhaustive search, not assumed:
-the first by comparing the folded unsigned and signed sums over the tensor's
-support, the second by checking every image and comparing counts. Their folds
-and their two listings meet the cover index's guards, and no other.
+support graph. Both facts are certified of the tensor by exhaustive search:
+the first by comparing the folded unsigned and signed sums over its support,
+the second by checking its cells are the triangles, then every image against
+the cells' values, and comparing counts. Their folds and their two listings
+meet the cover index's guards, and no other.
 
-`build_T` writes each tensor cell where it names the triangle and takes its
-vertex classes from its three axes, so it checks no tripartition; the tests
-check its constructions against the public checkers.
+`build_T` writes each value once, into the tensor cell where it names the
+triangle, and takes its vertex classes from its three axes, so it checks no
+tripartition; the tests check its constructions against the public checkers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._util import read_array, read_int
-from .core import CoverIndex, TriangularConfiguration, count_perfect_strong_matchings
+from .core import CoverIndex, TriangularConfiguration
 from .errors import SchemaError, ToolkitError
 from .tensor3 import (
     RingValue,
@@ -38,7 +39,8 @@ Matrix = tuple[tuple[RingValue, ...], ...]
 @dataclass(frozen=True)
 class TConstruction:
     """The built configuration plus every index map needed to audit it: the
-    support once, as `edge_list`, and the vertex classes once, as the axes."""
+    support once, as `edge_list`, the vertex classes once, as the axes, and
+    each value once, in its `tensor` cell."""
 
     matrix: Matrix
     n: int
@@ -47,7 +49,6 @@ class TConstruction:
     w0: tuple[str, ...]
     w1: tuple[str, ...]
     w2: tuple[str, ...]
-    entry_values: dict[str, RingValue]
     tensor: Tensor3
 
     @property
@@ -106,11 +107,10 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
     w2 = tuple(w2e + v2c + v2)
 
     triangles_by_vertices: dict[str, tuple[str, str, str]] = {}
-    entry_values: dict[str, RingValue] = {}
     cells: dict[tuple[int, int, int], RingValue] = {}
     for ei, (i, j) in enumerate(edge_list):
         triangles_by_vertices[f"tri:edge[{ei}]"] = (v1[i], v2[j], w0e[ei])
-        entry_values[f"tri:edge[{ei}]"] = cells[(ei, e + i, e + n + j)] = rows[i][j]
+        cells[(ei, e + i, e + n + j)] = rows[i][j]
         triangles_by_vertices[f"tri:gadget[{ei}]"] = (w0e[ei], w1e[ei], w2e[ei])
         cells[(ei, ei, ei)] = 1
         triangles_by_vertices[f"tri:left[{i},{ei}]"] = (w01[i], v2c[i], w1e[ei])
@@ -142,7 +142,6 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
         w0=w0,
         w1=w1,
         w2=w2,
-        entry_values=entry_values,
         tensor=Tensor3._make((m, m, m), cells),
     )
 
@@ -211,7 +210,9 @@ class BijectionReport:
         return doc
 
 
-def _image_changes(tc: TConstruction, items_of: Mapping[str, Sequence[int]]):
+def _image_changes(
+    tc: TConstruction, items_of: Mapping[str, tuple[int, ...]], value_at: Mapping[tuple[int, ...], RingValue]
+):
     """The image of the empty edge set, and what choosing each support edge changes.
 
     A chosen edge ei = (i, j) adds tri:edge[ei], tri:left[i,ei] and
@@ -219,7 +220,8 @@ def _image_changes(tc: TConstruction, items_of: Mapping[str, Sequence[int]]):
     part of an image is summed as `(xor, popcount, missing, value)`: the
     XOR and summed popcount of its triangles' vertex masks (bit v for each
     vertex position v in `items_of`), the number of them the configuration
-    lacks, and the product of their entry values.
+    lacks, and the product of the values of the cells they occupy, read
+    from `value_at` by items (0 off the cells).
     Returns the three sums of the image with every edge left out; for each
     support edge, `(bit, xor, popcount, missing, matrix value, value)`, the
     change choosing it makes to the edge set and those sums and the weights
@@ -237,7 +239,7 @@ def _image_changes(tc: TConstruction, items_of: Mapping[str, Sequence[int]]):
             else:
                 xor ^= sum(1 << v for v in items)
                 popcount += len(items)
-            value = value * tc.entry_values.get(name, 1)
+                value = value * value_at.get(items, 0)
         return xor, popcount, missing, value
 
     base = [0, 0, 0]
@@ -256,49 +258,45 @@ def _image_changes(tc: TConstruction, items_of: Mapping[str, Sequence[int]]):
 
 
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
-    """Certify the matching correspondence and its weight preservation.
+    """Certify that `tc.tensor`'s strong matchings are the support's matchings, weight for weight.
 
-    Each perfect matching of the support graph, walked as an exact cover
-    by indices into `tc.edge_list` (edge (i, j) holds items i and n + j),
-    is mapped to its image, which must be a perfect strong matching of the
-    configuration. The image's triangles are fixed by the chosen edges, so
-    the map is injective, and the number of strong matchings, counted by a
-    fold, must equal the number of graph matchings; together these say the
-    images are exactly the strong matchings. The configuration's vertices
-    are numbered by the axes `w0 + w1 + w2` when they are its vertex set,
-    and in sorted order otherwise. Cell (i, j, k) of the side-m tensor
-    covers items i, m + j and 2m + k, so when every edge has its ends,
-    there are 3m vertices and the triangles' vertex positions are the
-    tensor's cells as items, the two cover problems are one, and the count
-    is the tensor's indicator fold, one pass over its state graph when
-    `per3` or a certificate has built it; otherwise the configuration gets
-    its own search. An image enters through the XOR and popcount sum of
-    its vertex masks: with every triangle present it is a perfect strong
-    matching iff the XOR is the full mask and the sum the vertex count. A
-    weight mismatch names the first failing matching by its sorted pairs
-    of the axes' v(1,i) and v(2,j) vertices, `w1[m - 2n + i]` and
-    `w2[m - n + j]`. Guarded like `certify_trivial_signing`: the walk is
-    held to the listing guard before any matching is listed. `threads` is
-    ignored, kept so that existing callers keep working.
+    Vertices are numbered by the axes `w0 + w1 + w2` (one off them is item
+    3m, on no cell; a triangle on a missing edge holds no items), so one on
+    w0[i], w1[j] and w2[k] holds i, m + j and 2m + k, as cell (i, j, k) of
+    the side-m tensor does. The cells must be the triangles: the vertex set
+    is the axes, the tensor m x m x m, and the cells, as items, the
+    triangles' item triples. The two cover problems are then one, and the
+    strong matchings are counted as the tensor's indicator fold. Each
+    perfect matching of the support graph, walked as an exact cover by
+    indices into `tc.edge_list` (edge (i, j) holds items i and n + j), maps
+    to an image that must be a perfect strong matching: with every triangle
+    present, the XOR of its vertex masks is the full mask and their popcount
+    sum the vertex count. The map is injective, so with equal counts the
+    images are the strong matchings. An image weighs the product of its
+    triangles' cell values, which must be its edges' matrix value product;
+    the first failing matching is named by its sorted pairs of the axes'
+    v(1,i) and v(2,j) vertices, `w1[m - 2n + i]` and `w2[m - n + j]`. A
+    configuration with an edge without ends is refused. The walk is held to
+    the listing guard before any matching is listed. `threads` is ignored,
+    kept so that existing callers keep working.
     """
     config, m, n = tc.config, tc.m, tc.n
+    if not config.has_full_vertex_data:
+        raise ToolkitError("perfect strong matchings need vertex data on every edge")
     names = [(tc.w1[m - 2 * n + i], tc.w2[m - n + j]) for i, j in tc.edge_list]
     axes = tc.w0 + tc.w1 + tc.w2
+    position, off = {v: p for p, v in enumerate(axes)}, 3 * m
+    items_of = {
+        t: tuple(sorted([position.get(v, off) for v in config.triangle_vertices(t) or ()])) for t in config.triangle_ids
+    }
+    value_at = {(i, m + j, 2 * m + k): v for (i, j, k), v in tc.tensor.entries.items()}
     own = len(axes) == len(config.vertices) and config.vertices.issuperset(axes)
-    vertex_ids = axes if own else sorted(config.vertices)
-    vertex_count = len(vertex_ids)
-    position = {v: p for p, v in enumerate(vertex_ids)}
-    items_of = {t: tuple(sorted(position[v] for v in config.triangle_vertices(t) or ())) for t in config.triangle_ids}
-    if (
-        config.has_full_vertex_data
-        and tc.tensor.cube_side == m
-        and vertex_count == 3 * m
-        and sorted(items_of.values()) == sorted((i, m + j, 2 * m + k) for i, j, k in tc.tensor.entries)
-    ):
-        strong = support_sum(tc.tensor, indicator=True)  # the same problem, on the tensor's index
-    else:
-        strong = count_perfect_strong_matchings(config)
-    base, changes, left_out_values = _image_changes(tc, items_of)
+    problems = []
+    if not (own and tc.tensor.dims == (m, m, m) and sorted(items_of.values()) == sorted(value_at)):
+        problems.append("the tensor's cells are not the configuration's triangles")
+    strong = support_sum(tc.tensor, indicator=True)
+    base, changes, left_out_values = _image_changes(tc, items_of, value_at)
+    vertex_count = len(config.vertices)
     full = (1 << vertex_count) - 1
     graph_matchings = 0
     all_strong = True
@@ -326,11 +324,8 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
             named = tuple(sorted(names[ei] for ei in cover))
             if broken is None or named < broken:
                 broken = named
-    problems = []
     if graph_matchings != strong or not all_strong:
-        problems.append(
-            f"image set differs from the {strong} enumerated strong matchings"
-        )
+        problems.append(f"image set differs from the {strong} enumerated strong matchings")
     if broken is not None:
         problems.append(f"weights disagree on {broken}")
     return BijectionReport(

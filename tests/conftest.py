@@ -273,24 +273,45 @@ def pfaffian_signing_exists(graph):
     return False
 
 
+def edge_values(tc):
+    """The value of each edge triangle of a `build_T` construction, read from
+    `tc.matrix` by edge index; every other triangle holds 1."""
+    return {f"tri:edge[{ei}]": tc.matrix[i][j] for ei, (i, j) in enumerate(tc.edge_list)}
+
+
+def triangle_cell(tc, t):
+    """The cell of triangle `t`: its vertices' positions in `tc.w0`, `tc.w1`
+    and `tc.w2`, one vertex on each axis."""
+    verts = tc.config.triangle_vertices(t)
+    on_axis = [[i for i, v in enumerate(axis) if v in verts] for axis in (tc.w0, tc.w1, tc.w2)]
+    assert all(len(hits) == 1 for hits in on_axis), (t, verts)
+    return tuple(hits[0] for hits in on_axis)
+
+
 def construction_tensor(tc):
     """The adjacency tensor of a `build_T` construction, read off its triangles.
 
-    Each triangle's cell is the position of its vertices in `tc.w0`, `tc.w1`
-    and `tc.w2`, one vertex on each axis, and holds `tc.entry_values.get(t, 1)`.
-    A construction has four triangles, so four distinct cells, per support edge.
+    Each triangle's cell is `triangle_cell`, and holds its `edge_values`
+    value. A construction has four triangles, so four distinct cells, per
+    support edge.
     """
-    pos = [{v: i for i, v in enumerate(axis)} for axis in (tc.w0, tc.w1, tc.w2)]
+    values = edge_values(tc)
     entries = {}
     for t in tc.config.triangle_ids:
-        verts = tc.config.triangle_vertices(t)
-        on_axis = [[p[v] for v in verts if v in p] for p in pos]
-        assert all(len(hits) == 1 for hits in on_axis), (t, verts)
-        cell = tuple(hits[0] for hits in on_axis)
+        cell = triangle_cell(tc, t)
         assert cell not in entries, cell
-        entries[cell] = tc.entry_values.get(t, 1)
+        entries[cell] = values.get(t, 1)
     assert len(entries) == 4 * len(tc.edge_list)
     return Tensor3((tc.m, tc.m, tc.m), entries)
+
+
+def with_cell_values(tc, values):
+    """The construction with the cell of each triangle in `values` set to its value."""
+    from dataclasses import replace
+
+    entries = dict(tc.tensor.entries)
+    entries.update({triangle_cell(tc, t): v for t, v in values.items()})
+    return replace(tc, tensor=Tensor3(tc.tensor.dims, entries))
 
 
 def brute_force_kernel_enumerator(config, p):

@@ -35,6 +35,10 @@ class TestPolynomial:
         assert Polynomial({3: 0, 1: 2}).terms() == [(1, 2)]
         assert not Polynomial(0)
 
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ToolkitError, match="^negative powers not supported$"):
+            Polynomial({1: 1}) ** -1
+
     def test_hash_agrees_with_equality(self):
         for c in (0, 1, -1, 3, 2**70, -(2**70)):
             assert Polynomial(c) == c and hash(Polynomial(c)) == hash(c)

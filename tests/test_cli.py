@@ -90,6 +90,11 @@ class TestCommands:
         assert payload["error"]["type"] == "operation"
         assert "exponent 5" in payload["error"]["message"]
 
+    def test_per3_of_a_polynomial_valued_tensor_prints_its_text(self, capsys, tmp_path):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(Tensor3((1, 1, 1), {(0, 0, 0): Polynomial({0: 1, 1: 2})}).to_doc()))
+        assert invoke(capsys, "per3", str(path)) == (0, "1 + 2*x^1\n")
+
     def test_gadget_mtt_certify(self, capsys):
         status, out = invoke(capsys, "gadget", "mtt", "--certify", "--json")
         assert status == 0
@@ -207,6 +212,19 @@ class TestErrors:
         assert out.endswith("\n") and out.count("\n") == 1
         error = json.loads(out)["error"]
         assert error["type"] == "schema" and error["message"].startswith(message)
+
+    def test_fold_by_zero_exits_1(self, capsys):
+        assert invoke(capsys, "fold", "x^2", "--e", "0") == (
+            1, canonical_json({"error": {"type": "operation", "message": "fold modulus must be positive, got 0"}}) + "\n"
+        )
+
+    def test_code_file_that_is_not_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_text("{nope")
+        status, out = invoke(capsys, "code", "wenum", str(path))
+        error = json.loads(out)["error"]
+        assert (status, error["type"]) == (2, "schema")
+        assert error["message"].startswith(f"{path} is not valid JSON: ")
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as raised:
@@ -566,7 +584,7 @@ class TestErrors:
         )
 
     def test_failed_certificate_exits_1(self, capsys, monkeypatch, matrix_file):
-        # a rewired tensor with a sign -1 pair, and an edge triangle weighted 7
+        # a rewired tensor with a sign -1 pair, and the edge triangle's cell weighted 7
         from dataclasses import replace
 
         import kas3.cli as cli
@@ -580,11 +598,8 @@ class TestErrors:
             row2 = next(key for key in entries if key[0] == 2)
             del entries[row1], entries[row2]
             entries[(1, row2[1], row1[2])] = entries[(2, row1[1], row2[2])] = 1
-            return replace(
-                tc,
-                tensor=Tensor3(tc.tensor.dims, entries),
-                entry_values={**tc.entry_values, "tri:edge[0]": 7},
-            )
+            entries[(0, 1, 2)] = 7
+            return replace(tc, tensor=Tensor3(tc.tensor.dims, entries))
 
         monkeypatch.setattr(cli, "build_T", tampered)
         status, out = invoke(capsys, "kasteleyn", "build", matrix_file, "--certify", "--json")
@@ -595,7 +610,8 @@ class TestErrors:
                 "passed": False,
                 "graph_matchings": 1,
                 "strong_matchings": 1,
-                "detail": "weights disagree on (('v(1,0)', 'v(2,0)'),)",
+                "detail": "the tensor's cells are not the configuration's triangles; "
+                "weights disagree on (('v(1,0)', 'v(2,0)'),)",
             },
         }
 

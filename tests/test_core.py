@@ -517,6 +517,10 @@ class TestGraphShape:
 
 
 class TestEnumeration:
+    def test_unknown_allowed_edge_is_refused(self):
+        with pytest.raises(ToolkitError, match="^unknown edge 'zz'$"):
+            enumerate_matchings_with_defect_within(single_triangle(), ["zz"])
+
     def test_unconstrained_matches_brute_force(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -770,6 +774,11 @@ class TestStrongMatchings:
 class TestTripartitions:
     def test_single_triangle_canonical(self):
         assert find_edge_tripartition(single_triangle()) == {"a": 1, "b": 2, "c": 3}
+
+    def test_vertex_search_refuses_edges_without_ends(self):
+        config = TriangularConfiguration(["a", "b", "c"], {"t1": ("a", "b", "c")})
+        with pytest.raises(ToolkitError, match="^triangle 't1' lacks vertex data$"):
+            find_vertex_tripartition(config)
 
     def test_tetrahedron_pairs_opposite_edges(self, tetrahedron):
         classes = find_edge_tripartition(tetrahedron)
@@ -1261,6 +1270,24 @@ class TestJsonDocs:
         text = canonical_json(doc)
         reparsed, _, _, _ = parse_config_doc(doc)
         assert canonical_json(reparsed.to_doc()) == text
+
+    def test_from_doc_round_trips(self):
+        doc = {
+            "vertices": ["u", "v", "w", "z"],
+            "edges": [{"id": "a"}, {"id": "b", "ends": ["u", "v"]}, {"id": "c", "ends": ["u", "w"]}],
+            "triangles": [{"id": "t1", "edges": ["a", "b", "c"]}],
+        }
+        config = TriangularConfiguration.from_doc(doc)
+        assert config.to_doc() == doc
+        assert TriangularConfiguration.from_doc(config.to_doc()) == config
+
+    def test_repeated_triangle_id_is_refused(self):
+        doc = {
+            "edges": [{"id": e} for e in "abc"],
+            "triangles": [{"id": "t", "edges": ["a", "b", "c"]}, {"id": "t", "edges": ["a", "b", "c"]}],
+        }
+        with pytest.raises(SchemaError, match="^duplicate triangle id 't'$"):
+            parse_config_doc(doc)
 
     def test_optional_maps_preserved(self):
         doc = {

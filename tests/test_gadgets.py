@@ -196,6 +196,21 @@ class TestBrokenGadgets:
         message = self.refusal(monkeypatch, kind, with_triangles(gadget, ["z"], clash=(a, b, "z")))
         assert f"{self.SUITES[kind][3]}: no tripartition extends the pins" in message
 
+    @pytest.mark.parametrize("kind", SUITES)
+    def test_end_edge_missing_from_the_configuration(self, monkeypatch, kind):
+        gadget = getattr(gadgets, self.SUITES[kind][2])()
+        first, *rest = gadget.ends
+        message = self.refusal(monkeypatch, kind, replace(gadget, ends=(("zz", *first[1:]), *rest)))
+        assert "ends_are_disjoint_empty_triangles: end edge 'zz' missing from configuration" in message
+
+    @pytest.mark.parametrize("kind", SUITES)
+    def test_end_with_a_repeated_edge(self, monkeypatch, kind):
+        gadget = getattr(gadgets, self.SUITES[kind][2])()
+        (a, _, c), *rest = gadget.ends
+        message = self.refusal(monkeypatch, kind, replace(gadget, ends=((a, a, c), *rest)))
+        assert f"ends_are_disjoint_empty_triangles: end {(a, a, c)} has repeated edges; " in message
+        assert "appears in two end triples" not in message
+
     def test_tunnel_class_sizes(self, monkeypatch):
         # a disjoint triangle, stored in classes 1, 2 and 3, leaves a valid
         # tripartition with monochromatic ends but the wrong class sizes
@@ -230,6 +245,10 @@ class TestLink:
         linked = link_by_mtt(self.three_disjoint(), "x", "y", "z")
         with pytest.raises(ToolkitError, match=r"block triangle id 'mtt\[x\|y\|z\]:\S+' collides"):
             link_by_mtt(linked, "x", "y", "z")
+
+    def test_rejects_unknown_target(self):
+        with pytest.raises(ToolkitError, match="^unknown triangle 'zz'$"):
+            link_by_mtt(self.three_disjoint(), "x", "y", "zz")
 
     def test_rejects_repeated_target(self):
         config = self.three_disjoint()
@@ -281,6 +300,11 @@ class TestReduction:
         )
         result = tripartite_reduction(source)
         assert perfect_matching_polynomial(result.config, result.weighting) == Polynomial({2: 1})
+
+    def test_forward_map_refuses_unknown_triangles(self):
+        result = tripartite_reduction(TriangularConfiguration(["a", "b", "c"], {"t": ("a", "b", "c")}))
+        with pytest.raises(ToolkitError, match=r"^unknown source triangles \['zz'\]$"):
+            result.forward(["zz"])
 
     def test_forward_map_is_weight_preserving_bijection(self):
         rng = random.Random(21)

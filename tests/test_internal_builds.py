@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_config
+from conftest import edge_values, random_config
 from kas3.algebra import Polynomial
 from kas3.core import TriangularConfiguration, build_config_doc, parse_config_doc
 from kas3.errors import ToolkitError
@@ -104,7 +104,7 @@ class TestInternalBuilds:
             tc = build_T(matrix)
             assert_public(tc.config, list(tc.w0) + list(tc.w1) + list(tc.w2))
             assert_public_tensor(tc.tensor)
-            tensor, _orders = vertex_adjacency(tc.config, tc.vertex_classes, tc.entry_values)
+            tensor, _orders = vertex_adjacency(tc.config, tc.vertex_classes, edge_values(tc))
             assert_public_tensor(tensor)
             graphs = projection_graphs(tc.tensor)
             sign1 = {edge: rng.choice((1, -1)) for edge in graphs.g1.edges}
@@ -117,9 +117,9 @@ class TestInternalBuilds:
 
     def test_a_zero_entry_value_makes_no_cell(self):
         tc = build_T([[1, 2], [3, 4]])
-        values = dict(tc.entry_values, **{"tri:edge[0]": 0})
-        tensor, _orders = vertex_adjacency(tc.config, tc.vertex_classes, values)
-        full, _orders = vertex_adjacency(tc.config, tc.vertex_classes, tc.entry_values)
+        values = edge_values(tc)
+        tensor, _orders = vertex_adjacency(tc.config, tc.vertex_classes, {**values, "tri:edge[0]": 0})
+        full, _orders = vertex_adjacency(tc.config, tc.vertex_classes, values)
         assert len(tensor.entries) == len(full.entries) - 1
         assert 0 not in tensor.entries.values()
         assert_public_tensor(tensor)

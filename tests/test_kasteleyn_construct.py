@@ -1,11 +1,19 @@
 """Matrix-to-configuration construction and its two certifications."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_strong_matchings, construction_tensor, dimers_2x2xn, permanent2_bruteforce
+from conftest import (
+    brute_force_strong_matchings,
+    construction_tensor,
+    dimers_2x2xn,
+    edge_values,
+    permanent2_bruteforce,
+    with_cell_values,
+)
 from kas3.core import (
     check_vertex_tripartition,
     enumerate_perfect_strong_matchings,
@@ -81,6 +89,11 @@ class TestBuild:
         with pytest.raises(ToolkitError):
             build_T([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "True"), ("3", "'3'")], ids=["float", "bool", "str"])
+    def test_rejects_inexact_entries(self, value, shown):
+        with pytest.raises(ToolkitError, match=rf"^matrix entries must be exact numbers, got {shown}$"):
+            build_T([[value]])
+
     def test_entry_placement(self):
         m = [[2, 0], [3, -4]]
         tc = build_T(m)
@@ -110,7 +123,7 @@ class TestBuild:
         tc = build_T(matrix)
         assert tc.tensor == construction_tensor(tc)
         assert check_vertex_tripartition(tc.config, tc.vertex_classes) == []
-        tensor, orders = vertex_adjacency(tc.config, tc.vertex_classes, tc.entry_values)
+        tensor, orders = vertex_adjacency(tc.config, tc.vertex_classes, edge_values(tc))
         axes = (tc.w0, tc.w1, tc.w2)
         assert orders == tuple(tuple(sorted(axis)) for axis in axes)
         to_w = [[axis.index(v) for v in order] for axis, order in zip(axes, orders)]
@@ -199,8 +212,8 @@ class TestCertifications:
         triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
         triangles["tri:extra"] = triangles["tri:gadget[0]"]
         report = strong_matching_bijection_check(with_triangles(tc, triangles))
-        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 3)
-        assert report.detail == "image set differs from the 3 enumerated strong matchings"
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
+        assert report.detail == "the tensor's cells are not the configuration's triangles"
 
     def test_image_that_is_not_a_strong_matching_fails_bijection(self):
         # swapping two triangle names keeps the strong-matching count at 2
@@ -222,34 +235,24 @@ class TestCertifications:
         assert report.detail == "image set differs from the 2 enumerated strong matchings"
 
     def test_tampered_values_name_the_first_matching_they_break(self):
-        from dataclasses import replace
-
         tc = build_T([[1, 1], [1, 1]])
         for triangle, matching in (
             ("tri:edge[0]", "(('v(1,0)', 'v(2,0)'), ('v(1,1)', 'v(2,1)'))"),
             ("tri:gadget[0]", "(('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,0)'))"),
         ):
-            report = strong_matching_bijection_check(
-                replace(tc, entry_values={**tc.entry_values, triangle: 7})
-            )
+            report = strong_matching_bijection_check(with_cell_values(tc, {triangle: 7}))
             assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
             assert report.detail == f"weights disagree on {matching}"
 
     def test_several_broken_matchings_name_the_first_in_name_order(self):
-        from dataclasses import replace
-
         # tri:gadget[0] is in the image of the four matchings that avoid (0, 0)
         tc = build_T([[1] * 3] * 3)
-        report = strong_matching_bijection_check(
-            replace(tc, entry_values={**tc.entry_values, "tri:gadget[0]": 7})
-        )
+        report = strong_matching_bijection_check(with_cell_values(tc, {"tri:gadget[0]": 7}))
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 6, 6)
         assert report.detail == \
             "weights disagree on (('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,0)'), ('v(1,2)', 'v(2,2)'))"
 
     def test_name_order_differs_from_index_order(self):
-        from dataclasses import replace
-
         # the identity plus the swaps 2 <-> 3 and 9 <-> 10; tampering the gadgets
         # of (2, 2) and (9, 9) breaks every matching but the identity. By row
         # index the swap of 9 and 10 comes first, by name the swap of 2 and 3,
@@ -258,9 +261,7 @@ class TestCertifications:
         matrix = [[int(i == j or {i, j} in ({2, 3}, {9, 10})) for j in range(n)] for i in range(n)]
         tc = build_T(matrix)
         gadgets = [f"tri:gadget[{tc.edge_list.index((i, i))}]" for i in (2, 9)]
-        report = strong_matching_bijection_check(
-            replace(tc, entry_values={**tc.entry_values, **dict.fromkeys(gadgets, 7)})
-        )
+        report = strong_matching_bijection_check(with_cell_values(tc, dict.fromkeys(gadgets, 7)))
         pairs = [(i, 3 if i == 2 else 2 if i == 3 else i) for i in range(n)]
         first = tuple(sorted((f"v(1,{i})", f"v(2,{j})") for i, j in pairs))
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 4, 4)
@@ -278,7 +279,7 @@ class TestCertifications:
         # the broken matching is named by the axes' v(1,.) and v(2,.) blocks,
         # which a shortened edge list leaves in place
         report = strong_matching_bijection_check(
-            replace(tc, edge_list=tc.edge_list[:-1], entry_values={**tc.entry_values, "tri:edge[1]": 7})
+            replace(with_cell_values(tc, {"tri:edge[1]": 7}), edge_list=tc.edge_list[:-1])
         )
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 1, 2)
         assert report.detail == (
@@ -402,19 +403,34 @@ class TestSearchWork:
         assert [id(t) for t in worked_out] == [id(tc.tensor), id(ones)]
 
 
-class TestSharedStrongCount:
-    """The strong count folds the tensor's index only when the two problems are one.
+class TestCellsAreTheTriangles:
+    """The certificate reads only the tensor, and requires its cells to be the configuration's triangles.
 
-    Each tampered tensor below changes the tensor's own cover count (drop: 1,
-    add: 3, against 2), so a report that read it would differ. The expected
-    reports are those of the configuration's own search, pinned before the
-    count was shared.
+    Each tampered construction below has a tensor that is not its
+    configuration's adjacency tensor, or values whose product breaks
+    Per(M) = 7: it fails, names what it found, and reports the tensor's own
+    strong-matching count (drop: 1, add: 3, padded: 0, against 2).
     """
 
     MATRIX = [[1, 2, 0], [0, 1, 1], [3, 0, 1]]
+    CELLS = "the tensor's cells are not the configuration's triangles"
 
-    @pytest.mark.parametrize("tamper", ["drop", "add", "value", "none"])
-    def test_tampered_tensor_keeps_the_configuration_count(self, tamper):
+    @pytest.mark.parametrize(
+        "tamper, strong, detail",
+        [
+            (
+                "drop",
+                1,
+                f"{CELLS}; image set differs from the 1 enumerated strong matchings; "
+                "weights disagree on (('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,2)'), ('v(1,2)', 'v(2,0)'))",
+            ),
+            ("add", 3, f"{CELLS}; image set differs from the 3 enumerated strong matchings"),
+            ("value", 2, "weights disagree on (('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,2)'), ('v(1,2)', 'v(2,0)'))"),
+            ("none", 2, ""),
+        ],
+        ids=["drop", "add", "value", "none"],
+    )
+    def test_tampered_tensor_is_certified(self, tamper, strong, detail):
         from dataclasses import replace
 
         from kas3.tensor3 import Tensor3
@@ -430,9 +446,11 @@ class TestSharedStrongCount:
         tampered = replace(tc, tensor=Tensor3(tc.tensor.dims, entries))
         permanent3(tampered.tensor)  # a later fold over the same index replays
         report = strong_matching_bijection_check(tampered)
-        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (True, 2, 2, "")
+        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (
+            not detail, 2, strong, detail
+        )
 
-    def test_padded_tensor_keeps_the_configuration_count(self):
+    def test_padded_tensor_is_not_the_configuration(self):
         # the same cells in a cube one wider leave an axis index empty, so the tensor's own count is 0
         from dataclasses import replace
 
@@ -441,20 +459,50 @@ class TestSharedStrongCount:
         tc = build_T(self.MATRIX)
         m = tc.m
         report = strong_matching_bijection_check(replace(tc, tensor=Tensor3((m, m, m + 1), dict(tc.tensor.entries))))
-        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (True, 2, 2, "")
+        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (
+            False, 2, 0, f"{self.CELLS}; image set differs from the 0 enumerated strong matchings"
+        )
 
-    def test_tampered_configuration_is_searched_on_its_own(self):
+    def test_extra_triangle_is_not_a_cell(self):
         # the extra triangle has the vertex mask of tri:gadget[0], so the
-        # tensor's masks are no longer the configuration's
+        # tensor's cells are no longer the configuration's triangles
         tc = build_T(self.MATRIX)
         permanent3(tc.tensor)
         triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
         triangles["tri:extra"] = triangles["tri:gadget[0]"]
         report = strong_matching_bijection_check(with_triangles(tc, triangles))
-        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 3)
-        assert report.detail == "image set differs from the 3 enumerated strong matchings"
+        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (
+            False, 2, 2, self.CELLS
+        )
 
-    def test_configuration_without_vertex_data_is_refused(self):
+    def test_triangle_on_a_missing_edge_is_not_a_cell(self):
+        # the triangle keeps its id but names an edge the configuration lacks, so it has no vertices
+        tc = build_T(self.MATRIX)
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        triangles["tri:gadget[0]"] = ("zz", *triangles["tri:gadget[0]"][1:])
+        report = strong_matching_bijection_check(with_triangles(tc, triangles))
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 2, 2)
+        assert report.detail == (
+            f"{self.CELLS}; image set differs from the 2 enumerated strong matchings; "
+            "weights disagree on (('v(1,0)', 'v(2,1)'), ('v(1,1)', 'v(2,2)'), ('v(1,2)', 'v(2,0)'))"
+        )
+
+    def test_vertex_set_that_is_not_the_axes(self):
+        # an isolated vertex off the axes: every cell is still a triangle, but no image covers the vertex
+        from dataclasses import replace
+
+        from kas3.core import TriangularConfiguration
+
+        tc = build_T(self.MATRIX)
+        edges = {e: tc.config.edge_ends(e) for e in tc.config.edge_ids}
+        triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+        config = TriangularConfiguration(edges, triangles, tc.config.vertices | {"x"})
+        report = strong_matching_bijection_check(replace(tc, config=config))
+        assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == (
+            False, 2, 2, f"{self.CELLS}; image set differs from the 2 enumerated strong matchings"
+        )
+
+    def test_edge_without_ends_is_refused(self):
         # every triangle still matches its tensor cell; the edge without ends is in none of them
         from dataclasses import replace
 
@@ -499,6 +547,51 @@ class TestRandomSweep:
             assert permanent3(tc.tensor) == value
             assert determinant3(tc.tensor) == value
             assert tc.m == 2 * n + len(tc.edge_list) <= n * n + 2 * n
+
+
+class TestCertifiedIdentity:
+    def test_tensors_that_pass_both_certificates_keep_the_identity(self):
+        """400 seeded single-cell edits of constructions with n <= 4, zeros and
+        negative entries: whenever both certificates pass, the tensor keeps
+        Per(M) = per3 = det3."""
+        from dataclasses import replace
+
+        from kas3.tensor3 import Tensor3
+
+        rng = random.Random(2810)
+        edits = ("value", "drop", "add", "move", "pad")
+        passed = 0
+        for trial in range(400):
+            n = rng.randint(1, 4)
+            matrix = [[rng.choice((-3, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            tc = build_T(matrix)
+            m, dims, entries = tc.m, tc.tensor.dims, dict(tc.tensor.entries)
+            edit = edits[trial % len(edits)]
+            cells = sorted(entries)
+            if edit == "pad":
+                dims = (m, m, m + 1)
+            elif not cells:
+                continue
+            elif edit == "value":
+                cell = rng.choice(cells)
+                entries[cell] = rng.choice([v for v in (-2, -1, 1, 2, 5) if v != entries[cell]])
+            elif edit == "drop":
+                del entries[rng.choice(cells)]
+            elif edit == "add":
+                free = [c for c in itertools.product(range(m), repeat=3) if c not in entries]
+                entries[rng.choice(free)] = rng.choice((-1, 1, 3))
+            else:
+                i, j, k = cell = rng.choice(cells)
+                free = [jj for jj in range(m) if (i, jj, k) not in entries]
+                if not free:
+                    continue
+                entries[(i, rng.choice(free), k)] = entries.pop(cell)
+            edited = replace(tc, tensor=Tensor3(dims, entries))
+            if certify_trivial_signing(edited).passed and strong_matching_bijection_check(edited).passed:
+                passed += 1
+                value = permanent2_bruteforce(matrix)
+                assert (permanent3(edited.tensor), determinant3(edited.tensor)) == (value, value), (matrix, edit)
+        assert passed > 0
 
 
 class TestSignViaProjections:

@@ -745,6 +745,21 @@ class TestTwoMatrixKernels:
         assert list(core.CoverIndex(*unbalanced.matching_problem([("a", "x")])).covers()) == []
 
 
+class TestMatrixShapes:
+    def test_two_matrix_kernels_refuse_a_ragged_matrix(self):
+        with pytest.raises(ToolkitError, match="^permanent needs a square matrix$"):
+            permanent2([[1, 2], [3]])
+        with pytest.raises(ToolkitError, match="^determinant needs a square matrix$"):
+            determinant2([[1, 2], [3]])
+
+    def test_empty_matrix_has_permanent_and_determinant_1(self):
+        assert permanent2([]) == determinant2([]) == 1
+
+    def test_matrix_triple_refuses_a_ragged_matrix(self):
+        with pytest.raises(ToolkitError, match="^ragged matrix$"):
+            RectMatrixTriple.from_rows([[1, 2], [3]], [[1, 2], [3, 4]], [[1, 2], [3, 4]])
+
+
 class TestBinetCauchy:
     def test_one_by_one(self):
         t = RectMatrixTriple.from_rows([[2]], [[3]], [[5]])
@@ -845,6 +860,10 @@ class TestTensorJson:
             Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0]]})
         with pytest.raises(SchemaError):
             Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0, 1.5]]})
+
+    def test_repeated_cell_is_refused(self):
+        with pytest.raises(SchemaError, match=r"^duplicate tensor entry at \(0, 0, 0\)$"):
+            Tensor3.from_doc({"dims": [1, 1, 1], "entries": [[0, 0, 0, 1], [0, 0, 0, 2]]})
 
     @pytest.mark.parametrize(
         "value, message",
