@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ._util import read_array, read_int, read_name
 from .algebra import (
@@ -378,9 +378,10 @@ class CoverIndex:
     uncovered item branches on the item with the fewest live options,
     taking the lowest item index on ties, in ascending option order.
 
-    `_build` is the only search. The first fold, listing or parity span
-    builds its state graph, `graph`, and every later one reads it: `fold`
-    sums it, `covers` walks it and `parity_span` reduces over it. Only
+    `_build` is the only search. The first fold, listing, common sum or
+    parity span builds its state graph, `graph`, and every later one reads
+    it: `fold` sums it, `common_sum` checks that a sum is the same on every
+    cover, `covers` walks it and `parity_span` reduces over it. Only
     callers that return or inspect covers list them; every sum over covers,
     weight polynomials included, is a fold. The root and every new state
     that is no dead end, the full cover too, is a frame on the search's
@@ -401,14 +402,19 @@ class CoverIndex:
     all-ones 9x9x9 (1,091,090 states and arcs); a certificate refused at
     the guard peaks at 273 MB (all-ones 30x30) and 187 MB (16x16). Past
     the guard the build raises `GuardExceeded` and leaves `graph` None, so
-    the next caller builds again and raises again. A listing counts its
-    covers with a fold of ones before the first, and refuses more than
+    the next caller builds again and raises again. A listing reads the
+    cover count before the first cover, and refuses more than
     `COVER_LIST_MAX` (2^19); every listing in kas3 is a `covers` walk. At
     the bound, `perfect_matchings` of 19 disjoint blocks of two matchings
-    (524,288 covers of 38 triangles) takes 1.2 s at a 200 MB peak.
+    (524,288 covers of 38 triangles) takes 1.2 s at a 200 MB peak. The
+    count, `count`, is one fold of ones, made at most once per index and
+    kept: the listing guard, an unsigned count of a tensor's support
+    diagonals and the bijection certificate's matching count all read it.
     """
 
-    __slots__ = ("item_count", "masks", "graph", "tails", "states_visited", "arcs_kept", "_options", "_item_opts")
+    __slots__ = (
+        "item_count", "masks", "graph", "tails", "states_visited", "arcs_kept", "_count", "_options", "_item_opts"
+    )
 
     def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
         bits = len(options) * item_count
@@ -428,6 +434,7 @@ class CoverIndex:
         self.graph: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None
         self.tails: list[tuple[list[int], int]] = []
         self.states_visited = self.arcs_kept = 0
+        self._count: int | None = None
 
     def _graph(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         """The state graph, built by the first search over this index (see `_build`)."""
@@ -435,6 +442,12 @@ class CoverIndex:
             self.graph = self._build()
             self._options = self._item_opts = None  # the search is done
         return self.graph
+
+    def count(self) -> int:
+        """The number of exact covers: a fold of ones, made on first use and kept."""
+        if self._count is None:
+            self._count = self.fold([1] * len(self.masks))
+        return self._count
 
     def covers(self) -> Iterator[list[int]]:
         """Every exact cover, as option indices in the order they were chosen.
@@ -446,7 +459,7 @@ class CoverIndex:
         an explicit stack, so its depth is bounded by memory alone.
         """
         graph = self._graph()
-        count = self.fold([1] * len(self.masks))
+        count = self.count()
         if count > COVER_LIST_MAX:
             raise GuardExceeded(f"cover listing guard is {COVER_LIST_MAX} covers, got {count}")
         tails = self.tails
@@ -669,6 +682,36 @@ class CoverIndex:
             sums.append(1 if total is None else total)
         return sums[-1] if sums else 0
 
+    def common_sum(self, values: Sequence, zero, add: Callable):
+        """The sum by `add` of the chosen options' values, if every exact cover has the same one.
+
+        Returns None when two covers differ, and when there is none. The
+        sum below a state is the same on every cover through it exactly
+        when all its arcs give the same sum below, an arc's sum taking its
+        option, its tail's forced options and its child's sum below; every
+        state of the graph has a cover below it and is reached from the
+        root, so one pass over the graph, in `fold`'s order, decides it and
+        lists no cover. The full cover's sum below is `zero`.
+        """
+        graph = self._graph()
+        tails = self.tails
+        below: list = []
+        for _covered, arcs in graph:
+            common = zero
+            for branch, (oi, at) in enumerate(arcs):
+                total = values[oi]
+                if at < 0:
+                    forced, at = tails[~at]
+                    for f in forced:
+                        total = add(total, values[f])
+                total = add(total, below[at])
+                if not branch:
+                    common = total
+                elif total != common:
+                    return None
+            below.append(common)
+        return below[-1] if below else None
+
     def parity_span(self, signs: Sequence[int]) -> list[int]:
         """The reduced GF(2) echelon basis of the covers' rows (see `algebra._gf2_insert`).
 
@@ -854,7 +897,7 @@ def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[
 def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
     """Number of perfect strong matchings, by a fold over the state graph (nothing is listed)."""
     idx = _vertex_index(config)
-    return CoverIndex(len(config.vertices), idx.tri_vertices).fold([1] * len(idx.tri_vertices))
+    return CoverIndex(len(config.vertices), idx.tri_vertices).count()
 
 
 # -- tripartitions -------------------------------------------------------------

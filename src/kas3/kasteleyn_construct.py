@@ -5,11 +5,14 @@ grows a small vertex gadget, and each support vertex a fan of copy triangles.
 The resulting vertex-adjacency tensor has the same permanent as the matrix,
 its determinant already equals that permanent (no resigning needed), and its
 perfect strong matchings correspond one-to-one to perfect matchings of the
-support graph. Both facts are certified of the tensor by exhaustive search:
-the first by comparing the folded unsigned and signed sums over its support,
-the second by checking its cells are the triangles, then every image against
-the cells' values, and comparing counts. Their folds and their two listings
-meet the cover index's guards, and no other.
+support graph. Both facts are certified of the tensor by folds over
+state graphs: the first by comparing the unsigned and signed sums over its
+support, the second by checking its cells are the triangles, that every
+image is a perfect strong matching (one pass over the support's matching
+graph), that each edge's image carries its matrix value, and that the
+counts agree. A passing certificate lists nothing; a failing one lists
+covers only to name its witness, under the listing guard. The folds meet
+the cover index's mask and graph guards, and no other.
 
 `build_T` writes each value once, into the tensor cell where it names the
 triangle, and takes its vertex classes from its three axes, so it checks no
@@ -217,19 +220,18 @@ def _image_changes(
 
     A chosen edge ei = (i, j) adds tri:edge[ei], tri:left[i,ei] and
     tri:right[j,ei] to an image; an edge left out adds tri:gadget[ei]. A
-    part of an image is summed as `(xor, popcount, missing, value)`: the
-    XOR and summed popcount of its triangles' vertex masks (bit v for each
-    vertex position v in `items_of`), the number of them the configuration
-    lacks, and the product of the values of the cells they occupy, read
-    from `value_at` by items (0 off the cells).
-    Returns the three sums of the image with every edge left out; for each
-    support edge, `(bit, xor, popcount, missing, matrix value, value)`, the
-    change choosing it makes to the edge set and those sums and the weights
-    it adds; and `(bit, value)` of the left-out parts whose value is not 1,
-    the only ones that change an image's value.
+    part of an image is summed as `(xor, popcount, missing)`: the XOR and
+    summed popcount of its triangles' vertex masks (bit v for each vertex
+    position v in `items_of`), and the number of them the configuration
+    lacks; its value is the product of the values of the cells they occupy,
+    read from `value_at` by items (0 off the cells).
+    Returns the sums of the image with every edge left out; for each
+    support edge, the change choosing it makes to those sums, and the value
+    it adds; and `(edge index, value)` of the left-out parts whose value is
+    not 1, the only ones that change an image's value.
     """
 
-    def part(names: Sequence[str]) -> tuple[int, int, int, RingValue]:
+    def part(names: Sequence[str]) -> tuple[tuple[int, int, int], RingValue]:
         xor = popcount = missing = 0
         value: RingValue = 1
         for name in names:
@@ -240,21 +242,57 @@ def _image_changes(
                 xor ^= sum(1 << v for v in items)
                 popcount += len(items)
                 value = value * value_at.get(items, 0)
-        return xor, popcount, missing, value
+        return (xor, popcount, missing), value
 
-    base = [0, 0, 0]
+    base = (0, 0, 0)
     changes = []
+    values = []
     left_out_values = []
     for ei, (i, j) in enumerate(tc.edge_list):
-        on = part((f"tri:edge[{ei}]", f"tri:left[{i},{ei}]", f"tri:right[{j},{ei}]"))
-        off = part((f"tri:gadget[{ei}]",))
-        base[0] ^= off[0]
-        base[1] += off[1]
-        base[2] += off[2]
-        if off[3] != 1:
-            left_out_values.append((1 << ei, off[3]))
-        changes.append((1 << ei, on[0] ^ off[0], on[1] - off[1], on[2] - off[2], tc.matrix[i][j], on[3]))
-    return tuple(base), changes, left_out_values
+        on, on_value = part((f"tri:edge[{ei}]", f"tri:left[{i},{ei}]", f"tri:right[{j},{ei}]"))
+        off, off_value = part((f"tri:gadget[{ei}]",))
+        base = _add_sums(base, off)
+        if off_value != 1:
+            left_out_values.append((ei, off_value))
+        changes.append((on[0] ^ off[0], on[1] - off[1], on[2] - off[2]))
+        values.append(on_value)
+    return base, changes, values, left_out_values
+
+
+def _add_sums(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Two image parts' `(xor, popcount, missing)` sums, summed."""
+    return a[0] ^ b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _first_broken(
+    tc: TConstruction,
+    index: CoverIndex,
+    values: Sequence[RingValue],
+    left_out_values: Sequence[tuple[int, RingValue]],
+) -> tuple[tuple[str, str], ...] | None:
+    """The first support matching, by its sorted pairs of names, whose image
+    weighs other than it does; None when there is none. Lists every cover
+    of `index`, so the listing guard holds before the first."""
+    m, n = tc.m, tc.n
+    names = [(tc.w1[m - 2 * n + i], tc.w2[m - n + j]) for i, j in tc.edge_list]
+    broken = None
+    for cover in index.covers():
+        chosen = 0
+        weight_graph: RingValue = 1
+        weight_config: RingValue = 1
+        for ei in cover:
+            i, j = tc.edge_list[ei]
+            chosen |= 1 << ei
+            weight_graph = weight_graph * tc.matrix[i][j]
+            weight_config = weight_config * values[ei]
+        for ei, value in left_out_values:
+            if not chosen >> ei & 1:
+                weight_config = weight_config * value
+        if weight_graph != weight_config:
+            named = tuple(sorted(names[ei] for ei in cover))
+            if broken is None or named < broken:
+                broken = named
+    return broken
 
 
 def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> BijectionReport:
@@ -266,24 +304,30 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     the side-m tensor does. The cells must be the triangles: the vertex set
     is the axes, the tensor m x m x m, and the cells, as items, the
     triangles' item triples. The two cover problems are then one, and the
-    strong matchings are counted as the tensor's indicator fold. Each
-    perfect matching of the support graph, walked as an exact cover by
-    indices into `tc.edge_list` (edge (i, j) holds items i and n + j), maps
-    to an image that must be a perfect strong matching: with every triangle
-    present, the XOR of its vertex masks is the full mask and their popcount
-    sum the vertex count. The map is injective, so with equal counts the
-    images are the strong matchings. An image weighs the product of its
-    triangles' cell values, which must be its edges' matrix value product;
-    the first failing matching is named by its sorted pairs of the axes'
-    v(1,i) and v(2,j) vertices, `w1[m - 2n + i]` and `w2[m - n + j]`. A
-    configuration with an edge without ends is refused. The walk is held to
-    the listing guard before any matching is listed. `threads` is ignored,
-    kept so that existing callers keep working.
+    strong matchings are counted as the tensor's indicator fold. The
+    perfect matchings of the support graph are the exact covers of
+    `CoverIndex(2n, [(i, n + j) for i, j in tc.edge_list])`, counted by
+    that index's fold of ones. Each maps to an image that must be a perfect
+    strong matching: with every triangle present, the XOR of its vertex
+    masks is the full mask and their popcount sum the vertex count. Those
+    three sums are added along a cover, so one pass over the index's state
+    graph (`CoverIndex.common_sum`) finds whether every image has the same
+    ones, and which, and lists no matching. The map is injective, so with
+    equal counts the images are the strong matchings.
+
+    An image weighs the product of its triangles' cell values, which must
+    be its edges' matrix value product. When every support edge's image
+    value is its matrix entry and every left-out gadget value is 1, every
+    image does, and no matching is listed. Otherwise the matchings are
+    walked, under the listing guard, and the first failing one is named by
+    its sorted pairs of the axes' v(1,i) and v(2,j) vertices, `w1[m - 2n +
+    i]` and `w2[m - n + j]`. A configuration with an edge without ends is
+    refused. `threads` is ignored, kept so that existing callers keep
+    working.
     """
     config, m, n = tc.config, tc.m, tc.n
     if not config.has_full_vertex_data:
         raise ToolkitError("perfect strong matchings need vertex data on every edge")
-    names = [(tc.w1[m - 2 * n + i], tc.w2[m - n + j]) for i, j in tc.edge_list]
     axes = tc.w0 + tc.w1 + tc.w2
     position, off = {v: p for p, v in enumerate(axes)}, 3 * m
     items_of = {
@@ -295,37 +339,19 @@ def strong_matching_bijection_check(tc: TConstruction, threads: int = 1) -> Bije
     if not (own and tc.tensor.dims == (m, m, m) and sorted(items_of.values()) == sorted(value_at)):
         problems.append("the tensor's cells are not the configuration's triangles")
     strong = support_sum(tc.tensor, indicator=True)
-    base, changes, left_out_values = _image_changes(tc, items_of, value_at)
+    base, changes, values, left_out_values = _image_changes(tc, items_of, value_at)
+    index = CoverIndex(2 * n, [(i, n + j) for i, j in tc.edge_list])
+    graph_matchings = index.count()
     vertex_count = len(config.vertices)
-    full = (1 << vertex_count) - 1
-    graph_matchings = 0
-    all_strong = True
-    broken = None  # the first matching, by names, whose weights disagree
-    for cover in CoverIndex(2 * n, [(i, n + j) for i, j in tc.edge_list]).covers():
-        graph_matchings += 1
-        key = 0
-        xor, popcount, missing = base
-        weight_graph: RingValue = 1
-        weight_config: RingValue = 1
-        for ei in cover:
-            bit, part_xor, part_popcount, part_missing, matrix_value, value = changes[ei]
-            key |= bit
-            xor ^= part_xor
-            popcount += part_popcount
-            missing += part_missing
-            weight_graph = weight_graph * matrix_value
-            weight_config = weight_config * value
-        for bit, value in left_out_values:
-            if not key & bit:
-                weight_config = weight_config * value
-        if missing or xor != full or popcount != vertex_count:
-            all_strong = False
-        if weight_graph != weight_config:
-            named = tuple(sorted(names[ei] for ei in cover))
-            if broken is None or named < broken:
-                broken = named
+    below = index.common_sum(changes, (0, 0, 0), _add_sums)
+    exact = ((1 << vertex_count) - 1, vertex_count, 0)  # each vertex once, no triangle missing
+    all_strong = not graph_matchings or below is not None and _add_sums(base, below) == exact
     if graph_matchings != strong or not all_strong:
         problems.append(f"image set differs from the {strong} enumerated strong matchings")
+    weights_agree = not left_out_values and all(
+        value == tc.matrix[i][j] for value, (i, j) in zip(values, tc.edge_list)
+    )
+    broken = None if weights_agree else _first_broken(tc, index, values, left_out_values)
     if broken is not None:
         problems.append(f"weights disagree on {broken}")
     return BijectionReport(

@@ -263,7 +263,8 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     """Sum over support diagonals of the product of their entries.
 
     With `indicator` every nonzero entry counts as 1, so the unsigned sum is
-    the number of support diagonals.
+    the number of support diagonals: the index's cover count
+    (`core.CoverIndex.count`), folded at most once per tensor.
 
     With `signed`, each term carries sign(sigma1) * sign(sigma2). That sign
     is the parity of the permutation j -> k, and placing cell (i, j, k)
@@ -282,6 +283,8 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     if not support:
         return 0
     cells, index = support
+    if indicator and not signed:
+        return index.count()
     values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
     signs = None
     if signed:
@@ -444,33 +447,34 @@ def check_ryser_side(side: int, name: str = "n") -> None:
 
 
 def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
-    """Ryser inclusion-exclusion with Gray-code column updates; n <= 20."""
+    """Ryser inclusion-exclusion with Gray-code column updates; n <= 20.
+
+    Each column's nonzero entries are listed once, as `(row, value)`, and a
+    Gray step updates only the row sums of its column's nonzero rows. Step
+    k flips the column at k's lowest set bit, and leaves a set of columns
+    whose size has the parity of k.
+    """
     n = len(matrix)
     if n == 0:
         return 1
     if any(len(row) != n for row in matrix):
         raise ToolkitError("permanent needs a square matrix")
     check_ryser_side(n)
+    columns = [[(i, value) for i, value in enumerate(column) if value] for column in zip(*matrix)]
     row_sums: list[RingValue] = [0] * n
     total: RingValue = 0
-    prev_gray = 0
+    gray = 0
     for counter in range(1, 1 << n):
-        gray = counter ^ (counter >> 1)
-        diff = gray ^ prev_gray
-        col = diff.bit_length() - 1
-        if gray & diff:
-            for i in range(n):
-                row_sums[i] = row_sums[i] + matrix[i][col]
+        low = counter & -counter
+        gray ^= low
+        if gray & low:
+            for i, value in columns[low.bit_length() - 1]:
+                row_sums[i] = row_sums[i] + value
         else:
-            for i in range(n):
-                row_sums[i] = row_sums[i] - matrix[i][col]
-        prev_gray = gray
-        product: RingValue = 1
-        for value in row_sums:
-            product = product * value
-            if not product:
-                break
-        if gray.bit_count() & 1:
+            for i, value in columns[low.bit_length() - 1]:
+                row_sums[i] = row_sums[i] - value
+        product = math.prod(row_sums)
+        if counter & 1:
             total = total - product
         else:
             total = total + product

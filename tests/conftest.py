@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's search paths: matchings are
 filtered from full subset enumeration, permanents and determinants come from
 the n! definitions, Pfaffian signings from trying every sign pattern, cycle
 spaces from trying every triangle weighting, the matrix-to-tensor
-construction's cells from its triangles' vertices, and the dimer counts of
+construction's cells from its triangles' vertices, its bijection
+certificate from the permutations of its support, and the dimer counts of
 1 x 2 x n and 2 x 2 x n boxes from their transfer recurrences.
 """
 
@@ -312,6 +313,52 @@ def with_cell_values(tc, values):
     entries = dict(tc.tensor.entries)
     entries.update({triangle_cell(tc, t): v for t, v in values.items()})
     return replace(tc, tensor=Tensor3(tc.tensor.dims, entries))
+
+
+def bijection_report_by_listing(tc):
+    """`(passed, graph_matchings, strong_matchings, detail)` of the bijection
+    certificate of a `build_T` construction whose configuration is its own,
+    by listing.
+
+    The support's matchings come from the permutations of range(n) whose
+    pairs are all support edges, and each image by triangle name: for a
+    chosen edge ei = (i, j), tri:edge[ei], tri:left[i,ei] and
+    tri:right[j,ei], and tri:gadget[ei] for an edge left out. An image
+    must be present, pairwise vertex-disjoint and cover every vertex, and
+    weigh, by the tensor's values at its triangles' `triangle_cell`s, what
+    its matching weighs in the matrix. The strong matchings are counted by
+    `support_diagonals_by_rows`. No cover index is used.
+    """
+    config, n, m = tc.config, tc.n, tc.m
+    axes = tc.w0 + tc.w1 + tc.w2
+    cells = sorted(triangle_cell(tc, t) for t in config.triangle_ids)
+    problems = []
+    if not (config.vertices == set(axes) and tc.tensor.dims == (m, m, m) and cells == sorted(tc.tensor.entries)):
+        problems.append("the tensor's cells are not the configuration's triangles")
+    strong = len(support_diagonals_by_rows(tc.tensor))
+    edge_index = {edge: ei for ei, edge in enumerate(tc.edge_list)}
+    matchings = [p for p in itertools.permutations(range(n)) if all((i, p[i]) in edge_index for i in range(n))]
+    all_strong = True
+    broken = []
+    for perm in matchings:
+        chosen = {edge_index[(i, perm[i])] for i in range(n)}
+        image = []
+        for ei, (i, j) in enumerate(tc.edge_list):
+            image += [f"tri:edge[{ei}]", f"tri:left[{i},{ei}]", f"tri:right[{j},{ei}]"] if ei in chosen \
+                else [f"tri:gadget[{ei}]"]
+        covered = [v for t in image if config.has_triangle(t) for v in config.triangle_vertices(t)]
+        if not all(map(config.has_triangle, image)) or len(covered) != len(set(covered)) \
+                or set(covered) != config.vertices:
+            all_strong = False
+        weight_graph = math.prod(tc.matrix[i][perm[i]] for i in range(n))
+        weight_config = math.prod(tc.tensor.entries.get(triangle_cell(tc, t), 0) for t in image)
+        if weight_graph != weight_config:
+            broken.append(tuple(sorted((f"v(1,{i})", f"v(2,{perm[i]})") for i in range(n))))
+    if len(matchings) != strong or not all_strong:
+        problems.append(f"image set differs from the {strong} enumerated strong matchings")
+    if broken:
+        problems.append(f"weights disagree on {min(broken)}")
+    return not problems, len(matchings), strong, "; ".join(problems)
 
 
 def brute_force_kernel_enumerator(config, p):

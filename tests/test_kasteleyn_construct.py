@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    bijection_report_by_listing,
     brute_force_strong_matchings,
     construction_tensor,
     dimers_2x2xn,
@@ -301,13 +302,22 @@ class TestCertifications:
 
         monkeypatch.setattr(kc, "CoverIndex", Recording)
         tc = build_T([[1] * 3] * 3)
+        tampered = with_cell_values(tc, {"tri:edge[0]": 7})
         monkeypatch.setattr(core, "COVER_LIST_MAX", 5)
+        # a tampered value sends the check to the walk that names the broken
+        # matching, and the listing guard refuses that walk before its first cover
         with pytest.raises(GuardExceeded, match="^cover listing guard is 5 covers, got 6$"):
-            strong_matching_bijection_check(tc)
+            strong_matching_bijection_check(tampered)
         assert listed == []
-        monkeypatch.setattr(core, "COVER_LIST_MAX", 6)
+        # the genuine construction is certified by folds alone, so the guard never meets it
         report = strong_matching_bijection_check(tc)
         assert (report.passed, report.graph_matchings, report.strong_matchings) == (True, 6, 6)
+        assert listed == []
+        monkeypatch.setattr(core, "COVER_LIST_MAX", 6)
+        report = strong_matching_bijection_check(tampered)
+        assert (report.passed, report.graph_matchings, report.strong_matchings) == (False, 6, 6)
+        assert report.detail == \
+            "weights disagree on (('v(1,0)', 'v(2,0)'), ('v(1,1)', 'v(2,1)'), ('v(1,2)', 'v(2,2)'))"
         assert len(listed) == 6
 
     def test_certificates_past_side_64(self):
@@ -379,6 +389,28 @@ class TestSearchWork:
         assert work(lambda: certify_trivial_signing(tc)) == (0, 0)
         assert work(lambda: strong_matching_bijection_check(tc)) == (1, 69)  # graph matchings only
 
+    def test_the_tensor_index_folds_its_count_once(self, monkeypatch):
+        from kas3.core import CoverIndex
+        from kas3.tensor3 import _support, support_sum
+
+        folds = []
+        fold = CoverIndex.fold
+
+        def recording(self, values, signs=None):
+            folds.append((self, "signed" if signs else "count" if all(v == 1 for v in values) else "values"))
+            return fold(self, values, signs)
+
+        monkeypatch.setattr(CoverIndex, "fold", recording)
+        tc = build_T([[1] * 5] * 5)
+        assert certify_trivial_signing(tc).passed
+        assert strong_matching_bijection_check(tc).passed
+        assert support_sum(tc.tensor, indicator=True) == 120
+        _cells, index = _support(tc.tensor)
+        # the signing's count, the bijection's strong count and the last call read one fold
+        assert [kind for at, kind in folds if at is index] == ["count", "signed"]
+        # and the support's matchings, a second index, are counted by one fold too
+        assert [kind for at, kind in folds if at is not index] == ["count"]
+
     def test_each_tensor_works_out_its_support_once(self, monkeypatch):
         from dataclasses import replace
 
@@ -401,6 +433,60 @@ class TestSearchWork:
         failing = certify_trivial_signing(replace(tc, tensor=ones))  # folds, then the witness walk
         assert (failing.passed, failing.contributing_pairs, failing.witness) == (False, 4, ((0, 1), (1, 0)))
         assert [id(t) for t in worked_out] == [id(tc.tensor), id(ones)]
+
+
+class TestBijectionByListing:
+    """The certificate, which folds, against an oracle that lists every matching."""
+
+    TAMPERS = ("none", "value", "drop", "add", "move", "gadget", "swap")
+
+    @staticmethod
+    def tampered(rng, tamper):
+        from dataclasses import replace
+
+        from kas3.tensor3 import Tensor3
+
+        n = rng.randint(0, 4)
+        density = rng.random()
+        matrix = [[rng.choice([-2, -1, 1, 2, 3]) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        tc = build_T(matrix)
+        entries = dict(tc.tensor.entries)
+        cells, m = sorted(entries), tc.m
+        if tamper == "value" and cells:
+            entries[rng.choice(cells)] = rng.choice([-1, 2, 5])
+        elif tamper == "drop" and cells:
+            del entries[rng.choice(cells)]
+        elif tamper == "add" and m:
+            entries[(rng.randrange(m), rng.randrange(m), rng.randrange(m))] = 1
+        elif tamper == "move" and cells:
+            value = entries.pop(rng.choice(cells))
+            entries[(rng.randrange(m), rng.randrange(m), rng.randrange(m))] = value
+        elif tamper == "gadget" and tc.edge_list:
+            ei = rng.randrange(len(tc.edge_list))
+            entries[(ei, ei, ei)] = -1
+        elif tamper == "swap" and cells:
+            # two triangles trade names: the cells stay the triangles, but an image may cover a vertex twice
+            triangles = {t: tc.config.triangle_edges(t) for t in tc.config.triangle_ids}
+            a, b = rng.sample(sorted(triangles), 2)
+            triangles[a], triangles[b] = triangles[b], triangles[a]
+            tc = with_triangles(tc, triangles)
+        return replace(tc, tensor=Tensor3(tc.tensor.dims, entries))
+
+    def test_reports_equal_the_listing_oracle(self):
+        rng = random.Random(2929)
+        outcomes = set()
+        for case in range(490):
+            tamper = self.TAMPERS[case % len(self.TAMPERS)]
+            tc = self.tampered(rng, tamper)
+            report = strong_matching_bijection_check(tc)
+            expected = bijection_report_by_listing(tc)
+            assert (report.passed, report.graph_matchings, report.strong_matchings, report.detail) == expected, (
+                tamper, tc.matrix, dict(tc.tensor.entries)
+            )
+            outcomes.add((tamper, tc.n == 0, report.passed))
+        # every tamper both passed and failed somewhere, and n = 0 was met
+        assert {(t, p) for t, _empty, p in outcomes} >= {(t, False) for t in self.TAMPERS[1:]} | {("none", True)}
+        assert any(empty for _t, empty, _p in outcomes)
 
 
 class TestCellsAreTheTriangles:

@@ -708,6 +708,20 @@ class TestTwoMatrixKernels:
             m = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
             assert permanent2(m) == permanent2_bruteforce(m)
 
+    def test_sparse_ryser_matches_bruteforce(self):
+        # Gray steps update only a column's nonzero rows: sparse, dense, and
+        # matrices with a zero column (permanent 0), of every side up to 8
+        rng = random.Random(29)
+        for n in range(9):
+            sparse = [[rng.choice([-2, -1, 1, 3]) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+            dense = [[rng.choice([-2, -1, 1, 3]) for _ in range(n)] for _ in range(n)]
+            column = rng.randrange(n) if n else 0
+            zero_column = [[0 if c == column else v for c, v in enumerate(row)] for row in dense]
+            for matrix in (sparse, dense, zero_column):
+                assert permanent2(matrix) == permanent2_bruteforce(matrix), matrix
+            assert permanent2(zero_column) == (0 if n else 1)
+        assert permanent2([[Fraction(1, 2), 0], [3, Fraction(2, 3)]]) == Fraction(1, 3)
+
     def test_permanent2_guard(self):
         with pytest.raises(GuardExceeded):
             permanent2([[1] * 21 for _ in range(21)])
