@@ -17,7 +17,7 @@ def read_int(value, field: str) -> int:
     """The integer a document gives for `field`, or SchemaError naming the field.
 
     A bool or a float is refused rather than truncated, so 1.5 and true are
-    not read as 1; anything else goes through `int`, as before.
+    not read as 1; anything else goes through `int`.
     """
     if not isinstance(value, (bool, float)):
         try:

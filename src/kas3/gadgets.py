@@ -7,11 +7,14 @@ Nothing downstream relies on their particular shape: each carries a
 certification suite that re-proves the required matching and tripartition
 properties by exhaustive enumeration, and any construction passing the
 suite would do. One routine, `_glue`, does all gluing: it builds the
-linking block from its pieces and glues each block into the reduction.
+linking block from its pieces, and `link_by_mtt` and `tripartite_reduction`
+call it straight to glue the linking block onto three end triples.
 It works from a form of each reference block compiled once (`_compile`),
 with names by slot and suffix and triangle edges and matchings in sorted
 slot order, so a block costs string concatenations and no sort. The
-configurations it builds are stored as built (`TriangularConfiguration._make`).
+reduction reads a block's triangles, matchings and interior classes from
+the names `_glue` returns, by the template's slots. The configurations it
+builds are stored as built (`TriangularConfiguration._make`).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     TriangularConfiguration,
@@ -127,20 +130,23 @@ def _tripartition_checks(
     return checks
 
 
-def _finish(kind: str, gadget: Gadget, checks: list[CheckResult]) -> Gadget:
+def _finish(
+    kind: str, gadget: Gadget, suite: Callable[[Gadget], list[CheckResult]], certify: bool
+) -> Gadget:
+    """`gadget` as built, or with `certify` the gadget carrying `suite`'s checks.
+
+    A failed check raises `CertificationError` naming every failed check.
+    """
+    if not certify:
+        return gadget
+    checks = suite(gadget)
     failed = [c for c in checks if not c.passed]
     if failed:
         raise CertificationError(
             f"{kind} failed certification: "
             + "; ".join(f"{c.name}: {c.detail}" for c in failed)
         )
-    return Gadget(
-        config=gadget.config,
-        ends=gadget.ends,
-        matchings=gadget.matchings,
-        edge_classes=gadget.edge_classes,
-        certificate=tuple(checks),
-    )
+    return replace(gadget, certificate=tuple(checks))
 
 
 # -- tunnel ---------------------------------------------------------------------
@@ -205,10 +211,7 @@ def certify_tunnel(gadget: Gadget) -> list[CheckResult]:
 
 
 def make_tunnel(certify: bool = True) -> Gadget:
-    gadget = _tunnel_uncertified()
-    if not certify:
-        return gadget
-    return _finish("tunnel", gadget, certify_tunnel(gadget))
+    return _finish("tunnel", _tunnel_uncertified(), certify_tunnel, certify)
 
 
 # -- five-triangle sphere piece ----------------------------------------------------
@@ -264,10 +267,7 @@ def certify_s5(gadget: Gadget) -> list[CheckResult]:
             f"found {len(full_defect)} matchings with defect on all nine end edges",
         )
     )
-    pins: dict[str, int] = {}
-    for cls, triple in enumerate(gadget.ends, start=1):
-        for e in triple:
-            pins[e] = cls
+    pins = {e: cls for cls, triple in enumerate(gadget.ends, start=1) for e in triple}
     checks.extend(
         _tripartition_checks(gadget, pins, "tripartite_with_ends_in_distinct_classes")
     )
@@ -275,10 +275,7 @@ def certify_s5(gadget: Gadget) -> list[CheckResult]:
 
 
 def make_s5(certify: bool = True) -> Gadget:
-    gadget = _s5_uncertified()
-    if not certify:
-        return gadget
-    return _finish("s5", gadget, certify_s5(gadget))
+    return _finish("s5", _s5_uncertified(), certify_s5, certify)
 
 
 # -- matching triangular triangle ---------------------------------------------------
@@ -421,10 +418,7 @@ def certify_mtt(gadget: Gadget) -> list[CheckResult]:
             "defects inside the outer edges are exactly the empty set and all nine",
         )
     )
-    pins: dict[str, int] = {}
-    for cls, triple in enumerate(gadget.ends, start=1):
-        for e in triple:
-            pins[e] = cls
+    pins = {e: cls for cls, triple in enumerate(gadget.ends, start=1) for e in triple}
     checks.extend(
         _tripartition_checks(gadget, pins, "tripartite_with_pinned_end_classes")
     )
@@ -432,10 +426,7 @@ def certify_mtt(gadget: Gadget) -> list[CheckResult]:
 
 
 def make_matching_triangular_triangle(certify: bool = True) -> Gadget:
-    gadget = _mtt_uncertified()
-    if not certify:
-        return gadget
-    return _finish("matching triangular triangle", gadget, certify_mtt(gadget))
+    return _finish("matching triangular triangle", _mtt_uncertified(), certify_mtt, certify)
 
 
 @functools.cache
@@ -446,36 +437,17 @@ def _reference_mtt() -> _Template:
 # -- linking and reduction ------------------------------------------------------------
 
 
+# `_glue`'s prefix for the own edges and the triangles of a linking block onto triangles t1, t2, t3
+_BLOCK_PREFIX = "mtt[{}|{}|{}]"
+
+
 @dataclass(frozen=True)
 class MttBlock:
-    """One linking block instance inside a larger configuration."""
+    """The perfect matching `m1` and the all-ends-defect matching `m0` of one
+    linking block that `tripartite_reduction` glued, by name in the result."""
 
-    triangles: tuple[str, ...]
     m1: tuple[str, ...]
     m0: tuple[str, ...]
-    interior_edge_classes: dict[str, int]
-
-
-def _add_block(
-    edges: dict[str, tuple[str, str] | None],
-    triangles: dict[str, tuple[str, ...]],
-    targets: tuple[str, str, str],
-    triples: list[tuple[str, ...]],
-) -> MttBlock:
-    """Glue a fresh linking block onto the three end triples and record its matchings.
-
-    The block's other edges and its triangles get the prefix
-    `mtt[t1|t2|t3]:`; `_glue` does the gluing.
-    """
-    ref = _reference_mtt()
-    prefix = f"mtt[{targets[0]}|{targets[1]}|{targets[2]}]"
-    names, triangle_names = _glue(edges, triangles, ref, prefix, triples)
-    return MttBlock(
-        triangles=tuple(triangle_names),
-        m1=tuple(triangle_names[s] for s in ref.matchings["perfect"]),
-        m0=tuple(triangle_names[s] for s in ref.matchings["all_ends_defect"]),
-        interior_edge_classes={names[s]: cls for s, cls in ref.interior_classes},
-    )
 
 
 def link_by_mtt(
@@ -498,7 +470,7 @@ def link_by_mtt(
                 )
     edges = {e: config.edge_ends(e) for e in config.edge_ids}
     triangles = {t: config.triangle_edges(t) for t in config.triangle_ids}
-    _add_block(edges, triangles, targets, triples)
+    _glue(edges, triangles, _reference_mtt(), _BLOCK_PREFIX.format(*targets), triples)
     # the block's edges have no ends, so the vertices stay the source's
     return TriangularConfiguration._make(edges, triangles, config.vertices)
 
@@ -564,21 +536,18 @@ def tripartite_reduction(
     triangles: dict[str, tuple[str, ...]] = {}
     blocks: dict[str, MttBlock] = {}
     weights: dict[str, int] = {}
+    ref = _reference_mtt()
     for t in config.triangle_ids:
         tri = config.triangle_edges(t)
         triples = [tuple(f"c{i}:{e}" for e in tri) for i in (1, 2, 3)]
-        blocks[t] = block = _add_block(edges, triangles, (f"c1:{t}", f"c2:{t}", f"c3:{t}"), triples)
-        weights.update(dict.fromkeys(block.triangles, 0))
-        weights[block.m1[0]] = operator.index(weighting.get(t, 1)) if weighting is not None else 1
-        classes.update(block.interior_edge_classes)
+        prefix = _BLOCK_PREFIX.format(f"c1:{t}", f"c2:{t}", f"c3:{t}")
+        names, triangle_names = _glue(edges, triangles, ref, prefix, triples)
+        m1 = tuple(triangle_names[s] for s in ref.matchings["perfect"])
+        blocks[t] = MttBlock(m1, tuple(triangle_names[s] for s in ref.matchings["all_ends_defect"]))
+        weights.update(dict.fromkeys(triangle_names, 0))
+        weights[m1[0]] = operator.index(weighting.get(t, 1)) if weighting is not None else 1
+        classes.update({names[s]: cls for s, cls in ref.interior_classes})
     # every triangle is a block's, with its edges sorted by `_glue`; no edge has ends
     work = TriangularConfiguration._make(edges, triangles)
-
-    return ReductionResult(
-        source=config,
-        config=work,
-        weighting=weights,
-        edge_classes=classes,
-        blocks=blocks,
-    )
+    return ReductionResult(source=config, config=work, weighting=weights, edge_classes=classes, blocks=blocks)
 

@@ -22,6 +22,7 @@ matching is listed.
 the resignings, the contractions and `build_T` make tensors whose cells
 they have already made valid, through `Tensor3._make`. `vertex_adjacency`
 holds values its caller gives, so it builds through `Tensor3(...)`, which
+refuses a value that is not an int, a `Fraction` or a `Polynomial` and
 drops the zero ones.
 """
 
@@ -37,7 +38,7 @@ from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._util import int_text, read_array, read_int
-from .algebra import Polynomial, _gf2_insert
+from .algebra import Polynomial
 from .core import (
     CoverIndex,
     TriangularConfiguration,
@@ -58,7 +59,9 @@ class Tensor3:
     `entries` is a read-only view of the nonzero cells: to change an entry,
     build a new `Tensor3`. `_support` keeps the support once it is worked
     out (see `_support`). The constructor checks the dims and every cell it
-    is given; kas3's builders make their tensors with `_make`, which stores
+    is given, and refuses a value that is not an int (a bool does not
+    count), a `Fraction` or a `Polynomial` instead of storing it or dropping
+    it as zero; kas3's builders make their tensors with `_make`, which stores
     cells they have already made valid.
     """
 
@@ -73,6 +76,8 @@ class Tensor3:
             i, j, k = operator.index(i), operator.index(j), operator.index(k)
             if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1] and 0 <= k < self.dims[2]):
                 raise ToolkitError(f"entry index ({i},{j},{k}) outside dims {self.dims}")
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction, Polynomial)):
+                raise ToolkitError(f"entry ({i},{j},{k}) holds {value!r}, not an int, Fraction or Polynomial")
             if value:
                 clean[(i, j, k)] = value
         self.entries: Mapping[tuple[int, int, int], RingValue] = MappingProxyType(clean)
@@ -394,7 +399,7 @@ def vertex_adjacency(
         raise ToolkitError("invalid vertex tripartition: " + "; ".join(problems))
     orders = _split_by_class(sorted(config.vertices), vertex_classes)
     triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
-    # the caller's values: the public constructor drops the zero ones
+    # the caller's values: the public constructor refuses inexact ones and drops the zero ones
     return Tensor3(*_adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1)), orders
 
 

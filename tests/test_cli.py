@@ -218,6 +218,23 @@ class TestErrors:
             1, canonical_json({"error": {"type": "operation", "message": "fold modulus must be positive, got 0"}}) + "\n"
         )
 
+    def test_repeated_edge_id_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "edges": [{"id": "a"}, {"id": "a"}, {"id": "b"}, {"id": "c"}],
+            "triangles": [{"id": "t", "edges": ["a", "b", "c"]}],
+        }))
+        assert invoke(capsys, "reduce", str(path)) == (
+            2, canonical_json({"error": {"type": "schema", "message": "duplicate edge id 'a'"}}) + "\n"
+        )
+
+    def test_negative_code_length_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({"k": 0, "n": -1, "rows": []}))
+        assert invoke(capsys, "code", "wenum", str(path)) == (
+            1, canonical_json({"error": {"type": "operation", "message": "code length must be non-negative"}}) + "\n"
+        )
+
     def test_code_file_that_is_not_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "code.json"
         path.write_text("{nope")

@@ -1281,6 +1281,14 @@ class TestJsonDocs:
         assert config.to_doc() == doc
         assert TriangularConfiguration.from_doc(config.to_doc()) == config
 
+    def test_repeated_edge_id_is_refused(self):
+        doc = {
+            "edges": [{"id": "a"}, {"id": "a"}, {"id": "b"}, {"id": "c"}],
+            "triangles": [{"id": "t", "edges": ["a", "b", "c"]}],
+        }
+        with pytest.raises(SchemaError, match="^duplicate edge id 'a'$"):
+            parse_config_doc(doc)
+
     def test_repeated_triangle_id_is_refused(self):
         doc = {
             "edges": [{"id": e} for e in "abc"],

@@ -1,6 +1,7 @@
 """Cubic lattices, dimer pipelines and the geometric realization."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import dimers_1x2xn, dimers_2x2xn, permanent2_bruteforce
 import kas3.core as core
 import kas3.lattice as lattice
 from kas3.algebra import Polynomial
+from kas3.core import TriangularConfiguration
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
     GRID,
@@ -203,6 +205,16 @@ class TestEmbedding:
         # w(0,e0) and w(1,e0) sit symmetrically about the midpoint
         problems = self.tampered("w(2,e0)", lambda mid: mid)
         assert problems == ["triangle 'tri:gadget[0]' is degenerate"]
+
+    def test_triangle_without_vertices_is_reported(self):
+        # a triangle over three edges that have no ends
+        emb = embed_T(cubic_lattice(2, 2, 2))
+        config = emb.construction.config
+        edges = {e: config.edge_ends(e) for e in config.edge_ids} | dict.fromkeys(["x", "y", "z"])
+        triangles = {t: config.triangle_edges(t) for t in config.triangle_ids} | {"bare": ("x", "y", "z")}
+        bare = TriangularConfiguration(edges, triangles, config.vertices)
+        emb = replace(emb, construction=replace(emb.construction, config=bare))
+        assert check_embedding(emb) == ["triangle 'bare' lacks three vertices"]
 
     @pytest.mark.parametrize(
         "point",

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -934,3 +935,49 @@ def _one_triangle():
 def test_non_integer_numbers_are_refused_not_truncated(call):
     with pytest.raises(TypeError):
         call()
+
+
+def _two_vertex_triangles():
+    """Triangles t1 on u1, v1, w1 and t2 on u2, v2, w2: cells (0, 0, 0) and (1, 1, 1)."""
+    edges = {}
+    for n in (1, 2):
+        edges.update({f"uv{n}": (f"u{n}", f"v{n}"), f"vw{n}": (f"v{n}", f"w{n}"), f"wu{n}": (f"w{n}", f"u{n}")})
+    return TriangularConfiguration(edges, {f"t{n}": (f"uv{n}", f"vw{n}", f"wu{n}") for n in (1, 2)})
+
+
+# each builds the 2x2x2 tensor holding `value` at cells (0, 0, 0) and (1, 1, 1)
+VALUE_ENTRY_POINTS = {
+    "Tensor3": lambda value: Tensor3((2, 2, 2), {(0, 0, 0): value, (1, 1, 1): value}),
+    "vertex_adjacency": lambda value: vertex_adjacency(
+        _two_vertex_triangles(),
+        {f"{x}{n}": c for c, x in enumerate("uvw", 1) for n in (1, 2)},
+        {"t1": value, "t2": value},
+    )[0],
+}
+
+
+@pytest.mark.parametrize("entry", VALUE_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [1.5, 2j, "ab", True, None, 0.0], ids=repr)
+def test_inexact_values_are_refused(entry, value):
+    message = f"entry (0,0,0) holds {value!r}, not an int, Fraction or Polynomial"
+    with pytest.raises(ToolkitError, match=f"^{re.escape(message)}$"):
+        VALUE_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", VALUE_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "value, square",
+    [(3, 9), (-2, 4), (Fraction(3, 2), Fraction(9, 4)), (Polynomial({1: 2}), Polynomial({2: 4}))],
+    ids=repr,
+)
+def test_exact_values_keep_their_permanent_and_determinant(entry, value, square):
+    tensor = VALUE_ENTRY_POINTS[entry](value)
+    assert tensor.dims == (2, 2, 2) and tensor.entries == {(0, 0, 0): value, (1, 1, 1): value}
+    per, det = permanent3(tensor), determinant3(tensor)
+    assert per == det == square and type(per) is type(det) is type(square)
+
+
+@pytest.mark.parametrize("entry", VALUE_ENTRY_POINTS)
+@pytest.mark.parametrize("zero", [0, Fraction(0), Polynomial({})], ids=repr)
+def test_exact_zero_values_are_dropped(entry, zero):
+    assert VALUE_ENTRY_POINTS[entry](zero).entries == {}
