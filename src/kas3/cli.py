@@ -313,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--certify", action="store_true")
     pb.set_defaults(func=_cmd_kasteleyn_build)
 
-    p = sub.add_parser("sign-k1", parents=[common], help="resign via projection-graph signings")
+    p = sub.add_parser(
+        "sign-k1",
+        parents=[common],
+        help='resign via projection-graph signings; a sufficient test: "not certified" does not mean "not Kasteleyn"',
+    )
     p.add_argument("tensor")
     p.set_defaults(func=_cmd_sign_k1)
 

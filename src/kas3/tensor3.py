@@ -53,6 +53,29 @@ BINET_CAUCHY_MAX_SUBSETS = 100_000
 RingValue = int | Fraction | Polynomial
 
 
+_RING_KINDS = (int, Fraction, Polynomial)
+_FIELD_KINDS = (int, Fraction)
+_KIND_NAMES = {_RING_KINDS: "an int, Fraction or Polynomial", _FIELD_KINDS: "an int or Fraction"}
+
+
+def _check_exact(value: object, cell: tuple[int, ...], name: str = "entry", kinds: tuple = _RING_KINDS) -> None:
+    """Refuse `value` unless it is one of `kinds` (a bool is not an int); the
+    error names it as `name` at `cell`."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        where = ",".join(map(str, cell))
+        raise ToolkitError(f"{name} ({where}) holds {value!r}, not {_KIND_NAMES[kinds]}")
+
+
+def _check_matrix(matrix: Sequence[Sequence[object]], kinds: tuple, name: str = "cell") -> None:
+    """`_check_exact` on every cell, reading each distinct cell type once when all pass."""
+    types = set(map(type, itertools.chain.from_iterable(matrix)))
+    if all(issubclass(t, kinds) and not issubclass(t, bool) for t in types):
+        return
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            _check_exact(value, (i, j), name, kinds)
+
+
 class Tensor3:
     """Sparse n1 x n2 x n3 array over exact ring values; absent entries are zero.
 
@@ -76,8 +99,7 @@ class Tensor3:
             i, j, k = operator.index(i), operator.index(j), operator.index(k)
             if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1] and 0 <= k < self.dims[2]):
                 raise ToolkitError(f"entry index ({i},{j},{k}) outside dims {self.dims}")
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction, Polynomial)):
-                raise ToolkitError(f"entry ({i},{j},{k}) holds {value!r}, not an int, Fraction or Polynomial")
+            _check_exact(value, (i, j, k))
             if value:
                 clean[(i, j, k)] = value
         self.entries: Mapping[tuple[int, int, int], RingValue] = MappingProxyType(clean)
@@ -454,6 +476,8 @@ def check_ryser_side(side: int, name: str = "n") -> None:
 def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
     """Ryser inclusion-exclusion with Gray-code column updates; n <= 20.
 
+    Cells must be ints, fractions or polynomials, as in `Tensor3(...)`.
+
     Each column's nonzero entries are listed once, as `(row, value)`, and a
     Gray step updates only the row sums of its column's nonzero rows. Step
     k flips the column at k's lowest set bit, and leaves a set of columns
@@ -465,6 +489,7 @@ def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
     if any(len(row) != n for row in matrix):
         raise ToolkitError("permanent needs a square matrix")
     check_ryser_side(n)
+    _check_matrix(matrix, _RING_KINDS)
     columns = [[(i, value) for i, value in enumerate(column) if value] for column in zip(*matrix)]
     row_sums: list[RingValue] = [0] * n
     total: RingValue = 0
@@ -487,12 +512,17 @@ def permanent2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
 
 
 def determinant2(matrix: Sequence[Sequence[RingValue]]) -> RingValue:
-    """Bareiss fraction-free elimination; exact over ints and fractions."""
+    """Bareiss fraction-free elimination over ints and fractions.
+
+    Elimination divides, and `Polynomial` has no division, so only int and
+    `Fraction` cells are taken.
+    """
     n = len(matrix)
     if n == 0:
         return 1
     if any(len(row) != n for row in matrix):
         raise ToolkitError("determinant needs a square matrix")
+    _check_matrix(matrix, _FIELD_KINDS)
     a = [list(row) for row in matrix]
     sign = 1
     prev: RingValue = 1
@@ -634,7 +664,7 @@ def kasteleyn_sign_via_k1(tensor: Tensor3) -> tuple[Tensor3, EdgeSigning, EdgeSi
 
 @dataclass(frozen=True)
 class RectMatrixTriple:
-    """Three r x n exact matrices sharing a shape, r <= n."""
+    """Three r x n matrices of ints and fractions sharing a shape, r <= n."""
 
     a1: tuple[tuple[RingValue, ...], ...]
     a2: tuple[tuple[RingValue, ...], ...]
@@ -650,6 +680,8 @@ class RectMatrixTriple:
                 raise ToolkitError("ragged matrix")
         if r > n:
             raise ToolkitError(f"need r <= n, got {r} x {n}")
+        for name, m in (("a1", self.a1), ("a2", self.a2), ("a3", self.a3)):
+            _check_matrix(m, _FIELD_KINDS, f"{name} cell")
 
     @property
     def shape(self) -> tuple[int, int]:

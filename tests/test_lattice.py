@@ -1,6 +1,7 @@
 """Cubic lattices, dimer pipelines and the geometric realization."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,7 @@ from kas3.lattice import (
     dimer_polynomial,
     embed_T,
 )
-from kas3.tensor3 import BipartiteGraph, permanent3
+from kas3.tensor3 import BipartiteGraph, determinant3, permanent2, permanent3
 from kas3.kasteleyn_construct import build_T
 
 
@@ -119,11 +120,29 @@ class TestDimerCounts:
             assert len(counts) == 1
 
     def test_pipeline_agreement_small_boxes(self):
-        for dims in [(2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 2)]:
+        # the fold's count against the Ryser permanent of the support matrix
+        # and against per3 and det3 (the paper's claim) of the `build_T`
+        # tensor, on every even box of at most 32 vertices up to axis order
+        boxes = [
+            dims
+            for dims in itertools.combinations_with_replacement(range(1, 33), 3)
+            if math.prod(dims) <= 32 and math.prod(dims) % 2 == 0
+        ]
+        assert len(boxes) == 52
+        for dims in boxes + [(2, 4, 5)]:
             q = cubic_lattice(*dims)
-            direct = dimer_polynomial(q)(1)
-            tc = build_T(q.graph.biadjacency())
-            assert permanent3(tc.tensor) == direct
+            biadj = q.graph.biadjacency()
+            tensor = build_T(biadj).tensor
+            counts = (dimer_polynomial(q)(1), permanent2(biadj), permanent3(tensor), determinant3(tensor))
+            assert len(set(counts)) == 1, (dims, counts)
+
+    def test_count_is_one_fold(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dimer count ran a second pipeline")
+
+        monkeypatch.setattr(BipartiteGraph, "biadjacency", refuse)
+        monkeypatch.setattr(lattice, "build_T", refuse)
+        assert dimer_polynomial(cubic_lattice(2, 2, 3)) == Polynomial({6: 32})
 
     def test_two_by_two_by_four(self):
         from kas3.tensor3 import permanent2

@@ -981,3 +981,57 @@ def test_exact_values_keep_their_permanent_and_determinant(entry, value, square)
 @pytest.mark.parametrize("zero", [0, Fraction(0), Polynomial({})], ids=repr)
 def test_exact_zero_values_are_dropped(entry, zero):
     assert VALUE_ENTRY_POINTS[entry](zero).entries == {}
+
+
+# each takes the 2x2 matrix diag(value, value); the error names its cell (0, 0)
+MATRIX_ENTRY_POINTS = {
+    "permanent2": (permanent2, "cell", "an int, Fraction or Polynomial"),
+    "determinant2": (determinant2, "cell", "an int or Fraction"),
+    "RectMatrixTriple": (lambda m: RectMatrixTriple.from_rows(m, m, m), "a1 cell", "an int or Fraction"),
+}
+
+
+def _diagonal(value):
+    return [[value, 0], [0, value]]
+
+
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [1.5, 2j, "ab", True, None, 0.0], ids=repr)
+def test_matrix_kernels_refuse_inexact_values(entry, value):
+    call, where, kinds = MATRIX_ENTRY_POINTS[entry]
+    message = f"{where} (0,0) holds {value!r}, not {kinds}"
+    with pytest.raises(ToolkitError, match=f"^{re.escape(message)}$"):
+        call(_diagonal(value))
+
+
+@pytest.mark.parametrize("entry", ["determinant2", "RectMatrixTriple"])
+def test_eliminating_kernels_refuse_polynomials(entry):
+    # Bareiss elimination divides, and a Polynomial has no division
+    call, where, kinds = MATRIX_ENTRY_POINTS[entry]
+    x = Polynomial({1: 1})
+    message = f"{where} (0,0) holds {x!r}, not {kinds}"
+    with pytest.raises(ToolkitError, match=f"^{re.escape(message)}$"):
+        call(_diagonal(x))
+
+
+def test_matrix_value_check_comes_after_the_shape_and_ryser_checks():
+    with pytest.raises(ToolkitError, match="^permanent needs a square matrix$"):
+        permanent2([[1.5, 2], [3]])
+    with pytest.raises(GuardExceeded, match="^Ryser guard is n <= 20, got n = 21$"):
+        permanent2([[1.5] * 21 for _ in range(21)])
+    with pytest.raises(ToolkitError, match="^determinant needs a square matrix$"):
+        determinant2([[1.5, 2], [3]])
+    with pytest.raises(ToolkitError, match="^ragged matrix$"):
+        RectMatrixTriple.from_rows([[1.5, 2], [3]], [[1, 2], [3, 4]], [[1, 2], [3, 4]])
+    with pytest.raises(ToolkitError, match=r"^a3 cell \(1,0\) holds 0\.5, not an int or Fraction$"):
+        RectMatrixTriple.from_rows([[1, 2], [3, 4]], [[1, 2], [3, 4]], [[1, 2], [0.5, 4]])
+
+
+@pytest.mark.parametrize("value", [3, -2, Fraction(3, 2)], ids=repr)
+def test_matrix_kernels_keep_exact_values(value):
+    m = _diagonal(value)
+    assert permanent2(m) == determinant2(m) == value**2
+    triple = RectMatrixTriple.from_rows(m, m, m)
+    assert binet_cauchy_rhs(triple) == determinant3(binet_cauchy_C(triple)) == value**6
+    x = Polynomial({1: 1})
+    assert permanent2([[x, 1], [1, x]]) == Polynomial({0: 1, 2: 1})
