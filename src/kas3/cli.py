@@ -13,6 +13,7 @@ from pathlib import Path
 from ._util import canonical_json, int_text
 from .algebra import BinaryCode, fold_enumerator, parse_polynomial, weight_enumerator
 from .core import (
+    build_config_doc,
     cycle_space_weight_enumerator,
     find_edge_tripartition,
     parse_config_doc,
@@ -136,8 +137,6 @@ def _cmd_triadj(args) -> CommandResult:
 def _cmd_kasteleyn_build(args) -> CommandResult:
     matrix = matrix_from_doc(_load_json(args.matrix))
     tc = build_T(matrix)
-    from .core import build_config_doc
-
     payload = {
         "m": tc.m,
         "config": build_config_doc(tc.config, vertex_classes=tc.vertex_classes),

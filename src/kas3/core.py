@@ -355,6 +355,8 @@ def validate(config: TriangularConfiguration) -> list[str]:
 COVER_GRAPH_MAX_SIZE = 1 << 21
 COVER_LIST_MAX = 1 << 19
 SUPPORT_MAX_BITS = 1 << 28
+# a state graph: per kept state, (covered, arcs), each arc (option, forced options, child position)
+_Graph = list[tuple[int, tuple[tuple[int, tuple[int, ...], int], ...]]]
 
 
 class CoverIndex:
@@ -387,11 +389,11 @@ class CoverIndex:
     that is no dead end, the full cover too, is a frame on the search's
     stack, and a popped frame with arcs, or at the full cover, enters the
     graph: it keeps the branch states and the full cover, plus the root
-    when it is forced. Each arc is `(option, position)`: the child's graph
-    position, or ~t when the closure forced options after the arc's
-    option, and tail t, `tails[t] = (forced, child position)`, lists them
-    in the order it applied them. Once the graph is built the index drops
-    the search's tables and keeps each option once, as its mask.
+    when it is forced. Each arc is `(option, forced, child)`: `forced` lists
+    the options the closure applied after `option`, in the order it applied
+    them (the shared `()` when it forced none), and `child` is the child's
+    graph position. Once the graph is built the index drops the search's
+    tables and keeps each option once, as its mask.
 
     `states_visited` counts the states the searches met, every option a
     closure applied included, and `arcs_kept` the arcs they kept; a build
@@ -412,9 +414,7 @@ class CoverIndex:
     diagonals and the bijection certificate's matching count all read it.
     """
 
-    __slots__ = (
-        "item_count", "masks", "graph", "tails", "states_visited", "arcs_kept", "_count", "_options", "_item_opts"
-    )
+    __slots__ = ("item_count", "masks", "graph", "states_visited", "arcs_kept", "_count", "_options", "_item_opts")
 
     def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
         bits = len(options) * item_count
@@ -431,12 +431,11 @@ class CoverIndex:
                 mask |= 1 << i
                 item_opts[i] |= bit
             masks.append(mask)
-        self.graph: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None
-        self.tails: list[tuple[list[int], int]] = []
+        self.graph: _Graph | None = None
         self.states_visited = self.arcs_kept = 0
         self._count: int | None = None
 
-    def _graph(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    def _graph(self) -> _Graph:
         """The state graph, built by the first search over this index (see `_build`)."""
         if self.graph is None:
             self.graph = self._build()
@@ -455,14 +454,13 @@ class CoverIndex:
         A depth-first walk of the state graph's arcs: they come in ascending
         option order and lead only to states with a cover below, so covers
         come out in the search's order and no choice is made again. An arc
-        adds its option and then its tail's forced options. The walk keeps
-        an explicit stack, so its depth is bounded by memory alone.
+        adds its option and then its forced options. The walk keeps an
+        explicit stack, so its depth is bounded by memory alone.
         """
         graph = self._graph()
         count = self.count()
         if count > COVER_LIST_MAX:
             raise GuardExceeded(f"cover listing guard is {COVER_LIST_MAX} covers, got {count}")
-        tails = self.tails
         if graph and not graph[-1][1]:
             yield []  # the root is the full cover
         chosen: list[int] = []
@@ -470,12 +468,10 @@ class CoverIndex:
         stack = [(iter(graph[-1][1]), 0)] if graph else []
         while stack:
             arcs, depth = stack[-1]
-            for oi, at in arcs:
+            for oi, forced, at in arcs:
                 del chosen[depth:]
                 chosen.append(oi)
-                if at < 0:
-                    forced, at = tails[~at]
-                    chosen += forced
+                chosen += forced
                 below = graph[at][1]
                 if below:
                     stack.append((iter(below), len(chosen)))
@@ -484,8 +480,8 @@ class CoverIndex:
             else:
                 stack.pop()
 
-    def _build(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """The state graph of the search, memoized on `covered`; fills `tails`.
+    def _build(self) -> _Graph:
+        """The state graph of the search, memoized on `covered`.
 
         One entry `(covered, arcs)` per kept state with a cover below it,
         each after every state it branches to, so the root comes last. Arcs
@@ -494,9 +490,12 @@ class CoverIndex:
         root itself forces options, its entry has one arc, the first of
         them. A problem with no cover has an empty graph. Every state but a
         dead end is a frame on an explicit stack, and each new arc is linked
-        once, its tail and then its memo entry. The memo holds each arc's
-        position under the child before and after its closure, so a repeated
-        arc costs one lookup; its int values keep it out of the garbage
+        once, its forced options and then its memo entry. The memo holds
+        each arc's position under the child before and after its closure,
+        so a repeated arc costs one lookup: a child's graph position, or ~l
+        when the closure forced options, for the link `links[l] = (forced,
+        child position)` that every arc reaching the same state before its
+        closure shares. Its int values keep the memo out of the garbage
         collector's young generation (a dict of fresh tuples re-enters it on
         every insert). The search adds its work to `states_visited` and `arcs_kept`.
         """
@@ -571,10 +570,10 @@ class CoverIndex:
 
         limit = COVER_GRAPH_MAX_SIZE
         kept = 0
-        graph: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        self.tails = tails = []
-        # covered, before or after a closure -> the arc position reaching the
-        # closed state, None when no cover is below it (`...` when not visited)
+        graph: _Graph = []
+        links: list[tuple[tuple[int, ...], int]] = []
+        # covered, before or after a closure -> the closed state's graph position,
+        # or ~l for `links[l]`; None when no cover is below it (`...` when not visited)
         position: dict[int, int | None] = {}
         # per depth: covered, live, untried options, arcs kept, and the option,
         # the covered set before closure and the forced options that led here
@@ -615,19 +614,18 @@ class CoverIndex:
                 oi, pre, forced = link
                 arcs = stack[-1][3]
                 new = True
-            if new:  # link the arc: its forced tail, then its memo entry before closure
+            if new:  # link the arc: its forced options, then its memo entry before closure
                 if forced and at is not None:
-                    tails.append((forced, at))
-                    at = -len(tails)
+                    links.append((tuple(forced), at))
+                    at = -len(links)
                 position[pre] = at
             if at is not None:
-                arcs.append((oi, at))
+                arcs.append((oi, *links[~at]) if at < 0 else (oi, (), at))
                 size += 1
             if size > limit:
                 break
         if root is not None and root_forced:
-            tails.append((root_forced[1:], root))
-            graph.append((0, ((root_forced[0], -len(tails)),)))
+            graph.append((0, ((root_forced[0], tuple(root_forced[1:]), root),)))
             size += 1
             kept += 1
         if size > limit:
@@ -651,32 +649,31 @@ class CoverIndex:
         "Dancing with Decision Diagrams", AAAI 2017).
         Every fold is one pass over it in its order, which meets each
         child's sum before its parent needs it, reading the values and
-        signs it is given; an arc's factor is the product over its option
-        and its tail's forced options, with `covered` grown option by
-        option. Arcs come in ascending option order, so terms are added in
-        the order the search meets them. The empty sum is the integer 0
-        and the empty product the integer 1.
+        signs it is given. An arc's term multiplies its option's value,
+        then each forced option's value in order, with `covered` grown
+        option by option, then its child's sum. Arcs come in ascending
+        option order, so terms are added in the order the search meets
+        them. The empty sum is the integer 0 and the empty product the
+        integer 1.
         """
         graph = self._graph()
-        masks, tails = self.masks, self.tails
+        masks = self.masks
         sums: list = []
         for covered, arcs in graph:
             total = None
-            for oi, at in arcs:
+            for oi, forced, at in arcs:
                 factor = values[oi]
                 if signs is not None and (covered & signs[oi]).bit_count() & 1:
                     factor = -factor
-                if at < 0:
-                    forced, at = tails[~at]
-                    if signs is None:
-                        for f in forced:
-                            factor = factor * values[f]
-                    else:
-                        grown = covered | masks[oi]
-                        for f in forced:
-                            value = values[f]
-                            factor = factor * (-value if (grown & signs[f]).bit_count() & 1 else value)
-                            grown |= masks[f]
+                if signs is None:
+                    for f in forced:
+                        factor = factor * values[f]
+                elif forced:
+                    grown = covered | masks[oi]
+                    for f in forced:
+                        value = values[f]
+                        factor = factor * (-value if (grown & signs[f]).bit_count() & 1 else value)
+                        grown |= masks[f]
                 term = factor * sums[at]
                 total = term if total is None else total + term
             sums.append(1 if total is None else total)
@@ -688,22 +685,19 @@ class CoverIndex:
         Returns None when two covers differ, and when there is none. The
         sum below a state is the same on every cover through it exactly
         when all its arcs give the same sum below, an arc's sum taking its
-        option, its tail's forced options and its child's sum below; every
+        option, its forced options and its child's sum below; every
         state of the graph has a cover below it and is reached from the
         root, so one pass over the graph, in `fold`'s order, decides it and
         lists no cover. The full cover's sum below is `zero`.
         """
         graph = self._graph()
-        tails = self.tails
         below: list = []
         for _covered, arcs in graph:
             common = zero
-            for branch, (oi, at) in enumerate(arcs):
+            for branch, (oi, forced, at) in enumerate(arcs):
                 total = values[oi]
-                if at < 0:
-                    forced, at = tails[~at]
-                    for f in forced:
-                        total = add(total, values[f])
+                for f in forced:
+                    total = add(total, values[f])
                 total = add(total, below[at])
                 if not branch:
                     common = total
@@ -717,7 +711,7 @@ class CoverIndex:
 
         A cover's row has bit 1 + o for each chosen option o and bit 0 for
         its sign parity as `fold` takes it with `signs`. An arc's row is
-        that of its option and its tail's forced options. A state's
+        that of its option and its forced options. A state's
         reference row is that of the path through its first arc and then
         that child's reference path. The rows of all covers are spanned by
         the root's reference and, at every state, each further arc's row
@@ -725,15 +719,14 @@ class CoverIndex:
         rows and lists no cover. It stops once the row 1 enters the basis.
         """
         graph = self._graph()
-        masks, tails = self.masks, self.tails
+        masks = self.masks
         basis: list[int] = []
         refs: list[int] = []  # per state: the row of its reference path
         for covered, arcs in graph:
             rows = []
-            for oi, at in arcs:
+            for oi, forced, at in arcs:
                 row = 2 << oi | (covered & signs[oi]).bit_count() & 1
-                if at < 0:
-                    forced, at = tails[~at]
+                if forced:
                     grown = covered | masks[oi]
                     for f in forced:
                         row ^= 2 << f | (grown & signs[f]).bit_count() & 1
@@ -892,12 +885,6 @@ def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
     idx = _vertex_index(config)
     return idx.triangle_sets(len(config.vertices), idx.tri_vertices)
-
-
-def count_perfect_strong_matchings(config: TriangularConfiguration) -> int:
-    """Number of perfect strong matchings, by a fold over the state graph (nothing is listed)."""
-    idx = _vertex_index(config)
-    return CoverIndex(len(config.vertices), idx.tri_vertices).count()
 
 
 # -- tripartitions -------------------------------------------------------------
@@ -1066,8 +1053,12 @@ def _check_tripartition(
     `triangles` pairs each triangle id with its members, or with None when
     the triangle lacks vertex data; a member that is not an item is
     reported as a dangling `kind`. `label` names the classes in the
-    message, which lists them sorted.
+    message, which lists them sorted. A class is the int 1, 2 or 3: any
+    other value, 1.0 and True too, counts as no class, and each distinct
+    class type is read once.
     """
+    if not set(map(type, classes.values())) <= {int}:
+        classes = {x: c for x, c in classes.items() if type(c) is int}
     get = classes.get
     known = frozenset(items)
     problems = [f"{kind} {x!r} has no class" for x in items if get(x) not in (1, 2, 3)]

@@ -579,19 +579,22 @@ EdgeSigning = dict
 def apply_signing(tensor: Tensor3, sign1: Mapping, sign2: Mapping) -> Tensor3:
     """Entrywise resigning A'[a,b,c] = sign1[(a,b)] * sign2[(a,c)] * A[a,b,c].
 
-    A sign flip zeroes no entry, so the resigning has the same cells and
-    shares the tensor's support (see `_support`).
+    Every sign read must be the int 1 or -1. A sign flip zeroes no entry,
+    so the resigning has the same cells and shares the tensor's support
+    (see `_support`).
     """
+
+    def sign(signs: Mapping, edge: tuple[int, int]) -> int:
+        if edge not in signs:
+            raise ToolkitError(f"missing sign for projection edge {edge}")
+        s = signs[edge]
+        if type(s) is not int or s not in (1, -1):
+            raise ToolkitError(f"sign of projection edge {edge} must be the int 1 or -1, got {s!r}")
+        return s
+
     entries: dict[tuple[int, int, int], RingValue] = {}
     for (a, b, c), value in tensor.entries.items():
-        if (a, b) not in sign1:
-            raise ToolkitError(f"missing sign for projection edge ({a}, {b})")
-        if (a, c) not in sign2:
-            raise ToolkitError(f"missing sign for projection edge ({a}, {c})")
-        s = sign1[(a, b)] * sign2[(a, c)]
-        if s not in (1, -1):
-            raise ToolkitError(f"signs must be +1 or -1, got {s}")
-        entries[(a, b, c)] = value if s == 1 else -value
+        entries[(a, b, c)] = value if sign(sign1, (a, b)) == sign(sign2, (a, c)) else -value
     signed = Tensor3._make(tensor.dims, entries)
     signed._support = tensor._support
     return signed

@@ -36,7 +36,6 @@ from kas3.core import (
     check_vertex_tripartition,
     cycle_space_weight_enumerator,
     defect,
-    count_perfect_strong_matchings,
     enumerate_matchings_with_defect_within,
     enumerate_perfect_strong_matchings,
     find_edge_tripartition,
@@ -284,7 +283,8 @@ class TestExactCoverSum:
         edge_ids = sorted(edges, key=lambda e: int(e[1:]))
         triangles = {f"t{i:04d}": tuple(edge_ids[3 * i : 3 * i + 3]) for i in range(3000)}
         config = TriangularConfiguration(edges, triangles)
-        assert count_perfect_strong_matchings(config) == 1
+        # the listing reads the fold's count before its first cover
+        assert enumerate_perfect_strong_matchings(config) == [tuple(sorted(triangles))]
 
 
 class TestFoldReplay:
@@ -347,10 +347,9 @@ class TestFoldReplay:
             full = (1 << item_count) - 1
             reaches: list[bool] = []
             for pos, (covered, arcs) in enumerate(graph):
-                assert [oi for oi, _ in arcs] == sorted(oi for oi, _ in arcs)
+                assert [oi for oi, _, _ in arcs] == sorted(oi for oi, _, _ in arcs)
                 children = []
-                for oi, at in arcs:  # an arc's options are disjoint and lead to its child
-                    forced, child = index.tails[~at] if at < 0 else ((), at)
+                for oi, forced, child in arcs:  # an arc's options are disjoint and lead to its child
                     assert child < pos  # children come first
                     grown = covered
                     for o in (oi, *forced):
@@ -481,7 +480,7 @@ class TestForcedClosure:
 
 
 class TestGraphShape:
-    """The state graph, its tails and the search's work, pinned over a fixed family:
+    """The state graph, its forced options and the search's work, pinned over a fixed family:
     a rewrite of the build must keep every graph as it is."""
 
     @staticmethod
@@ -498,7 +497,7 @@ class TestGraphShape:
         yield 2, [(0,)]  # a dead root
         yield 50, [(i, i + 1) for i in range(49)]  # the root forces every option
         # the root forces option 0 and branches: option 1 reaches the full cover
-        # through a forced tail, option 3 reaches it directly
+        # through forced option 2, option 3 reaches it directly
         yield 3, [(0,), (1,), (2,), (1, 2)]
         box = cubic_lattice(2, 3, 3).graph
         yield box.matching_problem(sorted(box.edges))
@@ -512,8 +511,8 @@ class TestGraphShape:
         for item_count, options in self.family():
             index = CoverIndex(item_count, options)
             index.fold([1] * len(options))
-            digest.update(json.dumps([index.graph, index.tails, index.states_visited, index.arcs_kept]).encode())
-        assert digest.hexdigest() == "5ed756943b677a23dde9ee09ffb279398d870334f5284b4f2974adeac135bd82"
+            digest.update(json.dumps([index.graph, index.states_visited, index.arcs_kept]).encode())
+        assert digest.hexdigest() == "7fd2cbb5b8f17df4554dee1d13f27a635fbef77125ded8ff3ba1e21088d5a2b1"
 
 
 class TestEnumeration:
@@ -578,9 +577,9 @@ class TestCoverMaskGuard:
         [
             (perfect_matching_polynomial, 8, 12),
             (lambda config: enumerate_matchings_with_defect_within(config, ["x0y0", "y1z1"]), 10, 12),
-            (count_perfect_strong_matchings, 8, 6),
+            (enumerate_perfect_strong_matchings, 8, 6),
         ],
-        ids=["perfect_matching_polynomial", "enumerate_matchings_with_defect_within", "count_perfect_strong_matchings"],
+        ids=["perfect_matching_polynomial", "enumerate_matchings_with_defect_within", "enumerate_perfect_strong_matchings"],
     )
     def test_guard_boundary(self, monkeypatch, solve, options, items):
         config = octahedron_boundary()
@@ -768,7 +767,9 @@ class TestStrongMatchings:
                 triangles[f"t{n}"] = tuple(f"{u}~{v}" for u, v in pairs)
             config = TriangularConfiguration(edges, triangles, verts)
             strong = brute_force_strong_matchings(config)
-            assert count_perfect_strong_matchings(config) == len(strong)
+            index = CoverIndex(len(verts), core._vertex_index(config).tri_vertices)
+            assert index.count() == len(strong)
+            assert enumerate_perfect_strong_matchings(config) == strong
 
 
 class TestTripartitions:
@@ -800,6 +801,15 @@ class TestTripartitions:
     def test_pin_class_must_be_an_integer_class(self, cls):
         with pytest.raises(ToolkitError, match="pin 'a'"):
             find_edge_tripartition(single_triangle(), pins={"a": cls})
+
+    @pytest.mark.parametrize("cls", [1.0, True, 2.5, "1", None])
+    def test_checked_class_must_be_an_integer_class(self, cls):
+        # a value that is not the int 1, 2 or 3 reads as a missing class, even where it equals one
+        config = TriangularConfiguration({"a": ("u", "v"), "b": ("v", "w"), "c": ("w", "u")}, {"t": ("a", "b", "c")})
+        assert check_edge_tripartition(config, {"a": cls, "b": 2, "c": 3}) == \
+            ["edge 'a' has no class", "triangle 't' has classes [0, 2, 3]"]
+        assert check_vertex_tripartition(config, {"u": cls, "v": 2, "w": 3}) == \
+            ["vertex 'u' has no class", "triangle 't' has vertex classes [0, 2, 3]"]
 
     def test_pin_on_unknown_item(self):
         with pytest.raises(ToolkitError, match="unknown item 'z'"):

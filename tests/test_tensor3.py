@@ -417,6 +417,17 @@ class TestBuilders:
         with pytest.raises(ToolkitError):
             vertex_adjacency(config, {"u": 1, "v": 1, "w": 3}, {})
 
+    @pytest.mark.parametrize("cls", [1.0, True])
+    def test_a_class_equal_to_an_integer_class_is_refused(self, cls):
+        config = TriangularConfiguration(
+            {"ab": ("u", "v"), "bc": ("v", "w"), "ca": ("w", "u")},
+            {"t": ("ab", "bc", "ca")},
+        )
+        with pytest.raises(ToolkitError, match="^invalid edge tripartition: edge 'ab' has no class; "):
+            triadjacency(config, {"ab": cls, "bc": 2, "ca": 3})
+        with pytest.raises(ToolkitError, match="^invalid vertex tripartition: vertex 'u' has no class; "):
+            vertex_adjacency(config, {"u": cls, "v": 2, "w": 3}, {})
+
     def test_unknown_edge_is_an_invalid_edge_tripartition(self):
         config = TriangularConfiguration(["a", "b"], {"t": ("a", "b", "zz")})
         message = "invalid edge tripartition: triangle 't' references dangling edge 'zz'"
@@ -460,13 +471,28 @@ class TestProjectionsAndSignings:
 
     @pytest.mark.parametrize(
         "sign2, message",
-        [({}, r"missing sign for projection edge \(0, 0\)"), ({(0, 0): 2}, "signs must be \\+1 or -1, got 2")],
+        [
+            ({}, r"missing sign for projection edge \(0, 0\)"),
+            ({(0, 0): 2}, r"sign of projection edge \(0, 0\) must be the int 1 or -1, got 2"),
+        ],
         ids=["missing_sign2", "sign_of_two"],
     )
     def test_apply_signing_refuses_a_bad_sign2(self, sign2, message):
         t = Tensor3((1, 1, 1), {(0, 0, 0): 1})
         with pytest.raises(ToolkitError, match=f"^{message}$"):
             apply_signing(t, {(0, 0): 1}, sign2)
+
+    @pytest.mark.parametrize(
+        "sign1, sign2, edge, got",
+        [(2, 0.5, "(0, 0)", "2"), (-2, 0.5, "(0, 0)", "-2"), (1.0, 1, "(0, 0)", "1.0"),
+         (1, True, "(0, 1)", "True"), (-1, -1.0, "(0, 1)", "-1.0")],
+    )
+    def test_apply_signing_checks_each_sign(self, sign1, sign2, edge, got):
+        # each product of two signs is +1 or -1, yet one sign is not the int 1 or -1
+        t = Tensor3((1, 2, 2), {(0, 0, 1): 1})
+        message = f"sign of projection edge {edge} must be the int 1 or -1, got {got}"
+        with pytest.raises(ToolkitError, match=f"^{re.escape(message)}$"):
+            apply_signing(t, {(0, 0): sign1}, {(0, 1): sign2})
 
     def test_edge_leaving_the_bipartition_is_refused(self):
         with pytest.raises(ToolkitError, match=r"^edge \(0, 'x'\) leaves the bipartition$"):
@@ -648,7 +674,9 @@ class TestForcedSearches:
 
     @staticmethod
     def forced_options(index: core.CoverIndex) -> int:
-        return sum(len(forced) for forced, _ in index.tails)
+        """The options forced after an arc's option, counted once per state reached before closure."""
+        links = {(forced, child) for _, arcs in index.graph for _, forced, child in arcs if forced}
+        return sum(len(forced) for forced, _ in links)
 
     def test_sparse_tensors_match_dense_oracles(self):
         rng = random.Random(61)
