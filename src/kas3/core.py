@@ -2,6 +2,8 @@
 
 Every matching problem is an exact-cover problem over a `CoverIndex`, whose
 state graph is listed only to name covers and folded for every sum over them.
+A configuration keeps its perfect-matching index, which its `triadjacency`
+tensor shares (`_SearchIndex.matchings`).
 
 A configuration is a 2-complex whose maximal simplices are triangles or edges.
 Edges are first-class opaque ids; vertex endpoints are optional per edge, so
@@ -216,7 +218,10 @@ def parse_config_doc(
 
     Returns (config, weights, edge_classes, vertex_classes); the last three are
     None when the corresponding optional key is absent. Every name is read
-    once, here, and the configuration is built from the finished maps.
+    once, here, and the configuration is built from the finished maps. A
+    name that is a string is taken as it is; any other value goes through
+    `read_name`, so a field's label is formatted only for a value that
+    needs reading, and the refusal texts are `read_name`'s.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("configuration document must be an object")
@@ -226,26 +231,38 @@ def parse_config_doc(
     try:
         edges: dict[str, tuple[str, str] | None] = {}
         for n, entry in enumerate(edge_docs):
-            eid = read_name(entry["id"], f"edges[{n}] id")
+            eid = entry["id"]
+            if type(eid) is not str:
+                eid = read_name(eid, f"edges[{n}] id")
             if eid in edges:
                 raise SchemaError(f"duplicate edge id {eid!r}")
             ends = entry.get("ends")
             if ends is not None:
                 if not isinstance(ends, (list, tuple)) or len(ends) != 2:
                     raise SchemaError(f"edge {eid!r} ends must be an array of two names")
-                u, v = read_name(ends[0], f"edge {eid!r} ends[0]"), read_name(ends[1], f"edge {eid!r} ends[1]")
+                u, v = ends
+                if type(u) is not str:
+                    u = read_name(u, f"edge {eid!r} ends[0]")
+                if type(v) is not str:
+                    v = read_name(v, f"edge {eid!r} ends[1]")
                 ends = (u, v) if u <= v else (v, u)
             edges[eid] = ends
         triangles: dict[str, tuple[str, ...]] = {}
         for n, entry in enumerate(triangle_docs):
-            tid = read_name(entry["id"], f"triangles[{n}] id")
+            tid = entry["id"]
+            if type(tid) is not str:
+                tid = read_name(tid, f"triangles[{n}] id")
             if tid in triangles:
                 raise SchemaError(f"duplicate triangle id {tid!r}")
-            names = read_array(entry["edges"], f"triangle {tid!r} edges")
-            tri = [read_name(e, f"triangle {tid!r} edges[{a}]") for a, e in enumerate(names)]
+            names = entry["edges"]
+            if type(names) is not list:
+                names = read_array(names, f"triangle {tid!r} edges")
+            tri = [e if type(e) is str else read_name(e, f"triangle {tid!r} edges[{a}]") for a, e in enumerate(names)]
             tri.sort()
             triangles[tid] = tuple(tri)
-        vertices = frozenset([read_name(v, f"vertices[{n}]") for n, v in enumerate(vertex_names)])
+        vertices = frozenset(
+            [v if type(v) is str else read_name(v, f"vertices[{n}]") for n, v in enumerate(vertex_names)]
+        )
     except (KeyError, TypeError, IndexError) as exc:
         raise SchemaError(f"bad configuration document: {exc}") from exc
     config = TriangularConfiguration._make(edges, triangles, vertices.union(*filter(None, edges.values())))
@@ -740,34 +757,38 @@ class CoverIndex:
         _gf2_insert(basis, refs[-1] if refs else 0)  # the root's reference; 0 adds nothing
         return basis
 
+    def polynomial(self, weights: Sequence[int]) -> Polynomial:
+        """Sum of x^(total weight) over the exact covers, given one integer weight per option.
+
+        One fold of x^w values over the state graph; no cover is listed. A
+        cover holds each item exactly once, so a negative weight is folded
+        exactly: option o gets x^(w_o + L * s_o), with s_o its number of
+        distinct items and L the least lift that makes every such exponent
+        non-negative, and every cover's total rises by L * `item_count`,
+        which is taken off the sum. An option that holds no item lies in no
+        cover and gets no value. A negative cover total raises `ToolkitError`
+        naming the least one.
+        """
+        lift = 0
+        exponents: Sequence[int | None] = weights
+        if min(weights, default=0) < 0:
+            sizes = [mask.bit_count() for mask in self.masks]
+            lift = max(((s - w - 1) // s for w, s in zip(weights, sizes) if w < 0 and s), default=0)  # ceil(-w / s)
+            exponents = [w + lift * s if s else None for w, s in zip(weights, sizes)]
+        # a polynomial is a value, so options of equal exponent share one monomial
+        monomials = {e: Polynomial.monomial(e) for e in set(exponents) if e is not None}
+        total = self.fold(list(map(monomials.get, exponents)))
+        if isinstance(total, int):  # no cover, or only the empty one
+            return Polynomial(total)
+        shift = lift * self.item_count
+        # the terms ascend, so the first negative exponent met, the one named, is the least total
+        return Polynomial({e - shift: c for e, c in total.terms()}) if shift else total
+
 
 def cover_polynomial(item_count: int, options: Sequence[Sequence[int]], weights: Sequence[int]) -> Polynomial:
-    """Sum of x^(total weight) over the exact covers, given one integer weight per option.
-
-    One fold of x^w values over the state graph; no cover is listed. A
-    cover holds each item exactly once, so a negative weight is folded
-    exactly: option o gets x^(w_o + L * s_o), with s_o its number of
-    distinct items and L the least lift that makes every such exponent
-    non-negative, and every cover's total rises by L * item_count, which is
-    taken off the sum. An option that holds no item lies in no cover and
-    gets no value. A negative cover total raises `ToolkitError` naming the
-    least one.
-    """
-    index = CoverIndex(item_count, options)
-    lift = 0
-    exponents: Sequence[int | None] = weights
-    if min(weights, default=0) < 0:
-        sizes = [mask.bit_count() for mask in index.masks]
-        lift = max(((s - w - 1) // s for w, s in zip(weights, sizes) if w < 0 and s), default=0)  # ceil(-w / s)
-        exponents = [w + lift * s if s else None for w, s in zip(weights, sizes)]
-    # a polynomial is a value, so options of equal exponent share one monomial
-    monomials = {e: Polynomial.monomial(e) for e in set(exponents) if e is not None}
-    total = index.fold(list(map(monomials.get, exponents)))
-    if isinstance(total, int):  # no cover, or only the empty one
-        return Polynomial(total)
-    shift = lift * item_count
-    # the terms ascend, so the first negative exponent met, the one named, is the least total
-    return Polynomial({e - shift: c for e, c in total.terms()}) if shift else total
+    """Sum of x^(total weight) over the exact covers, given one integer weight
+    per option: `CoverIndex.polynomial` of a fresh index."""
+    return CoverIndex(item_count, options).polynomial(weights)
 
 
 # -- matchings and defects ----------------------------------------------------
@@ -780,6 +801,16 @@ class _SearchIndex:
     unknown edge in sorted triangle order and then edge order, and
     `tri_vertices` its vertices' positions in sorted vertex order, ascending,
     once a strong-matching call has built it.
+
+    The perfect-matching problem, items the edge positions and options
+    `tri_edges`, has one `CoverIndex`, made by the first caller of
+    `matchings` and kept: `perfect_matching_polynomial` folds it,
+    `perfect_matchings` lists it, and a `tensor3.triadjacency` tensor whose
+    axes have equal length folds and lists its support diagonals through it,
+    since they are these covers. So one search serves the configuration and
+    its tensor, in whichever order they are asked. A mask guard refusal keeps
+    no index, and a graph guard refusal leaves the index's graph None, so the
+    next caller meets each guard again.
     """
 
     def __init__(self, config: TriangularConfiguration):
@@ -795,14 +826,18 @@ class _SearchIndex:
             raise ToolkitError(f"triangle {t!r} references dangling edge {exc.args[0]!r}") from None
 
         self.tri_vertices: list[tuple[int, ...]] | None = None
+        self._matchings: CoverIndex | None = None
 
-    def triangle_sets(self, item_count: int, options: Sequence[Sequence[int]]) -> list[tuple[str, ...]]:
-        """Exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
+    def matchings(self) -> CoverIndex:
+        """The perfect-matching cover index, made on first use and kept."""
+        if self._matchings is None:
+            self._matchings = CoverIndex(len(self.edge_ids), self.tri_edges)
+        return self._matchings
+
+    def triangle_sets(self, index: CoverIndex) -> list[tuple[str, ...]]:
+        """The index's exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
         ntri = len(self.tri_ids)
-        named = [
-            tuple(sorted(self.tri_ids[oi] for oi in cover if oi < ntri))
-            for cover in CoverIndex(item_count, options).covers()
-        ]
+        named = [tuple(sorted(self.tri_ids[oi] for oi in cover if oi < ntri)) for cover in index.covers()]
         named.sort()
         return named
 
@@ -836,7 +871,9 @@ def enumerate_matchings_with_defect_within(
     Every edge outside `allowed` must be covered; edges inside it may or may
     not be. Perfect matchings are the special case `allowed = ()`. Each
     allowed edge gets a one-edge slack option, so the matchings are exactly
-    the triangle parts of the exact covers of all edges.
+    the triangle parts of the exact covers of all edges. With no allowed
+    edge this is the configuration's kept perfect-matching index
+    (`_SearchIndex.matchings`).
     """
     idx = _index(config)
     slack = set()
@@ -844,7 +881,9 @@ def enumerate_matchings_with_defect_within(
         if e not in idx.edge_pos:
             raise ToolkitError(f"unknown edge {e!r}")
         slack.add(idx.edge_pos[e])
-    return idx.triangle_sets(len(idx.edge_ids), idx.tri_edges + [(pos,) for pos in sorted(slack)])
+    if not slack:
+        return idx.triangle_sets(idx.matchings())
+    return idx.triangle_sets(CoverIndex(len(idx.edge_ids), idx.tri_edges + [(pos,) for pos in sorted(slack)]))
 
 
 def perfect_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
@@ -858,14 +897,17 @@ def perfect_matching_polynomial(
     """Generating polynomial sum of x^(total weight) over perfect matchings.
 
     A triangle weighs `weighting[t]`, or 1 when the weighting leaves it out.
-    The sum is one fold over the state graph (`cover_polynomial`): no
-    matching is listed, and a negative weight is refused only when some
-    matching's total is negative.
+    The sum is one fold (`CoverIndex.polynomial`) over the state graph of
+    the configuration's kept perfect-matching index
+    (`_SearchIndex.matchings`), which a later call, a listing or the
+    configuration's `triadjacency` tensor reads again: no matching is
+    listed, and a negative weight is refused only when some matching's
+    total is negative.
     """
     idx = _index(config)
     weighting = weighting or {}
     weights = [operator.index(weighting.get(t, 1)) for t in idx.tri_ids]
-    return cover_polynomial(len(idx.edge_ids), idx.tri_edges, weights)
+    return idx.matchings().polynomial(weights)
 
 
 def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:
@@ -884,7 +926,7 @@ def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:
 def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
     idx = _vertex_index(config)
-    return idx.triangle_sets(len(config.vertices), idx.tri_vertices)
+    return idx.triangle_sets(CoverIndex(len(config.vertices), idx.tri_vertices))
 
 
 # -- tripartitions -------------------------------------------------------------

@@ -10,11 +10,15 @@ between kept on the arcs, and keeps the determinant's sign from per-cell
 masks, so no diagonal is listed; `support_diagonals` lists them by walking
 the same graph. On `build_T` tensors and reduction gadgets nearly every
 step is forced, so their graphs are small. Each tensor works out its
-support once (`_support`), and its resignings share it. A tensor with an
-axis index that no entry uses has no support diagonal and is answered from
-its entries; otherwise the cover index refuses a support whose masks would
-pass `core.SUPPORT_MAX_BITS` before it builds any, and a state graph past
-`core.COVER_GRAPH_MAX_SIZE` while it is built.
+support once (`_support`), and its resignings share it. A `triadjacency`
+tensor with axes of equal length works out none of its own: its support
+diagonals are its configuration's perfect matchings, so it folds and lists
+the configuration's one perfect-matching cover index, made on first use
+by it or by `core.perfect_matching_polynomial`, whichever comes first. A
+tensor with an axis index that no entry uses has no support diagonal and
+is answered from its entries; otherwise the cover index refuses a support
+whose masks would pass `core.SUPPORT_MAX_BITS` before it builds any, and a
+state graph past `core.COVER_GRAPH_MAX_SIZE` while it is built.
 Pfaffian signings of bipartite graphs come from one GF(2) solve over their
 perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.
@@ -42,6 +46,7 @@ from .algebra import Polynomial
 from .core import (
     CoverIndex,
     TriangularConfiguration,
+    _index,
     check_edge_tripartition,
     check_vertex_tripartition,
 )
@@ -81,7 +86,8 @@ class Tensor3:
 
     `entries` is a read-only view of the nonzero cells: to change an entry,
     build a new `Tensor3`. `_support` keeps the support once it is worked
-    out (see `_support`). The constructor checks the dims and every cell it
+    out, or a `triadjacency` tensor's recipe for it until then (see
+    `_support`). The constructor checks the dims and every cell it
     is given, and refuses a value that is not an int (a bool does not
     count), a `Fraction` or a `Polynomial` instead of storing it or dropping
     it as zero; kas3's builders make their tensors with `_make`, which stores
@@ -227,13 +233,22 @@ def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], 
     return 3 * n, cells, [(i, n + j, 2 * n + k) for i, j, k in cells]
 
 
-Support = Literal[False] | tuple[list[tuple[int, int, int]], CoverIndex]
+# the sorted or triangle-ordered cells, their cover index, and per axis each index's item number
+Support = Literal[False] | tuple[list[tuple[int, int, int]], CoverIndex, tuple[Sequence[int], ...]]
 
 
 def _support(tensor: Tensor3) -> Support:
-    """The tensor's sorted cells and the cover index of their masks, or False
-    when some axis index has no entry, worked out on first use and kept.
+    """The tensor's support, worked out on first use and kept: False when
+    some axis index has no entry, else its cells, their cover index and, per
+    axis, the item number of each index.
 
+    A tensor's own support has its cells in sorted order, cell (i, j, k)
+    holding items i, n + j and 2n + k, so axis a's index q is item a n + q.
+    A `triadjacency` tensor whose axes have equal length holds instead a
+    recipe for its configuration's kept perfect-matching index
+    (`core._SearchIndex.matchings`), read here the first time a fold or a
+    listing needs it: its cells in `triangle_ids` order, one per triangle,
+    are that index's options, and each axis index is the item of its edge.
     Values are not part of the support; callers read them from `entries`.
     """
     support = tensor._support
@@ -241,9 +256,21 @@ def _support(tensor: Tensor3) -> Support:
         support = False
         if not _index_gap(tensor):
             item_count, cells, options = _support_options(tensor)
-            support = (cells, CoverIndex(item_count, options))
+            n = tensor.cube_side
+            support = (cells, CoverIndex(item_count, options), (range(n), range(n, 2 * n), range(2 * n, item_count)))
         tensor._support = support
+    elif callable(support):
+        support = tensor._support = support(tensor)
     return support
+
+
+def _matching_support(config: TriangularConfiguration, orders: tuple[tuple[str, ...], ...], tensor: Tensor3) -> Support:
+    """The support of `config`'s `triadjacency` tensor, whose cells were
+    placed one per triangle in `triangle_ids` order, as its configuration's
+    perfect-matching cover index."""
+    idx = _index(config)
+    edge_pos = idx.edge_pos
+    return list(tensor.entries), idx.matchings(), tuple([edge_pos[e] for e in axis] for axis in orders)
 
 
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
@@ -255,7 +282,7 @@ def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
     """
     support = _support(tensor)
     if support:
-        cells, index = support
+        cells, index, _items = support
         for cover in index.covers():
             yield [cells[oi] for oi in cover]
 
@@ -297,27 +324,39 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     is the parity of the permutation j -> k, and placing cell (i, j, k)
     changes the inversion count of the pairs placed so far by the number of
     placed j' < j plus placed k' < k (mod 2), in any placement order. So
-    cell (i, j, k) gets the sign mask of axis-1 items below j and axis-2
-    items below k, and the fold of `core.CoverIndex.fold` negates its factor
-    when the covered part of that mask has odd size.
+    cell (i, j, k) gets the sign mask of the items of the axis-1 indices
+    below j and of the axis-2 indices below k, read from prefix ORs over
+    each axis's item numbers, and the fold of `core.CoverIndex.fold`
+    negates its factor when the covered part of that mask has odd size.
+    One rule serves both kinds of support (see `_support`).
 
-    Every call sums the state graph of the tensor's cover index (see
-    `_support`), which the first search over the support builds; a graph
-    past `core.COVER_GRAPH_MAX_SIZE` states and arcs raises `GuardExceeded`.
-    A tensor with an unused axis index sums to 0 before any index is built.
+    Every call sums the state graph of the support's cover index, which the
+    first search over it builds; a graph past `core.COVER_GRAPH_MAX_SIZE`
+    states and arcs raises `GuardExceeded`. A tensor with an unused axis
+    index sums to 0 before any index is built.
     """
     support = _support(tensor)
     if not support:
         return 0
-    cells, index = support
+    cells, index, items = support
     if indicator and not signed:
         return index.count()
     values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
     signs = None
     if signed:
-        n = tensor.cube_side
-        signs = [((1 << j) - 1) << n | ((1 << k) - 1) << (2 * n) for _i, j, k in cells]
+        below_j, below_k = _below(items[1]), _below(items[2])
+        signs = [below_j[j] | below_k[k] for _i, j, k in cells]
     return index.fold(values, signs)
+
+
+def _below(items: Sequence[int]) -> list[int]:
+    """Per index q of an axis, the mask of the items of its indices below q."""
+    masks = []
+    mask = 0
+    for item in items:
+        masks.append(mask)
+        mask |= 1 << item
+    return masks
 
 
 def permanent3(tensor: Tensor3, threads: int = 1) -> RingValue:
@@ -394,6 +433,15 @@ def triadjacency(
     a cube) and the three canonical edge orders indexing its axes. This is
     the one check of a reduction's classes: `tripartite_reduction` builds
     them without checking.
+
+    The tensor's support diagonals are the configuration's perfect
+    matchings. When the three axes have equal length, the tensor records
+    that its support is the configuration's kept perfect-matching index
+    (see `_support`), so `permanent3`, `determinant3` and
+    `support_diagonals` share one search with `core.perfect_matching_polynomial`.
+    Nothing of that index is built until a fold or a listing asks for it.
+    Axes of unequal length leave an unused axis index, and the tensor keeps
+    its own support, which answers 0 before anything is built.
     """
     problems = check_edge_tripartition(config, edge_classes)
     if problems:
@@ -403,7 +451,10 @@ def triadjacency(
     orders = _split_by_class(config.edge_ids, edge_classes)
     triangles = ((t, config.triangle_edges(t)) for t in config.triangle_ids)
     # every value is a monomial, never zero
-    return Tensor3._make(*_adjacency_tensor(triangles, edge_classes, orders, values, monomial(1))), orders
+    tensor = Tensor3._make(*_adjacency_tensor(triangles, edge_classes, orders, values, monomial(1)))
+    if len(orders[0]) == len(orders[1]) == len(orders[2]):
+        tensor._support = functools.partial(_matching_support, config, orders)
+    return tensor, orders
 
 
 def vertex_adjacency(
@@ -579,22 +630,23 @@ EdgeSigning = dict
 def apply_signing(tensor: Tensor3, sign1: Mapping, sign2: Mapping) -> Tensor3:
     """Entrywise resigning A'[a,b,c] = sign1[(a,b)] * sign2[(a,c)] * A[a,b,c].
 
-    Every sign read must be the int 1 or -1. A sign flip zeroes no entry,
-    so the resigning has the same cells and shares the tensor's support
-    (see `_support`).
+    Every sign read must be the int 1 or -1; a refusal names the signing,
+    `sign1` or `sign2`, and its projection edge. A sign flip zeroes no
+    entry, so the resigning has the same cells and shares the tensor's
+    support (see `_support`).
     """
 
-    def sign(signs: Mapping, edge: tuple[int, int]) -> int:
+    def sign(signs: Mapping, name: str, edge: tuple[int, int]) -> int:
         if edge not in signs:
-            raise ToolkitError(f"missing sign for projection edge {edge}")
+            raise ToolkitError(f"missing sign for projection edge {edge} in {name}")
         s = signs[edge]
         if type(s) is not int or s not in (1, -1):
-            raise ToolkitError(f"sign of projection edge {edge} must be the int 1 or -1, got {s!r}")
+            raise ToolkitError(f"sign of projection edge {edge} in {name} must be the int 1 or -1, got {s!r}")
         return s
 
     entries: dict[tuple[int, int, int], RingValue] = {}
     for (a, b, c), value in tensor.entries.items():
-        entries[(a, b, c)] = value if sign(sign1, (a, b)) == sign(sign2, (a, c)) else -value
+        entries[(a, b, c)] = value if sign(sign1, "sign1", (a, b)) == sign(sign2, "sign2", (a, c)) else -value
     signed = Tensor3._make(tensor.dims, entries)
     signed._support = tensor._support
     return signed

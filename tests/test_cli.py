@@ -656,6 +656,33 @@ class TestScale:
         assert check_edge_tripartition(config, classes) == []
         assert len(payload["tensor"]["entries"]) == size
 
+    def test_triadj_on_disjoint_classed_triangles_builds_no_cover_index(self, capsys, tmp_path, monkeypatch):
+        # 10000 disjoint triangles with stored classes: a cover index would hold
+        # 10000 options * 30000 items = 3e8 bits, past the mask guard, and triadj folds nothing
+        import kas3.core
+
+        made = []
+        init = kas3.core.CoverIndex.__init__
+
+        def recording(index, item_count, options):
+            made.append(item_count)
+            init(index, item_count, options)
+
+        monkeypatch.setattr(kas3.core.CoverIndex, "__init__", recording)
+        size = 10000
+        doc = {
+            "edges": [{"id": f"e{i}{c}"} for i in range(size) for c in "abc"],
+            "triangles": [{"id": f"t{i}", "edges": [f"e{i}a", f"e{i}b", f"e{i}c"]} for i in range(size)],
+            "edge_classes": {f"e{i}{c}": cls for i in range(size) for cls, c in enumerate("abc", start=1)},
+        }
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps(doc))
+        status, out = invoke(capsys, "triadj", str(path), "--json")
+        assert status == 0
+        tensor = json.loads(out)["tensor"]
+        assert tensor["dims"] == [size] * 3 and len(tensor["entries"]) == size
+        assert made == []
+
     def test_huge_side_answers_without_a_large_allocation(self, tmp_path):
         # side 2 * 10^10 with one entry: nothing of the cube's size may be built
         path = tmp_path / "huge.json"

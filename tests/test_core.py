@@ -582,15 +582,15 @@ class TestCoverMaskGuard:
         ids=["perfect_matching_polynomial", "enumerate_matchings_with_defect_within", "enumerate_perfect_strong_matchings"],
     )
     def test_guard_boundary(self, monkeypatch, solve, options, items):
-        config = octahedron_boundary()
-        expected = solve(config)
+        # a fresh configuration per call: a configuration keeps its perfect-matching index
+        expected = solve(octahedron_boundary())
         assert expected
         bits = options * items
         monkeypatch.setattr(core, "SUPPORT_MAX_BITS", bits)
-        assert solve(config) == expected
+        assert solve(octahedron_boundary()) == expected
         monkeypatch.setattr(core, "SUPPORT_MAX_BITS", bits - 1)
         with pytest.raises(GuardExceeded, match=f"cover mask guard is {bits - 1} bits .* got {bits}$"):
-            solve(config)
+            solve(octahedron_boundary())
 
     def test_long_strip_is_refused_before_any_mask(self):
         # the masks would take 20000 triangles * 40001 edges = 8.0e8 bits, 100 MB

@@ -405,7 +405,7 @@ class TestSearchWork:
         assert certify_trivial_signing(tc).passed
         assert strong_matching_bijection_check(tc).passed
         assert support_sum(tc.tensor, indicator=True) == 120
-        _cells, index = _support(tc.tensor)
+        _cells, index, _items = _support(tc.tensor)
         # the signing's count, the bijection's strong count and the last call read one fold
         assert [kind for at, kind in folds if at is index] == ["count", "signed"]
         # and the support's matchings, a second index, are counted by one fold too

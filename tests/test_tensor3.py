@@ -13,7 +13,7 @@ import pytest
 
 import kas3.core as core
 from kas3.algebra import BinaryCode, Polynomial
-from kas3.core import TriangularConfiguration
+from kas3.core import TriangularConfiguration, perfect_matching_polynomial, perfect_matchings
 from kas3.errors import GuardExceeded, SchemaError, ToolkitError
 from kas3.gadgets import make_matching_triangular_triangle, make_tunnel, tripartite_reduction
 from kas3.lattice import cubic_lattice, dimer_polynomial
@@ -46,6 +46,7 @@ from conftest import (
     determinant3_dense,
     permanent2_bruteforce,
     permanent3_dense,
+    permutation_parity,
     pfaffian_signing_exists,
     signed_biadjacency,
     support_diagonals_by_rows,
@@ -333,7 +334,7 @@ class TestPermanentDeterminant:
         assert signed._support is t._support
         assert determinant3(signed) == determinant3_dense(signed)
         assert permanent3(signed) == permanent3_dense(signed)
-        cells, index = t._support
+        cells, index, _items = t._support
         assert cells == sorted(signed.entries) and index.graph is not None
         fresh = Tensor3(t.dims, t.entries)  # equal, but not a resigning: it works out its own
         assert fresh == t and permanent3(fresh) == permanent3(t) and fresh._support[1] is not index
@@ -436,6 +437,108 @@ class TestBuilders:
                 triadjacency(config, classes)
 
 
+def _oracle_sums(t: Tensor3) -> tuple:
+    """per3 and det3 of `t` from the row-order oracle's diagonals, each
+    signed by the inversion parity of its permutation j -> k."""
+    per = det = 0
+    for cells in support_diagonals_by_rows(t):
+        k_of = [0] * len(cells)
+        for _i, j, k in cells:
+            k_of[j] = k
+        product = math.prod(t.entries[c] for c in cells)
+        per = per + product
+        det = det + permutation_parity(k_of) * product
+    return per, det
+
+
+def _no_matching_configs() -> list:
+    """Classed configurations with no perfect matching: equal axes with an edge in
+    no triangle, equal axes with every edge used, and unequal axes."""
+    classes = {"a1": 1, "a2": 1, "b1": 2, "b2": 2, "c1": 3, "c2": 3}
+    unused = TriangularConfiguration(sorted(classes), {"t0": ("a1", "b1", "c1"), "t1": ("a1", "b2", "c2")})
+    # each triangle's complement is missing, so no two triangles cover the six edges
+    used = TriangularConfiguration(sorted(classes), {
+        "t0": ("a1", "b1", "c1"), "t1": ("a1", "b2", "c2"), "t2": ("a2", "b1", "c2"), "t3": ("a2", "b2", "c1"),
+    })
+    unequal = TriangularConfiguration(["a1", "a2", "b1", "c1"], {"t0": ("a1", "b1", "c1")})
+    tunnel = make_tunnel(certify=False)
+    return [(unused, classes), (used, classes), (unequal, classes), (tunnel.config, tunnel.edge_classes)]
+
+
+class TestSharedSupport:
+    """A `triadjacency` tensor with equal axes folds and lists through its
+    configuration's perfect-matching index, against the tensor's own support
+    and the row-order oracle."""
+
+    def test_folds_agree_with_the_own_support_and_the_oracle(self, reduction_sweep):
+        checked = 0
+        for _config, _w, result, _sp, reduced_poly in reduction_sweep:
+            for weighting in (result.weighting, {t: (i * 7) % 6 for i, t in enumerate(result.config.triangle_ids)}):
+                t, _ = triadjacency(result.config, result.edge_classes, weighting)
+                own = Tensor3(t.dims, dict(t.entries))
+                sums = (permanent3(t), determinant3(t))
+                assert sums == (permanent3(own), determinant3(own))
+                assert t._support[1] is core._index(result.config).matchings()
+                assert own._support is False or own._support[1] is not t._support[1]
+                diagonals = sorted(sorted(cells) for cells in support_diagonals(t))
+                assert diagonals == sorted(sorted(cells) for cells in support_diagonals(own))
+                assert sums[0] == (reduced_poly if weighting is result.weighting else
+                                   perfect_matching_polynomial(result.config, weighting))
+                if t.cube_side <= 60:  # the oracle's plain search
+                    assert diagonals == support_diagonals_by_rows(t)
+                    assert sums == _oracle_sums(t)
+                    checked += 1
+        assert checked == 90
+
+    def test_configurations_with_no_perfect_matching(self):
+        for config, classes in _no_matching_configs():
+            t, axes = triadjacency(config, classes)
+            equal = len({len(axis) for axis in axes}) == 1
+            assert (permanent3(t), determinant3(t), list(support_diagonals(t))) == (0, 0, [])
+            assert _oracle_sums(t) == (0, 0)
+            # unequal axes answer from the tensor's own support, with no index built
+            assert (t._support is False) == (not equal)
+            assert (config._search_index is not None) == equal
+            assert perfect_matching_polynomial(config) == Polynomial(0) and perfect_matchings(config) == []
+
+    def test_listing_order_does_not_depend_on_history(self, reduction_sweep):
+        compared = 0
+        for config, weights, _result, _sp, _rp in reduction_sweep:
+            first = tripartite_reduction(config, weights)  # a fresh configuration: no index yet
+            perfect_matching_polynomial(first.config, first.weighting)
+            t_first, _ = triadjacency(first.config, first.edge_classes, first.weighting)
+            second = tripartite_reduction(config, weights)
+            t_second, _ = triadjacency(second.config, second.edge_classes, second.weighting)
+            listed = list(support_diagonals(t_second))  # builds the index through the tensor
+            assert list(support_diagonals(t_first)) == listed
+            assert perfect_matching_polynomial(second.config, second.weighting) == permanent3(t_first)
+            # cell o of the tensor is triangle o of the configuration
+            tri_ids = second.config.triangle_ids
+            cell_of = {cell: tri_ids[o] for o, cell in enumerate(t_second.entries)}
+            matchings = sorted(tuple(sorted(cell_of[c] for c in cells)) for cells in listed)
+            assert matchings == perfect_matchings(second.config)
+            compared += len(listed) > 1
+        assert compared >= 4
+
+    def test_polynomial_per3_and_det3_share_one_build(self, monkeypatch, reduction_sweep):
+        built = []
+        build = core.CoverIndex._build
+
+        def counting_build(index):
+            built.append(index)
+            return build(index)
+
+        monkeypatch.setattr(core.CoverIndex, "_build", counting_build)
+        config, weights = next((config, weights) for config, weights, _r, poly, _rp in reduction_sweep if poly)
+        reduced = tripartite_reduction(config, weights)
+        poly = perfect_matching_polynomial(reduced.config, reduced.weighting)
+        t, _ = triadjacency(reduced.config, reduced.edge_classes, reduced.weighting)
+        assert (permanent3(t), determinant3(t)) == (poly, _oracle_sums(t)[1])
+        assert len(built) == 1
+        assert len(list(support_diagonals(t))) == len(perfect_matchings(reduced.config))
+        assert len(built) == 1
+
+
 class TestProjectionsAndSignings:
     def test_diagonal_projections_are_matchings(self):
         t = Tensor3((3, 3, 3), {(i, i, i): 1 for i in range(3)})
@@ -472,8 +575,8 @@ class TestProjectionsAndSignings:
     @pytest.mark.parametrize(
         "sign2, message",
         [
-            ({}, r"missing sign for projection edge \(0, 0\)"),
-            ({(0, 0): 2}, r"sign of projection edge \(0, 0\) must be the int 1 or -1, got 2"),
+            ({}, r"missing sign for projection edge \(0, 0\) in sign2"),
+            ({(0, 0): 2}, r"sign of projection edge \(0, 0\) in sign2 must be the int 1 or -1, got 2"),
         ],
         ids=["missing_sign2", "sign_of_two"],
     )
@@ -483,14 +586,30 @@ class TestProjectionsAndSignings:
             apply_signing(t, {(0, 0): 1}, sign2)
 
     @pytest.mark.parametrize(
+        "sign1, message",
+        [
+            ({}, r"missing sign for projection edge \(0, 0\) in sign1"),
+            ({(0, 0): 2}, r"sign of projection edge \(0, 0\) in sign1 must be the int 1 or -1, got 2"),
+        ],
+        ids=["missing_sign1", "sign_of_two"],
+    )
+    def test_apply_signing_refuses_a_bad_sign1(self, sign1, message):
+        # the 1x1x1 tensor reads one edge from each signing: the text names the one at fault
+        t = Tensor3((1, 1, 1), {(0, 0, 0): 1})
+        with pytest.raises(ToolkitError, match=f"^{message}$"):
+            apply_signing(t, sign1, {(0, 0): 1})
+
+    @pytest.mark.parametrize(
         "sign1, sign2, edge, got",
         [(2, 0.5, "(0, 0)", "2"), (-2, 0.5, "(0, 0)", "-2"), (1.0, 1, "(0, 0)", "1.0"),
          (1, True, "(0, 1)", "True"), (-1, -1.0, "(0, 1)", "-1.0")],
     )
     def test_apply_signing_checks_each_sign(self, sign1, sign2, edge, got):
-        # each product of two signs is +1 or -1, yet one sign is not the int 1 or -1
+        # each product of two signs is +1 or -1, yet one sign is not the int 1 or -1;
+        # the cell's sign1 edge is (0, 0) and its sign2 edge (0, 1), so the edge names the side at fault
         t = Tensor3((1, 2, 2), {(0, 0, 1): 1})
-        message = f"sign of projection edge {edge} must be the int 1 or -1, got {got}"
+        side = {"(0, 0)": "sign1", "(0, 1)": "sign2"}[edge]
+        message = f"sign of projection edge {edge} in {side} must be the int 1 or -1, got {got}"
         with pytest.raises(ToolkitError, match=f"^{re.escape(message)}$"):
             apply_signing(t, {(0, 0): sign1}, {(0, 1): sign2})
 
