@@ -2,8 +2,9 @@
 
 Every matching problem is an exact-cover problem over a `CoverIndex`, whose
 state graph is listed only to name covers and folded for every sum over them.
-A configuration keeps its perfect-matching index, which its `triadjacency`
-tensor shares (`_SearchIndex.matchings`).
+Every search over a configuration, both tripartition searches included, reads
+the places it keeps: its edge places, its vertex places and its
+perfect-matching index, which its `triadjacency` tensor shares.
 
 A configuration is a 2-complex whose maximal simplices are triangles or edges.
 Edges are first-class opaque ids; vertex endpoints are optional per edge, so
@@ -60,8 +61,9 @@ class TriangularConfiguration:
     builders and `parse_config_doc`, which read every name themselves, hand
     finished maps to `_make` instead, which stores them as given.
 
-    The sorted id tuples and the triangles' vertex sets are computed once,
-    on first use, and shared by every later call.
+    The sorted id tuples, the triangles' vertex sets, the edge and vertex
+    places and the perfect-matching index are computed once, on first use,
+    and shared by every later call.
     """
 
     __slots__ = (
@@ -71,7 +73,9 @@ class TriangularConfiguration:
         "_edge_ids",
         "_triangle_ids",
         "_triangle_vertex_sets",
-        "_search_index",
+        "_edge_places",
+        "_vertex_places",
+        "_matching_index",
     )
 
     def __init__(
@@ -128,7 +132,9 @@ class TriangularConfiguration:
         self._edge_ids: tuple[str, ...] | None = None
         self._triangle_ids: tuple[str, ...] | None = None
         self._triangle_vertex_sets: dict[str, frozenset[str] | None] | None = None
-        self._search_index: _SearchIndex | None = None
+        self._edge_places: _Places | None = None
+        self._vertex_places: _Places | None = None
+        self._matching_index: CoverIndex | None = None
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -785,26 +791,53 @@ class CoverIndex:
         return Polynomial({e - shift: c for e, c in total.terms()}) if shift else total
 
 
-def cover_polynomial(item_count: int, options: Sequence[Sequence[int]], weights: Sequence[int]) -> Polynomial:
-    """Sum of x^(total weight) over the exact covers, given one integer weight
-    per option: `CoverIndex.polynomial` of a fresh index."""
-    return CoverIndex(item_count, options).polynomial(weights)
-
-
 # -- matchings and defects ----------------------------------------------------
 
 
-class _SearchIndex:
-    """Item positions shared by the enumeration routines (built once per config).
+# a configuration's places over its edges or its sorted vertices: each one's
+# position, and per triangle, in `triangle_ids` order, its members' positions
+_Places = tuple[dict[str, int], dict[str, tuple[int, ...]]]
 
-    Per triangle, `tri_edges` holds its edges' positions, refusing the first
-    unknown edge in sorted triangle order and then edge order, and
-    `tri_vertices` its vertices' positions in sorted vertex order, ascending,
-    once a strong-matching call has built it.
 
-    The perfect-matching problem, items the edge positions and options
-    `tri_edges`, has one `CoverIndex`, made by the first caller of
-    `matchings` and kept: `perfect_matching_polynomial` folds it,
+def _places(names: Sequence[str], tri_ids: Sequence[str], members: Mapping[str, Iterable[str]]) -> _Places:
+    """Each name's position in `names`, and each triangle's members' positions.
+
+    The first member that is not a name, in `tri_ids` order and then member
+    order, is refused as a dangling edge (every edge end is a vertex).
+    """
+    pos = dict(zip(names, range(len(names))))
+    at = pos.__getitem__
+    try:
+        return pos, {t: tuple(map(at, members[t])) for t in tri_ids}
+    except KeyError:
+        t, x = next((t, x) for t in tri_ids for x in members[t] if x not in pos)
+        raise ToolkitError(f"triangle {t!r} references dangling edge {x!r}") from None
+
+
+def _edge_places(config: TriangularConfiguration) -> _Places:
+    """The configuration's edge places, made on first use and kept: each
+    edge's position in `edge_ids`, and each triangle's edges' positions,
+    ascending since its edges are sorted."""
+    if config._edge_places is None:
+        config._edge_places = _places(config.edge_ids, config.triangle_ids, config._triangles)
+    return config._edge_places
+
+
+def _vertex_places(config: TriangularConfiguration) -> _Places:
+    """The configuration's vertex places, made on first use and kept: each
+    vertex's position in sorted order, and each triangle's vertices'
+    positions, ascending; a triangle without vertex data holds none."""
+    if config._vertex_places is None:
+        tris = {t: sorted(config.triangle_vertices(t) or ()) for t in config.triangle_ids}
+        config._vertex_places = _places(sorted(config.vertices), config.triangle_ids, tris)
+    return config._vertex_places
+
+
+def _matching_index(config: TriangularConfiguration) -> CoverIndex:
+    """The configuration's perfect-matching cover index, made on first use and kept.
+
+    Its items are the edge positions and its options the triangles' edge
+    positions (`_edge_places`). `perfect_matching_polynomial` folds it,
     `perfect_matchings` lists it, and a `tensor3.triadjacency` tensor whose
     axes have equal length folds and lists its support diagonals through it,
     since they are these covers. So one search serves the configuration and
@@ -812,54 +845,31 @@ class _SearchIndex:
     no index, and a graph guard refusal leaves the index's graph None, so the
     next caller meets each guard again.
     """
-
-    def __init__(self, config: TriangularConfiguration):
-        self.edge_ids = config.edge_ids
-        self.edge_pos = edge_pos = {e: i for i, e in enumerate(self.edge_ids)}
-        self.tri_ids = config.triangle_ids
-        self.tri_pos = {t: i for i, t in enumerate(self.tri_ids)}
-        self.tri_edges: list[tuple[int, ...]] = []
-        try:
-            for t in self.tri_ids:
-                self.tri_edges.append(tuple(edge_pos[e] for e in config.triangle_edges(t)))
-        except KeyError as exc:
-            raise ToolkitError(f"triangle {t!r} references dangling edge {exc.args[0]!r}") from None
-
-        self.tri_vertices: list[tuple[int, ...]] | None = None
-        self._matchings: CoverIndex | None = None
-
-    def matchings(self) -> CoverIndex:
-        """The perfect-matching cover index, made on first use and kept."""
-        if self._matchings is None:
-            self._matchings = CoverIndex(len(self.edge_ids), self.tri_edges)
-        return self._matchings
-
-    def triangle_sets(self, index: CoverIndex) -> list[tuple[str, ...]]:
-        """The index's exact covers, keeping the triangle options (the first len(tri_ids)), canonically ordered."""
-        ntri = len(self.tri_ids)
-        named = [tuple(sorted(self.tri_ids[oi] for oi in cover if oi < ntri)) for cover in index.covers()]
-        named.sort()
-        return named
+    if config._matching_index is None:
+        pos, members = _edge_places(config)
+        config._matching_index = CoverIndex(len(pos), list(members.values()))
+    return config._matching_index
 
 
-def _index(config: TriangularConfiguration) -> _SearchIndex:
-    if config._search_index is None:
-        config._search_index = _SearchIndex(config)
-    return config._search_index
+def _triangle_sets(config: TriangularConfiguration, index: CoverIndex) -> list[tuple[str, ...]]:
+    """The index's exact covers, keeping the triangle options (the first len(triangle_ids)), canonically ordered."""
+    tri_ids = config.triangle_ids
+    ntri = len(tri_ids)
+    return sorted(tuple(sorted(tri_ids[oi] for oi in cover if oi < ntri)) for cover in index.covers())
 
 
 def defect(config: TriangularConfiguration, matching: Iterable[str]) -> frozenset[str]:
     """Edges of the configuration covered by no triangle of the matching."""
-    idx = _index(config)
+    _, members = _edge_places(config)
     covered: set[int] = set()
     for t in matching:
-        if t not in idx.tri_pos:
+        edges = members.get(t)
+        if edges is None:
             raise ToolkitError(f"unknown triangle {t!r}")
-        edges = idx.tri_edges[idx.tri_pos[t]]
         if not covered.isdisjoint(edges):
             raise NotAMatching(f"triangle {t!r} shares an edge with the rest")
         covered.update(edges)
-    return frozenset(e for i, e in enumerate(idx.edge_ids) if i not in covered)
+    return frozenset(e for i, e in enumerate(config.edge_ids) if i not in covered)
 
 
 def enumerate_matchings_with_defect_within(
@@ -873,17 +883,17 @@ def enumerate_matchings_with_defect_within(
     allowed edge gets a one-edge slack option, so the matchings are exactly
     the triangle parts of the exact covers of all edges. With no allowed
     edge this is the configuration's kept perfect-matching index
-    (`_SearchIndex.matchings`).
+    (`_matching_index`).
     """
-    idx = _index(config)
+    pos, members = _edge_places(config)
     slack = set()
     for e in allowed:
-        if e not in idx.edge_pos:
+        if e not in pos:
             raise ToolkitError(f"unknown edge {e!r}")
-        slack.add(idx.edge_pos[e])
+        slack.add(pos[e])
     if not slack:
-        return idx.triangle_sets(idx.matchings())
-    return idx.triangle_sets(CoverIndex(len(idx.edge_ids), idx.tri_edges + [(pos,) for pos in sorted(slack)]))
+        return _triangle_sets(config, _matching_index(config))
+    return _triangle_sets(config, CoverIndex(len(pos), [*members.values(), *[(i,) for i in sorted(slack)]]))
 
 
 def perfect_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
@@ -898,35 +908,24 @@ def perfect_matching_polynomial(
 
     A triangle weighs `weighting[t]`, or 1 when the weighting leaves it out.
     The sum is one fold (`CoverIndex.polynomial`) over the state graph of
-    the configuration's kept perfect-matching index
-    (`_SearchIndex.matchings`), which a later call, a listing or the
-    configuration's `triadjacency` tensor reads again: no matching is
-    listed, and a negative weight is refused only when some matching's
-    total is negative.
+    the configuration's kept perfect-matching index (`_matching_index`),
+    which a later call, a listing or the configuration's `triadjacency`
+    tensor reads again: no matching is listed, and a negative weight is
+    refused only when some matching's total is negative.
     """
-    idx = _index(config)
+    _, members = _edge_places(config)  # a dangling edge, then a weight, then the index's guard
     weighting = weighting or {}
-    weights = [operator.index(weighting.get(t, 1)) for t in idx.tri_ids]
-    return idx.matchings().polynomial(weights)
-
-
-def _vertex_index(config: TriangularConfiguration) -> _SearchIndex:
-    """The search index, with every triangle's vertex positions worked out."""
-    idx = _index(config)
-    if idx.tri_vertices is None:
-        if not config.has_full_vertex_data:
-            raise ToolkitError("perfect strong matchings need vertex data on every edge")
-        vertex_pos = {v: i for i, v in enumerate(sorted(config.vertices))}
-        idx.tri_vertices = [
-            tuple(sorted(vertex_pos[v] for v in config.triangle_vertices(t) or ())) for t in idx.tri_ids
-        ]
-    return idx
+    weights = [operator.index(weighting.get(t, 1)) for t in members]  # in `triangle_ids` order
+    return _matching_index(config).polynomial(weights)
 
 
 def enumerate_perfect_strong_matchings(config: TriangularConfiguration) -> list[tuple[str, ...]]:
     """All sets of pairwise vertex-disjoint triangles covering every vertex."""
-    idx = _vertex_index(config)
-    return idx.triangle_sets(CoverIndex(len(config.vertices), idx.tri_vertices))
+    _edge_places(config)  # a dangling edge is refused first
+    if not config.has_full_vertex_data:
+        raise ToolkitError("perfect strong matchings need vertex data on every edge")
+    pos, members = _vertex_places(config)
+    return _triangle_sets(config, CoverIndex(len(pos), list(members.values())))
 
 
 # -- tripartitions -------------------------------------------------------------
@@ -938,45 +937,42 @@ _DOMAIN_SIZE = (0, 1, 1, 2, 1, 2, 2, 3) + (0,) * 8
 _ASSIGNED = 8
 
 
-def _rainbow_csp(
-    kind: str,
-    items: Sequence[str],
-    triangles: Iterable[tuple[str, Sequence[str]]],
-    pins: Mapping[str, int] | None,
-) -> dict[str, int] | None:
-    """Exhaustive 3-coloring of `items` where each triangle must see all three classes.
-
-    `triangles` pairs each triangle id with its three members; the first
-    member that is not an item raises `ToolkitError` as a dangling `kind`.
-    Unit propagation (two assigned members force the third) plus
-    smallest-domain-first branching (lowest item index on ties, classes in
-    ascending order); deterministic, complete search. It runs on item
-    indices: a domain is a 3-bit mask, flagged with `_ASSIGNED` once the
-    item is set, and the trail holds one integer `index << 3 | old domain`
-    per change. The branching item comes from a heap of integer keys
-    `domain size * n + index`: a change that leaves an item two classes, and
-    every undo, pushes a fresh key (an item left one class is set before the
-    next pick), and `pick` drops the stale ones, so a step costs the domains
-    it touches and not a scan of every item.
-    """
-    n = len(items)
-    pos = {item: i for i, item in enumerate(items)}
-    mates: list[list[int]] = [[] for _ in items]  # per item: the other two members of each triangle
-    for t, (a, b, c) in triangles:
-        try:
-            a, b, c = pos[a], pos[b], pos[c]
-        except KeyError as exc:
-            raise ToolkitError(f"triangle {t!r} references dangling {kind} {exc.args[0]!r}") from None
-        mates[a] += (b, c)
-        mates[b] += (a, c)
-        mates[c] += (a, b)
-    dom = [7] * n
+def _pin_domains(places: _Places, pins: Mapping[str, int] | None) -> list[int]:
+    """Per placed item, the classes open to it as a domain mask: its pin's class, or all three."""
+    pos, _ = places
+    dom = [7] * len(pos)
     for item, cls in (pins or {}).items():
         if item not in pos:
             raise ToolkitError(f"pin on unknown item {item!r}")
         if type(cls) is not int or not 1 <= cls <= 3:
             raise ToolkitError(f"pin {item!r}: class {cls!r} must be the integer 1, 2 or 3")
         dom[pos[item]] = 1 << (cls - 1)
+    return dom
+
+
+def _rainbow_csp(places: _Places, dom: list[int]) -> dict[str, int] | None:
+    """Exhaustive 3-coloring of the placed items where each triangle must see all three classes.
+
+    `places` gives the items in position order and each triangle's three
+    members' positions; `dom` is each item's starting domain (`_pin_domains`).
+    Unit propagation (two assigned members force the third) plus
+    smallest-domain-first branching (lowest item position on ties, classes
+    in ascending order); deterministic, complete search. A domain is a 3-bit
+    mask, flagged with `_ASSIGNED` once the item is set, and the trail holds
+    one integer `position << 3 | old domain` per change. The branching item
+    comes from a heap of integer keys `domain size * n + position`: a change
+    that leaves an item two classes, and every undo, pushes a fresh key (an
+    item left one class is set before the next pick), and `pick` drops the
+    stale ones, so a step costs the domains it touches and not a scan of
+    every item.
+    """
+    items, members = places
+    n = len(items)
+    mates: list[list[int]] = [[] for _ in range(n)]  # per item: the other two members of each triangle
+    for a, b, c in members.values():
+        mates[a] += (b, c)
+        mates[b] += (a, c)
+        mates[c] += (a, b)
 
     size = _DOMAIN_SIZE
     # at each pick, one key is current for every unassigned item
@@ -1058,26 +1054,23 @@ def find_edge_tripartition(
     config: TriangularConfiguration, pins: Mapping[str, int] | None = None
 ) -> dict[str, int] | None:
     """Total edge 3-classing with every triangle rainbow, or None if impossible."""
-    triangles = []
-    for t in config.triangle_ids:
-        tri = config.triangle_edges(t)
-        if len(set(tri)) != 3 or len(tri) != 3:
-            return None  # no classing makes it rainbow
-        triangles.append((t, tri))
-    return _rainbow_csp("edge", config.edge_ids, triangles, pins)
+    # a triangle's edges are sorted, so a repeated edge is next to its copy
+    if any(len(tri) != 3 or tri[0] == tri[1] or tri[1] == tri[2] for tri in config._triangles.values()):
+        return None  # no classing makes it rainbow
+    places = _edge_places(config)
+    return _rainbow_csp(places, _pin_domains(places, pins))
 
 
 def find_vertex_tripartition(
     config: TriangularConfiguration, pins: Mapping[str, int] | None = None
 ) -> dict[str, int] | None:
     """Total vertex 3-classing with every triangle rainbow, or None if impossible."""
-    triangles = []
     for t in config.triangle_ids:
         verts = config.triangle_vertices(t)
         if verts is None or len(verts) != 3:
             raise ToolkitError(f"triangle {t!r} lacks vertex data")
-        triangles.append((t, sorted(verts)))
-    return _rainbow_csp("vertex", sorted(config.vertices), triangles, pins)
+    places = _vertex_places(config)
+    return _rainbow_csp(places, _pin_domains(places, pins))
 
 
 _CLASSES = frozenset((1, 2, 3))
@@ -1135,9 +1128,9 @@ def check_vertex_tripartition(
 
 def _edge_rows(config: TriangularConfiguration) -> Iterator[dict[int, int]]:
     """One sparse row per edge, in sorted order: 1 in the column of each triangle holding it."""
-    idx = _index(config)
-    rows: list[dict[int, int]] = [{} for _ in idx.edge_ids]
-    for j, edges in enumerate(idx.tri_edges):
+    pos, members = _edge_places(config)
+    rows: list[dict[int, int]] = [{} for _ in pos]
+    for j, edges in enumerate(members.values()):
         for i in edges:
             rows[i][j] = 1
     yield from rows

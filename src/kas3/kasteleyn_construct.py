@@ -22,15 +22,16 @@ tripartition; the tests check its constructions against the public checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._util import read_array, read_int
 from .core import CoverIndex, TriangularConfiguration
 from .errors import SchemaError, ToolkitError
 from .tensor3 import (
+    _FIELD_KINDS,
     RingValue,
     Tensor3,
+    _check_matrix,
     diagonal_sign,
     support_diagonals,
     support_sum,
@@ -71,10 +72,7 @@ def _freeze_matrix(matrix: Sequence[Sequence[RingValue]]) -> Matrix:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ToolkitError("matrix must be square")
-    for row in rows:
-        for v in row:
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-                raise ToolkitError(f"matrix entries must be exact numbers, got {v!r}")
+    _check_matrix(rows, _FIELD_KINDS, "matrix entry")
     return rows
 
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from ._util import exact_decimal
 from .algebra import Polynomial
-from .core import cover_polynomial
+from .core import CoverIndex
 from .errors import GuardExceeded, ToolkitError
 from .kasteleyn_construct import TConstruction, build_T
 from .tensor3 import BipartiteGraph, check_ryser_side
@@ -77,7 +77,7 @@ def dimer_polynomial(
     """Generating polynomial of perfect matchings; zero when the box is odd.
 
     The polynomial is one fold over the state graph of the grid graph's
-    matching problem (`core.cover_polynomial`), so no matching is listed
+    matching problem (`core.CoverIndex.polynomial`), so no matching is listed
     and negative edge weights stay exact. An even box whose colour class is
     above the Ryser guard is refused before the fold runs: every count it
     answers stays within reach of the Ryser oracle in the tests, and the
@@ -91,7 +91,7 @@ def dimer_polynomial(
     edges = sorted(lattice.graph.edges)
     edge_weights = edge_weights or {}
     weights = [operator.index(edge_weights.get(e, 1)) for e in edges]
-    return cover_polynomial(*lattice.graph.matching_problem(edges), weights)
+    return CoverIndex(*lattice.graph.matching_problem(edges)).polynomial(weights)
 
 
 # -- geometric realization ---------------------------------------------------------

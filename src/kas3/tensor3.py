@@ -14,7 +14,8 @@ support once (`_support`), and its resignings share it. A `triadjacency`
 tensor with axes of equal length works out none of its own: its support
 diagonals are its configuration's perfect matchings, so it folds and lists
 the configuration's one perfect-matching cover index, made on first use
-by it or by `core.perfect_matching_polynomial`, whichever comes first. A
+by it or by `core.perfect_matching_polynomial`, whichever comes first,
+with each axis index's item read from the configuration's edge places. A
 tensor with an axis index that no entry uses has no support diagonal and
 is answered from its entries; otherwise the cover index refuses a support
 whose masks would pass `core.SUPPORT_MAX_BITS` before it builds any, and a
@@ -46,7 +47,8 @@ from .algebra import Polynomial
 from .core import (
     CoverIndex,
     TriangularConfiguration,
-    _index,
+    _edge_places,
+    _matching_index,
     check_edge_tripartition,
     check_vertex_tripartition,
 )
@@ -246,9 +248,10 @@ def _support(tensor: Tensor3) -> Support:
     holding items i, n + j and 2n + k, so axis a's index q is item a n + q.
     A `triadjacency` tensor whose axes have equal length holds instead a
     recipe for its configuration's kept perfect-matching index
-    (`core._SearchIndex.matchings`), read here the first time a fold or a
-    listing needs it: its cells in `triangle_ids` order, one per triangle,
-    are that index's options, and each axis index is the item of its edge.
+    (`core._matching_index`), read here the first time a fold or a listing
+    needs it: its cells in `triangle_ids` order, one per triangle, are that
+    index's options, and each axis index is the item of its edge, read from
+    the configuration's edge places (`core._edge_places`).
     Values are not part of the support; callers read them from `entries`.
     """
     support = tensor._support
@@ -267,10 +270,9 @@ def _support(tensor: Tensor3) -> Support:
 def _matching_support(config: TriangularConfiguration, orders: tuple[tuple[str, ...], ...], tensor: Tensor3) -> Support:
     """The support of `config`'s `triadjacency` tensor, whose cells were
     placed one per triangle in `triangle_ids` order, as its configuration's
-    perfect-matching cover index."""
-    idx = _index(config)
-    edge_pos = idx.edge_pos
-    return list(tensor.entries), idx.matchings(), tuple([edge_pos[e] for e in axis] for axis in orders)
+    perfect-matching cover index, each axis index the item of its edge."""
+    pos, _ = _edge_places(config)
+    return list(tensor.entries), _matching_index(config), tuple([pos[e] for e in axis] for axis in orders)
 
 
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
@@ -439,7 +441,8 @@ def triadjacency(
     that its support is the configuration's kept perfect-matching index
     (see `_support`), so `permanent3`, `determinant3` and
     `support_diagonals` share one search with `core.perfect_matching_polynomial`.
-    Nothing of that index is built until a fold or a listing asks for it.
+    Nothing of that index or of its edge places is built until a fold or a
+    listing asks for it.
     Axes of unequal length leave an unused axis index, and the tensor keeps
     its own support, which answers 0 before anything is built.
     """

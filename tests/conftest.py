@@ -5,8 +5,9 @@ filtered from full subset enumeration, permanents and determinants come from
 the n! definitions, Pfaffian signings from trying every sign pattern, cycle
 spaces from trying every triangle weighting, the matrix-to-tensor
 construction's cells from its triangles' vertices, its bijection
-certificate from the permutations of its support, and the dimer counts of
-1 x 2 x n and 2 x 2 x n boxes from their transfer recurrences.
+certificate from the permutations of its support, the dimer counts of
+1 x 2 x n and 2 x 2 x n boxes from their transfer recurrences, and those of
+any box with a cross-section of at most 16 cells from a transfer matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from kas3.gadgets import tripartite_reduction
 from kas3.tensor3 import Tensor3
 
 DENSE_MAX_SIDE = 4
+TRANSFER_MAX_LAYER = 16
 
 
 def brute_force_matchings(config, allowed):
@@ -216,6 +218,43 @@ def dimers_2x2xn(n: int) -> int:
     return counts[n]
 
 
+def dimers_by_transfer(a: int, b: int, c: int) -> int:
+    """Perfect matchings of the a x b x c box, by a broken-profile transfer
+    matrix (Lieb, J. Math. Phys. 8, 1967): no search, and no kas3 code.
+
+    A layer is a cross-section across the box's two smallest sides, and the
+    layers are filled in turn, one cell at a time. The profile has one bit
+    per cell of a layer: for a cell not yet reached, whether a dimer already
+    covers it; for a cell passed, whether a dimer going up from it covers
+    the same cell of the next layer. A cell no dimer covers yet is covered
+    by one going up, or by one along its row or its column to the next
+    cell, when that cell is free. A layer of more than `TRANSFER_MAX_LAYER`
+    cells is refused before any profile is made.
+    """
+    rows, cols, depth = sorted((a, b, c))
+    cells = rows * cols
+    if cells > TRANSFER_MAX_LAYER:
+        raise GuardExceeded(f"transfer oracle limited to {TRANSFER_MAX_LAYER} cells a layer, got {rows} x {cols}")
+    counts = {0: 1}
+    for z in range(depth):
+        for p in range(cells):
+            bit, right, below = 1 << p, 2 << p, 1 << (p + cols)
+            step: dict[int, int] = {}
+            for profile, count in counts.items():
+                if profile & bit:
+                    moves = [profile ^ bit]  # covered already; the bit turns to the next layer's cell
+                else:
+                    moves = [profile | bit] if z + 1 < depth else []
+                    if (p + 1) % cols and not profile & right:
+                        moves.append(profile | right)
+                    if p + cols < cells and not profile & below:
+                        moves.append(profile | below)
+                for move in moves:
+                    step[move] = step.get(move, 0) + count
+            counts = step
+    return counts.get(0, 0)
+
+
 @contextmanager
 def traced_peak():
     """Yield a list that holds, once the block ends (raising or not), the peak
@@ -389,6 +428,33 @@ def tetrahedron_boundary() -> TriangularConfiguration:
         for a, b, c in itertools.combinations(range(1, 5), 3)
     }
     return TriangularConfiguration(edges, triangles)
+
+
+def octahedron_boundary() -> TriangularConfiguration:
+    """The eight faces of an octahedron on the vertices x0, x1, y0, y1, z0 and z1.
+
+    Classing each edge by the axis it misses, and each vertex by its axis,
+    makes every face rainbow. Its two perfect matchings are the faces of
+    either checkerboard colour, and its four perfect strong matchings the
+    pairs of opposite faces.
+    """
+    faces = list(itertools.product(("x0", "x1"), ("y0", "y1"), ("z0", "z1")))
+    edges = {a + b: (a, b) for face in faces for a, b in itertools.combinations(face, 2)}
+    triangles = {"".join(face): [a + b for a, b in itertools.combinations(face, 2)] for face in faces}
+    return TriangularConfiguration(edges, triangles)
+
+
+def places_made(monkeypatch) -> list[list[str]]:
+    """A list that grows by the names of each set of places `core` makes from now on."""
+    made: list[list[str]] = []
+    places = core._places
+
+    def counted(names, *rest):
+        made.append(list(names))
+        return places(names, *rest)
+
+    monkeypatch.setattr(core, "_places", counted)
+    return made
 
 
 def disjoint_union(configs) -> TriangularConfiguration:

@@ -235,6 +235,13 @@ class TestErrors:
             1, canonical_json({"error": {"type": "operation", "message": "code length must be non-negative"}}) + "\n"
         )
 
+    def test_too_few_generator_rows_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({"k": 2, "n": 3, "rows": [[1, 0, 0]]}))
+        assert invoke(capsys, "code", "wenum", str(path)) == (
+            2, canonical_json({"error": {"type": "schema", "message": "expected 2 generator rows, got 1"}}) + "\n"
+        )
+
     def test_code_file_that_is_not_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "code.json"
         path.write_text("{nope")
@@ -270,7 +277,7 @@ class TestErrors:
         def refuse(*args):
             raise AssertionError("searched past the Ryser guard")
 
-        monkeypatch.setattr(kas3.lattice, "cover_polynomial", refuse)
+        monkeypatch.setattr(kas3.lattice, "CoverIndex", refuse)
         status, out = invoke(capsys, "lattice", "2", "2", "11", "--dimers")
         assert status == 1
         assert json.loads(out)["error"] == {"type": "operation", "message": "Ryser guard is n <= 20, got n = 22"}

@@ -22,7 +22,9 @@ from conftest import (
     cover_graph_size,
     disjoint_union,
     mask_items,
+    octahedron_boundary,
     path_matching_sum,
+    places_made,
     traced_peak,
     random_config,
 )
@@ -561,14 +563,6 @@ class TestEnumeration:
             assert inner <= outer
 
 
-def octahedron_boundary() -> TriangularConfiguration:
-    """The eight faces of an octahedron on the vertices x0, x1, y0, y1, z0 and z1."""
-    faces = list(itertools.product(("x0", "x1"), ("y0", "y1"), ("z0", "z1")))
-    edges = {a + b: (a, b) for face in faces for a, b in itertools.combinations(face, 2)}
-    triangles = {"".join(face): [a + b for a, b in itertools.combinations(face, 2)] for face in faces}
-    return TriangularConfiguration(edges, triangles)
-
-
 class TestCoverMaskGuard:
     """Configuration problems meet the one mask guard of `CoverIndex`, options * items bits."""
 
@@ -726,7 +720,7 @@ class TestPerfectMatchingPolynomial:
 
     def test_empty_problem_is_one(self):
         assert perfect_matching_polynomial(TriangularConfiguration([])) == Polynomial(1)
-        assert core.cover_polynomial(0, [], []) == Polynomial(1)
+        assert CoverIndex(0, []).polynomial([]) == Polynomial(1)
 
 
 class TestStrongMatchings:
@@ -750,6 +744,16 @@ class TestStrongMatchings:
         with pytest.raises(ToolkitError):
             enumerate_perfect_strong_matchings(single_triangle())
 
+    def test_shares_the_vertex_places_with_the_tripartition_search(self, monkeypatch):
+        config = octahedron_boundary()
+        made = places_made(monkeypatch)
+        assert find_vertex_tripartition(config) == {"x0": 1, "x1": 1, "y0": 2, "y1": 2, "z0": 3, "z1": 3}
+        places = config._vertex_places
+        assert len(enumerate_perfect_strong_matchings(config)) == 4
+        assert config._vertex_places is places
+        # the strong matchings read the edge places too, which refuse a dangling edge first
+        assert made == [sorted(config.vertices), list(config.edge_ids)]
+
     def test_matches_brute_force(self, tetrahedron):
         assert enumerate_perfect_strong_matchings(tetrahedron) == \
             brute_force_strong_matchings(tetrahedron)
@@ -767,7 +771,7 @@ class TestStrongMatchings:
                 triangles[f"t{n}"] = tuple(f"{u}~{v}" for u, v in pairs)
             config = TriangularConfiguration(edges, triangles, verts)
             strong = brute_force_strong_matchings(config)
-            index = CoverIndex(len(verts), core._vertex_index(config).tri_vertices)
+            index = CoverIndex(len(verts), list(core._vertex_places(config)[1].values()))
             assert index.count() == len(strong)
             assert enumerate_perfect_strong_matchings(config) == strong
 

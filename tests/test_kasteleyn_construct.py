@@ -92,7 +92,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "True"), ("3", "'3'")], ids=["float", "bool", "str"])
     def test_rejects_inexact_entries(self, value, shown):
-        with pytest.raises(ToolkitError, match=rf"^matrix entries must be exact numbers, got {shown}$"):
+        with pytest.raises(ToolkitError, match=rf"^matrix entry \(0,0\) holds {shown}, not an int or Fraction$"):
             build_T([[value]])
 
     def test_entry_placement(self):

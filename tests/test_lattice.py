@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import dimers_1x2xn, dimers_2x2xn, permanent2_bruteforce
+from conftest import dimers_1x2xn, dimers_2x2xn, dimers_by_transfer, permanent2_bruteforce
 import kas3.core as core
 import kas3.lattice as lattice
 from kas3.algebra import Polynomial
-from kas3.core import TriangularConfiguration
+from kas3.core import CoverIndex, TriangularConfiguration
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
     GRID,
@@ -120,9 +120,9 @@ class TestDimerCounts:
             assert len(counts) == 1
 
     def test_pipeline_agreement_small_boxes(self):
-        # the fold's count against the Ryser permanent of the support matrix
-        # and against per3 and det3 (the paper's claim) of the `build_T`
-        # tensor, on every even box of at most 32 vertices up to axis order
+        # the fold's count against the Ryser permanent of the support matrix,
+        # per3 and det3 (the paper's claim) of the `build_T` tensor and the
+        # transfer oracle, on every even box of at most 32 vertices up to axis order
         boxes = [
             dims
             for dims in itertools.combinations_with_replacement(range(1, 33), 3)
@@ -133,7 +133,10 @@ class TestDimerCounts:
             q = cubic_lattice(*dims)
             biadj = q.graph.biadjacency()
             tensor = build_T(biadj).tensor
-            counts = (dimer_polynomial(q)(1), permanent2(biadj), permanent3(tensor), determinant3(tensor))
+            counts = (
+                dimer_polynomial(q)(1), permanent2(biadj), permanent3(tensor), determinant3(tensor),
+                dimers_by_transfer(*dims),
+            )
             assert len(set(counts)) == 1, (dims, counts)
 
     def test_count_is_one_fold(self, monkeypatch):
@@ -157,7 +160,7 @@ class TestDimerCounts:
         def refuse(*args):
             raise AssertionError("searched or built past the Ryser guard")
 
-        monkeypatch.setattr(lattice, "cover_polynomial", refuse)
+        monkeypatch.setattr(lattice, "CoverIndex", refuse)
         monkeypatch.setattr(BipartiteGraph, "biadjacency", refuse)
         # 44 vertices: colour classes of 22, above the Ryser guard's 20
         with pytest.raises(GuardExceeded, match=r"^Ryser guard is n <= 20, got n = 22$"):
@@ -173,6 +176,28 @@ class TestDimerCounts:
         assert [dimers_2x2xn(n) for n in (5, 8, 10)] == [450, 23409, 326041]
         for n in range(1, 11):  # up to 40 vertices
             assert dimer_polynomial(cubic_lattice(2, 2, n)) == Polynomial({2 * n: dimers_2x2xn(n)})
+
+    def test_transfer_oracle_against_the_recurrences(self):
+        for n in range(1, 31):
+            assert dimers_by_transfer(1, 2, n) == dimers_by_transfer(n, 1, 2) == dimers_1x2xn(n)
+            assert dimers_by_transfer(2, 2, n) == dimers_by_transfer(2, n, 2) == dimers_2x2xn(n)
+        assert dimers_by_transfer(3, 3, 3) == dimers_by_transfer(1, 1, 1) == 0
+        with pytest.raises(GuardExceeded, match=r"^transfer oracle limited to 16 cells a layer, got 5 x 5$"):
+            dimers_by_transfer(5, 6, 5)
+
+    def test_matching_fold_past_40_vertices_against_the_transfer_oracle(self):
+        # the box's matching problem has no colour-class guard, so its fold
+        # answers past the Ryser oracle's 40 vertices
+        boxes = {
+            (2, 2, 30): 89_582_406_128_846_401,
+            (2, 3, 10): 422_983_905,
+            (2, 4, 6): 9_049_169,
+            (3, 4, 4): 10_885_344,
+        }
+        for dims, count in boxes.items():
+            graph = cubic_lattice(*dims).graph
+            fold = CoverIndex(*graph.matching_problem(sorted(graph.edges))).count()
+            assert fold == dimers_by_transfer(*dims) == count, dims
 
 
 class TestEmbedding:

@@ -13,7 +13,15 @@ import pytest
 
 import kas3.core as core
 from kas3.algebra import BinaryCode, Polynomial
-from kas3.core import TriangularConfiguration, perfect_matching_polynomial, perfect_matchings
+from kas3.core import (
+    TriangularConfiguration,
+    cycle_space_weight_enumerator,
+    defect,
+    enumerate_matchings_with_defect_within,
+    find_edge_tripartition,
+    perfect_matching_polynomial,
+    perfect_matchings,
+)
 from kas3.errors import GuardExceeded, SchemaError, ToolkitError
 from kas3.gadgets import make_matching_triangular_triangle, make_tunnel, tripartite_reduction
 from kas3.lattice import cubic_lattice, dimer_polynomial
@@ -44,10 +52,12 @@ from conftest import (
     cover_graph_size,
     determinant2_leibniz,
     determinant3_dense,
+    octahedron_boundary,
     permanent2_bruteforce,
     permanent3_dense,
     permutation_parity,
     pfaffian_signing_exists,
+    places_made,
     signed_biadjacency,
     support_diagonals_by_rows,
     traced_peak,
@@ -478,7 +488,7 @@ class TestSharedSupport:
                 own = Tensor3(t.dims, dict(t.entries))
                 sums = (permanent3(t), determinant3(t))
                 assert sums == (permanent3(own), determinant3(own))
-                assert t._support[1] is core._index(result.config).matchings()
+                assert t._support[1] is core._matching_index(result.config)
                 assert own._support is False or own._support[1] is not t._support[1]
                 diagonals = sorted(sorted(cells) for cells in support_diagonals(t))
                 assert diagonals == sorted(sorted(cells) for cells in support_diagonals(own))
@@ -490,6 +500,28 @@ class TestSharedSupport:
                     checked += 1
         assert checked == 90
 
+    def test_every_edge_search_reads_one_set_of_places_and_one_index(self, monkeypatch):
+        config = octahedron_boundary()
+        made = places_made(monkeypatch)
+        indexes = []
+        make_index = core.CoverIndex
+
+        def counted(*args):
+            indexes.append(make_index(*args))
+            return indexes[-1]
+
+        monkeypatch.setattr(core, "CoverIndex", counted)
+        classes = find_edge_tripartition(config)
+        matchings = perfect_matchings(config)
+        assert len(matchings) == 2 and [defect(config, m) for m in matchings] == [frozenset()] * 2
+        assert enumerate_matchings_with_defect_within(config, ["x0y0"]) == matchings
+        assert cycle_space_weight_enumerator(config, 2) == Polynomial({0: 1, 8: 1})
+        t, _ = triadjacency(config, classes)
+        assert permanent3(t) == Polynomial({4: 2})
+        assert made == [list(config.edge_ids)]
+        # the one-edge slack search builds its own index; the matching index is made once
+        assert len(indexes) == 2 and t._support[1] is config._matching_index is indexes[0]
+
     def test_configurations_with_no_perfect_matching(self):
         for config, classes in _no_matching_configs():
             t, axes = triadjacency(config, classes)
@@ -498,7 +530,7 @@ class TestSharedSupport:
             assert _oracle_sums(t) == (0, 0)
             # unequal axes answer from the tensor's own support, with no index built
             assert (t._support is False) == (not equal)
-            assert (config._search_index is not None) == equal
+            assert (config._matching_index is not None) == equal
             assert perfect_matching_polynomial(config) == Polynomial(0) and perfect_matchings(config) == []
 
     def test_listing_order_does_not_depend_on_history(self, reduction_sweep):
