@@ -61,9 +61,9 @@ class TriangularConfiguration:
     builders and `parse_config_doc`, which read every name themselves, hand
     finished maps to `_make` instead, which stores them as given.
 
-    The sorted id tuples, the triangles' vertex sets, the edge and vertex
-    places and the perfect-matching index are computed once, on first use,
-    and shared by every later call.
+    The sorted id tuples, the edge and vertex places (its one numbering,
+    which every search, tensor builder and export reads) and the
+    perfect-matching index are computed once, on first use, and kept.
     """
 
     __slots__ = (
@@ -72,7 +72,6 @@ class TriangularConfiguration:
         "_triangles",
         "_edge_ids",
         "_triangle_ids",
-        "_triangle_vertex_sets",
         "_edge_places",
         "_vertex_places",
         "_matching_index",
@@ -131,7 +130,6 @@ class TriangularConfiguration:
         self._triangles = triangles
         self._edge_ids: tuple[str, ...] | None = None
         self._triangle_ids: tuple[str, ...] | None = None
-        self._triangle_vertex_sets: dict[str, frozenset[str] | None] | None = None
         self._edge_places: _Places | None = None
         self._vertex_places: _Places | None = None
         self._matching_index: CoverIndex | None = None
@@ -166,13 +164,8 @@ class TriangularConfiguration:
 
     def triangle_vertices(self, triangle: str) -> frozenset[str] | None:
         """Vertex set of a triangle, or None when endpoint data is missing."""
-        if self._triangle_vertex_sets is None:
-            sets: dict[str, frozenset[str] | None] = {}
-            for t, tri in self._triangles.items():
-                ends = [self._edges.get(e) for e in tri]
-                sets[t] = None if None in ends or len(ends) != 3 else frozenset(ends[0] + ends[1] + ends[2])
-            self._triangle_vertex_sets = sets
-        return self._triangle_vertex_sets[triangle]
+        ends = [self._edges.get(e) for e in self._triangles[triangle]]
+        return None if None in ends or len(ends) != 3 else frozenset(ends[0] + ends[1] + ends[2])
 
     @property
     def has_full_vertex_data(self) -> bool:
@@ -1065,11 +1058,10 @@ def find_vertex_tripartition(
     config: TriangularConfiguration, pins: Mapping[str, int] | None = None
 ) -> dict[str, int] | None:
     """Total vertex 3-classing with every triangle rainbow, or None if impossible."""
-    for t in config.triangle_ids:
-        verts = config.triangle_vertices(t)
-        if verts is None or len(verts) != 3:
-            raise ToolkitError(f"triangle {t!r} lacks vertex data")
     places = _vertex_places(config)
+    for t, members in places[1].items():
+        if len(members) != 3:
+            raise ToolkitError(f"triangle {t!r} lacks vertex data")
     return _rainbow_csp(places, _pin_domains(places, pins))
 
 

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     TriangularConfiguration,
+    _edge_places,
     build_config_doc,
     check_edge_tripartition,
     defect,
@@ -285,14 +286,14 @@ def make_s5(certify: bool = True) -> Gadget:
 class _Template:
     """A reference gadget compiled once for `_glue`.
 
-    Edge slot s is the reference's s-th edge and triangle slot s its s-th
-    triangle, both in sorted id order, so names that share a prefix stay
-    in that order. Per slot, a suffix is `:x` for name `x`. An end's slots
-    follow its sorted edges. A triangle holds its interior edge slots,
-    ascending, and its end edge slots. A matching is its triangle slots,
-    ascending. `classes` pairs each classed edge slot with its class, in
-    the order of the stored classes, and `interior_classes` is its
-    interior part.
+    Edge slot s is the reference's s-th edge (its edge place) and triangle
+    slot s its s-th triangle, both in sorted id order, so names that share
+    a prefix stay in that order. Per slot, a suffix is `:x` for name `x`.
+    An end's slots follow its sorted edges. A triangle holds its interior
+    edge slots, ascending, and its end edge slots. A matching is its
+    triangle slots, ascending. `classes` pairs each classed edge slot with
+    its class, in the order of the stored classes, and `interior_classes`
+    is its interior part.
     """
 
     edge_suffixes: tuple[str, ...]
@@ -306,21 +307,20 @@ class _Template:
 
 def _compile(ref: Gadget) -> _Template:
     config = ref.config
-    edge_slot = {e: s for s, e in enumerate(config.edge_ids)}
-    triangle_slot = {t: s for s, t in enumerate(config.triangle_ids)}
+    edge_slot, members = _edge_places(config)
     end_slots = tuple(tuple(edge_slot[e] for e in sorted(end)) for end in ref.ends)
     on_end = {s for slots in end_slots for s in slots}
-    triangle_slots = []
-    for t in config.triangle_ids:
-        slots = [edge_slot[e] for e in config.triangle_edges(t)]
-        triangle_slots.append((tuple(s for s in slots if s not in on_end), tuple(s for s in slots if s in on_end)))
+    triangle_slots = tuple(
+        (tuple(s for s in slots if s not in on_end), tuple(s for s in slots if s in on_end))
+        for slots in members.values()
+    )
     classes = tuple((edge_slot[e], c) for e, c in ref.edge_classes.items())
     return _Template(
         edge_suffixes=tuple(f":{e}" for e in config.edge_ids),
         end_slots=end_slots,
         triangle_suffixes=tuple(f":{t}" for t in config.triangle_ids),
-        triangle_slots=tuple(triangle_slots),
-        matchings={k: tuple(sorted(triangle_slot[t] for t in m)) for k, m in ref.matchings.items()},
+        triangle_slots=triangle_slots,
+        matchings={k: tuple(sorted(map(config.triangle_ids.index, m))) for k, m in ref.matchings.items()},
         classes=classes,
         interior_classes=tuple((s, c) for s, c in classes if s not in on_end),
     )

@@ -8,6 +8,10 @@ matrix and against per3 and det3 of the `build_T` tensor.
 The realization holds integer coordinates in units of 1/GRID: lattice points
 and edge midpoints lie on the half-integer grid, each auxiliary vertex less
 than 1/4 from its own, and boxes above `REALIZATION_MAX_VERTICES` are refused.
+No two offsets from one anchor may be opposite: opposite axis-0 and axis-1
+offsets at an edge midpoint would put the gadget edge w(0,e)-w(1,e) through
+the lattice edge, which the triangle of v(1,i), v(2,j) and w(0,e) holds, and
+the triangles would cross. The tests audit the export for crossings exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Mapping
 
 from ._util import exact_decimal
 from .algebra import Polynomial
-from .core import CoverIndex
+from .core import CoverIndex, _vertex_places
 from .errors import GuardExceeded, ToolkitError
 from .kasteleyn_construct import TConstruction, build_T
 from .tensor3 import BipartiteGraph, check_ryser_side
@@ -102,9 +106,9 @@ REALIZATION_MAX_VERTICES = 4096
 # per block of `build_T`'s axes (support edges, left points, right points), the
 # offsets in units of 1/GRID of the axis-0, -1 and -2 vertex at a position from
 # its anchor; each stays strictly inside the radius-1/4 ball around the anchor
-_EDGE = ((2, 3, -1), (-2, -3, 1), (1, -2, 3))
-_LEFT = ((6, 2, 1), (0, 0, 0), (-6, 1, 2))
-_RIGHT = ((6, 2, 1), (-6, 1, 2), (0, 0, 0))
+_EDGE = ((4, 3, -2), (-3, -7, 1), (3, 0, -3))
+_LEFT = ((-6, -4, 1), (0, 0, 0), (-3, -3, 4))
+_RIGHT = ((-4, -1, -5), (-5, -3, -4), (0, 0, 0))
 _HALF = GRID // 2
 _RADIUS = GRID // 4
 
@@ -120,19 +124,17 @@ class EmbeddedComplex:
     coordinates: dict[str, Point]
 
     def to_off(self) -> str:
-        """OFF text with exact decimal coordinates (GRID is a power of two)."""
-        names = sorted(self.coordinates)
-        index = {name: i for i, name in enumerate(names)}
+        """OFF text with exact decimal coordinates (GRID is a power of two),
+        its vertices and faces numbered by the vertex places (`core._vertex_places`)."""
         config = self.construction.config
+        names, faces = _vertex_places(config)
         values = {c for point in self.coordinates.values() for c in point}
         text = {c: exact_decimal(Fraction(c, GRID)) for c in values}
-        lines = ["OFF", f"{len(names)} {len(config.triangle_ids)} {len(config.edge_ids)}"]
+        lines = ["OFF", f"{len(names)} {len(faces)} {len(config.edge_ids)}"]
         for name in names:
             lines.append(" ".join(text[c] for c in self.coordinates[name]))
-        for t in config.triangle_ids:
-            verts = config.triangle_vertices(t)
-            assert verts is not None
-            lines.append("3 " + " ".join(str(index[v]) for v in sorted(verts, key=index.get)))
+        for face in faces.values():
+            lines.append("3 " + " ".join(map(str, face)))
         return "\n".join(lines) + "\n"
 
 
@@ -185,22 +187,21 @@ def check_embedding(emb: EmbeddedComplex) -> list[str]:
     problems: list[str] = []
     config = emb.construction.config
     coords = emb.coordinates
-    missing = [v for v in sorted(config.vertices) if v not in coords]
+    vertices, faces = _vertex_places(config)
+    missing = [v for v in vertices if v not in coords]
     if missing:
         return [f"vertices without coordinates: {missing[:5]}"]
-    names = sorted(coords)
+    points = [coords[v] for v in vertices]  # by place
     by_point: dict[Point, str] = {}
-    for name in names:
-        point = coords[name]
+    for name, point in zip(vertices, points):
         if point in by_point:
             problems.append(f"{name} and {by_point[point]} coincide at {point}")
         by_point[point] = name
-    for t in config.triangle_ids:
-        verts = sorted(config.triangle_vertices(t) or ())
-        if len(verts) != 3:
+    for t, face in faces.items():
+        if len(face) != 3:
             problems.append(f"triangle {t!r} lacks three vertices")
             continue
-        p0, p1, p2 = (coords[v] for v in verts)
+        p0, p1, p2 = (points[p] for p in face)
         u = tuple(p1[k] - p0[k] for k in range(3))
         w = tuple(p2[k] - p0[k] for k in range(3))
         cross = (
@@ -217,8 +218,7 @@ def check_embedding(emb: EmbeddedComplex) -> list[str]:
     # coordinate to the nearest half-integer yields that anchor: it is the
     # point's unique nearest half-grid point. One lookup of the rounded point
     # thus decides whether any anchor lies within 1/4.
-    for name in names:
-        point = coords[name]
+    for name, point in zip(vertices, points):
         nearest = tuple((c + _RADIUS) // _HALF * _HALF for c in point)
         dist_sq = sum((c - a) ** 2 for c, a in zip(point, nearest))
         if nearest not in anchors or dist_sq >= _RADIUS**2:

@@ -15,7 +15,7 @@ tensor with axes of equal length works out none of its own: its support
 diagonals are its configuration's perfect matchings, so it folds and lists
 the configuration's one perfect-matching cover index, made on first use
 by it or by `core.perfect_matching_polynomial`, whichever comes first,
-with each axis index's item read from the configuration's edge places. A
+each axis index's item its edge's place, which `triadjacency` hands over. A
 tensor with an axis index that no entry uses has no support diagonal and
 is answered from its entries; otherwise the cover index refuses a support
 whose masks would pass `core.SUPPORT_MAX_BITS` before it builds any, and a
@@ -40,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._util import int_text, read_array, read_int
 from .algebra import Polynomial
@@ -49,6 +49,8 @@ from .core import (
     TriangularConfiguration,
     _edge_places,
     _matching_index,
+    _Places,
+    _vertex_places,
     check_edge_tripartition,
     check_vertex_tripartition,
 )
@@ -250,8 +252,8 @@ def _support(tensor: Tensor3) -> Support:
     recipe for its configuration's kept perfect-matching index
     (`core._matching_index`), read here the first time a fold or a listing
     needs it: its cells in `triangle_ids` order, one per triangle, are that
-    index's options, and each axis index is the item of its edge, read from
-    the configuration's edge places (`core._edge_places`).
+    index's options, and each axis index is the item of its edge: its
+    position in the edge places (`core._edge_places`), handed over by `triadjacency`.
     Values are not part of the support; callers read them from `entries`.
     """
     support = tensor._support
@@ -267,12 +269,11 @@ def _support(tensor: Tensor3) -> Support:
     return support
 
 
-def _matching_support(config: TriangularConfiguration, orders: tuple[tuple[str, ...], ...], tensor: Tensor3) -> Support:
+def _matching_support(config: TriangularConfiguration, items: Sequence[Sequence[int]], tensor: Tensor3) -> Support:
     """The support of `config`'s `triadjacency` tensor, whose cells were
     placed one per triangle in `triangle_ids` order, as its configuration's
-    perfect-matching cover index, each axis index the item of its edge."""
-    pos, _ = _edge_places(config)
-    return list(tensor.entries), _matching_index(config), tuple([pos[e] for e in axis] for axis in orders)
+    perfect-matching cover index; `items` are the axes' edge positions."""
+    return list(tensor.entries), _matching_index(config), tuple(items)
 
 
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
@@ -384,44 +385,44 @@ def determinant3(tensor: Tensor3, threads: int = 1) -> RingValue:
 # -- adjacency builders ----------------------------------------------------------
 
 
-def _split_by_class(
-    items: Sequence[str], classes: Mapping[str, int]
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """The items of class 1, 2 and 3, each in the order of `items`."""
-    axes: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for x in items:
-        axes[classes[x] - 1].append(x)
-    return tuple(axes[0]), tuple(axes[1]), tuple(axes[2])
-
-
 def _adjacency_tensor(
-    triangles: Iterable[tuple[str, Collection[str]]],
+    places: _Places,
     classes: Mapping[str, int],
-    orders: tuple[tuple[str, ...], ...],
     values: Mapping[str, RingValue],
     default: RingValue,
-) -> tuple[tuple[int, int, int], dict[tuple[int, int, int], RingValue]]:
-    """The dims and cells of a cube with one cell per triangle, holding
-    `values[triangle]` or `default`: each member's class picks an axis and
-    its place in `orders` the index on it.
+) -> tuple[tuple[int, ...], dict[tuple[int, int, int], RingValue], tuple[tuple[str, ...], ...], tuple[list[int], ...]]:
+    """The dims and cells, in `triangle_ids` order, of a cube with one cell
+    per triangle, holding `values[triangle]` or `default`, and per axis the
+    names and the `places` positions of its members (edges or vertices).
 
-    The classes have been checked, so every index is inside the cube. A
-    cell may hold a zero value; the caller decides how the cells become a
-    tensor.
+    Each position's class picks its axis, and its rank in that class its
+    index there, worked out once per position. The classes have been
+    checked, so a triangle has one member of each class. A cell may hold a
+    zero value; the caller decides how the cells become a tensor.
     """
-    pos = {x: i for axis in orders for i, x in enumerate(axis)}
+    pos, members = places
+    items: tuple[list[int], ...] = ([], [], [])
+    spots = []  # per position: its axis and its index there
+    for p, x in enumerate(pos):
+        a = classes[x] - 1
+        spots.append((a, len(items[a])))
+        items[a].append(p)
     entries: dict[tuple[int, int, int], RingValue] = {}
     index = [0, 0, 0]
-    for t, (a, b, c) in triangles:
-        index[classes[a] - 1] = pos[a]
-        index[classes[b] - 1] = pos[b]
-        index[classes[c] - 1] = pos[c]
+    for t, (a, b, c) in members.items():
+        axis, i = spots[a]
+        index[axis] = i
+        axis, i = spots[b]
+        index[axis] = i
+        axis, i = spots[c]
+        index[axis] = i
         key = (index[0], index[1], index[2])
         if key in entries:
             raise ToolkitError(f"two triangles map to tensor cell {key}")
         entries[key] = values.get(t, default)
-    side = max(len(axis) for axis in orders)
-    return (side, side, side), entries
+    side = max(map(len, items))
+    names = tuple(pos)
+    return (side, side, side), entries, tuple(tuple([names[p] for p in axis]) for axis in items), items
 
 
 def triadjacency(
@@ -437,12 +438,13 @@ def triadjacency(
     them without checking.
 
     The tensor's support diagonals are the configuration's perfect
-    matchings. When the three axes have equal length, the tensor records
-    that its support is the configuration's kept perfect-matching index
-    (see `_support`), so `permanent3`, `determinant3` and
-    `support_diagonals` share one search with `core.perfect_matching_polynomial`.
-    Nothing of that index or of its edge places is built until a fold or a
-    listing asks for it.
+    matchings, and its cells are placed by their edge places
+    (`core._edge_places`). When the three axes have equal length, the
+    tensor records that its support is the configuration's kept
+    perfect-matching index, over the axes' edge positions (see `_support`),
+    so `permanent3`, `determinant3` and `support_diagonals` share one
+    search with `core.perfect_matching_polynomial`. Nothing of that index
+    is built until a fold or a listing asks for it.
     Axes of unequal length leave an unused axis index, and the tensor keeps
     its own support, which answers 0 before anything is built.
     """
@@ -451,12 +453,11 @@ def triadjacency(
         raise ToolkitError("invalid edge tripartition: " + "; ".join(problems))
     monomial = functools.cache(Polynomial.monomial)  # one x^w per weight, shared: polynomials are immutable
     values = {t: monomial(operator.index(w)) for t, w in (weighting or {}).items() if config.has_triangle(t)}
-    orders = _split_by_class(config.edge_ids, edge_classes)
-    triangles = ((t, config.triangle_edges(t)) for t in config.triangle_ids)
     # every value is a monomial, never zero
-    tensor = Tensor3._make(*_adjacency_tensor(triangles, edge_classes, orders, values, monomial(1)))
-    if len(orders[0]) == len(orders[1]) == len(orders[2]):
-        tensor._support = functools.partial(_matching_support, config, orders)
+    dims, entries, orders, items = _adjacency_tensor(_edge_places(config), edge_classes, values, monomial(1))
+    tensor = Tensor3._make(dims, entries)
+    if len(items[0]) == len(items[1]) == len(items[2]):
+        tensor._support = functools.partial(_matching_support, config, items)
     return tensor, orders
 
 
@@ -468,15 +469,16 @@ def vertex_adjacency(
     """Vertex-level adjacency tensor; entry values are supplied per triangle.
 
     Checks the classes it is given, then returns the tensor (zero-padded to
-    a cube) and the three sorted vertex orders indexing its axes.
+    a cube) and the three sorted vertex orders indexing its axes. Cells are
+    placed by the vertex places (`core._vertex_places`) that the vertex
+    tripartition and strong-matching searches read.
     """
     problems = check_vertex_tripartition(config, vertex_classes)
     if problems:
         raise ToolkitError("invalid vertex tripartition: " + "; ".join(problems))
-    orders = _split_by_class(sorted(config.vertices), vertex_classes)
-    triangles = ((t, config.triangle_vertices(t)) for t in config.triangle_ids)
+    dims, entries, orders, _ = _adjacency_tensor(_vertex_places(config), vertex_classes, entry_values, 1)
     # the caller's values: the public constructor refuses inexact ones and drops the zero ones
-    return Tensor3(*_adjacency_tensor(triangles, vertex_classes, orders, entry_values, 1)), orders
+    return Tensor3(dims, entries), orders
 
 
 # -- bipartite graphs and 2-matrix kernels ---------------------------------------
@@ -666,18 +668,21 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     row, bit 1 + o for edge o of the sorted edges and bit 0 for the parity,
     reduced by `CoverIndex.parity_span` over the matching problem's state
     graph, under its guards, with no matching listed. Edge (i, j) gets the
-    sign mask "left vertices below i and right vertices below j", so a
-    pair of edges adds one to the parity iff it is an inversion of sigma;
-    the masks are built once the index has passed its size guard. The
-    system is inconsistent iff the basis holds the row 1 (0 = 1).
+    sign mask "left vertices below i and right vertices below j" by det3's
+    rule (`_below`), so a pair of edges adds one to the parity iff it is an
+    inversion of sigma; the masks are built once the index has passed its
+    size guard. The system is inconsistent iff the basis holds the row 1 (0 = 1).
     Otherwise each pivot edge takes bit 0 of its row and every free edge +1.
     """
     edges = sorted(graph.edges)
     item_count, options = graph.matching_problem(edges)
     index = CoverIndex(item_count, options)
-    left = (1 << len(graph.left)) - 1
-    # edge (i, j) holds items i and nl + j: the left items below i, the right items below nl + j
-    signs = [(1 << i) - 1 | ((1 << nl_j) - 1) ^ left for i, nl_j in options]
+    nl = len(graph.left)
+    signs: list[int] = []
+    if len(options) >= nl:  # else a left vertex has no edge: there is no cover, and no sign is read
+        below = _below(range(item_count))
+        # edge (i, j) holds items i and nl + j: the left items below i, the right items below nl + j
+        signs = [below[i] | below[nl_j] ^ below[nl] for i, nl_j in options]
     basis = index.parity_span(signs)
     if basis and basis[-1] == 1:
         return None

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's search paths: matchings are
 filtered from full subset enumeration, permanents and determinants come from
 the n! definitions, Pfaffian signings from trying every sign pattern, cycle
-spaces from trying every triangle weighting, the matrix-to-tensor
+spaces from trying every triangle weighting, crossings of a realized
+complex from exact segment-triangle tests, the matrix-to-tensor
 construction's cells from its triangles' vertices, its bijection
 certificate from the permutations of its support, the dimer counts of
 1 x 2 x n and 2 x 2 x n boxes from their transfer recurrences, and those of
@@ -17,6 +18,7 @@ import math
 import random
 import tracemalloc
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Callable
 
 import pytest
@@ -26,6 +28,7 @@ from kas3.algebra import Polynomial
 from kas3.core import TriangularConfiguration, perfect_matching_polynomial
 from kas3.errors import GuardExceeded
 from kas3.gadgets import tripartite_reduction
+from kas3.lattice import GRID
 from kas3.tensor3 import Tensor3
 
 DENSE_MAX_SIDE = 4
@@ -398,6 +401,117 @@ def bijection_report_by_listing(tc):
     if broken:
         problems.append(f"weights disagree on {min(broken)}")
     return not problems, len(matchings), strong, "; ".join(problems)
+
+
+def _minus(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _cross(u, w):
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+
+def _dot(u, w):
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _volume(a, b, c, d):
+    """Six times the signed volume of the tetrahedron a, b, c, d."""
+    return _dot(_cross(_minus(b, a), _minus(c, a)), _minus(d, a))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _segment_meets_triangle(u, v, tri, at_u, at_v):
+    """Whether the closed segment uv meets the closed triangle `tri` outside
+    the face they share: the endpoint u when `at_u` (u is a vertex of the
+    triangle), v when `at_v`, nothing when neither. Exact integer and
+    rational arithmetic; the triangle is not degenerate.
+
+    A segment off the triangle's plane meets it in at most one point, found
+    by orientation tests. A coplanar segment is clipped against the
+    triangle's three half-planes in the coordinate plane that keeps the
+    triangle's area, and meets it in the interval of parameters left.
+    """
+    a, b, c = tri
+    normal = _cross(_minus(b, a), _minus(c, a))
+    du, dv = _sign(_dot(normal, _minus(u, a))), _sign(_dot(normal, _minus(v, a)))
+    if du * dv > 0:
+        return False
+    if du and dv:  # the segment crosses the plane at an inner point, no vertex of the triangle
+        signs = {_sign(_volume(u, v, p, q)) for p, q in ((a, b), (b, c), (c, a))}
+        return not {1, -1} <= signs
+    # drop the axis along which the normal is longest: the projection keeps the triangle's area
+    k = max(range(3), key=lambda axis: abs(normal[axis]))
+    flat = lambda p: tuple(x for axis, x in enumerate(p) if axis != k)
+    fa, fb, fc, fu, fv = map(flat, (a, b, c, u, v))
+    area = _sign((fb[0] - fa[0]) * (fc[1] - fa[1]) - (fb[1] - fa[1]) * (fc[0] - fa[0]))
+    step = (fv[0] - fu[0], fv[1] - fu[1]) if not du and not dv else (0, 0)
+    if du:  # only v lies in the plane: test the point v alone
+        fu, at_u, at_v = fv, at_v, False
+    lo, hi = Fraction(0), Fraction(0) if step == (0, 0) else Fraction(1)
+    for p, q in ((fa, fb), (fb, fc), (fc, fa)):
+        edge = (q[0] - p[0], q[1] - p[1])
+        # inside this half-plane where alpha + beta t >= 0
+        alpha = area * (edge[0] * (fu[1] - p[1]) - edge[1] * (fu[0] - p[0]))
+        beta = area * (edge[0] * step[1] - edge[1] * step[0])
+        if beta > 0:
+            lo = max(lo, Fraction(-alpha, beta))
+        elif beta < 0:
+            hi = min(hi, Fraction(-alpha, beta))
+        elif alpha < 0:
+            return False
+        if lo > hi:
+            return False
+    return not (at_u and hi == 0 or at_v and lo == 1)
+
+
+def _box(points):
+    """The low and high corners of the bounding box of `points`."""
+    return [min(axis) for axis in zip(*points)], [max(axis) for axis in zip(*points)]
+
+
+def _cells(low, high):
+    """The cells of one lattice unit, `GRID`, that the box from `low` to `high` meets."""
+    return itertools.product(*(range(x // GRID, y // GRID + 1) for x, y in zip(low, high)))
+
+
+def embedding_crossings(emb):
+    """Every (edge, triangle) pair of a realization, sorted, whose closed
+    segment and closed triangle meet outside the vertices they share.
+
+    With distinct points and no degenerate triangle (`check_embedding`), the
+    complex is embedded iff there is no such pair: two triangles that meet
+    outside their common face meet there at a point of an edge of one of
+    them, and so does a vertex or an edge that meets a simplex it is not a
+    face of. The triangles' vertices are read from their edges' ends, and
+    the candidate pairs from bounding boxes bucketed by `_cells`.
+    """
+    config, coords = emb.construction.config, emb.coordinates
+    triangles = []
+    for t in config.triangle_ids:
+        verts = sorted({v for e in config.triangle_edges(t) for v in config.edge_ends(e)})
+        assert len(verts) == 3, t
+        points = [coords[v] for v in verts]
+        triangles.append((t, set(verts), points, *_box(points)))
+    cells = {}
+    for n, triangle in enumerate(triangles):
+        for cell in _cells(*triangle[3:]):
+            cells.setdefault(cell, []).append(n)
+    crossings = []
+    for e in config.edge_ids:
+        ends = config.edge_ends(e)
+        u, v = coords[ends[0]], coords[ends[1]]
+        low, high = _box((u, v))
+        for n in sorted({n for cell in _cells(low, high) for n in cells.get(cell, ())}):
+            t, verts, points, t_low, t_high = triangles[n]
+            at_u, at_v = ends[0] in verts, ends[1] in verts
+            apart = any(h < l for h, l in zip(high, t_low)) or any(h < l for h, l in zip(t_high, low))
+            if not (at_u and at_v or apart) and _segment_meets_triangle(u, v, points, at_u, at_v):
+                crossings.append((e, t))
+    return crossings
 
 
 def brute_force_kernel_enumerator(config, p):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import disjoint_union, tetrahedron_boundary
+from conftest import disjoint_union, places_made, tetrahedron_boundary
 import kas3
 from kas3._util import canonical_json
 from kas3.algebra import BinaryCode, Polynomial
@@ -676,6 +676,7 @@ class TestScale:
             init(index, item_count, options)
 
         monkeypatch.setattr(kas3.core.CoverIndex, "__init__", recording)
+        places = places_made(monkeypatch)
         size = 10000
         doc = {
             "edges": [{"id": f"e{i}{c}"} for i in range(size) for c in "abc"],
@@ -689,6 +690,8 @@ class TestScale:
         tensor = json.loads(out)["tensor"]
         assert tensor["dims"] == [size] * 3 and len(tensor["entries"]) == size
         assert made == []
+        # the cells are placed by the one set of edge places the configuration keeps
+        assert [len(names) for names in places] == [3 * size]
 
     def test_huge_side_answers_without_a_large_allocation(self, tmp_path):
         # side 2 * 10^10 with one entry: nothing of the cube's size may be built
@@ -836,8 +839,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "dims, digest",
         [
-            ("222", "5f963c65f2b5139b4409ecc70e47b0726f672050af2e16f712128f9c5bf24dcf"),
-            ("234", "10d91deb0322b14b8d40355698b888c7b756119549a7b28a12284024c5a00d77"),
+            ("222", "4dede8022ce784c501f1024d017a02ab52f738388c8bfc739b0221af2f632140"),
+            ("234", "c91669e46b95ba96e3efe8f8e4d3d2cc3d2aef13cd7e8be52bcca9dd218c19bc"),
         ],
     )
     def test_lattice_export_off(self, capsys, tmp_path, dims, digest):

@@ -48,6 +48,7 @@ from kas3.core import (
     validate,
 )
 from kas3.errors import GuardExceeded, NotAMatching, SchemaError, ToolkitError
+from kas3.tensor3 import vertex_adjacency
 from kas3._util import canonical_json
 
 
@@ -747,8 +748,12 @@ class TestStrongMatchings:
     def test_shares_the_vertex_places_with_the_tripartition_search(self, monkeypatch):
         config = octahedron_boundary()
         made = places_made(monkeypatch)
-        assert find_vertex_tripartition(config) == {"x0": 1, "x1": 1, "y0": 2, "y1": 2, "z0": 3, "z1": 3}
+        classes = find_vertex_tripartition(config)
+        assert classes == {"x0": 1, "x1": 1, "y0": 2, "y1": 2, "z0": 3, "z1": 3}
         places = config._vertex_places
+        # the vertex-adjacency tensor places its cells by the same vertex places
+        tensor, axes = vertex_adjacency(config, classes, {})
+        assert axes == (("x0", "x1"), ("y0", "y1"), ("z0", "z1")) and len(tensor.entries) == 8
         assert len(enumerate_perfect_strong_matchings(config)) == 4
         assert config._vertex_places is places
         # the strong matchings read the edge places too, which refuse a dangling edge first

@@ -6,11 +6,18 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import dimers_1x2xn, dimers_2x2xn, dimers_by_transfer, permanent2_bruteforce
+from conftest import (
+    dimers_1x2xn,
+    dimers_2x2xn,
+    dimers_by_transfer,
+    embedding_crossings,
+    permanent2_bruteforce,
+    places_made,
+)
 import kas3.core as core
 import kas3.lattice as lattice
 from kas3.algebra import Polynomial
-from kas3.core import CoverIndex, TriangularConfiguration
+from kas3.core import CoverIndex, TriangularConfiguration, find_vertex_tripartition
 from kas3.errors import GuardExceeded, ToolkitError
 from kas3.lattice import (
     GRID,
@@ -21,7 +28,7 @@ from kas3.lattice import (
     dimer_polynomial,
     embed_T,
 )
-from kas3.tensor3 import BipartiteGraph, determinant3, permanent2, permanent3
+from kas3.tensor3 import BipartiteGraph, determinant3, permanent2, permanent3, vertex_adjacency
 from kas3.kasteleyn_construct import build_T
 
 
@@ -246,9 +253,9 @@ class TestEmbedding:
         assert any("w(1,e0) and w(0,e0) coincide" in p for p in problems)
 
     def test_degenerate_triangle_is_reported(self):
-        # w(0,e0) and w(1,e0) sit symmetrically about the midpoint
-        problems = self.tampered("w(2,e0)", lambda mid: mid)
-        assert problems == ["triangle 'tri:gadget[0]' is degenerate"]
+        # the midpoint lies on the segment from v(1,i) to v(2,j), the other two vertices of tri:edge[0]
+        problems = self.tampered("w(0,e0)", lambda mid: mid)
+        assert problems == ["triangle 'tri:edge[0]' is degenerate"]
 
     def test_triangle_without_vertices_is_reported(self):
         # a triangle over three edges that have no ends
@@ -296,9 +303,44 @@ class TestEmbedding:
         with pytest.raises(GuardExceeded, match="realization guard is 4096 vertices, got 4097"):
             embed_T(cubic_lattice(REALIZATION_MAX_VERTICES + 1, 1, 1))
 
-    def test_off_export_shape(self):
+    @pytest.mark.parametrize(
+        "dims",
+        [dims for dims in itertools.product(range(1, 5), repeat=3) if math.prod(dims) % 2 == 0],
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    def test_export_is_an_embedding(self, dims):
+        # every even box with sides 1..4, in every axis order: triangles meet only in shared faces
+        assert embedding_crossings(embed_T(cubic_lattice(*dims))) == []
+
+    @pytest.mark.parametrize(
+        "dims, count",
+        [
+            ((2, 1, 1), 1), ((2, 2, 1), 2), ((2, 2, 2), 9), ((2, 2, 3), 32),
+            ((2, 3, 3), 229), ((2, 3, 4), 1845), ((2, 2, 6), 1681), ((4, 4, 1), 36),
+        ],
+    )
+    def test_exported_complex_counts_the_dimers(self, dims, count):
+        # the paper's last claim from the exported object alone: the OFF faces,
+        # read back with vertex k named k, give a vertex-tripartite complex
+        # whose unit vertex-adjacency 3-matrix has per3 = |det3| = the dimer count
+        lines = embed_T(cubic_lattice(*dims)).to_off().splitlines()
+        nv = int(lines[1].split()[0])
+        edges, triangles = {}, {}
+        for f, line in enumerate(lines[2 + nv :]):
+            a, b, c = sorted(map(int, line.split()[1:]))
+            triangles[f"f{f}"] = [f"{u}~{v}" for u, v in ((a, b), (a, c), (b, c))]
+            edges.update({f"{u}~{v}": (str(u), str(v)) for u, v in ((a, b), (a, c), (b, c))})
+        config = TriangularConfiguration(edges, triangles)
+        tensor, _ = vertex_adjacency(config, find_vertex_tripartition(config), {})
+        assert permanent3(tensor) == abs(determinant3(tensor)) == count
+        assert dimers_by_transfer(*dims) == dimer_polynomial(cubic_lattice(*dims))(1) == count
+
+    def test_off_export_shape(self, monkeypatch):
+        made = places_made(monkeypatch)
         emb = embed_T(cubic_lattice(2, 1, 1))
         text = emb.to_off()
+        # the audit and the export read one set of vertex places
+        assert made == [sorted(emb.construction.config.vertices)]
         lines = text.strip().split("\n")
         assert lines[0] == "OFF"
         nv, nf, ne = map(int, lines[1].split())
