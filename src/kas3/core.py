@@ -2,6 +2,8 @@
 
 Every matching problem is an exact-cover problem over a `CoverIndex`, whose
 state graph is listed only to name covers and folded for every sum over them.
+Stating a problem builds nothing: its first pass meets the mask guard,
+builds the masks and searches under the graph guard.
 Every search over a configuration, both tripartition searches included, reads
 the places it keeps: its edge places, its vertex places and its
 perfect-matching index, which its `triadjacency` tensor shares.
@@ -220,10 +222,15 @@ def parse_config_doc(
     once, here, and the configuration is built from the finished maps. A
     name that is a string is taken as it is; any other value goes through
     `read_name`, so a field's label is formatted only for a value that
-    needs reading, and the refusal texts are `read_name`'s.
+    needs reading, and the refusal texts are `read_name`'s. A document must
+    name a configuration: one holding none of `edges`, `triangles` and
+    `vertices` is refused before anything is read, so another kind of
+    document is not taken as the empty configuration.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("configuration document must be an object")
+    if not any(key in doc for key in ("edges", "triangles", "vertices")):
+        raise SchemaError("configuration document holds none of edges, triangles and vertices")
     edge_docs, triangle_docs, vertex_names = (
         read_array(doc.get(key, []), key) for key in ("edges", "triangles", "vertices")
     )
@@ -378,11 +385,11 @@ _Graph = list[tuple[int, tuple[tuple[int, tuple[int, ...], int], ...]]]
 class CoverIndex:
     """One exact-cover problem and its one search, shared by every caller.
 
-    Option o is given as the items it holds. Only the index builds bitmasks:
-    `masks[o]` of option o's items and, for the search alone, the options
-    holding each item. Past `SUPPORT_MAX_BITS` (2^28) bits, options * items,
-    a problem is refused before any mask is built: the one size guard of
-    every cover problem.
+    Option o is given as the items it holds. Making an index builds nothing;
+    its first pass (`_graph`) builds the bitmasks: `masks[o]` of option o's
+    items and, for the search alone, the options holding each item. Past
+    `SUPPORT_MAX_BITS` (2^28) bits, options * items, that pass refuses a
+    problem before any mask is built: the one size guard of every cover problem.
 
     The search is Knuth's Algorithm X over `covered`, the items covered so
     far; the options disjoint from it are live, and an item's count is its
@@ -397,19 +404,19 @@ class CoverIndex:
     taking the lowest item index on ties, in ascending option order.
 
     `_build` is the only search. The first fold, listing, common sum or
-    parity span builds its state graph, `graph`, and every later one reads
-    it: `fold` sums it, `common_sum` checks that a sum is the same on every
-    cover, `covers` walks it and `parity_span` reduces over it. Only
-    callers that return or inspect covers list them; every sum over covers,
-    weight polynomials included, is a fold. The root and every new state
-    that is no dead end, the full cover too, is a frame on the search's
-    stack, and a popped frame with arcs, or at the full cover, enters the
-    graph: it keeps the branch states and the full cover, plus the root
-    when it is forced. Each arc is `(option, forced, child)`: `forced` lists
-    the options the closure applied after `option`, in the order it applied
-    them (the shared `()` when it forced none), and `child` is the child's
-    graph position. Once the graph is built the index drops the search's
-    tables and keeps each option once, as its mask.
+    parity span makes the first pass, which builds its state graph, `graph`,
+    and every later one reads it: `fold` sums it, `common_sum` checks that a
+    sum is the same on every cover, `covers` walks it and `parity_span`
+    reduces over it. Only callers that return or inspect covers list them;
+    every sum over covers, weight polynomials included, is a fold. The root
+    and every new state that is no dead end, the full cover too, is a frame
+    on the search's stack, and a popped frame with arcs, or at the full
+    cover, enters the graph: it keeps the branch states and the full cover,
+    plus the root when it is forced. Each arc is `(option, forced, child)`:
+    `forced` lists the options the closure applied after `option`, in the
+    order it applied them (the shared `()` when it forced none), and `child`
+    is the child's graph position. Once the graph is built the index drops
+    the search's tables and keeps each option once, as its mask.
 
     `states_visited` counts the states the searches met, every option a
     closure applied included, and `arcs_kept` the arcs they kept; a build
@@ -419,8 +426,8 @@ class CoverIndex:
     10x10x10 tensor is refused at the guard, and at 129 MB answering the
     all-ones 9x9x9 (1,091,090 states and arcs); a certificate refused at
     the guard peaks at 273 MB (all-ones 30x30) and 187 MB (16x16). Past
-    the guard the build raises `GuardExceeded` and leaves `graph` None, so
-    the next caller builds again and raises again. A listing reads the
+    either guard the first pass raises `GuardExceeded` and leaves `graph`
+    None, so the next caller meets the guards again. A listing reads the
     cover count before the first cover, and refuses more than
     `COVER_LIST_MAX` (2^19); every listing in kas3 is a `covers` walk. At
     the bound, `perfect_matchings` of 19 disjoint blocks of two matchings
@@ -433,27 +440,30 @@ class CoverIndex:
     __slots__ = ("item_count", "masks", "graph", "states_visited", "arcs_kept", "_count", "_options", "_item_opts")
 
     def __init__(self, item_count: int, options: Sequence[Sequence[int]]):
-        bits = len(options) * item_count
-        if bits > SUPPORT_MAX_BITS:
-            raise GuardExceeded(f"cover mask guard is {SUPPORT_MAX_BITS} bits (options * items), got {bits}")
         self.item_count = item_count
-        self._options = options = list(options)
-        self.masks = masks = []
-        self._item_opts = item_opts = [0] * item_count
-        for oi, items in enumerate(options):
-            bit = 1 << oi
-            mask = 0
-            for i in items:
-                mask |= 1 << i
-                item_opts[i] |= bit
-            masks.append(mask)
+        self._options = list(options)
+        self.masks: list[int] | None = None  # the first pass builds the masks and `_item_opts`
         self.graph: _Graph | None = None
         self.states_visited = self.arcs_kept = 0
         self._count: int | None = None
 
     def _graph(self) -> _Graph:
-        """The state graph, built by the first search over this index (see `_build`)."""
+        """The state graph, built by the first pass: the mask guard, the
+        masks and each item's options, then the search (`_build`)."""
         if self.graph is None:
+            options = self._options
+            bits = len(options) * self.item_count
+            if bits > SUPPORT_MAX_BITS:
+                raise GuardExceeded(f"cover mask guard is {SUPPORT_MAX_BITS} bits (options * items), got {bits}")
+            self.masks = masks = []
+            self._item_opts = item_opts = [0] * self.item_count
+            for oi, items in enumerate(options):
+                bit = 1 << oi
+                mask = 0
+                for i in items:
+                    mask |= 1 << i
+                    item_opts[i] |= bit
+                masks.append(mask)
             self.graph = self._build()
             self._options = self._item_opts = None  # the search is done
         return self.graph
@@ -461,6 +471,7 @@ class CoverIndex:
     def count(self) -> int:
         """The number of exact covers: a fold of ones, made on first use and kept."""
         if self._count is None:
+            self._graph()  # the masks come with the first pass
             self._count = self.fold([1] * len(self.masks))
         return self._count
 
@@ -771,6 +782,7 @@ class CoverIndex:
         lift = 0
         exponents: Sequence[int | None] = weights
         if min(weights, default=0) < 0:
+            self._graph()  # the masks come with the first pass
             sizes = [mask.bit_count() for mask in self.masks]
             lift = max(((s - w - 1) // s for w, s in zip(weights, sizes) if w < 0 and s), default=0)  # ceil(-w / s)
             exponents = [w + lift * s if s else None for w, s in zip(weights, sizes)]
@@ -834,9 +846,9 @@ def _matching_index(config: TriangularConfiguration) -> CoverIndex:
     `perfect_matchings` lists it, and a `tensor3.triadjacency` tensor whose
     axes have equal length folds and lists its support diagonals through it,
     since they are these covers. So one search serves the configuration and
-    its tensor, in whichever order they are asked. A mask guard refusal keeps
-    no index, and a graph guard refusal leaves the index's graph None, so the
-    next caller meets each guard again.
+    its tensor, in whichever order they are asked. Making the index builds
+    nothing and refuses nothing, so the configuration keeps it from its
+    making; each pass over it meets the guards until one has built its graph.
     """
     if config._matching_index is None:
         pos, members = _edge_places(config)

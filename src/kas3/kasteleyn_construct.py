@@ -76,6 +76,11 @@ def _freeze_matrix(matrix: Sequence[Sequence[RingValue]]) -> Matrix:
     return rows
 
 
+def _triangle_names(ei: int, i: int, j: int) -> tuple[str, str, str, str]:
+    """The ids of support edge ei = (i, j)'s triangles: edge, gadget, left and right."""
+    return f"tri:edge[{ei}]", f"tri:gadget[{ei}]", f"tri:left[{i},{ei}]", f"tri:right[{j},{ei}]"
+
+
 def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
     """Assemble the configuration, vertex classes and adjacency tensor for `matrix`.
 
@@ -110,13 +115,14 @@ def build_T(matrix: Sequence[Sequence[RingValue]]) -> TConstruction:
     triangles_by_vertices: dict[str, tuple[str, str, str]] = {}
     cells: dict[tuple[int, int, int], RingValue] = {}
     for ei, (i, j) in enumerate(edge_list):
-        triangles_by_vertices[f"tri:edge[{ei}]"] = (v1[i], v2[j], w0e[ei])
+        edge, gadget, left, right = _triangle_names(ei, i, j)
+        triangles_by_vertices[edge] = (v1[i], v2[j], w0e[ei])
         cells[(ei, e + i, e + n + j)] = rows[i][j]
-        triangles_by_vertices[f"tri:gadget[{ei}]"] = (w0e[ei], w1e[ei], w2e[ei])
+        triangles_by_vertices[gadget] = (w0e[ei], w1e[ei], w2e[ei])
         cells[(ei, ei, ei)] = 1
-        triangles_by_vertices[f"tri:left[{i},{ei}]"] = (w01[i], v2c[i], w1e[ei])
+        triangles_by_vertices[left] = (w01[i], v2c[i], w1e[ei])
         cells[(e + i, ei, e + i)] = 1
-        triangles_by_vertices[f"tri:right[{j},{ei}]"] = (w02[j], v1c[j], w2e[ei])
+        triangles_by_vertices[right] = (w02[j], v1c[j], w2e[ei])
         cells[(e + n + j, e + n + j, ei)] = 1
 
     # edge u~v has the sorted ends (u, v); no vertex name is a prefix of
@@ -216,8 +222,8 @@ def _image_changes(
 ):
     """The image of the empty edge set, and what choosing each support edge changes.
 
-    A chosen edge ei = (i, j) adds tri:edge[ei], tri:left[i,ei] and
-    tri:right[j,ei] to an image; an edge left out adds tri:gadget[ei]. A
+    A chosen edge ei = (i, j) adds its edge, left and right triangles to an
+    image, and an edge left out its gadget triangle (`_triangle_names`). A
     part of an image is summed as `(xor, popcount, missing)`: the XOR and
     summed popcount of its triangles' vertex masks (bit v for each vertex
     position v in `items_of`), and the number of them the configuration
@@ -247,8 +253,9 @@ def _image_changes(
     values = []
     left_out_values = []
     for ei, (i, j) in enumerate(tc.edge_list):
-        on, on_value = part((f"tri:edge[{ei}]", f"tri:left[{i},{ei}]", f"tri:right[{j},{ei}]"))
-        off, off_value = part((f"tri:gadget[{ei}]",))
+        edge, gadget, left, right = _triangle_names(ei, i, j)
+        on, on_value = part((edge, left, right))
+        off, off_value = part((gadget,))
         base = _add_sums(base, off)
         if off_value != 1:
             left_out_values.append((ei, off_value))

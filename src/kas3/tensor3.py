@@ -12,14 +12,14 @@ the same graph. On `build_T` tensors and reduction gadgets nearly every
 step is forced, so their graphs are small. Each tensor works out its
 support once (`_support`), and its resignings share it. A `triadjacency`
 tensor with axes of equal length works out none of its own: its support
-diagonals are its configuration's perfect matchings, so it folds and lists
-the configuration's one perfect-matching cover index, made on first use
-by it or by `core.perfect_matching_polynomial`, whichever comes first,
-each axis index's item its edge's place, which `triadjacency` hands over. A
-tensor with an axis index that no entry uses has no support diagonal and
-is answered from its entries; otherwise the cover index refuses a support
-whose masks would pass `core.SUPPORT_MAX_BITS` before it builds any, and a
-state graph past `core.COVER_GRAPH_MAX_SIZE` while it is built.
+diagonals are its configuration's perfect matchings, so it holds from its
+making the configuration's one perfect-matching cover index, each axis
+index's item its edge's place, and shares its folds and listings with
+`core.perfect_matching_polynomial`. A tensor with an axis index that no
+entry uses has no support diagonal and is answered from its entries;
+otherwise the cover index's first pass refuses masks past
+`core.SUPPORT_MAX_BITS` before it builds any, and a state graph past
+`core.COVER_GRAPH_MAX_SIZE` while it is built; sign masks come after it.
 Pfaffian signings of bipartite graphs come from one GF(2) solve over their
 perfect matchings' state graph (`core.CoverIndex.parity_span`), so no
 matching is listed.
@@ -89,10 +89,9 @@ class Tensor3:
     """Sparse n1 x n2 x n3 array over exact ring values; absent entries are zero.
 
     `entries` is a read-only view of the nonzero cells: to change an entry,
-    build a new `Tensor3`. `_support` keeps the support once it is worked
-    out, or a `triadjacency` tensor's recipe for it until then (see
-    `_support`). The constructor checks the dims and every cell it
-    is given, and refuses a value that is not an int (a bool does not
+    build a new `Tensor3`. `_support` keeps the support, None until it is
+    worked out; a `triadjacency` tensor is made holding it (see `_support`).
+    The constructor checks the dims and every cell it is given, and refuses a value that is not an int (a bool does not
     count), a `Fraction` or a `Polynomial` instead of storing it or dropping
     it as zero; kas3's builders make their tensors with `_make`, which stores
     cells they have already made valid.
@@ -237,7 +236,8 @@ def _support_options(tensor: Tensor3) -> tuple[int, list[tuple[int, int, int]], 
     return 3 * n, cells, [(i, n + j, 2 * n + k) for i, j, k in cells]
 
 
-# the sorted or triangle-ordered cells, their cover index, and per axis each index's item number
+# the sorted or triangle-ordered cells, their cover index (which builds nothing
+# before its first pass), and per axis each index's item number
 Support = Literal[False] | tuple[list[tuple[int, int, int]], CoverIndex, tuple[Sequence[int], ...]]
 
 
@@ -248,12 +248,12 @@ def _support(tensor: Tensor3) -> Support:
 
     A tensor's own support has its cells in sorted order, cell (i, j, k)
     holding items i, n + j and 2n + k, so axis a's index q is item a n + q.
-    A `triadjacency` tensor whose axes have equal length holds instead a
-    recipe for its configuration's kept perfect-matching index
-    (`core._matching_index`), read here the first time a fold or a listing
-    needs it: its cells in `triangle_ids` order, one per triangle, are that
-    index's options, and each axis index is the item of its edge: its
-    position in the edge places (`core._edge_places`), handed over by `triadjacency`.
+    A `triadjacency` tensor whose axes have equal length is made holding its
+    configuration's kept perfect-matching index (`core._matching_index`)
+    instead: its cells in `triangle_ids` order, one per triangle, are that
+    index's options, and each axis index is the item of its edge, its
+    position in the edge places (`core._edge_places`). Either index builds
+    nothing until a fold or a listing makes its first pass.
     Values are not part of the support; callers read them from `entries`.
     """
     support = tensor._support
@@ -264,16 +264,7 @@ def _support(tensor: Tensor3) -> Support:
             n = tensor.cube_side
             support = (cells, CoverIndex(item_count, options), (range(n), range(n, 2 * n), range(2 * n, item_count)))
         tensor._support = support
-    elif callable(support):
-        support = tensor._support = support(tensor)
     return support
-
-
-def _matching_support(config: TriangularConfiguration, items: Sequence[Sequence[int]], tensor: Tensor3) -> Support:
-    """The support of `config`'s `triadjacency` tensor, whose cells were
-    placed one per triangle in `triangle_ids` order, as its configuration's
-    perfect-matching cover index; `items` are the axes' edge positions."""
-    return list(tensor.entries), _matching_index(config), tuple(items)
 
 
 def support_diagonals(tensor: Tensor3) -> Iterator[list[tuple[int, int, int]]]:
@@ -334,9 +325,10 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
     One rule serves both kinds of support (see `_support`).
 
     Every call sums the state graph of the support's cover index, which the
-    first search over it builds; a graph past `core.COVER_GRAPH_MAX_SIZE`
-    states and arcs raises `GuardExceeded`. A tensor with an unused axis
-    index sums to 0 before any index is built.
+    first pass over it builds under both of its guards (`core.CoverIndex`).
+    A signed sum takes that graph before it builds any sign mask, and
+    builds none when the graph is empty: no cover reads no sign. A tensor
+    with an unused axis index sums to 0 before any index is made.
     """
     support = _support(tensor)
     if not support:
@@ -346,7 +338,7 @@ def support_sum(tensor: Tensor3, signed: bool = False, indicator: bool = False) 
         return index.count()
     values = [1] * len(cells) if indicator else [tensor.entries[c] for c in cells]
     signs = None
-    if signed:
+    if signed and index._graph():  # the first pass meets the guards; no cover reads no sign
         below_j, below_k = _below(items[1]), _below(items[2])
         signs = [below_j[j] | below_k[k] for _i, j, k in cells]
     return index.fold(values, signs)
@@ -440,11 +432,11 @@ def triadjacency(
     The tensor's support diagonals are the configuration's perfect
     matchings, and its cells are placed by their edge places
     (`core._edge_places`). When the three axes have equal length, the
-    tensor records that its support is the configuration's kept
-    perfect-matching index, over the axes' edge positions (see `_support`),
-    so `permanent3`, `determinant3` and `support_diagonals` share one
-    search with `core.perfect_matching_polynomial`. Nothing of that index
-    is built until a fold or a listing asks for it.
+    tensor holds as its support the configuration's kept perfect-matching
+    index, over the axes' edge positions (see `_support`), so
+    `permanent3`, `determinant3` and `support_diagonals` share one search
+    with `core.perfect_matching_polynomial`. That index builds no mask
+    until a fold or a listing makes its first pass: `kas3 triadj` builds none.
     Axes of unequal length leave an unused axis index, and the tensor keeps
     its own support, which answers 0 before anything is built.
     """
@@ -457,7 +449,7 @@ def triadjacency(
     dims, entries, orders, items = _adjacency_tensor(_edge_places(config), edge_classes, values, monomial(1))
     tensor = Tensor3._make(dims, entries)
     if len(items[0]) == len(items[1]) == len(items[2]):
-        tensor._support = functools.partial(_matching_support, config, items)
+        tensor._support = (list(entries), _matching_index(config), items)
     return tensor, orders
 
 
@@ -670,8 +662,8 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     graph, under its guards, with no matching listed. Edge (i, j) gets the
     sign mask "left vertices below i and right vertices below j" by det3's
     rule (`_below`), so a pair of edges adds one to the parity iff it is an
-    inversion of sigma; the masks are built once the index has passed its
-    size guard. The system is inconsistent iff the basis holds the row 1 (0 = 1).
+    inversion of sigma; they are built after the index's first pass, and
+    not at all when no perfect matching exists. The system is inconsistent iff the basis holds the row 1 (0 = 1).
     Otherwise each pivot edge takes bit 0 of its row and every free edge +1.
     """
     edges = sorted(graph.edges)
@@ -679,7 +671,7 @@ def find_pfaffian_signing(graph: BipartiteGraph) -> EdgeSigning | None:
     index = CoverIndex(item_count, options)
     nl = len(graph.left)
     signs: list[int] = []
-    if len(options) >= nl:  # else a left vertex has no edge: there is no cover, and no sign is read
+    if index._graph():  # the first pass meets the guards; no cover reads no sign
         below = _below(range(item_count))
         # edge (i, j) holds items i and nl + j: the left items below i, the right items below nl + j
         signs = [below[i] | below[nl_j] ^ below[nl] for i, nl_j in options]

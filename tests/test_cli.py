@@ -496,8 +496,18 @@ class TestErrors:
     def test_integers_and_integer_strings_are_read(self):
         assert matrix_from_doc({"n": "2", "rows": [[1, "-3"], [0, 2**70]]}) == [[1, -3], [0, 2**70]]
         assert Tensor3.from_doc({"dims": ["2", 2, 2], "entries": [["1", 0, 1, 5]]}).entries == {(1, 0, 1): 5}
-        assert parse_config_doc({"weights": {"t": "-4"}})[1] == {"t": -4}
+        assert parse_config_doc({"triangles": [], "weights": {"t": "-4"}})[1] == {"t": -4}
         assert BinaryCode.from_doc({"k": "1", "n": 2, "rows": [[0, 1]]}).rows == (2,)
+
+    @pytest.mark.parametrize("command", [["reduce"], ["triadj"], ["kernel-wenum", "--p", "2"]], ids=lambda c: c[0])
+    def test_a_configuration_document_must_name_a_configuration(self, capsys, tmp_path, command):
+        # once read as the empty configuration, with exit status 0
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1, 0], [0, 1]]}))
+        message = "configuration document holds none of edges, triangles and vertices"
+        assert invoke(capsys, *command, str(path)) == (
+            2, canonical_json({"error": {"type": "schema", "message": message}}) + "\n"
+        )
 
     @pytest.mark.parametrize("command", [["triadj"], ["reduce"], ["kernel-wenum", "--p", "2"]], ids=lambda c: c[0])
     def test_names_are_strings_or_integers(self, capsys, tmp_path, command):
@@ -669,13 +679,13 @@ class TestScale:
         import kas3.core
 
         made = []
-        init = kas3.core.CoverIndex.__init__
+        first_pass = kas3.core.CoverIndex._graph
 
-        def recording(index, item_count, options):
-            made.append(item_count)
-            init(index, item_count, options)
+        def recording(index):
+            made.append(index.item_count)
+            return first_pass(index)
 
-        monkeypatch.setattr(kas3.core.CoverIndex, "__init__", recording)
+        monkeypatch.setattr(kas3.core.CoverIndex, "_graph", recording)
         places = places_made(monkeypatch)
         size = 10000
         doc = {

@@ -595,6 +595,18 @@ class TestCoverMaskGuard:
                 perfect_matching_polynomial(config)
         assert peak[0] < 64 << 20
 
+    def test_the_mask_guard_is_met_in_the_first_pass(self):
+        # 20000 disjoint three-item options over 60000 items: 1.2e9 bits of masks, 150 MB
+        options = [(3 * o, 3 * o + 1, 3 * o + 2) for o in range(20000)]
+        with traced_peak() as peak:
+            index = CoverIndex(60000, options)
+        assert peak[0] < 1 << 20 and index.masks is None and index.graph is None
+        for _ in range(2):  # a refused pass keeps nothing, so the next one meets the guard again
+            with pytest.raises(GuardExceeded) as refused:
+                index.count()
+            assert str(refused.value) == "cover mask guard is 268435456 bits (options * items), got 1200000000"
+            assert index.masks is None and index.graph is None
+
 
 def _tampered_witness():
     """The signing certificate of a construction whose tensor was swapped for

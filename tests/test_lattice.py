@@ -13,6 +13,7 @@ from conftest import (
     embedding_crossings,
     permanent2_bruteforce,
     places_made,
+    signed_biadjacency,
 )
 import kas3.core as core
 import kas3.lattice as lattice
@@ -28,7 +29,15 @@ from kas3.lattice import (
     dimer_polynomial,
     embed_T,
 )
-from kas3.tensor3 import BipartiteGraph, determinant3, permanent2, permanent3, vertex_adjacency
+from kas3.tensor3 import (
+    BipartiteGraph,
+    determinant2,
+    determinant3,
+    find_pfaffian_signing,
+    permanent2,
+    permanent3,
+    vertex_adjacency,
+)
 from kas3.kasteleyn_construct import build_T
 
 
@@ -205,6 +214,26 @@ class TestDimerCounts:
             graph = cubic_lattice(*dims).graph
             fold = CoverIndex(*graph.matching_problem(sorted(graph.edges))).count()
             assert fold == dimers_by_transfer(*dims) == count, dims
+
+
+class TestPlanarSlabs:
+    """Kasteleyn's theorem on a x b x 1 slabs: a planar grid graph has a
+    signing whose determinant counts its dimers (Kasteleyn, Physica 27, 1961)."""
+
+    @pytest.mark.parametrize(
+        "a, b, count", [(2, 3, 3), (3, 4, 11), (4, 4, 36), (4, 5, 95), (6, 6, 6728), (8, 8, 12_988_816)]
+    )
+    def test_kasteleyn_signing_determinant_counts_the_dimers(self, a, b, count):
+        graph = cubic_lattice(a, b, 1).graph
+        # each edge along axis 1 takes the sign (-1)^x of its axis-0 coordinate x
+        kasteleyn = {(p, q): -1 if p[1] != q[1] and p[0] % 2 else 1 for p, q in graph.edges}
+        pfaffian = find_pfaffian_signing(graph)
+        assert pfaffian is not None
+        for signing in (kasteleyn, pfaffian):
+            assert abs(determinant2(signed_biadjacency(graph, signing))) == count, (a, b)
+        assert dimers_by_transfer(a, b, 1) == count
+        if a * b <= 40:  # within the Ryser guard
+            assert dimer_polynomial(cubic_lattice(a, b, 1)) == Polynomial({a * b // 2: count})
 
 
 class TestEmbedding:

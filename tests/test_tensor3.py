@@ -805,6 +805,26 @@ class TestProjectionsAndSignings:
         assert signed._support is t._support and determinant3(signed) == permanent3(t) == 49
         assert built == [16, 16, 24]
 
+    @staticmethod
+    def refuse_sign_masks(monkeypatch):
+        def refuse(items):
+            raise AssertionError("a sign mask was built")
+
+        monkeypatch.setattr(tensor3, "_below", refuse)
+
+    def test_no_support_diagonal_builds_no_sign_mask(self, monkeypatch):
+        # every axis index has an entry, but no two cells differ on all three axes
+        t = Tensor3((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
+        self.refuse_sign_masks(monkeypatch)
+        assert determinant3(t) == 0 and t._support
+
+    def test_no_perfect_matching_builds_no_sign_mask(self, monkeypatch):
+        # left vertex 0 has no edge; each other left vertex i meets right vertices i and i + 1 mod 50
+        n = 50
+        edges = frozenset((i, j % n) for i in range(1, n) for j in (i, i + 1))
+        self.refuse_sign_masks(monkeypatch)
+        assert find_pfaffian_signing(BipartiteGraph(tuple(range(n)), tuple(range(n)), edges)) == dict.fromkeys(edges, 1)
+
     def test_matching_guard_fires_before_any_mask(self, monkeypatch):
         # the projection graph's masks would take edges * vertices = 1.8e9 bits, 225 MB
         t = Tensor3((30000,) * 3, {(i, i, i): 1 for i in range(30000)})
